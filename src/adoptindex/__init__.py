@@ -26,7 +26,6 @@ from .estimation import (
 )
 from .index import (
     SHAPE_PRESETS,
-    DeltaGradient,
     IndexValue,
     delta_derivative,
     delta_gradient,
@@ -39,7 +38,6 @@ from .inference import (
     TestOutcome,
     VarianceEstimate,
     confidence_interval,
-    fixed_null_test,
     index_variance,
     one_sample_test,
     row_index,
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdoptionDataset",
     "ConfidenceInterval",
-    "DeltaGradient",
     "IndexValue",
     "ModelSpec",
     "MomentEstimate",
@@ -86,7 +83,6 @@ __all__ = [
     "estimate_moments",
     "estimate_pmf",
     "estimate_scores",
-    "fixed_null_test",
     "global_index",
     "index_variance",
     "latent_cross_covariance",

@@ -109,8 +109,8 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
             m = entry["m"]
         except KeyError as exc:
             raise _fail(f"{path}: model {pos} is missing {exc}") from exc
-        alpha = float(entry.get("alpha", 1.0))
-        beta = float(entry.get("beta", 1.0))
+        alpha = entry.get("alpha", 1.0)
+        beta = entry.get("beta", 1.0)
         if presets:
             preset = presets[0] if len(presets) == 1 else presets[pos]
             if preset not in SHAPE_PRESETS:
@@ -118,17 +118,11 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
                     f"unknown preset {preset!r}; choose from {sorted(SHAPE_PRESETS)}"
                 )
             alpha, beta = SHAPE_PRESETS[preset]
-        weight = entry.get("weight")
-        models.append(
-            ModelSpec(
-                name=str(name),
-                m=int(m),
-                alpha=alpha,
-                beta=beta,
-                weight=None if weight is None else float(weight),
-            )
-        )
-        flags.append(bool(entry.get("add_zero_stage", False)))
+        flag = entry.get("add_zero_stage", False)
+        if not isinstance(flag, bool):
+            raise _fail(f"{path}: model {pos}: add_zero_stage must be true or false, got {flag!r}")
+        models.append(ModelSpec(str(name), m, alpha, beta, entry.get("weight")))
+        flags.append(flag)
         pmfs.append(entry.get("pmf"))
     spec = StudySpec(models)
     extras = {
@@ -159,6 +153,8 @@ def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]):
     raw_rows = []
     for line_no, row in enumerate(body, start=2):
         row_id, *cells = [cell.strip() for cell in row]
+        if not row_id:
+            raise _fail(f"{path}: line {line_no}: empty corporation id")
         if len(cells) != spec.k:
             raise RowArityMismatch(
                 f"{path}: row {row_id!r} (line {line_no}) has {len(cells)} values, expected {spec.k}"

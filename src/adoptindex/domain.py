@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +30,21 @@ PMF_SUM_TOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
 
 RawRows = Sequence[tuple[str, Sequence[int]]]
+
+
+def _number(value: object, what: str) -> float:
+    """``value`` as a float; bools, strings and other non-numbers are input errors."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _number_rows(rows: object, what: str) -> list[tuple[float, ...]]:
+    """A list of rows of numbers, every entry checked by ``_number``."""
+    try:
+        return [tuple(_number(x, f"{what} {i}: entry") for x in row) for i, row in enumerate(rows)]
+    except TypeError as exc:
+        raise InputError(f"{what} must be a list of lists of numbers, got {rows!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -53,15 +69,21 @@ class ModelSpec:
             raise InputError("model name must be a non-empty string")
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
             raise InputError(f"model {self.name!r}: m must be an integer >= 1, got {self.m!r}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise InputError(f"model {self.name!r}: alpha must be > 0, got {self.alpha!r}")
-        if not (math.isfinite(self.beta) and self.beta >= 1):
-            raise InputError(f"model {self.name!r}: beta must be >= 1, got {self.beta!r}")
+        alpha = _number(self.alpha, f"model {self.name!r}: alpha")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise InputError(f"model {self.name!r}: alpha must be > 0, got {alpha!r}")
+        beta = _number(self.beta, f"model {self.name!r}: beta")
+        if not (math.isfinite(beta) and beta >= 1):
+            raise InputError(f"model {self.name!r}: beta must be >= 1, got {beta!r}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
         if self.weight is not None:
-            if not (math.isfinite(self.weight) and 0 < self.weight <= 1):
+            weight = _number(self.weight, f"model {self.name!r}: weight")
+            if not (math.isfinite(weight) and 0 < weight <= 1):
                 raise InputError(
-                    f"model {self.name!r}: weight must lie in (0, 1], got {self.weight!r}"
+                    f"model {self.name!r}: weight must lie in (0, 1], got {weight!r}"
                 )
+            object.__setattr__(self, "weight", weight)
 
     @property
     def is_linear(self) -> bool:
@@ -200,9 +222,8 @@ class PmfSpec:
         pmfs: Sequence[Sequence[float]],
         latent_correlation: Sequence[Sequence[float]] | np.ndarray | None = None,
     ):
-        clean = []
-        for j, pmf in enumerate(pmfs):
-            pmf = tuple(float(p) for p in pmf)
+        clean = _number_rows(pmfs, "pmf")
+        for j, pmf in enumerate(clean):
             if len(pmf) < 2:
                 raise InputError(f"pmf {j}: needs at least two stages")
             if any(not math.isfinite(p) or p < 0 for p in pmf):
@@ -210,22 +231,21 @@ class PmfSpec:
             total = math.fsum(pmf)
             if abs(total - 1.0) > PMF_SUM_TOL:
                 raise InputError(f"pmf {j}: probabilities sum to {total!r}, not 1")
-            clean.append(pmf)
         object.__setattr__(self, "pmfs", tuple(clean))
         if latent_correlation is None:
             object.__setattr__(self, "latent_correlation", None)
             return
-        corr = np.asarray(latent_correlation, dtype=float)
         k = len(clean)
-        if corr.shape != (k, k):
-            raise InputError(f"latent correlation must be {k}x{k}, got {corr.shape}")
+        rows = _number_rows(latent_correlation, "latent correlation")
+        if len(rows) != k or any(len(row) != k for row in rows):
+            raise InputError(f"latent correlation must be {k}x{k}")
+        corr = np.array(rows)
         if not np.allclose(corr, corr.T, atol=1e-12):
             raise InputError("latent correlation must be symmetric")
         if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
             raise InputError("latent correlation must have a unit diagonal")
         if np.linalg.eigvalsh(corr).min() < PSD_EIGENVALUE_FLOOR:
             raise InputError("latent correlation must be positive semi-definite")
-        corr = corr.copy()
         corr.setflags(write=False)
         object.__setattr__(self, "latent_correlation", corr)
 
@@ -241,13 +261,15 @@ class PmfSpec:
 def validate_dataset(raw_rows: RawRows, spec: StudySpec) -> AdoptionDataset:
     """Turn labeled integer rows into a validated :class:`AdoptionDataset`.
 
-    Rejects rows of the wrong length, non-integer cells, stages outside
-    0..m_j, duplicate ids, and datasets with n <= k.
+    Rejects empty ids, rows of the wrong length, non-integer cells,
+    stages outside 0..m_j, duplicate ids, and datasets with n <= k.
     """
     row_ids = []
     rows = []
     for row_id, cells in raw_rows:
         row_id = str(row_id)
+        if not row_id:
+            raise InputError(f"row {len(rows) + 1} has an empty id")
         cells = tuple(cells)
         if len(cells) != spec.k:
             raise RowArityMismatch(

@@ -82,10 +82,6 @@ class DegenerateVariance(StatisticalRefusal):
     """A model with positive weight has zero sample variance."""
 
 
-class InsufficientRows(StatisticalRefusal):
-    """Second moments need at least two observations."""
-
-
 class InsufficientDf(StatisticalRefusal):
     """The test's degrees of freedom would be below 1."""
 

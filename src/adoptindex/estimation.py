@@ -1,9 +1,16 @@
-"""Score, pmf, and second-moment estimation from a validated dataset.
+"""Score, pmf, and second-moment estimation from integer stage matrices.
 
-The score of a model is the expected stage; its estimate is the column
-mean, which is identical to the pmf-weighted stage sum because the cell
-counts are exact. Scores are computed as an integer column sum divided
-by n once, so both forms agree bitwise.
+Every moment comes from the same three sufficient statistics of the n x k
+stage matrix X: n, the integer column sums s = X^T 1, and the integer
+cross-product matrix C = X^T X. Scores are s / n, one division per
+column, so the column mean and the pmf-weighted stage sum agree bitwise.
+The unbiased covariance is
+
+    cov = (n C - s s^T) / (n (n - 1))
+
+with the numerator formed exactly in Python integers, so no intermediate
+can wrap or cancel, and one correctly rounded division per entry. The
+result is exactly symmetric with a non-negative diagonal.
 """
 
 from __future__ import annotations
@@ -13,7 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import AdoptionDataset
-from .errors import IndexOutOfRange, InsufficientRows
+from .errors import IndexOutOfRange, InputError
+
+# s and C are accumulated in int64; n * max_stage^2 must stay below this
+_INT64_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -56,27 +66,6 @@ class MomentEstimate:
     corr: np.ndarray
     degenerate: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        cov = np.asarray(self.cov, dtype=float)
-        corr = np.asarray(self.corr, dtype=float)
-        k = self.scores.k
-        if cov.shape != (k, k) or corr.shape != (k, k):
-            raise ValueError("moment matrices must be k x k")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise ValueError("covariance matrix must be symmetric")
-        if np.any(np.diag(cov) < 0):
-            raise ValueError("variances must be non-negative")
-        defined = ~np.isnan(corr)
-        if np.any(np.abs(corr[defined]) > 1 + 1e-12):
-            raise ValueError("correlations must lie in [-1, 1]")
-        cov = cov.copy()
-        corr = corr.copy()
-        cov.setflags(write=False)
-        corr.setflags(write=False)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "corr", corr)
-        object.__setattr__(self, "degenerate", tuple(bool(d) for d in self.degenerate))
-
     @property
     def variances(self) -> tuple[float, ...]:
         return tuple(float(v) for v in np.diag(self.cov))
@@ -84,6 +73,35 @@ class MomentEstimate:
     @property
     def n(self) -> int:
         return self.scores.n
+
+
+def _moments(values: np.ndarray) -> MomentEstimate:
+    """Moments of an n x k matrix of non-negative integer stages, n >= 2."""
+    n, k = values.shape
+    peak = int(values.max())
+    if n * peak * peak >= _INT64_LIMIT:
+        raise InputError(f"stages up to {peak} over {n} rows overflow exact int64 moments")
+    sums = values.sum(axis=0, dtype=np.int64).tolist()
+    cross = (values.T @ values).tolist()
+    denominator = n * (n - 1)
+    cov = np.array(
+        [[(n * cross[j][l] - sums[j] * sums[l]) / denominator for l in range(k)] for j in range(k)]
+    )
+    sd = np.sqrt(np.diag(cov))
+    degenerate = sd == 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.clip(cov / np.outer(sd, sd), -1.0, 1.0)
+    corr[degenerate, :] = np.nan
+    corr[:, degenerate] = np.nan
+    np.fill_diagonal(corr, np.where(degenerate, np.nan, 1.0))
+    cov.setflags(write=False)
+    corr.setflags(write=False)
+    return MomentEstimate(
+        scores=ScoreEstimate(scores=tuple(float(s) / n for s in sums), n=n),
+        cov=cov,
+        corr=corr,
+        degenerate=tuple(bool(d) for d in degenerate),
+    )
 
 
 def estimate_scores(dataset: AdoptionDataset) -> ScoreEstimate:
@@ -111,31 +129,7 @@ def estimate_pmf(dataset: AdoptionDataset, j: int) -> PmfEstimate:
 def estimate_moments(dataset: AdoptionDataset) -> MomentEstimate:
     """Scores plus unbiased sample covariance and derived correlations.
 
-    Needs n >= 2. Correlations are derived from the covariance matrix and
-    clipped into [-1, 1] against rounding; they are NaN where a variance
-    is zero.
+    Correlations are derived from the covariance matrix and clipped into
+    [-1, 1] against rounding; they are NaN where a variance is zero.
     """
-    n = dataset.n
-    if n < 2:
-        raise InsufficientRows(f"need at least 2 rows for moments, got {n}")
-    scores = estimate_scores(dataset)
-    values = dataset.values.astype(float)
-    cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
-    variances = np.diag(cov)
-    degenerate = variances == 0.0
-    sd = np.sqrt(variances)
-    corr = np.full_like(cov, np.nan)
-    ok = ~degenerate
-    idx = np.ix_(ok, ok)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr[idx] = cov[idx] / np.outer(sd[ok], sd[ok])
-    corr[idx] = np.clip(corr[idx], -1.0, 1.0)
-    for j in range(len(variances)):
-        if ok[j]:
-            corr[j, j] = 1.0
-    return MomentEstimate(
-        scores=scores,
-        cov=cov,
-        corr=corr,
-        degenerate=tuple(bool(d) for d in degenerate),
-    )
+    return _moments(dataset.values)

@@ -53,13 +53,6 @@ class IndexValue:
     spec: StudySpec
 
 
-@dataclass(frozen=True)
-class DeltaGradient:
-    """Sub-index derivatives evaluated at one score vector."""
-
-    derivatives: tuple[float, ...]
-
-
 def subindex(score: float, model: ModelSpec) -> float:
     """Normalize one score into [0, 1] through the model's shape."""
     m = float(model.m)
@@ -89,35 +82,31 @@ def global_index(scores: ScoreEstimate, spec: StudySpec) -> IndexValue:
 
 
 def delta_derivative(score: float, model: ModelSpec) -> float:
-    """d f / d S at ``score``, defined only on the open interval (0, m)."""
+    """d f / d S at ``score``.
+
+    A linear model has the constant derivative 1/m on the closed [0, m];
+    any other shape is defined only on the open interval (0, m).
+    """
     m = float(model.m)
     s = float(score)
-    if not (math.isfinite(s) and 0.0 < s < m):
+    linear = model.is_linear
+    if not (0.0 <= s <= m if linear else 0.0 < s < m):
+        bounds = f"0 <= S <= {model.m}" if linear else f"0 < S < {model.m}"
         raise BoundaryScore(
             f"derivative undefined at score {score!r} for model {model.name!r} "
-            f"(needs 0 < S < {model.m})"
+            f"(needs {bounds})"
         )
-    if model.is_linear:
+    if linear:
         return 1.0 / m
     f = subindex(s, model)
     return model.beta * m * f * (1.0 - f) / (s * (m - s))
 
 
-def delta_gradient(scores: ScoreEstimate, spec: StudySpec) -> DeltaGradient:
-    """Per-model derivatives at the estimated scores.
-
-    Linear models have the constant derivative 1/m everywhere, endpoints
-    included; nonlinear models refuse boundary scores.
-    """
+def delta_gradient(scores: ScoreEstimate, spec: StudySpec) -> tuple[float, ...]:
+    """Per-model derivatives at the estimated scores."""
     if scores.k != spec.k:
         raise SpecMismatch(f"{scores.k} scores for a {spec.k}-model spec")
-    derivs = []
-    for s, model in zip(scores.scores, spec.models):
-        if model.is_linear:
-            derivs.append(1.0 / model.m)
-        else:
-            derivs.append(delta_derivative(s, model))
-    return DeltaGradient(derivatives=tuple(derivs))
+    return tuple(delta_derivative(s, model) for s, model in zip(scores.scores, spec.models))
 
 
 def surface_grid(

@@ -13,8 +13,13 @@ formula). Tests:
 * one-sample: a row is excluded, the remaining rows give the index and
   its variance, and the excluded row's own index I_0 is the null value;
   T is t-distributed with (n-1) - k - 1 degrees of freedom (the sample
-  actually used has n-1 rows).
+  actually used has n-1 rows). The null value always comes from the
+  excluded row; there is no variant against a fixed constant.
 * two-sample: unequal variances, Welch-Satterthwaite degrees of freedom.
+
+Both tests share one tail from statistic to p-value to outcome. The
+two-sample test works on moment estimates, so the Monte Carlo size study
+runs it on sampled stage matrices without building datasets.
 """
 
 from __future__ import annotations
@@ -56,19 +61,6 @@ class VarianceEstimate:
     contributions: np.ndarray
     gradients: tuple[float, ...]
     n_used: int
-
-    def __post_init__(self) -> None:
-        contributions = np.asarray(self.contributions, dtype=float)
-        expanded = float(contributions.sum())
-        if self.value < 0:
-            raise ValueError(f"variance must be non-negative, got {self.value}")
-        if abs(self.value - expanded) > VARIANCE_EXPANSION_TOL:
-            raise ValueError(
-                f"variance {self.value!r} does not match its expansion {expanded!r}"
-            )
-        contributions = contributions.copy()
-        contributions.setflags(write=False)
-        object.__setattr__(self, "contributions", contributions)
 
 
 @dataclass(frozen=True)
@@ -150,7 +142,7 @@ def index_variance(
             raise InputError("correlation override entries must lie in [-1, 1]")
         sigma = corr * np.outer(sd, sd)
         np.fill_diagonal(sigma, variances)
-    gradients = delta_gradient(moments.scores, spec).derivatives
+    gradients = delta_gradient(moments.scores, spec)
     g = np.asarray(spec.weights) * np.asarray(gradients)
     contributions = np.outer(g, g) * sigma / n
     value = float(contributions.sum())
@@ -160,6 +152,7 @@ def index_variance(
             raise ValueError(f"negative variance {value} from a PSD form")
         contributions = np.zeros_like(contributions)
         value = 0.0
+    contributions.setflags(write=False)
     return VarianceEstimate(
         value=value, contributions=contributions, gradients=gradients, n_used=n
     )
@@ -229,19 +222,13 @@ def one_sample_test(
         raise DegenerateVariance(
             "the weighted stage combination is constant across the remaining rows"
         )
-    index = global_index(moments.scores, spec)
-    statistic = (index.value - null_value) / math.sqrt(variance.value)
-    p_value = student_t_pvalue(statistic, df, sidedness)
-    return TestOutcome(
-        statistic=statistic,
-        df=float(df),
-        p_value=p_value,
-        sidedness=sidedness,
-        significance=significance,
-        reject=p_value < significance,
-        indices=(index.value, null_value),
-        variances=(variance.value,),
-        sample_sizes=(reduced.n,),
+    return _outcome(
+        (global_index(moments.scores, spec).value, null_value),
+        (variance.value,),
+        (reduced.n,),
+        df,
+        sidedness,
+        significance,
         note=(
             "degrees of freedom use the reduced sample of "
             f"{reduced.n} rows left after excluding row {row_id!r}"
@@ -270,64 +257,48 @@ def two_sample_test(
         and _structure_match(spec, dataset_b.spec)
     ):
         raise SpecMismatch("the two datasets do not share the same study spec")
+    return _two_sample(
+        estimate_moments(dataset_a), estimate_moments(dataset_b), spec, sidedness, significance
+    )
+
+
+def _two_sample(
+    moments_a: MomentEstimate,
+    moments_b: MomentEstimate,
+    spec: StudySpec,
+    sidedness: Sidedness,
+    significance: float,
+) -> TestOutcome:
+    """Welch comparison of two samples given their moments."""
     significance = _require_significance(significance)
-    moments_a = estimate_moments(dataset_a)
-    moments_b = estimate_moments(dataset_b)
     var_a = index_variance(moments_a, spec)
     var_b = index_variance(moments_b, spec)
     if var_a.value + var_b.value == 0:
         raise DegenerateVariance(
             "both weighted stage combinations are constant; no variance to test against"
         )
-    df = welch_df(var_a.value, var_b.value, dataset_a.n, dataset_b.n, spec.k)
-    assert df > 0
-    index_a = global_index(moments_a.scores, spec)
-    index_b = global_index(moments_b.scores, spec)
-    statistic = (index_a.value - index_b.value) / math.sqrt(var_a.value + var_b.value)
-    p_value = student_t_pvalue(statistic, df, sidedness)
-    return TestOutcome(
-        statistic=statistic,
-        df=df,
-        p_value=p_value,
-        sidedness=sidedness,
-        significance=significance,
-        reject=p_value < significance,
-        indices=(index_a.value, index_b.value),
-        variances=(var_a.value, var_b.value),
-        sample_sizes=(dataset_a.n, dataset_b.n),
+    df = welch_df(var_a.value, var_b.value, moments_a.n, moments_b.n, spec.k)
+    return _outcome(
+        (global_index(moments_a.scores, spec).value, global_index(moments_b.scores, spec).value),
+        (var_a.value, var_b.value),
+        (moments_a.n, moments_b.n),
+        df,
+        sidedness,
+        significance,
     )
 
 
-def fixed_null_test(
-    dataset: AdoptionDataset,
-    null_value: float,
-    spec: StudySpec | None = None,
-    sidedness: Sidedness = "two",
-    significance: float = 0.05,
+def _outcome(
+    indices: tuple[float, float],
+    variances: tuple[float, ...],
+    sample_sizes: tuple[int, ...],
+    df: float,
+    sidedness: Sidedness,
+    significance: float,
+    note: str = "",
 ) -> TestOutcome:
-    """Compare the full-sample index against a fixed constant in [0, 1].
-
-    This variant is an extrapolation of the leave-one-out design: no row
-    is excluded, and df = n - k - 1 is carried over by analogy.
-    """
-    spec = dataset.spec if spec is None else spec
-    if not _structure_match(spec, dataset.spec):
-        raise SpecMismatch("dataset was validated against a different study spec")
-    significance = _require_significance(significance)
-    null_value = float(null_value)
-    if not 0.0 <= null_value <= 1.0:
-        raise InputError(f"null index value must lie in [0, 1], got {null_value}")
-    df = dataset.n - spec.k - 1
-    if df < 1:
-        raise InsufficientDf(f"df={df} with n={dataset.n}, k={spec.k}; need at least 1")
-    moments = estimate_moments(dataset)
-    variance = index_variance(moments, spec)
-    if variance.value == 0:
-        raise DegenerateVariance(
-            "the weighted stage combination is constant across rows"
-        )
-    index = global_index(moments.scores, spec)
-    statistic = (index.value - null_value) / math.sqrt(variance.value)
+    """T = (indices[0] - indices[1]) / sqrt(sum of variances), its p-value and decision."""
+    statistic = (indices[0] - indices[1]) / math.sqrt(sum(variances))
     p_value = student_t_pvalue(statistic, df, sidedness)
     return TestOutcome(
         statistic=statistic,
@@ -336,10 +307,10 @@ def fixed_null_test(
         sidedness=sidedness,
         significance=significance,
         reject=p_value < significance,
-        indices=(index.value, null_value),
-        variances=(variance.value,),
-        sample_sizes=(dataset.n,),
-        note="fixed-null variant: df = n - k - 1 extrapolated from the leave-one-out design",
+        indices=indices,
+        variances=variances,
+        sample_sizes=sample_sizes,
+        note=note,
     )
 
 

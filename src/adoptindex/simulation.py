@@ -2,9 +2,14 @@
 
 Random generation uses numpy's PCG64 through ``default_rng``. Streams
 are split with ``SeedSequence.spawn``: replication r always owns child r
-of the plan's seed (and grandchildren when it needs two datasets), so
+of the plan's seed (and grandchildren when it needs two samples), so
 replications are reproducible independently of execution order and the
 aggregates are order-independent sums.
+
+Studies draw each replication through the same sampler as
+``sample_dataset`` and estimate straight from the integer stage matrix;
+only ``sample_dataset`` wraps the draw in row ids and a validated
+dataset.
 
 Cross-model dependence is induced by a latent normal copula: correlated
 standard normals are pushed through each model's stage quantile
@@ -23,9 +28,9 @@ import numpy as np
 
 from .domain import AdoptionDataset, PmfSpec, StudySpec
 from .errors import DegenerateVariance, InputError, SpecMismatch
-from .estimation import ScoreEstimate, estimate_moments, estimate_scores
+from .estimation import ScoreEstimate, _moments
 from .index import delta_gradient, global_index
-from .inference import confidence_interval, index_variance, two_sample_test
+from .inference import _two_sample, confidence_interval, index_variance
 
 STUDY_KINDS = ("normality", "coverage", "size", "variance-ratio")
 
@@ -267,7 +272,7 @@ def population_asymptotic_variance(pmf: PmfSpec, spec: StudySpec) -> float:
             raise DegenerateVariance(
                 f"pmf for model {model.name!r} is degenerate; inference is impossible"
             )
-    gradients = delta_gradient(ScoreEstimate(scores=truth.scores, n=0), spec).derivatives
+    gradients = delta_gradient(ScoreEstimate(scores=truth.scores, n=0), spec)
     g = np.asarray(spec.weights) * np.asarray(gradients)
     total = float(np.sum(g**2 * np.asarray(truth.variances)))
     for j in range(spec.k):
@@ -294,8 +299,14 @@ def sample_dataset(pmf: PmfSpec, spec: StudySpec, n: int, seed) -> AdoptionDatas
     _check_pmf_alignment(pmf, spec)
     if n <= spec.k:
         raise InputError(f"need n > k, got n={n} with k={spec.k}")
+    row_ids = tuple(f"r{i + 1}" for i in range(n))
+    return AdoptionDataset(row_ids=row_ids, values=_draw(pmf, n, seed), spec=spec)
+
+
+def _draw(pmf: PmfSpec, n: int, seed) -> np.ndarray:
+    """n x k int64 stage matrix drawn from the pmf, deterministically in the seed."""
     rng = np.random.default_rng(seed)
-    k = spec.k
+    k = pmf.k
     values = np.empty((n, k), dtype=np.int64)
     if pmf.latent_correlation is None:
         u = rng.random((n, k))
@@ -306,8 +317,7 @@ def sample_dataset(pmf: PmfSpec, spec: StudySpec, n: int, seed) -> AdoptionDatas
         for j in range(k):
             taus = np.array([_norm_ppf(c) for c in _cumulative(pmf.pmfs[j])])
             values[:, j] = np.searchsorted(taus, z[:, j], side="left")
-    row_ids = tuple(f"r{i + 1}" for i in range(n))
-    return AdoptionDataset(row_ids=row_ids, values=values, spec=spec)
+    return values
 
 
 # --- studies -----------------------------------------------------------------
@@ -350,8 +360,7 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
         scale = math.sqrt(avar)
         z = np.empty(plan.replications)
         for r, child in enumerate(children):
-            ds = sample_dataset(plan.pmf, plan.spec, plan.n, child)
-            idx = global_index(estimate_scores(ds), plan.spec)
+            idx = global_index(_moments(_draw(plan.pmf, plan.n, child)).scores, plan.spec)
             z[r] = math.sqrt(plan.n) * (idx.value - truth.index) / scale
         mean, variance, skewness, kurtosis = _moments_of(z)
         se_mean = math.sqrt(_sample_variance(z) / plan.replications)
@@ -378,8 +387,7 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
         df = plan.n - plan.spec.k - 1
         covered = 0
         for child in children:
-            ds = sample_dataset(plan.pmf, plan.spec, plan.n, child)
-            moments = estimate_moments(ds)
+            moments = _moments(_draw(plan.pmf, plan.n, child))
             idx = global_index(moments.scores, plan.spec)
             var = index_variance(moments, plan.spec)
             ci = confidence_interval(idx, var, tol.ci_level, df)
@@ -401,10 +409,12 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
         rejections = 0
         for child in children:
             seq_a, seq_b = child.spawn(2)
-            ds_a = sample_dataset(plan.pmf, plan.spec, plan.n, seq_a)
-            ds_b = sample_dataset(pmf_b, plan.spec, plan.n, seq_b)
-            outcome = two_sample_test(
-                ds_a, ds_b, plan.spec, sidedness="two", significance=tol.significance
+            outcome = _two_sample(
+                _moments(_draw(plan.pmf, plan.n, seq_a)),
+                _moments(_draw(pmf_b, plan.n, seq_b)),
+                plan.spec,
+                "two",
+                tol.significance,
             )
             rejections += int(outcome.reject)
         rate = rejections / plan.replications
@@ -425,8 +435,7 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
         v_hat = np.empty(plan.replications)
         i_hat = np.empty(plan.replications)
         for r, child in enumerate(children):
-            ds = sample_dataset(plan.pmf, plan.spec, plan.n, child)
-            moments = estimate_moments(ds)
+            moments = _moments(_draw(plan.pmf, plan.n, child))
             i_hat[r] = global_index(moments.scores, plan.spec).value
             v_hat[r] = index_variance(moments, plan.spec).value
         empirical_variance = _sample_variance(i_hat)

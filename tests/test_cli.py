@@ -69,6 +69,13 @@ class TestCompute:
         assert code == 2
         assert "'7'" in err
 
+    def test_empty_corporation_id_names_file_and_line(self, capsys, spec_file, tmp_path):
+        bad = tmp_path / "noid.csv"
+        bad.write_text("corporation,TAM,CMM\nc1,0,5\n,1,2\nc3,2,2\nc4,3,3\n")
+        code, _, err = run_cli(capsys, "compute", "--spec", spec_file, "--data", str(bad))
+        assert code == 2
+        assert str(bad) in err and "line 3" in err and "empty" in err
+
     def test_alpha_level_validated(self, capsys, spec_file, data_file):
         code, _, err = run_cli(
             capsys, "compute", "--spec", spec_file, "--data", data_file,
@@ -92,6 +99,44 @@ class TestCompute:
         )
         assert code == 0, err
         assert json.loads(out)["results"]["scores"]["CMM"] == 3.0
+
+
+@pytest.mark.parametrize(
+    "model_fields,top_level,named",
+    [
+        ({"m": 5.7}, {}, "m must be an integer"),
+        ({"m": True}, {}, "m must be an integer"),
+        ({"m": "5"}, {}, "m must be an integer"),
+        ({"alpha": "fast"}, {}, "alpha"),
+        ({"alpha": True}, {}, "alpha"),
+        ({"beta": "2"}, {}, "beta"),
+        ({"weight": "1"}, {}, "weight"),
+        ({"weight": True}, {}, "weight"),
+        ({"add_zero_stage": "yes"}, {}, "add_zero_stage"),
+        ({"pmf": [0.5, "x", 0.1, 0.1, 0.1, 0.2]}, {}, "pmf 0"),
+        ({"pmf": [True, 0, 0, 0, 0, 0]}, {}, "pmf 0"),
+        ({"pmf": 0.5}, {}, "pmf"),
+        ({}, {"latent_correlation": [["one"]]}, "latent correlation"),
+        ({}, {"latent_correlation": [[True]]}, "latent correlation"),
+        ({}, {"latent_correlation": 1.0}, "latent correlation"),
+    ],
+    ids=[
+        "m-float", "m-bool", "m-string", "alpha-string", "alpha-bool", "beta-string",
+        "weight-string", "weight-bool", "add_zero_stage-string", "pmf-string-entry",
+        "pmf-bool-entry", "pmf-not-a-list", "latent-string-entry", "latent-bool-entry",
+        "latent-not-a-matrix",
+    ],
+)
+def test_spec_values_are_validated_not_coerced(capsys, tmp_path, model_fields, top_level, named):
+    model = {"name": "M", "m": 5, "pmf": [1 / 6] * 6, **model_fields}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"models": [model], **top_level}))
+    code, out, err = run_cli(
+        capsys, "simulate", "--spec", str(spec_path), "--study", "coverage",
+        "--n", "20", "--replications", "2", "--seed", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and named in err
 
 
 class TestTests:

@@ -29,6 +29,9 @@ class TestModelSpec:
             {"beta": 0.5},
             {"weight": 0.0},
             {"weight": 1.5},
+            {"alpha": True},
+            {"beta": "2"},
+            {"weight": "0.5"},
         ],
     )
     def test_rejected_at_construction(self, kwargs):
@@ -117,6 +120,11 @@ class TestValidateDataset:
     def test_duplicate_row_id(self, tam_cmm_spec):
         rows = [("a", (0, 5)), ("a", (5, 0)), ("c", (2, 3)), ("d", (3, 2))]
         with pytest.raises(DuplicateRowId):
+            validate_dataset(rows, tam_cmm_spec)
+
+    def test_empty_row_id_rejected(self, tam_cmm_spec):
+        rows = [("a", (0, 5)), ("", (5, 0)), ("c", (2, 3)), ("d", (3, 2))]
+        with pytest.raises(InputError, match="row 2 has an empty id"):
             validate_dataset(rows, tam_cmm_spec)
 
     def test_non_integer_cell_rejected(self, tam_cmm_spec):

@@ -12,7 +12,7 @@ from adoptindex import (
     estimate_scores,
     validate_dataset,
 )
-from adoptindex.errors import IndexOutOfRange
+from adoptindex.errors import IndexOutOfRange, InputError
 from conftest import make_dataset
 
 
@@ -98,6 +98,45 @@ class TestMoments:
         ds = make_dataset(tam_cmm_spec, [(0, 5, 2, 3), (1, 4, 0, 5)])
         moments = estimate_moments(ds)
         assert np.array_equal(moments.cov, moments.cov.T)
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_integer_moments_match_the_float_reference(self, data):
+        k = data.draw(st.integers(1, 4))
+        ms = [data.draw(st.integers(1, 9)) for _ in range(k)]
+        n = data.draw(st.integers(k + 1, 40))
+        columns = [[data.draw(st.integers(0, m)) for _ in range(n)] for m in ms]
+        spec = StudySpec([ModelSpec(f"M{j}", m) for j, m in enumerate(ms)])
+        ds = make_dataset(spec, columns)
+        moments = estimate_moments(ds)
+
+        sums = ds.values.sum(axis=0)
+        assert moments.scores.scores == tuple(float(s) / n for s in sums)
+
+        reference = np.atleast_2d(np.cov(ds.values.astype(float), rowvar=False, ddof=1))
+        scale = max(float(np.max(np.diag(reference))), 1.0)
+        assert np.max(np.abs(moments.cov - reference)) <= 1e-12 * scale
+        assert np.array_equal(moments.cov, moments.cov.T)
+        assert np.all(np.diag(moments.cov) >= 0.0)
+
+        defined = ~np.isnan(moments.corr)
+        assert np.all(np.abs(moments.corr[defined]) <= 1.0)
+        for j, flag in enumerate(moments.degenerate):
+            assert flag == (moments.cov[j, j] == 0.0)
+            if not flag:
+                assert moments.corr[j, j] == 1.0
+
+    def test_cross_products_that_would_wrap_int64_are_refused(self):
+        spec = StudySpec([ModelSpec("M", 2**32)])
+        ds = make_dataset(spec, [(0, 2**32, 2**32)])
+        with pytest.raises(InputError, match="overflow"):
+            estimate_moments(ds)
+
+    def test_arrays_are_read_only(self, tam_cmm_spec):
+        moments = estimate_moments(make_dataset(tam_cmm_spec, [(0, 5, 2), (1, 4, 0)]))
+        for array in (moments.cov, moments.corr):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
 
 
 class TestSamplingProperties:

@@ -132,7 +132,7 @@ class TestGlobalIndex:
 class TestDeltaDerivative:
     def test_linear_derivative_is_inverse_m(self):
         model = ModelSpec("M", 5)
-        for s in [0.7, 2.5, 4.9]:
+        for s in [0.0, 0.7, 2.5, 4.9, 5.0]:
             assert delta_derivative(s, model) == 0.2
 
     def test_known_value(self):
@@ -164,8 +164,7 @@ class TestDeltaDerivative:
         spec = StudySpec([ModelSpec("A", 5), ModelSpec("B", 4, beta=2.0)])
         grad = delta_gradient(ScoreEstimate((0.0, 2.0), n=3), spec)
         # the linear model keeps its constant derivative at the boundary
-        assert grad.derivatives[0] == 0.2
-        assert grad.derivatives[1] == pytest.approx(0.5, rel=1e-14)
+        assert grad == (0.2, pytest.approx(0.5, rel=1e-14))
 
     def test_gradient_refuses_nonlinear_boundary(self):
         spec = StudySpec([ModelSpec("A", 5), ModelSpec("B", 4, beta=2.0)])

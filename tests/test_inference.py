@@ -13,7 +13,6 @@ from adoptindex import (
     VarianceEstimate,
     confidence_interval,
     estimate_moments,
-    fixed_null_test,
     index_variance,
     one_sample_test,
     row_index,
@@ -258,21 +257,6 @@ class TestTwoSample:
         ba = two_sample_test(ds_b, ds_a)
         assert ab.statistic == pytest.approx(-ba.statistic, rel=1e-12)
         assert ab.p_value == pytest.approx(ba.p_value, rel=1e-12)
-
-
-class TestFixedNull:
-    def test_zero_statistic_at_the_estimate(self, ladder_dataset):
-        from adoptindex import estimate_scores, global_index
-
-        idx = global_index(estimate_scores(ladder_dataset), ladder_dataset.spec)
-        outcome = fixed_null_test(ladder_dataset, idx.value)
-        assert outcome.statistic == pytest.approx(0.0, abs=1e-14)
-        assert outcome.df == ladder_dataset.n - 1 - 1
-        assert "extrapolated" in outcome.note
-
-    def test_null_value_domain(self, ladder_dataset):
-        with pytest.raises(InputError):
-            fixed_null_test(ladder_dataset, 1.5)
 
 
 class TestConfidenceInterval:

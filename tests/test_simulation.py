@@ -209,3 +209,73 @@ class TestRunStudy:
         assert report.metrics["population_asymptotic_variance"] == pytest.approx(
             independent_avar + 2 * 0.25 * 0.2 * 0.2 * cross, rel=1e-12
         )
+
+
+NONLINEAR_SPEC = StudySpec(
+    [ModelSpec("A", 5, alpha=1.0, beta=2.0), ModelSpec("B", 5, alpha=2.0, beta=1.0)]
+)
+NONLINEAR_PMFS = [(0.1, 0.15, 0.25, 0.25, 0.15, 0.1), (0.05, 0.15, 0.2, 0.3, 0.2, 0.1)]
+
+# Recorded at R = 200, n = 60, seed 20260808 from the implementation that
+# built and validated a dataset per replication and used np.cov. Counts and
+# every metric that depends only on the draws and the scores are pinned bit
+# for bit; the three covariance-dependent variance-ratio metrics moved by a
+# few ulps when moments switched to exact integer numerators, so they are
+# held to 1e-12 relative.
+STREAM_CASES = {
+    "normality": (
+        PmfSpec(NONLINEAR_PMFS), NONLINEAR_SPEC, None,
+        {
+            "mean": "0x1.1ed727857751bp-4",
+            "variance": "0x1.99b38f14e5212p-1",
+            "skewness": "-0x1.3170f72e36b23p-3",
+            "excess_kurtosis": "0x1.d469645d5d870p-3",
+            "se_mean": "0x1.0315fa4516c5ep-4",
+            "population_asymptotic_variance": "0x1.921f8c5a55379p-4",
+        },
+        {},
+    ),
+    "coverage": (
+        PmfSpec(NONLINEAR_PMFS), NONLINEAR_SPEC, ("coverage_rate", 194),
+        {
+            "coverage_rate": "0x1.f0a3d70a3d70ap-1",
+            "se_coverage_rate": "0x1.8b4239c98f718p-7",
+            "true_index": "0x1.c234f72c234f7p-2",
+        },
+        {},
+    ),
+    "size": (
+        PmfSpec([UNIFORM6, UNIFORM6]), StudySpec([ModelSpec("A", 5), ModelSpec("B", 5)]),
+        ("rejection_rate", 7),
+        {
+            "rejection_rate": "0x1.1eb851eb851ecp-5",
+            "se_rejection_rate": "0x1.a9d39112d5b01p-7",
+        },
+        {},
+    ),
+    "variance-ratio": (
+        PmfSpec(NONLINEAR_PMFS, latent_correlation=[[1, 0.5], [0.5, 1]]), NONLINEAR_SPEC, None,
+        {
+            "empirical_index_variance": "0x1.06bca385f6847p-9",
+            "population_asymptotic_variance": "0x1.0f2fb967a3b2fp-3",
+        },
+        {
+            "mean_estimated_variance": "0x1.150d07e8f117cp-9",
+            "ratio_vs_empirical": "0x1.0df26ed7dbf0fp+0",
+            "ratio_vs_population": "0x1.ea61501e6c7b7p-1",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("study", sorted(STREAM_CASES))
+def test_sampler_streams_are_stable(study):
+    pmf, spec, count, exact, close = STREAM_CASES[study]
+    plan = SimulationPlan(pmf=pmf, spec=spec, n=60, replications=200, seed=20260808, study=study)
+    metrics = run_study(plan).metrics
+    if count is not None:
+        name, expected = count
+        assert round(metrics[name] * plan.replications) == expected
+    assert {k: float(metrics[k]).hex() for k in exact} == exact
+    for k, value in close.items():
+        assert metrics[k] == pytest.approx(float.fromhex(value), rel=1e-12)
