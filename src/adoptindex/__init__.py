@@ -13,7 +13,6 @@ from .domain import (
     ModelSpec,
     PmfSpec,
     StudySpec,
-    shift_stages,
     validate_dataset,
 )
 from .estimation import (
@@ -91,7 +90,6 @@ __all__ = [
     "row_index",
     "run_study",
     "sample_dataset",
-    "shift_stages",
     "student_t_cdf",
     "student_t_pvalue",
     "student_t_quantile",

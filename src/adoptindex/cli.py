@@ -10,9 +10,11 @@ Formats:
   "latent_correlation" (k x k matrix) and "alternative_pmf" (list of
   per-model pmfs for the size study's shifted alternative).
 
-* Data: CSV with a header row; first column is the corporation id, the
-  remaining columns must be named exactly like the spec models, in
-  order. Cells are integer stages.
+* Data: UTF-8 CSV with a header row; first column is the corporation
+  id, the remaining columns must be named exactly like the spec models,
+  in order. Cells are integer stages. Blank lines are skipped, and
+  surrounding whitespace is stripped from every cell. Errors name the
+  file and the physical line of the offending row, counting blank lines.
 
 * Reports: either a human-readable table ("table") or JSON
   ("structured"); both carry the same fields, and the JSON form
@@ -32,12 +34,13 @@ import sys
 from dataclasses import dataclass
 from typing import Any
 
-from .domain import ModelSpec, PmfSpec, StudySpec, shift_stages, validate_dataset
+import numpy as np
+
+from .domain import AdoptionDataset, ModelSpec, PmfSpec, StudySpec
 from .errors import (
     AdoptionIndexError,
     InputError,
     InsufficientDf,
-    InvalidLevel,
     RowArityMismatch,
     SpecMismatch,
     StatisticalRefusal,
@@ -47,6 +50,7 @@ from .estimation import estimate_moments
 from .index import SHAPE_PRESETS, global_index, surface_grid
 from .inference import confidence_interval, index_variance, one_sample_test, two_sample_test
 from .simulation import STUDY_KINDS, SimulationPlan, run_study
+from .tdist import _require_level
 
 
 @dataclass(frozen=True)
@@ -69,14 +73,7 @@ class RunConfig:
     out_format: str = "table"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.significance < 1.0:
-            raise InvalidLevel(
-                f"--alpha-level must lie in (0, 1), got {self.significance}"
-            )
-
-
-def _fail(message: str) -> InputError:
-    return InputError(message)
+        _require_level(self.significance, "--alpha-level")
 
 
 def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
@@ -85,16 +82,18 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
-        raise _fail(f"{path}: cannot read spec file ({exc})") from exc
+        raise InputError(f"{path}: cannot read spec file ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: spec file is not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"{path}: invalid JSON ({exc})") from exc
+        raise InputError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict) or "models" not in raw:
-        raise _fail(f"{path}: spec must be a JSON object with a 'models' list")
+        raise InputError(f"{path}: spec must be a JSON object with a 'models' list")
     entries = raw["models"]
     if not isinstance(entries, list) or not entries:
-        raise _fail(f"{path}: 'models' must be a non-empty list")
+        raise InputError(f"{path}: 'models' must be a non-empty list")
     if presets and len(presets) not in (1, len(entries)):
-        raise _fail(
+        raise InputError(
             f"{len(presets)} presets given for {len(entries)} models; "
             "give one preset or one per model"
         )
@@ -103,25 +102,25 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
     pmfs = []
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise _fail(f"{path}: model {pos} must be an object")
+            raise InputError(f"{path}: model {pos} must be an object")
         try:
             name = entry["name"]
             m = entry["m"]
         except KeyError as exc:
-            raise _fail(f"{path}: model {pos} is missing {exc}") from exc
+            raise InputError(f"{path}: model {pos} is missing {exc}") from exc
         alpha = entry.get("alpha", 1.0)
         beta = entry.get("beta", 1.0)
         if presets:
             preset = presets[0] if len(presets) == 1 else presets[pos]
             if preset not in SHAPE_PRESETS:
-                raise _fail(
+                raise InputError(
                     f"unknown preset {preset!r}; choose from {sorted(SHAPE_PRESETS)}"
                 )
             alpha, beta = SHAPE_PRESETS[preset]
         flag = entry.get("add_zero_stage", False)
         if not isinstance(flag, bool):
-            raise _fail(f"{path}: model {pos}: add_zero_stage must be true or false, got {flag!r}")
-        models.append(ModelSpec(str(name), m, alpha, beta, entry.get("weight")))
+            raise InputError(f"{path}: model {pos}: add_zero_stage must be true or false, got {flag!r}")
+        models.append(ModelSpec(name, m, alpha, beta, entry.get("weight")))
         flags.append(flag)
         pmfs.append(entry.get("pmf"))
     spec = StudySpec(models)
@@ -134,49 +133,67 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
     return {"spec": spec, **extras}
 
 
-def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]):
-    """Read a CSV data file and validate it against the spec."""
+def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]) -> AdoptionDataset:
+    """Read a CSV data file into a dataset in one pass.
+
+    Checks encoding, header, row widths and integer cells, adds the zero
+    stage to flagged columns, and names the line of any dataset rule broken.
+    """
+    rows: list[list[str]] = []
+    lines: list[int] = []
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
-            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+            kept = (row for row in reader if "".join(row).strip())
+            header = next(kept, None)
+            if header is None:
+                raise TooFewRows(f"{path}: data file is empty")
+            names = tuple(cell.strip() for cell in header[1:])
+            if names != spec.names:
+                raise SpecMismatch(
+                    f"{path}: data columns {names} do not match spec models {spec.names}"
+                )
+            for row in kept:
+                if len(row) != len(header):
+                    raise RowArityMismatch(
+                        f"{path}: row {row[0].strip()!r} (line {reader.line_num}) "
+                        f"has {len(row) - 1} values, expected {spec.k}"
+                    )
+                rows.append(row)
+                lines.append(reader.line_num)
     except OSError as exc:
-        raise _fail(f"{path}: cannot read data file ({exc})") from exc
-    if not rows:
-        raise TooFewRows(f"{path}: data file is empty")
-    header, *body = rows
-    got_names = tuple(cell.strip() for cell in header[1:])
-    if got_names != spec.names:
-        raise SpecMismatch(
-            f"{path}: data columns {got_names} do not match spec models {spec.names}"
-        )
-    raw_rows = []
-    for line_no, row in enumerate(body, start=2):
-        row_id, *cells = [cell.strip() for cell in row]
-        if not row_id:
-            raise _fail(f"{path}: line {line_no}: empty corporation id")
-        if len(cells) != spec.k:
-            raise RowArityMismatch(
-                f"{path}: row {row_id!r} (line {line_no}) has {len(cells)} values, expected {spec.k}"
-            )
-        parsed = []
-        for name, cell in zip(spec.names, cells):
-            if cell == "":
-                raise _fail(f"{path}: row {row_id!r} (line {line_no}): missing value for {name!r}")
-            try:
-                parsed.append(int(cell))
-            except ValueError as exc:
-                raise _fail(
-                    f"{path}: row {row_id!r} (line {line_no}): "
-                    f"stage for {name!r} must be an integer, got {cell!r}"
-                ) from exc
-        raw_rows.append((row_id, tuple(parsed)))
-    if any(offset_flags):
-        raw_rows = shift_stages(raw_rows, offset_flags)
+        raise InputError(f"{path}: cannot read data file ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: data file is not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
+    cells = np.array(rows, dtype=object).reshape(len(rows), spec.k + 1)
+    ids = [cell.strip() for cell in cells[:, 0]]
+    values = np.empty((len(rows), spec.k), dtype=np.int64)
+    for j, name in enumerate(spec.names):
+        try:
+            # an object array converts cell by cell with int()
+            values[:, j] = cells[:, j + 1].astype(np.int64)
+        except (ValueError, OverflowError):
+            raise _bad_cell(path, name, cells[:, j + 1], ids, lines) from None
+    values += np.array(offset_flags, dtype=np.int64)
     try:
-        return validate_dataset(raw_rows, spec)
-    except AdoptionIndexError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        return AdoptionDataset(tuple(ids), values, spec)
+    except InputError as exc:
+        line = "" if exc.row is None else f"line {lines[exc.row]}: "
+        raise type(exc)(f"{path}: {line}{exc}", row=exc.row) from exc
+
+
+def _bad_cell(path: str, name: str, column: np.ndarray, ids: list[str], lines: list[int]) -> InputError:
+    """The error for the first cell of ``column`` that is not a 64-bit integer."""
+    for i, cell in enumerate(column):
+        try:
+            np.int64(int(cell))
+        except (ValueError, OverflowError):
+            return InputError(
+                f"{path}: row {ids[i]!r} (line {lines[i]}): "
+                f"stage for {name!r} must be a 64-bit integer, got {cell.strip()!r}"
+            )
 
 
 def _build_pmf_spec(loaded: dict[str, Any], which: str = "pmfs") -> PmfSpec:
@@ -185,11 +202,11 @@ def _build_pmf_spec(loaded: dict[str, Any], which: str = "pmfs") -> PmfSpec:
         pmfs = loaded["pmfs"]
         if any(p is None for p in pmfs):
             missing = [n for n, p in zip(spec.names, pmfs) if p is None]
-            raise _fail(f"simulate needs a 'pmf' for every model; missing for {missing}")
+            raise InputError(f"simulate needs a 'pmf' for every model; missing for {missing}")
     else:
         pmfs = loaded["alternative_pmf"]
         if pmfs is None:
-            raise _fail("spec file has no 'alternative_pmf' entry")
+            raise InputError("spec file has no 'alternative_pmf' entry")
     return PmfSpec(pmfs, latent_correlation=loaded["latent_correlation"])
 
 
@@ -273,7 +290,7 @@ def cmd_test_one(config: RunConfig) -> dict[str, Any]:
     spec = loaded["spec"]
     dataset = load_dataset(config.data_paths[0], spec, loaded["offset_flags"])
     if config.row_id is None:
-        raise _fail("test-one needs --row")
+        raise InputError("test-one needs --row")
     outcome = one_sample_test(
         dataset,
         spec,
@@ -326,7 +343,7 @@ def cmd_simulate(config: RunConfig) -> dict[str, Any]:
     if config.study == "size" and loaded["alternative_pmf"] is not None:
         pmf_alt = _build_pmf_spec(loaded, which="alternative_pmf")
     if config.n is None or config.replications is None or config.seed is None:
-        raise _fail("simulate needs --n, --replications, and --seed")
+        raise InputError("simulate needs --n, --replications, and --seed")
     plan = SimulationPlan(
         pmf=pmf,
         spec=spec,

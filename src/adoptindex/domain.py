@@ -5,6 +5,10 @@ A study is an ordered collection of adoption models. Model ``j`` has
 adoption at all". Observations are integer stage values, one column per
 model, one row per corporation. Everything here is immutable after
 construction and safe to share across threads.
+
+Every dataset rule (ids, row count, stage ranges) is checked only by
+:class:`AdoptionDataset`; ``validate_dataset`` and ``cli.load_dataset``
+check only what their input format needs to become an int64 matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import (
 WEIGHT_SUM_TOL = 1e-9
 PMF_SUM_TOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
+_INT64 = np.iinfo(np.int64)
 
 RawRows = Sequence[tuple[str, Sequence[int]]]
 
@@ -45,6 +50,22 @@ def _number_rows(rows: object, what: str) -> list[tuple[float, ...]]:
         return [tuple(_number(x, f"{what} {i}: entry") for x in row) for i, row in enumerate(rows)]
     except TypeError as exc:
         raise InputError(f"{what} must be a list of lists of numbers, got {rows!r}") from exc
+
+
+def correlation_matrix(value: object, k: int, what: str) -> np.ndarray:
+    """``value`` (named ``what`` in errors) as a read-only k x k correlation matrix."""
+    rows = _number_rows(value, what)
+    if len(rows) != k or any(len(row) != k for row in rows):
+        raise InputError(f"{what} must be {k}x{k}")
+    corr = np.array(rows)
+    if not np.allclose(corr, corr.T, atol=1e-12):
+        raise InputError(f"{what} must be symmetric")
+    if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
+        raise InputError(f"{what} must have a unit diagonal")
+    if np.linalg.eigvalsh(corr).min() < PSD_EIGENVALUE_FLOOR:
+        raise InputError(f"{what} must be positive semi-definite")
+    corr.setflags(write=False)
+    return corr
 
 
 @dataclass(frozen=True)
@@ -65,8 +86,8 @@ class ModelSpec:
     weight: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise InputError("model name must be a non-empty string")
+        if not isinstance(self.name, str) or not self.name:
+            raise InputError(f"model name must be a non-empty string, got {self.name!r}")
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
             raise InputError(f"model {self.name!r}: m must be an integer >= 1, got {self.m!r}")
         alpha = _number(self.alpha, f"model {self.name!r}: alpha")
@@ -145,7 +166,8 @@ class AdoptionDataset:
     """n x k matrix of observed stages with row identities.
 
     Construction enforces every invariant: integer cells within 0..m_j,
-    unique row ids, and strictly more rows than models.
+    non-empty unique row ids, and strictly more rows than models. An error
+    about one row carries its 0-based position in ``InputError.row``.
     """
 
     row_ids: tuple[str, ...]
@@ -161,28 +183,33 @@ class AdoptionDataset:
         n, k = values.shape
         if k != self.spec.k:
             raise RowArityMismatch(f"expected {self.spec.k} columns, got {k}")
-        if len(self.row_ids) != n:
-            raise InputError(f"{len(self.row_ids)} row ids for {n} rows")
-        seen: set[str] = set()
-        for row_id in self.row_ids:
-            if row_id in seen:
-                raise DuplicateRowId(f"row id {row_id!r} appears more than once")
-            seen.add(row_id)
+        row_ids = tuple(self.row_ids)
+        if len(row_ids) != n:
+            raise InputError(f"{len(row_ids)} row ids for {n} rows")
         if n <= self.spec.k:
             raise TooFewRows(f"need more rows than models, got n={n} with k={self.spec.k}")
-        for j, model in enumerate(self.spec.models):
-            col = values[:, j]
-            bad = np.nonzero((col < 0) | (col > model.m))[0]
-            if bad.size:
-                i = int(bad[0])
-                raise OutOfRangeStage(
-                    f"stage {int(col[i])} out of range 0..{model.m} "
-                    f"for model {model.name!r} at row {self.row_ids[i]!r}"
-                )
+        unique = set(row_ids)
+        if len(unique) != n or "" in unique:
+            seen: set[str] = set()
+            for i, row_id in enumerate(row_ids):
+                if not row_id:
+                    raise InputError(f"row {i + 1} has an empty id", row=i)
+                if row_id in seen:
+                    raise DuplicateRowId(f"row id {row_id!r} appears more than once", row=i)
+                seen.add(row_id)
+        bad = (values < 0) | (values > np.array(self.spec.stage_maxima))
+        if bad.any():
+            i, j = (int(x) for x in np.argwhere(bad)[0])
+            model = self.spec.models[j]
+            raise OutOfRangeStage(
+                f"stage {int(values[i, j])} out of range 0..{model.m} "
+                f"for model {model.name!r} at row {row_ids[i]!r}",
+                row=i,
+            )
         values = values.astype(np.int64, copy=True)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "row_ids", tuple(self.row_ids))
+        object.__setattr__(self, "row_ids", row_ids)
 
     @property
     def n(self) -> int:
@@ -195,10 +222,9 @@ class AdoptionDataset:
             return None
 
     def without_row(self, position: int) -> "AdoptionDataset":
-        keep = [i for i in range(self.n) if i != position]
         return AdoptionDataset(
-            row_ids=tuple(self.row_ids[i] for i in keep),
-            values=self.values[keep, :],
+            row_ids=self.row_ids[:position] + self.row_ids[position + 1:],
+            values=np.delete(self.values, position, axis=0),
             spec=self.spec,
         )
 
@@ -235,18 +261,7 @@ class PmfSpec:
         if latent_correlation is None:
             object.__setattr__(self, "latent_correlation", None)
             return
-        k = len(clean)
-        rows = _number_rows(latent_correlation, "latent correlation")
-        if len(rows) != k or any(len(row) != k for row in rows):
-            raise InputError(f"latent correlation must be {k}x{k}")
-        corr = np.array(rows)
-        if not np.allclose(corr, corr.T, atol=1e-12):
-            raise InputError("latent correlation must be symmetric")
-        if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
-            raise InputError("latent correlation must have a unit diagonal")
-        if np.linalg.eigvalsh(corr).min() < PSD_EIGENVALUE_FLOOR:
-            raise InputError("latent correlation must be positive semi-definite")
-        corr.setflags(write=False)
+        corr = correlation_matrix(latent_correlation, len(clean), "latent correlation")
         object.__setattr__(self, "latent_correlation", corr)
 
     @property
@@ -259,56 +274,31 @@ class PmfSpec:
 
 
 def validate_dataset(raw_rows: RawRows, spec: StudySpec) -> AdoptionDataset:
-    """Turn labeled integer rows into a validated :class:`AdoptionDataset`.
+    """Turn labeled Python rows into a validated :class:`AdoptionDataset`.
 
-    Rejects empty ids, rows of the wrong length, non-integer cells,
-    stages outside 0..m_j, duplicate ids, and datasets with n <= k.
+    Checks here that each row has one cell per model and that each cell is
+    an int (not a bool) within int64; :class:`AdoptionDataset` checks the rest.
     """
     row_ids = []
     rows = []
     for row_id, cells in raw_rows:
-        row_id = str(row_id)
-        if not row_id:
-            raise InputError(f"row {len(rows) + 1} has an empty id")
         cells = tuple(cells)
         if len(cells) != spec.k:
             raise RowArityMismatch(
-                f"row {row_id!r} has {len(cells)} values, expected {spec.k}"
+                f"row {row_id!r} has {len(cells)} values, expected {spec.k}", row=len(rows)
             )
-        converted = []
         for j, cell in enumerate(cells):
-            if isinstance(cell, bool) or not isinstance(cell, (int, np.integer)):
+            if (
+                isinstance(cell, bool)
+                or not isinstance(cell, (int, np.integer))
+                or not _INT64.min <= cell <= _INT64.max
+            ):
                 raise InputError(
                     f"row {row_id!r}, model {spec.names[j]!r}: "
-                    f"stage must be an integer, got {cell!r}"
+                    f"stage must be a 64-bit integer, got {cell!r}",
+                    row=len(rows),
                 )
-            converted.append(int(cell))
-        row_ids.append(row_id)
-        rows.append(converted)
-    if len(rows) <= spec.k:
-        raise TooFewRows(f"need more rows than models, got n={len(rows)} with k={spec.k}")
+        row_ids.append(str(row_id))
+        rows.append(cells)
     values = np.array(rows, dtype=np.int64).reshape(len(rows), spec.k)
     return AdoptionDataset(row_ids=tuple(row_ids), values=values, spec=spec)
-
-
-def shift_stages(raw_rows: RawRows, offset_flags: Sequence[bool]) -> list[tuple[str, tuple[int, ...]]]:
-    """Prepend a "no adoption" stage to flagged models.
-
-    Models whose recorded lowest stage does not mean "no adoption" get a
-    zero stage added below their scale: every observed value in a flagged
-    column is incremented by one. The study spec's m_j must already count
-    the added stage. Range violations caused by shifting an already
-    shifted column surface in the subsequent validation.
-    """
-    flags = tuple(bool(f) for f in offset_flags)
-    shifted = []
-    for row_id, cells in raw_rows:
-        cells = tuple(cells)
-        if len(cells) != len(flags):
-            raise RowArityMismatch(
-                f"row {row_id!r} has {len(cells)} values, expected {len(flags)}"
-            )
-        shifted.append(
-            (str(row_id), tuple(int(c) + 1 if f else int(c) for c, f in zip(cells, flags)))
-        )
-    return shifted

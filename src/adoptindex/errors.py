@@ -17,7 +17,14 @@ class AdoptionIndexError(Exception):
 
 
 class InputError(AdoptionIndexError):
-    """Malformed or contract-violating input."""
+    """Malformed or contract-violating input.
+
+    ``row``: 0-based position of the dataset row at fault, if the error is about one row.
+    """
+
+    def __init__(self, message: str = "", row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class StatisticalRefusal(AdoptionIndexError):

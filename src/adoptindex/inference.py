@@ -29,21 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AdoptionDataset, StudySpec
+from .domain import AdoptionDataset, StudySpec, correlation_matrix
 from .errors import (
     BothVariancesZero,
     DegenerateVariance,
     InputError,
     InsufficientDf,
     InsufficientSample,
-    InvalidDf,
-    InvalidLevel,
     RowNotFound,
     SpecMismatch,
 )
 from .estimation import MomentEstimate, estimate_moments
 from .index import IndexValue, delta_gradient, global_index, subindex
-from .tdist import Sidedness, student_t_pvalue, student_t_quantile
+from .tdist import Sidedness, _require_df, _require_level, student_t_pvalue, student_t_quantile
 
 VARIANCE_EXPANSION_TOL = 1e-12
 
@@ -96,13 +94,6 @@ class ConfidenceInterval:
     clamped: bool
 
 
-def _require_significance(significance: float) -> float:
-    significance = float(significance)
-    if not (math.isfinite(significance) and 0.0 < significance < 1.0):
-        raise InvalidLevel(f"significance must lie in (0, 1), got {significance!r}")
-    return significance
-
-
 def _structure_match(a: StudySpec, b: StudySpec) -> bool:
     return a.structure() == b.structure()
 
@@ -115,9 +106,9 @@ def index_variance(
     """Delta-method variance of the estimated global index.
 
     ``correlation`` optionally replaces the sample correlation matrix
-    (for example to force independence); variances always come from the
-    sample. Refuses zero-variance models, since every model carries
-    positive weight.
+    (for example to force independence) and is checked like a latent
+    correlation; variances always come from the sample. Refuses
+    zero-variance models, since every model carries positive weight.
     """
     if moments.scores.k != spec.k:
         raise SpecMismatch(f"{moments.scores.k} moment columns for a {spec.k}-model spec")
@@ -133,13 +124,7 @@ def index_variance(
     if correlation is None:
         sigma = np.asarray(moments.cov, dtype=float)
     else:
-        corr = np.asarray(correlation, dtype=float)
-        if corr.shape != (spec.k, spec.k):
-            raise InputError(f"correlation override must be {spec.k}x{spec.k}")
-        if not np.allclose(corr, corr.T, atol=1e-12):
-            raise InputError("correlation override must be symmetric")
-        if np.any(np.abs(corr) > 1 + 1e-12):
-            raise InputError("correlation override entries must lie in [-1, 1]")
+        corr = correlation_matrix(correlation, spec.k, "correlation override")
         sigma = corr * np.outer(sd, sd)
         np.fill_diagonal(sigma, variances)
     gradients = delta_gradient(moments.scores, spec)
@@ -204,7 +189,7 @@ def one_sample_test(
     spec = dataset.spec if spec is None else spec
     if not _structure_match(spec, dataset.spec):
         raise SpecMismatch("dataset was validated against a different study spec")
-    significance = _require_significance(significance)
+    significance = _require_level(significance, "significance")
     position = dataset.row_position(row_id)
     if position is None:
         raise RowNotFound(f"row {row_id!r} not found in dataset")
@@ -270,7 +255,7 @@ def _two_sample(
     significance: float,
 ) -> TestOutcome:
     """Welch comparison of two samples given their moments."""
-    significance = _require_significance(significance)
+    significance = _require_level(significance, "significance")
     var_a = index_variance(moments_a, spec)
     var_b = index_variance(moments_b, spec)
     if var_a.value + var_b.value == 0:
@@ -321,12 +306,8 @@ def confidence_interval(
     df: float,
 ) -> ConfidenceInterval:
     """Two-sided t interval for the index, clamped to its [0, 1] codomain."""
-    level = float(level)
-    if not (math.isfinite(level) and 0.0 < level < 1.0):
-        raise InvalidLevel(f"confidence level must lie in (0, 1), got {level!r}")
-    df = float(df)
-    if not (math.isfinite(df) and df > 0):
-        raise InvalidDf(f"degrees of freedom must be positive, got {df!r}")
+    level = _require_level(level, "confidence level")
+    df = _require_df(df)
     if variance.value == 0:
         return ConfidenceInterval(
             lower=index.value, upper=index.value, level=level, df=df, clamped=False

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import InputError, InvalidDf
+from .errors import InputError, InvalidDf, InvalidLevel
 
 Sidedness = str
 
@@ -96,6 +96,13 @@ def _require_df(df: float) -> float:
     return df
 
 
+def _require_level(value: float, what: str) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and 0.0 < value < 1.0):
+        raise InvalidLevel(f"{what} must lie in (0, 1), got {value!r}")
+    return value
+
+
 def _require_sidedness(sidedness: Sidedness) -> str:
     if sidedness not in SIDEDNESS_VALUES:
         raise InputError(
@@ -148,9 +155,7 @@ def student_t_quantile(p: float, df: float) -> float:
     construction in the Monte Carlo studies pays the bisection once.
     """
     df = _require_df(df)
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise InputError(f"quantile level must lie in (0, 1), got {p}")
+    p = _require_level(p, "quantile level")
     if p == 0.5:
         return 0.0
     if p < 0.5:

@@ -1,6 +1,9 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adoptindex.cli import main
 
@@ -14,6 +17,7 @@ LINEAR_SPEC = {
 }
 
 SYMMETRIC_DATA = "corporation,TAM,CMM\nc1,0,5\nc2,5,0\nc3,2,2\nc4,3,3\n"
+INDUSTRY_DATA = "corporation,TAM,CMM\nc1,0,1\nc2,5,4\nc3,2,0\nc4,3,5\nc5,1,3\n"
 
 
 @pytest.fixture
@@ -119,12 +123,14 @@ class TestCompute:
         ({}, {"latent_correlation": [["one"]]}, "latent correlation"),
         ({}, {"latent_correlation": [[True]]}, "latent correlation"),
         ({}, {"latent_correlation": 1.0}, "latent correlation"),
+        ({"name": None}, {}, "model name"),
+        ({"name": 7}, {}, "model name"),
     ],
     ids=[
         "m-float", "m-bool", "m-string", "alpha-string", "alpha-bool", "beta-string",
         "weight-string", "weight-bool", "add_zero_stage-string", "pmf-string-entry",
         "pmf-bool-entry", "pmf-not-a-list", "latent-string-entry", "latent-bool-entry",
-        "latent-not-a-matrix",
+        "latent-not-a-matrix", "name-null", "name-number",
     ],
 )
 def test_spec_values_are_validated_not_coerced(capsys, tmp_path, model_fields, top_level, named):
@@ -137,6 +143,129 @@ def test_spec_values_are_validated_not_coerced(capsys, tmp_path, model_fields, t
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and named in err
+
+
+SHIFTED_MODELS = [{"name": "CMM", "m": 5, "add_zero_stage": True}]
+
+
+@pytest.mark.parametrize(
+    "models,text,line,named",
+    [
+        (
+            LINEAR_SPEC["models"],
+            "corporation,TAM,CMM\nc1,0,5\n\nc2,5,0\n\nc3,2,2\nc4,x,3\n",
+            7,
+            ["'c4'", "'TAM'", "must be a 64-bit integer, got 'x'"],
+        ),
+        (
+            LINEAR_SPEC["models"],
+            "corporation,TAM,CMM\nc1,0,5\nc2,5,0\n\nc3,2,7\nc4,3,3\n",
+            5,
+            ["stage 7 out of range 0..5 for model 'CMM' at row 'c3'"],
+        ),
+        (
+            LINEAR_SPEC["models"],
+            "corporation,TAM,CMM\nc1,0,5\nc2,5,0\nc3,2,2\n\nc2,3,3\n",
+            6,
+            ["row id 'c2' appears more than once"],
+        ),
+        (
+            # recorded on the five-stage scale 0..4, so a recorded 5 is 6 after the shift
+            SHIFTED_MODELS,
+            "corporation,CMM\nc1,0\nc2,5\nc3,4\n",
+            3,
+            ["stage 6 out of range 0..5 for model 'CMM' at row 'c2'"],
+        ),
+        (
+            LINEAR_SPEC["models"],
+            "corporation,TAM,CMM\nc1,0,5\nc2,5,0\nc3,99999999999999999999,2\nc4,3,3\n",
+            4,
+            ["'c3'", "'TAM'", "must be a 64-bit integer"],
+        ),
+        (
+            LINEAR_SPEC["models"],
+            "corporation,TAM,CMM\nc1,0,5\nc2," + "1" * 140_000 + ",0\nc3,2,2\n",
+            3,
+            ["field larger than field limit"],
+        ),
+    ],
+    ids=["blank-lines-before-bad-cell", "range", "duplicate-id", "zero-stage-range",
+         "oversized-stage", "oversized-field"],
+)
+def test_data_errors_name_file_and_physical_line(capsys, tmp_path, models, text, line, named):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"models": models}))
+    data_path = tmp_path / "data.csv"
+    data_path.write_text(text)
+    code, out, err = run_cli(capsys, "compute", "--spec", str(spec_path), "--data", str(data_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {data_path}: ") and f"line {line}" in err
+    for part in named:
+        assert part in err
+
+
+@pytest.mark.parametrize("which", ["spec", "data"])
+def test_file_that_is_not_utf8_is_an_input_error(capsys, spec_file, data_file, which):
+    path = spec_file if which == "spec" else data_file
+    with open(path, "ab") as handle:
+        handle.write(b"c9,\xff\xfe,1\n")
+    code, out, err = run_cli(capsys, "compute", "--spec", spec_file, "--data", data_file)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and "UTF-8" in err
+
+
+# Byte strings a mutation may insert: encoding errors, CSV and JSON
+# structure, blank lines, and a stage too large for 64 bits.
+NOISE = st.sampled_from(
+    [b"\xff", b"\xc3", b"\x00", b"\n", b"\n\n", b"\r", b",", b'"', b" ", b"-", b"0", b"7",
+     b"99999999999999999999", b"[", b"{", b"null", b"true", b""]
+) | st.binary(min_size=1, max_size=4)
+
+
+@st.composite
+def mutated_inputs(draw) -> dict[str, bytes]:
+    """The spec and data fixtures with one to three byte runs of one of them
+    dropped, inserted or replaced."""
+    files = {"spec": json.dumps(LINEAR_SPEC).encode(), "data": INDUSTRY_DATA.encode()}
+    target = draw(st.sampled_from(sorted(files)))
+    data = bytearray(files[target])
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(data)))
+        data[start:start + draw(st.integers(0, 3))] = draw(NOISE)
+    files[target] = bytes(data)
+    return files
+
+
+FUZZ_COMMANDS = [
+    ["compute", "--data", "{data}"],
+    ["test-one", "--data", "{data}", "--row", "c1"],
+    ["test-two", "--data-a", "{data}", "--data-b", "{clean}"],
+    ["simulate", "--study", "coverage", "--n", "20", "--replications", "2", "--seed", "1"],
+    ["surface", "--resolution", "3"],
+]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    files=mutated_inputs(),
+    command=st.sampled_from(FUZZ_COMMANDS),
+    out_format=st.sampled_from(["table", "structured"]),
+)
+def test_mutated_inputs_end_in_an_exit_status(tmp_path, files, command, out_format):
+    paths = {"spec": tmp_path / "spec.json", "data": tmp_path / "data.csv",
+             "clean": tmp_path / "clean.csv"}
+    paths["spec"].write_bytes(files["spec"])
+    paths["data"].write_bytes(files["data"])
+    paths["clean"].write_text(INDUSTRY_DATA)
+    names = {key: str(path) for key, path in paths.items()}
+    argv = [command[0], "--spec", names["spec"], "--format", out_format,
+            *(part.format(**names) for part in command[1:])]
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 class TestTests:
@@ -165,7 +294,7 @@ class TestTests:
 
     def test_two_sample_identical_files(self, capsys, tmp_path, spec_file):
         data = tmp_path / "ind.csv"
-        data.write_text("corporation,TAM,CMM\nc1,0,1\nc2,5,4\nc3,2,0\nc4,3,5\nc5,1,3\n")
+        data.write_text(INDUSTRY_DATA)
         code, out, err = run_cli(
             capsys, "test-two", "--spec", spec_file,
             "--data-a", str(data), "--data-b", str(data),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from adoptindex import ModelSpec, PmfSpec, StudySpec, shift_stages, validate_dataset
+from adoptindex import ModelSpec, PmfSpec, StudySpec, validate_dataset
 from adoptindex.errors import (
     DuplicateRowId,
     InputError,
@@ -32,6 +32,8 @@ class TestModelSpec:
             {"alpha": True},
             {"beta": "2"},
             {"weight": "0.5"},
+            {"name": 7},
+            {"name": None},
         ],
     )
     def test_rejected_at_construction(self, kwargs):
@@ -132,6 +134,25 @@ class TestValidateDataset:
         with pytest.raises(InputError):
             validate_dataset(rows, tam_cmm_spec)
 
+    @pytest.mark.parametrize(
+        "second_row,error",
+        [
+            (("b", (5, 6)), OutOfRangeStage),
+            (("a", (5, 0)), DuplicateRowId),
+            (("", (5, 0)), InputError),
+            (("b", (5,)), RowArityMismatch),
+            (("b", (5, True)), InputError),
+            (("b", (5, 2**63)), InputError),
+            (("b", (-(2**63) - 1, 0)), InputError),
+        ],
+        ids=["range", "duplicate", "empty-id", "arity", "bool", "int64-max", "int64-min"],
+    )
+    def test_row_errors_carry_the_row_position(self, tam_cmm_spec, second_row, error):
+        rows = [("a", (0, 5)), second_row, ("c", (2, 3)), ("d", (3, 2))]
+        with pytest.raises(error) as info:
+            validate_dataset(rows, tam_cmm_spec)
+        assert info.value.row == 1
+
     def test_values_are_immutable(self, tam_cmm_spec):
         rows = [("a", (0, 5)), ("b", (5, 0)), ("c", (2, 3)), ("d", (3, 2))]
         ds = validate_dataset(rows, tam_cmm_spec)
@@ -175,30 +196,3 @@ class TestValidateDataset:
         rows[bad_i] = (rows[bad_i][0], tuple(row))
         with pytest.raises(OutOfRangeStage):
             validate_dataset(rows, spec)
-
-
-class TestShiftStages:
-    def test_flagged_column_incremented(self):
-        rows = [("a", (0,)), ("b", (1,)), ("c", (2,))]
-        assert [v for _, (v,) in shift_stages(rows, [True])] == [1, 2, 3]
-
-    def test_unflagged_column_unchanged(self):
-        rows = [("a", (0,)), ("b", (1,)), ("c", (2,))]
-        assert [v for _, (v,) in shift_stages(rows, [False])] == [0, 1, 2]
-
-    def test_recoded_scale_fits_after_adding_zero_stage(self, single_model_spec):
-        # five recorded stages 0..4 become 1..5 under the six-stage model
-        rows = [(str(i), (i,)) for i in range(5)]
-        shifted = shift_stages(rows, [True])
-        ds = validate_dataset(shifted, single_model_spec)
-        assert sorted(ds.values[:, 0].tolist()) == [1, 2, 3, 4, 5]
-
-    def test_double_shift_breaks_range_validation(self, single_model_spec):
-        rows = [(str(i), (i,)) for i in range(5)]  # max stage is m - 1
-        twice = shift_stages(shift_stages(rows, [True]), [True])
-        with pytest.raises(OutOfRangeStage):
-            validate_dataset(twice, single_model_spec)
-
-    def test_flag_arity_checked(self):
-        with pytest.raises(RowArityMismatch):
-            shift_stages([("a", (1, 2))], [True])

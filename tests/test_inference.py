@@ -92,6 +92,22 @@ class TestIndexVariance:
         v1, v2 = moments.variances
         assert forced.value == pytest.approx((v1 + v2) / (100 * ds.n), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "corr",
+        [
+            [[1.0, 0.3], [0.2, 1.0]],
+            [[1.0, 1.5], [1.5, 1.0]],
+            [[0.5, 0.0], [0.0, 0.5]],
+            [["1", 0.0], [0.0, 1.0]],
+            np.eye(3),
+        ],
+        ids=["asymmetric", "not-psd", "not-unit-diagonal", "string-entry", "wrong-size"],
+    )
+    def test_correlation_override_is_a_correlation_matrix(self, tam_cmm_spec, corr):
+        ds = make_dataset(tam_cmm_spec, [(0, 5, 2, 3, 1), (1, 4, 0, 5, 3)])
+        with pytest.raises(InputError, match="correlation override"):
+            index_variance(estimate_moments(ds), tam_cmm_spec, correlation=corr)
+
     def test_closed_form_on_real_data(self, tam_cmm_spec):
         rng = np.random.default_rng(404)
         for _ in range(50):
