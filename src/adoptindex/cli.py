@@ -31,6 +31,8 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -41,6 +43,7 @@ from .errors import (
     AdoptionIndexError,
     InputError,
     InsufficientDf,
+    OutOfRangeStage,
     RowArityMismatch,
     SpecMismatch,
     StatisticalRefusal,
@@ -120,10 +123,12 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
         flag = entry.get("add_zero_stage", False)
         if not isinstance(flag, bool):
             raise InputError(f"{path}: model {pos}: add_zero_stage must be true or false, got {flag!r}")
-        models.append(ModelSpec(name, m, alpha, beta, entry.get("weight")))
+        with _naming(path):
+            models.append(ModelSpec(name, m, alpha, beta, entry.get("weight")))
         flags.append(flag)
         pmfs.append(entry.get("pmf"))
-    spec = StudySpec(models)
+    with _naming(path):
+        spec = StudySpec(models)
     extras = {
         "offset_flags": tuple(flags),
         "pmfs": pmfs,
@@ -176,12 +181,16 @@ def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]) -> 
             values[:, j] = cells[:, j + 1].astype(np.int64)
         except (ValueError, OverflowError):
             raise _bad_cell(path, name, cells[:, j + 1], ids, lines) from None
-    values += np.array(offset_flags, dtype=np.int64)
-    try:
+    flags = np.array(offset_flags)
+    with _naming(path, lines):
+        # the add would wrap a cell at the int64 maximum; report it as written
+        for i, j in np.argwhere(flags & (values == np.iinfo(np.int64).max))[:1]:
+            raise OutOfRangeStage(
+                f"stage {values[i, j]} out of range 0..{spec.models[j].m - 1} for model "
+                f"{spec.names[j]!r} at row {ids[i]!r} before adding the zero stage", row=int(i)
+            )
+        values += flags
         return AdoptionDataset(tuple(ids), values, spec)
-    except InputError as exc:
-        line = "" if exc.row is None else f"line {lines[exc.row]}: "
-        raise type(exc)(f"{path}: {line}{exc}", row=exc.row) from exc
 
 
 def _bad_cell(path: str, name: str, column: np.ndarray, ids: list[str], lines: list[int]) -> InputError:
@@ -194,6 +203,16 @@ def _bad_cell(path: str, name: str, column: np.ndarray, ids: list[str], lines: l
                 f"{path}: row {ids[i]!r} (line {lines[i]}): "
                 f"stage for {name!r} must be a 64-bit integer, got {cell.strip()!r}"
             )
+
+
+@contextmanager
+def _naming(path: str, lines: list[int] | None = None) -> Iterator[None]:
+    """Prefix an input error raised in the block with its file and the line of its row."""
+    try:
+        yield
+    except InputError as exc:
+        line = "" if exc.row is None or lines is None else f"line {lines[exc.row]}: "
+        raise type(exc)(f"{path}: {line}{exc}", row=exc.row) from exc
 
 
 def _build_pmf_spec(loaded: dict[str, Any], which: str = "pmfs") -> PmfSpec:
@@ -338,10 +357,11 @@ def cmd_test_two(config: RunConfig) -> dict[str, Any]:
 def cmd_simulate(config: RunConfig) -> dict[str, Any]:
     loaded = load_spec(config.spec_path)
     spec = loaded["spec"]
-    pmf = _build_pmf_spec(loaded)
     pmf_alt = None
-    if config.study == "size" and loaded["alternative_pmf"] is not None:
-        pmf_alt = _build_pmf_spec(loaded, which="alternative_pmf")
+    with _naming(config.spec_path):
+        pmf = _build_pmf_spec(loaded)
+        if config.study == "size" and loaded["alternative_pmf"] is not None:
+            pmf_alt = _build_pmf_spec(loaded, which="alternative_pmf")
     if config.n is None or config.replications is None or config.seed is None:
         raise InputError("simulate needs --n, --replications, and --seed")
     plan = SimulationPlan(

@@ -15,6 +15,7 @@ result is exactly symmetric with a non-negative diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,30 +78,36 @@ class MomentEstimate:
 
 def _moments(values: np.ndarray) -> MomentEstimate:
     """Moments of an n x k matrix of non-negative integer stages, n >= 2."""
-    n, k = values.shape
-    peak = int(values.max())
+    n = values.shape[0]
+    _require_exact(n, int(values.max()))
+    return _from_sums(n, values.sum(axis=0, dtype=np.int64).tolist(), (values.T @ values).tolist())
+
+
+def _require_exact(n: int, peak: int) -> None:
+    """Refuse sums and cross-products that could wrap in int64."""
     if n * peak * peak >= _INT64_LIMIT:
         raise InputError(f"stages up to {peak} over {n} rows overflow exact int64 moments")
-    sums = values.sum(axis=0, dtype=np.int64).tolist()
-    cross = (values.T @ values).tolist()
-    denominator = n * (n - 1)
-    cov = np.array(
-        [[(n * cross[j][l] - sums[j] * sums[l]) / denominator for l in range(k)] for j in range(k)]
-    )
-    sd = np.sqrt(np.diag(cov))
-    degenerate = sd == 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.clip(cov / np.outer(sd, sd), -1.0, 1.0)
-    corr[degenerate, :] = np.nan
-    corr[:, degenerate] = np.nan
-    np.fill_diagonal(corr, np.where(degenerate, np.nan, 1.0))
-    cov.setflags(write=False)
-    corr.setflags(write=False)
+
+
+def _from_sums(n: int, sums: list[int], cross: list[list[int]]) -> MomentEstimate:
+    """Moments from n >= 2 rows, their column sums and their cross-product matrix."""
+    k, denominator = len(sums), n * (n - 1)
+    cov = [[(n * cross[j][l] - sums[j] * sums[l]) / denominator for l in range(k)] for j in range(k)]
+    sd = [math.sqrt(cov[j][j]) for j in range(k)]
+    degenerate = tuple(s == 0.0 for s in sd)
+    corr = [
+        [math.nan if degenerate[j] or degenerate[l] else 1.0 if j == l
+         else min(1.0, max(-1.0, cov[j][l] / (sd[j] * sd[l]))) for l in range(k)]
+        for j in range(k)
+    ]
+    cov_array, corr_array = np.array(cov), np.array(corr)
+    cov_array.setflags(write=False)
+    corr_array.setflags(write=False)
     return MomentEstimate(
         scores=ScoreEstimate(scores=tuple(float(s) / n for s in sums), n=n),
-        cov=cov,
-        corr=corr,
-        degenerate=tuple(bool(d) for d in degenerate),
+        cov=cov_array,
+        corr=corr_array,
+        degenerate=degenerate,
     )
 
 

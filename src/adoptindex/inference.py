@@ -119,12 +119,11 @@ def index_variance(
                 "the index variance is undefined"
             )
     n = moments.n
-    variances = np.asarray(moments.variances)
-    sd = np.sqrt(variances)
-    if correlation is None:
-        sigma = np.asarray(moments.cov, dtype=float)
-    else:
+    sigma = np.asarray(moments.cov, dtype=float)
+    if correlation is not None:
         corr = correlation_matrix(correlation, spec.k, "correlation override")
+        variances = sigma.diagonal()
+        sd = np.sqrt(variances)
         sigma = corr * np.outer(sd, sd)
         np.fill_diagonal(sigma, variances)
     gradients = delta_gradient(moments.scores, spec)

@@ -6,10 +6,10 @@ of the plan's seed (and grandchildren when it needs two samples), so
 replications are reproducible independently of execution order and the
 aggregates are order-independent sums.
 
-Studies draw each replication through the same sampler as
-``sample_dataset`` and estimate straight from the integer stage matrix;
-only ``sample_dataset`` wraps the draw in row ids and a validated
-dataset.
+Studies draw replications in chunks of at most ``_CHUNK_CELLS`` stage cells,
+each from its own child into one buffer (the stream of a lone draw, which
+``sample_dataset`` makes), and reduce a chunk to integer sums at once.
+Statistics stay per replication, so studies check the functions users call.
 
 Cross-model dependence is induced by a latent normal copula: correlated
 standard normals are pushed through each model's stage quantile
@@ -22,17 +22,21 @@ probability) rather than assumed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domain import AdoptionDataset, PmfSpec, StudySpec
 from .errors import DegenerateVariance, InputError, SpecMismatch
-from .estimation import ScoreEstimate, _moments
+from .estimation import MomentEstimate, ScoreEstimate, _from_sums, _require_exact
 from .index import delta_gradient, global_index
 from .inference import _two_sample, confidence_interval, index_variance
 
 STUDY_KINDS = ("normality", "coverage", "size", "variance-ratio")
+
+# stage cells drawn and reduced at once; bounds the study's buffers, never its streams
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -300,24 +304,58 @@ def sample_dataset(pmf: PmfSpec, spec: StudySpec, n: int, seed) -> AdoptionDatas
     if n <= spec.k:
         raise InputError(f"need n > k, got n={n} with k={spec.k}")
     row_ids = tuple(f"r{i + 1}" for i in range(n))
-    return AdoptionDataset(row_ids=row_ids, values=_draw(pmf, n, seed), spec=spec)
+    stages = _draw(*_sampler(pmf), [seed], np.empty((1, n, spec.k)))
+    return AdoptionDataset(row_ids=row_ids, values=stages[0].T.copy(), spec=spec)
 
 
-def _draw(pmf: PmfSpec, n: int, seed) -> np.ndarray:
-    """n x k int64 stage matrix drawn from the pmf, deterministically in the seed."""
-    rng = np.random.default_rng(seed)
-    k = pmf.k
-    values = np.empty((n, k), dtype=np.int64)
+def _sampler(pmf: PmfSpec) -> tuple[np.ndarray | None, list]:
+    """The copula's transposed root (None for independent columns) and each
+    model's cut points on the variate scale, the last one (1 or +inf) left out."""
+    cums = [_cumulative(probs)[:-1] for probs in pmf.pmfs]
     if pmf.latent_correlation is None:
-        u = rng.random((n, k))
-        for j in range(k):
-            values[:, j] = np.searchsorted(_cumulative(pmf.pmfs[j]), u[:, j], side="left")
-    else:
-        z = rng.standard_normal((n, k)) @ _psd_transform(pmf.latent_correlation).T
-        for j in range(k):
-            taus = np.array([_norm_ppf(c) for c in _cumulative(pmf.pmfs[j])])
-            values[:, j] = np.searchsorted(taus, z[:, j], side="left")
-    return values
+        return None, cums
+    return _psd_transform(pmf.latent_correlation).T, [[_norm_ppf(c) for c in cum] for cum in cums]
+
+
+def _draw(root: np.ndarray | None, cuts: list, seeds, draws: np.ndarray) -> np.ndarray:
+    """len(seeds) x k x n int64 stages; sample r is drawn from ``default_rng(seeds[r])``
+    into ``draws[r]``. A variate above c of its model's cut points is stage c,
+    which is ``searchsorted(cut points, variate, side="left")``."""
+    draws = draws[: len(seeds)]
+    for seed, out in zip(seeds, draws):
+        rng = np.random.default_rng(seed)
+        if root is None:
+            rng.random(out=out)
+        else:
+            # one product per sample: a batched product may round differently
+            np.matmul(rng.standard_normal(out.shape), root, out=out)
+    stages = np.zeros((len(cuts), *draws.shape[:2]), dtype=np.int64)
+    for j, model_cuts in enumerate(cuts):
+        variates = draws[..., j].copy()  # contiguous, so each comparison runs at full speed
+        for c in model_cuts:
+            stages[j] += variates > c
+    return stages.transpose(1, 0, 2)
+
+
+def _sampled_moments(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[tuple[MomentEstimate, ...]]:
+    """Each replication's moments, one sample per pmf. Replication r owns child r
+    of the plan's seed, and with two pmfs sample i its grandchild i; spawning
+    one chunk at a time yields the same children as spawning all at once."""
+    n, k = plan.n, plan.spec.k
+    _require_exact(n, max(plan.spec.stage_maxima))
+    per_chunk = max(1, _CHUNK_CELLS // (n * k))
+    samplers = [_sampler(pmf) for pmf in pmfs]
+    draws = np.empty((min(per_chunk, plan.replications), n, k))
+    parent = np.random.SeedSequence(plan.seed)
+    for start in range(0, plan.replications, per_chunk):
+        children = parent.spawn(min(per_chunk, plan.replications - start))
+        seeds = [children] if len(pmfs) == 1 else zip(*(child.spawn(2) for child in children))
+        samples = []
+        for sampler, sample_seeds in zip(samplers, seeds):
+            stages = _draw(*sampler, sample_seeds, draws)
+            reduced = zip(stages.sum(axis=2).tolist(), (stages @ stages.mT).tolist())
+            samples.append([_from_sums(n, sums, cross) for sums, cross in reduced])
+        yield from zip(*samples)
 
 
 # --- studies -----------------------------------------------------------------
@@ -348,7 +386,6 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
             raise DegenerateVariance(
                 f"pmf for model {model.name!r} is degenerate; the study cannot run"
             )
-    children = np.random.SeedSequence(plan.seed).spawn(plan.replications)
     tol = plan.tolerances
     notes = (
         "observations are treated as iid within each sample; clustered or "
@@ -359,8 +396,8 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
         avar = population_asymptotic_variance(plan.pmf, plan.spec)
         scale = math.sqrt(avar)
         z = np.empty(plan.replications)
-        for r, child in enumerate(children):
-            idx = global_index(_moments(_draw(plan.pmf, plan.n, child)).scores, plan.spec)
+        for r, (moments,) in enumerate(_sampled_moments(plan, (plan.pmf,))):
+            idx = global_index(moments.scores, plan.spec)
             z[r] = math.sqrt(plan.n) * (idx.value - truth.index) / scale
         mean, variance, skewness, kurtosis = _moments_of(z)
         se_mean = math.sqrt(_sample_variance(z) / plan.replications)
@@ -386,8 +423,7 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     elif plan.study == "coverage":
         df = plan.n - plan.spec.k - 1
         covered = 0
-        for child in children:
-            moments = _moments(_draw(plan.pmf, plan.n, child))
+        for (moments,) in _sampled_moments(plan, (plan.pmf,)):
             idx = global_index(moments.scores, plan.spec)
             var = index_variance(moments, plan.spec)
             ci = confidence_interval(idx, var, tol.ci_level, df)
@@ -407,15 +443,8 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
         pmf_b = plan.pmf_alternative if plan.pmf_alternative is not None else plan.pmf
         under_null = plan.pmf_alternative is None
         rejections = 0
-        for child in children:
-            seq_a, seq_b = child.spawn(2)
-            outcome = _two_sample(
-                _moments(_draw(plan.pmf, plan.n, seq_a)),
-                _moments(_draw(pmf_b, plan.n, seq_b)),
-                plan.spec,
-                "two",
-                tol.significance,
-            )
+        for moments_a, moments_b in _sampled_moments(plan, (plan.pmf, pmf_b)):
+            outcome = _two_sample(moments_a, moments_b, plan.spec, "two", tol.significance)
             rejections += int(outcome.reject)
         rate = rejections / plan.replications
         se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / plan.replications)
@@ -434,8 +463,7 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
         avar = population_asymptotic_variance(plan.pmf, plan.spec)
         v_hat = np.empty(plan.replications)
         i_hat = np.empty(plan.replications)
-        for r, child in enumerate(children):
-            moments = _moments(_draw(plan.pmf, plan.n, child))
+        for r, (moments,) in enumerate(_sampled_moments(plan, (plan.pmf,))):
             i_hat[r] = global_index(moments.scores, plan.spec).value
             v_hat[r] = index_variance(moments, plan.spec).value
         empirical_variance = _sample_variance(i_hat)

@@ -113,6 +113,7 @@ class TestCompute:
         ({"m": "5"}, {}, "m must be an integer"),
         ({"alpha": "fast"}, {}, "alpha"),
         ({"alpha": True}, {}, "alpha"),
+        ({"alpha": -1}, {}, "alpha must be > 0, got -1.0"),
         ({"beta": "2"}, {}, "beta"),
         ({"weight": "1"}, {}, "weight"),
         ({"weight": True}, {}, "weight"),
@@ -127,7 +128,7 @@ class TestCompute:
         ({"name": 7}, {}, "model name"),
     ],
     ids=[
-        "m-float", "m-bool", "m-string", "alpha-string", "alpha-bool", "beta-string",
+        "m-float", "m-bool", "m-string", "alpha-string", "alpha-bool", "alpha-negative", "beta-string",
         "weight-string", "weight-bool", "add_zero_stage-string", "pmf-string-entry",
         "pmf-bool-entry", "pmf-not-a-list", "latent-string-entry", "latent-bool-entry",
         "latent-not-a-matrix", "name-null", "name-number",
@@ -142,7 +143,7 @@ def test_spec_values_are_validated_not_coerced(capsys, tmp_path, model_fields, t
         "--n", "20", "--replications", "2", "--seed", "1",
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and named in err
+    assert err.startswith(f"error: {spec_path}: ") and named in err
 
 
 SHIFTED_MODELS = [{"name": "CMM", "m": 5, "add_zero_stage": True}]
@@ -177,6 +178,13 @@ SHIFTED_MODELS = [{"name": "CMM", "m": 5, "add_zero_stage": True}]
             ["stage 6 out of range 0..5 for model 'CMM' at row 'c2'"],
         ),
         (
+            # the shift would wrap a 64-bit cell; the value is reported as written
+            SHIFTED_MODELS,
+            "corporation,CMM\nc1,0\nc2,9223372036854775807\nc3,4\n",
+            3,
+            ["stage 9223372036854775807 out of range 0..4 for model 'CMM' at row 'c2'"],
+        ),
+        (
             LINEAR_SPEC["models"],
             "corporation,TAM,CMM\nc1,0,5\nc2,5,0\nc3,99999999999999999999,2\nc4,3,3\n",
             4,
@@ -190,7 +198,7 @@ SHIFTED_MODELS = [{"name": "CMM", "m": 5, "add_zero_stage": True}]
         ),
     ],
     ids=["blank-lines-before-bad-cell", "range", "duplicate-id", "zero-stage-range",
-         "oversized-stage", "oversized-field"],
+         "zero-stage-wrap", "oversized-stage", "oversized-field"],
 )
 def test_data_errors_name_file_and_physical_line(capsys, tmp_path, models, text, line, named):
     spec_path = tmp_path / "spec.json"

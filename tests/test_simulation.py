@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from adoptindex import (
     sample_dataset,
     true_index,
 )
+from adoptindex import simulation
 from adoptindex.errors import DegenerateVariance, InputError, SpecMismatch
+from adoptindex.estimation import _moments
 
 UNIFORM6 = (1 / 6,) * 6
 
@@ -279,3 +282,86 @@ def test_sampler_streams_are_stable(study):
     assert {k: float(metrics[k]).hex() for k in exact} == exact
     for k, value in close.items():
         assert metrics[k] == pytest.approx(float.fromhex(value), rel=1e-12)
+
+
+# three models with unequal m; the second has an empty stage 0
+CHUNK_SPEC = StudySpec([ModelSpec("A", 5), ModelSpec("B", 3, alpha=2.0), ModelSpec("C", 7)])
+CHUNK_PMFS = [NONLINEAR_PMFS[0], (0.0, 0.2, 0.3, 0.5), (0.05, 0.1, 0.15, 0.2, 0.2, 0.15, 0.1, 0.05)]
+CHUNK_CORRELATION = [[1, 0.5, 0.2], [0.5, 1, -0.3], [0.2, -0.3, 1]]
+
+
+def reference_stages(pmf: PmfSpec, n: int, seed) -> np.ndarray:
+    """One sample drawn on its own: the documented stream, then searchsorted."""
+    rng = np.random.default_rng(seed)
+    cums = [simulation._cumulative(p) for p in pmf.pmfs]
+    if pmf.latent_correlation is None:
+        variates = rng.random((n, pmf.k))
+    else:
+        variates = rng.standard_normal((n, pmf.k)) @ simulation._psd_transform(pmf.latent_correlation).T
+        cums = [np.array([simulation._norm_ppf(c) for c in cum]) for cum in cums]
+    return np.stack(
+        [np.searchsorted(cum, variates[:, j], side="left") for j, cum in enumerate(cums)], axis=1
+    )
+
+
+@pytest.mark.parametrize("copula", [False, True], ids=["independent", "copula"])
+@pytest.mark.parametrize("samples", [1, 2])
+@pytest.mark.parametrize(
+    "shape", ["one-replication", "one-full-chunk", "one-chunk-plus-one", "one-replication-per-chunk"]
+)
+def test_chunked_draws_match_per_replication_reference(monkeypatch, copula, samples, shape):
+    # 6000 rows of 3 models hold more cells than one chunk
+    n = 6000 if shape == "one-replication-per-chunk" else 200
+    pmf = PmfSpec(CHUNK_PMFS, latent_correlation=CHUNK_CORRELATION if copula else None)
+    per_chunk = simulation._CHUNK_CELLS // (n * CHUNK_SPEC.k)
+    replications = {"one-replication": 1, "one-full-chunk": per_chunk,
+                    "one-chunk-plus-one": per_chunk + 1, "one-replication-per-chunk": 2}[shape]
+    assert replications >= 1 and (shape != "one-replication-per-chunk" or per_chunk == 0)
+    plan = SimulationPlan(
+        pmf=pmf, spec=CHUNK_SPEC, n=n, replications=replications, seed=99, study="coverage"
+    )
+    reduced = []
+    finish = simulation._from_sums
+
+    def recording(n, sums, cross):
+        reduced.append((n, sums, cross))
+        return finish(n, sums, cross)
+
+    monkeypatch.setattr(simulation, "_from_sums", recording)
+    got = list(simulation._sampled_moments(plan, (pmf,) * samples))
+    children = np.random.SeedSequence(99).spawn(replications)
+    seeds = [[c] for c in children] if samples == 1 else [c.spawn(2) for c in children]
+    assert len(got) == replications
+    expected = []
+    for moments, child_seeds in zip(got, seeds):
+        assert len(moments) == samples
+        for estimate, seed in zip(moments, child_seeds):
+            x = reference_stages(pmf, n, seed)
+            expected.append((n, x.sum(axis=0).tolist(), (x.T @ x).tolist()))
+            want = _moments(x)
+            assert estimate.scores == want.scores
+            assert estimate.degenerate == want.degenerate
+            assert np.array_equal(estimate.cov, want.cov)
+            assert np.array_equal(estimate.corr, want.corr, equal_nan=True)
+    assert sorted(reduced) == sorted(expected)
+
+
+@pytest.mark.parametrize("study", ["coverage", "size", "variance-ratio"])
+def test_study_memory_does_not_grow_with_replications(study):
+    correlation = [[1, 0.5], [0.5, 1]] if study == "variance-ratio" else None
+    pmf = PmfSpec(NONLINEAR_PMFS, latent_correlation=correlation)
+
+    def peak_bytes(replications: int) -> int:
+        plan = SimulationPlan(
+            pmf=pmf, spec=NONLINEAR_SPEC, n=500, replications=replications, seed=5, study=study
+        )
+        tracemalloc.start()
+        try:
+            run_study(plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(1)  # lazy imports and caches are paid once, not per replication
+    small = peak_bytes(400)
+    assert peak_bytes(4000) - small <= 256 * 1024
