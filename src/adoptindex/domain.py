@@ -4,16 +4,20 @@ A study is an ordered collection of adoption models. Model ``j`` has
 ``m_j + 1`` ordered stages coded 0..m_j, where stage 0 always means "no
 adoption at all". Observations are integer stage values, one column per
 model, one row per corporation. Everything here is immutable after
-construction and safe to share across threads.
+construction (a dataset fills a cache of exact sums on first use) and
+safe to share across threads.
 
 Every dataset rule (ids, row count, stage ranges) is checked only by
 :class:`AdoptionDataset`; ``validate_dataset`` and ``cli.load_dataset``
 check only what their input format needs to become an int64 matrix.
+``AdoptionDataset.without_row`` derives from a validated dataset without
+re-validating it, and downdates its exact sums instead of reducing again.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -26,6 +30,7 @@ from .errors import (
     InputError,
     OutOfRangeStage,
     RowArityMismatch,
+    RowNotFound,
     TooFewRows,
 )
 
@@ -33,8 +38,23 @@ WEIGHT_SUM_TOL = 1e-9
 PMF_SUM_TOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
 _INT64 = np.iinfo(np.int64)
+# sums and cross-products are accumulated in int64; n * max_stage^2 must stay below this
+_INT64_LIMIT = 2**63
 
 RawRows = Sequence[tuple[str, Sequence[int]]]
+
+
+def _require_exact(n: int, peak: int) -> None:
+    """Refuse sums and cross-products that could wrap in int64."""
+    if n * peak * peak >= _INT64_LIMIT:
+        raise InputError(f"stages up to {peak} over {n} rows overflow exact int64 moments")
+
+
+def _exact_sums(values: np.ndarray) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Column sums and cross-product matrix of a non-negative integer matrix, as Python ints."""
+    _require_exact(values.shape[0], int(values.max()))
+    cross = (values.T @ values).tolist()
+    return tuple(values.sum(axis=0, dtype=np.int64).tolist()), tuple(map(tuple, cross))
 
 
 def _number(value: object, what: str) -> float:
@@ -215,18 +235,41 @@ class AdoptionDataset:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def row_position(self, row_id: str) -> int | None:
+    def row_position(self, row_id: str) -> int:
         try:
             return self.row_ids.index(row_id)
         except ValueError:
-            return None
+            raise RowNotFound(f"row {row_id!r} not found in dataset") from None
+
+    @functools.cached_property
+    def sufficient_stats(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Exact column sums s = X^T 1 and cross-products C = X^T X, reduced on first use."""
+        return _exact_sums(self.values)
 
     def without_row(self, position: int) -> "AdoptionDataset":
-        return AdoptionDataset(
-            row_ids=self.row_ids[:position] + self.row_ids[position + 1:],
-            values=np.delete(self.values, position, axis=0),
-            spec=self.spec,
+        """This dataset minus one row. Removing a row keeps every rule but the
+        row count, so only that is checked, and the exact sums are the parent's
+        minus the row; if the parent's are refused, the result reduces its own.
+        """
+        n, ids = self.n - 1, self.row_ids
+        if not 0 <= position <= n:
+            raise IndexError(f"row position {position} outside 0..{n}")
+        if n <= self.spec.k:
+            raise TooFewRows(f"need more rows than models, got n={n} with k={self.spec.k}")
+        values = np.delete(self.values, position, axis=0)
+        values.setflags(write=False)
+        reduced = object.__new__(AdoptionDataset)
+        reduced.__dict__.update(row_ids=ids[:position] + ids[position + 1:], values=values, spec=self.spec)
+        try:
+            sums, cross = self.sufficient_stats
+        except InputError:
+            return reduced
+        x = self.values[position].tolist()
+        reduced.__dict__["sufficient_stats"] = (
+            tuple(s - a for s, a in zip(sums, x)),
+            tuple(tuple(c - a * b for c, b in zip(row, x)) for row, a in zip(cross, x)),
         )
+        return reduced
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,7 +2,8 @@
 
 Every moment comes from the same three sufficient statistics of the n x k
 stage matrix X: n, the integer column sums s = X^T 1, and the integer
-cross-product matrix C = X^T X. Scores are s / n, one division per
+cross-product matrix C = X^T X, which a dataset reduces once and caches
+(``AdoptionDataset.sufficient_stats``). Scores are s / n, one division per
 column, so the column mean and the pmf-weighted stage sum agree bitwise.
 The unbiased covariance is
 
@@ -16,15 +17,13 @@ result is exactly symmetric with a non-negative diagonal.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AdoptionDataset
-from .errors import IndexOutOfRange, InputError
-
-# s and C are accumulated in int64; n * max_stage^2 must stay below this
-_INT64_LIMIT = 2**63
+from .domain import AdoptionDataset, _exact_sums
+from .errors import IndexOutOfRange
 
 
 @dataclass(frozen=True)
@@ -78,18 +77,10 @@ class MomentEstimate:
 
 def _moments(values: np.ndarray) -> MomentEstimate:
     """Moments of an n x k matrix of non-negative integer stages, n >= 2."""
-    n = values.shape[0]
-    _require_exact(n, int(values.max()))
-    return _from_sums(n, values.sum(axis=0, dtype=np.int64).tolist(), (values.T @ values).tolist())
+    return _from_sums(values.shape[0], *_exact_sums(values))
 
 
-def _require_exact(n: int, peak: int) -> None:
-    """Refuse sums and cross-products that could wrap in int64."""
-    if n * peak * peak >= _INT64_LIMIT:
-        raise InputError(f"stages up to {peak} over {n} rows overflow exact int64 moments")
-
-
-def _from_sums(n: int, sums: list[int], cross: list[list[int]]) -> MomentEstimate:
+def _from_sums(n: int, sums: Sequence[int], cross: Sequence[Sequence[int]]) -> MomentEstimate:
     """Moments from n >= 2 rows, their column sums and their cross-product matrix."""
     k, denominator = len(sums), n * (n - 1)
     cov = [[(n * cross[j][l] - sums[j] * sums[l]) / denominator for l in range(k)] for j in range(k)]
@@ -112,10 +103,8 @@ def _from_sums(n: int, sums: list[int], cross: list[list[int]]) -> MomentEstimat
 
 
 def estimate_scores(dataset: AdoptionDataset) -> ScoreEstimate:
-    """Column means, computed as exact integer sums divided by n."""
-    sums = dataset.values.sum(axis=0, dtype=np.int64)
-    n = dataset.n
-    return ScoreEstimate(scores=tuple(float(s) / n for s in sums), n=n)
+    """Column means, computed as exact integer sums divided by n (the scores of the moments)."""
+    return estimate_moments(dataset).scores
 
 
 def estimate_pmf(dataset: AdoptionDataset, j: int) -> PmfEstimate:
@@ -139,4 +128,4 @@ def estimate_moments(dataset: AdoptionDataset) -> MomentEstimate:
     Correlations are derived from the covariance matrix and clipped into
     [-1, 1] against rounding; they are NaN where a variance is zero.
     """
-    return _moments(dataset.values)
+    return _from_sums(dataset.n, *dataset.sufficient_stats)

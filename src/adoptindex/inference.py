@@ -14,7 +14,9 @@ formula). Tests:
   its variance, and the excluded row's own index I_0 is the null value;
   T is t-distributed with (n-1) - k - 1 degrees of freedom (the sample
   actually used has n-1 rows). The null value always comes from the
-  excluded row; there is no variant against a fixed constant.
+  excluded row; there is no variant against a fixed constant. The
+  reduced sample is a downdate: its sums and cross-products are the
+  industry's minus the excluded row, O(k^2) work per test.
 * two-sample: unequal variances, Welch-Satterthwaite degrees of freedom.
 
 Both tests share one tail from statistic to p-value to outcome. The
@@ -36,7 +38,6 @@ from .errors import (
     InputError,
     InsufficientDf,
     InsufficientSample,
-    RowNotFound,
     SpecMismatch,
 )
 from .estimation import MomentEstimate, estimate_moments
@@ -161,9 +162,10 @@ def welch_df(v_a: float, v_b: float, n_a: int, n_b: int, k: int) -> float:
 def row_index(dataset: AdoptionDataset, row_id: str) -> float:
     """A single corporation's own index: the sub-index transform applied
     componentwise to its observed stages, then weighted."""
-    position = dataset.row_position(row_id)
-    if position is None:
-        raise RowNotFound(f"row {row_id!r} not found in dataset")
+    return _row_index_at(dataset, dataset.row_position(row_id))
+
+
+def _row_index_at(dataset: AdoptionDataset, position: int) -> float:
     stages = dataset.values[position, :]
     return math.fsum(
         w * subindex(float(x), model)
@@ -190,15 +192,13 @@ def one_sample_test(
         raise SpecMismatch("dataset was validated against a different study spec")
     significance = _require_level(significance, "significance")
     position = dataset.row_position(row_id)
-    if position is None:
-        raise RowNotFound(f"row {row_id!r} not found in dataset")
     k = spec.k
     df = (dataset.n - 1) - k - 1
     if df < 1:
         raise InsufficientDf(
             f"excluding row {row_id!r} leaves df={df}; need at least 1"
         )
-    null_value = row_index(dataset, row_id)
+    null_value = _row_index_at(dataset, position)
     reduced = dataset.without_row(position)
     moments = estimate_moments(reduced)
     variance = index_variance(moments, spec)

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import AdoptionDataset, PmfSpec, StudySpec
+from .domain import AdoptionDataset, PmfSpec, StudySpec, _require_exact
 from .errors import DegenerateVariance, InputError, SpecMismatch
-from .estimation import MomentEstimate, ScoreEstimate, _from_sums, _require_exact
+from .estimation import MomentEstimate, ScoreEstimate, _from_sums
 from .index import delta_gradient, global_index
 from .inference import _two_sample, confidence_interval, index_variance
 
@@ -78,6 +78,8 @@ class SimulationPlan:
             raise InputError(f"need n > k, got n={self.n} with k={self.spec.k}")
         if self.replications < 1:
             raise InputError(f"replications must be >= 1, got {self.replications}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise InputError(f"seed must be an integer >= 0, got {self.seed!r}")
         _check_pmf_alignment(self.pmf, self.spec)
         if self.pmf_alternative is not None:
             _check_pmf_alignment(self.pmf_alternative, self.spec)

@@ -382,6 +382,14 @@ class TestSimulate:
         assert code == 1
         assert "degenerate" in err
 
+    def test_negative_seed_is_an_input_error(self, capsys, spec_file):
+        code, out, err = run_cli(
+            capsys, "simulate", "--spec", spec_file, "--study", "coverage",
+            "--n", "40", "--replications", "10", "--seed", "-1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+
     def test_missing_pmf_is_an_input_error(self, capsys, tmp_path):
         spec = {"models": [{"name": "M", "m": 5}]}
         spec_path = tmp_path / "nopmf.json"

@@ -159,6 +159,32 @@ class TestValidateDataset:
         with pytest.raises(ValueError):
             ds.values[0, 0] = 1
 
+    def test_without_row_keeps_more_rows_than_models(self, tam_cmm_spec):
+        ds = validate_dataset([("a", (0, 5)), ("b", (5, 0)), ("c", (2, 3))], tam_cmm_spec)
+        with pytest.raises(TooFewRows) as info:
+            ds.without_row(1)
+        assert str(info.value) == "need more rows than models, got n=2 with k=2"
+
+    def test_without_row_gives_a_read_only_int64_dataset(self, tam_cmm_spec):
+        rows = [("a", (0, 5)), ("b", (5, 0)), ("c", (2, 3)), ("d", (3, 2)), ("e", (1, 1))]
+        ds = validate_dataset(rows, tam_cmm_spec)
+        reduced = ds.without_row(2)
+        assert reduced.values.dtype == np.int64
+        with pytest.raises(ValueError):
+            reduced.values[0, 0] = 1
+        assert reduced.row_ids == ("a", "b", "d", "e")
+        fresh = validate_dataset(rows[:2] + rows[3:], tam_cmm_spec)
+        assert reduced.sufficient_stats == fresh.sufficient_stats
+        assert reduced.without_row(0).sufficient_stats == fresh.without_row(0).sufficient_stats == (
+            (9, 3), ((35, 7), (7, 5))
+        )
+
+    @pytest.mark.parametrize("position", [-1, 4])
+    def test_without_row_position_must_name_a_row(self, tam_cmm_spec, position):
+        rows = [("a", (0, 5)), ("b", (5, 0)), ("c", (2, 3)), ("d", (3, 2))]
+        with pytest.raises(IndexError):
+            validate_dataset(rows, tam_cmm_spec).without_row(position)
+
     @given(data=st.data())
     def test_valid_inputs_produce_invariant_datasets(self, data):
         k = data.draw(st.integers(1, 3))

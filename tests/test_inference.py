@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adoptindex import (
+    AdoptionDataset,
     IndexValue,
     ModelSpec,
     MomentEstimate,
@@ -13,14 +14,18 @@ from adoptindex import (
     VarianceEstimate,
     confidence_interval,
     estimate_moments,
+    global_index,
     index_variance,
+    inference,
     one_sample_test,
     row_index,
+    student_t_pvalue,
     subindex,
     two_sample_test,
     welch_df,
 )
 from adoptindex.errors import (
+    AdoptionIndexError,
     BothVariancesZero,
     DegenerateVariance,
     InputError,
@@ -31,6 +36,7 @@ from adoptindex.errors import (
     RowNotFound,
     SpecMismatch,
 )
+from adoptindex.estimation import _from_sums
 from conftest import make_dataset
 
 
@@ -235,6 +241,132 @@ class TestOneSample:
     def test_significance_validation(self, ladder_dataset):
         with pytest.raises(InvalidLevel):
             one_sample_test(ladder_dataset, row_id="1", significance=1.0)
+
+
+def fresh_reduction(dataset, positions):
+    """``dataset`` without the rows at ``positions`` (removed in turn), rebuilt and reduced anew."""
+    ids, values = dataset.row_ids, dataset.values
+    for position in positions:
+        ids, values = ids[:position] + ids[position + 1:], np.delete(values, position, axis=0)
+    fresh = AdoptionDataset(row_ids=ids, values=values, spec=dataset.spec)
+    return fresh, tuple(values.sum(axis=0).tolist()), tuple(map(tuple, (values.T @ values).tolist()))
+
+
+def reference_one_sample(dataset, position):
+    """The leave-one-out test of one row, from a freshly built and reduced (n-1)-row dataset."""
+    spec = dataset.spec
+    row_id = dataset.row_ids[position]
+    reduced, sums, cross = fresh_reduction(dataset, [position])
+    moments = _from_sums(reduced.n, sums, cross)
+    variance = index_variance(moments, spec).value
+    if variance == 0:
+        raise DegenerateVariance(
+            "the weighted stage combination is constant across the remaining rows"
+        )
+    df = reduced.n - spec.k - 1
+    indices = (global_index(moments.scores, spec).value, row_index(dataset, row_id))
+    statistic = (indices[0] - indices[1]) / math.sqrt(variance)
+    p_value = student_t_pvalue(statistic, df, "two")
+    return inference.TestOutcome(
+        statistic=statistic,
+        df=float(df),
+        p_value=p_value,
+        sidedness="two",
+        significance=0.05,
+        reject=p_value < 0.05,
+        indices=indices,
+        variances=(variance,),
+        sample_sizes=(reduced.n,),
+        note=(
+            "degrees of freedom use the reduced sample of "
+            f"{reduced.n} rows left after excluding row {row_id!r}"
+        ),
+    )
+
+
+def bits(call):
+    """What ``call()`` gives, with floats as hex so that == compares them bitwise."""
+    def exact(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(exact(v) for v in value)
+        return value
+
+    try:
+        outcome = call()
+    except AdoptionIndexError as exc:
+        return type(exc), str(exc)
+    return tuple(exact(getattr(outcome, f)) for f in inference.TestOutcome.__dataclass_fields__)
+
+
+def assert_downdate_matches_reference(dataset, positions):
+    """Every row of ``dataset`` and, after each of ``positions``, of the reduced dataset."""
+    for first in positions:
+        reduced, sums, cross = fresh_reduction(dataset, [first])
+        derived = dataset.without_row(first)
+        assert derived.sufficient_stats == (sums, cross)
+        assert derived.row_ids == reduced.row_ids
+        assert np.array_equal(derived.values, reduced.values)
+        assert bits(lambda: one_sample_test(dataset, row_id=dataset.row_ids[first])) == bits(
+            lambda: reference_one_sample(dataset, first)
+        )
+        if reduced.n - 1 <= dataset.spec.k:
+            continue
+        for second in range(reduced.n):
+            assert derived.without_row(second).sufficient_stats == fresh_reduction(
+                dataset, [first, second]
+            )[1:]
+            if reduced.n - 1 - dataset.spec.k - 1 >= 1:
+                row_id = reduced.row_ids[second]
+                assert bits(lambda: one_sample_test(derived, row_id=row_id)) == bits(
+                    lambda: reference_one_sample(reduced, second)
+                )
+
+
+class TestLeaveOneOutDowndate:
+    def test_every_row_of_the_ladder(self, ladder_dataset):
+        assert_downdate_matches_reference(ladder_dataset, range(ladder_dataset.n))
+
+    def test_every_row_of_a_nonlinear_industry(self):
+        spec = StudySpec([ModelSpec("A", 5, alpha=1.0, beta=2.0), ModelSpec("B", 5)])
+        ds = make_dataset(spec, [(1, 2, 3, 4, 0, 5, 2), (0, 5, 2, 3, 1, 1, 4)])
+        assert_downdate_matches_reference(ds, range(ds.n))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_downdates_match_fresh_reductions(self, data):
+        k = data.draw(st.integers(1, 3))
+        ms = data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        shape = st.sampled_from([(1.0, 1.0), (0.5, 3.0), (2.0, 1.0)])
+        shapes = data.draw(st.lists(shape, min_size=k, max_size=k))
+        n = data.draw(st.integers(k + 3, 40))
+        spec = StudySpec(
+            [ModelSpec(f"M{j}", m, alpha=a, beta=b) for j, (m, (a, b)) in enumerate(zip(ms, shapes))]
+        )
+        ds = make_dataset(spec, [[data.draw(st.integers(0, m)) for _ in range(n)] for m in ms])
+        first = data.draw(st.integers(0, n - 1))
+        assert_downdate_matches_reference(ds, [first])
+
+    def test_a_column_made_constant_by_the_removal_is_refused(self, tam_cmm_spec):
+        ds = make_dataset(tam_cmm_spec, [(3, 3, 3, 3, 5), (0, 5, 2, 3, 1)])
+        with pytest.raises(DegenerateVariance) as info:
+            one_sample_test(ds, row_id="r4")
+        assert str(info.value) == "model 'TAM' has zero sample variance; the index variance is undefined"
+
+    def test_int64_refusal_follows_the_reduced_sample(self):
+        # 4 * (2^31)^2 = 2^64 overflows, so the full sample is refused; 3 rows of up to 3 are not
+        peak = 2**31
+        ds = make_dataset(StudySpec([ModelSpec("M", peak)]), [(peak, 1, 2, 3)])
+        with pytest.raises(InputError, match="overflow"):
+            estimate_moments(ds)
+        assert one_sample_test(ds, row_id="r0").sample_sizes == (3,)
+        assert bits(lambda: one_sample_test(ds, row_id="r0")) == bits(
+            lambda: reference_one_sample(ds, 0)
+        )
+        with pytest.raises(InputError) as info:
+            one_sample_test(ds, row_id="r1")
+        assert str(info.value) == f"stages up to {peak} over 3 rows overflow exact int64 moments"
 
 
 class TestTwoSample:

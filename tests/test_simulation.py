@@ -133,6 +133,12 @@ class TestPlanValidation:
         with pytest.raises(InputError):
             SimulationPlan(pmf=pmf, spec=spec, n=2, replications=10, seed=1, study="coverage")
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "1", None])
+    def test_seed_checked(self, linear_pair, seed):
+        spec, pmf = linear_pair
+        with pytest.raises(InputError, match="seed must be an integer >= 0"):
+            SimulationPlan(pmf=pmf, spec=spec, n=100, replications=10, seed=seed, study="coverage")
+
     def test_pmf_alignment_checked(self, single_model_spec):
         with pytest.raises(SpecMismatch):
             SimulationPlan(
