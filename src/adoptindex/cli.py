@@ -33,7 +33,6 @@ import json
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -54,29 +53,6 @@ from .index import SHAPE_PRESETS, global_index, surface_grid
 from .inference import confidence_interval, index_variance, one_sample_test, two_sample_test
 from .simulation import STUDY_KINDS, SimulationPlan, run_study
 from .tdist import _require_level
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a single command invocation needs."""
-
-    command: str
-    spec_path: str
-    data_paths: tuple[str, ...] = ()
-    row_id: str | None = None
-    significance: float = 0.05
-    sidedness: str = "two"
-    resolution: int = 2
-    study: str | None = None
-    n: int | None = None
-    replications: int | None = None
-    seed: int | None = None
-    presets: tuple[str, ...] = ()
-    out_path: str | None = None
-    out_format: str = "table"
-
-    def __post_init__(self) -> None:
-        _require_level(self.significance, "--alpha-level")
 
 
 def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
@@ -215,20 +191,6 @@ def _naming(path: str, lines: list[int] | None = None) -> Iterator[None]:
         raise type(exc)(f"{path}: {line}{exc}", row=exc.row) from exc
 
 
-def _build_pmf_spec(loaded: dict[str, Any], which: str = "pmfs") -> PmfSpec:
-    spec: StudySpec = loaded["spec"]
-    if which == "pmfs":
-        pmfs = loaded["pmfs"]
-        if any(p is None for p in pmfs):
-            missing = [n for n, p in zip(spec.names, pmfs) if p is None]
-            raise InputError(f"simulate needs a 'pmf' for every model; missing for {missing}")
-    else:
-        pmfs = loaded["alternative_pmf"]
-        if pmfs is None:
-            raise InputError("spec file has no 'alternative_pmf' entry")
-    return PmfSpec(pmfs, latent_correlation=loaded["latent_correlation"])
-
-
 def _spec_fields(spec: StudySpec) -> list[dict[str, Any]]:
     return [
         {
@@ -245,14 +207,15 @@ def _spec_fields(spec: StudySpec) -> list[dict[str, Any]]:
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_compute(config: RunConfig) -> dict[str, Any]:
-    loaded = load_spec(config.spec_path)
+def cmd_compute(args: argparse.Namespace) -> dict[str, Any]:
+    _require_level(args.alpha_level, "--alpha-level")
+    loaded = load_spec(args.spec)
     spec = loaded["spec"]
-    dataset = load_dataset(config.data_paths[0], spec, loaded["offset_flags"])
+    dataset = load_dataset(args.data, spec, loaded["offset_flags"])
     moments = estimate_moments(dataset)
     index = global_index(moments.scores, spec)
     variance = index_variance(moments, spec)
-    level = 1.0 - config.significance
+    level = 1.0 - args.alpha_level
     df = dataset.n - spec.k - 1
     if df < 1:
         raise InsufficientDf(
@@ -262,11 +225,11 @@ def cmd_compute(config: RunConfig) -> dict[str, Any]:
     return {
         "command": "compute",
         "inputs": {
-            "spec": config.spec_path,
-            "data": config.data_paths[0],
+            "spec": args.spec,
+            "data": args.data,
             "n": dataset.n,
             "models": _spec_fields(spec),
-            "alpha_level": config.significance,
+            "alpha_level": args.alpha_level,
         },
         "results": {
             "scores": {n: s for n, s in zip(spec.names, moments.scores.scores)},
@@ -304,80 +267,81 @@ def _test_report(command: str, outcome, extra_inputs: dict[str, Any]) -> dict[st
     }
 
 
-def cmd_test_one(config: RunConfig) -> dict[str, Any]:
-    loaded = load_spec(config.spec_path)
+def cmd_test_one(args: argparse.Namespace) -> dict[str, Any]:
+    _require_level(args.alpha_level, "--alpha-level")
+    loaded = load_spec(args.spec)
     spec = loaded["spec"]
-    dataset = load_dataset(config.data_paths[0], spec, loaded["offset_flags"])
-    if config.row_id is None:
-        raise InputError("test-one needs --row")
+    dataset = load_dataset(args.data, spec, loaded["offset_flags"])
     outcome = one_sample_test(
         dataset,
         spec,
-        row_id=config.row_id,
-        sidedness=config.sidedness,
-        significance=config.significance,
+        row_id=args.row,
+        sidedness=args.sided,
+        significance=args.alpha_level,
     )
     return _test_report(
         "test-one",
         outcome,
         {
-            "spec": config.spec_path,
-            "data": config.data_paths[0],
-            "row": config.row_id,
+            "spec": args.spec,
+            "data": args.data,
+            "row": args.row,
             "models": _spec_fields(spec),
         },
     )
 
 
-def cmd_test_two(config: RunConfig) -> dict[str, Any]:
-    loaded = load_spec(config.spec_path)
+def cmd_test_two(args: argparse.Namespace) -> dict[str, Any]:
+    _require_level(args.alpha_level, "--alpha-level")
+    loaded = load_spec(args.spec)
     spec = loaded["spec"]
     flags = loaded["offset_flags"]
-    dataset_a = load_dataset(config.data_paths[0], spec, flags)
-    dataset_b = load_dataset(config.data_paths[1], spec, flags)
+    dataset_a = load_dataset(args.data_a, spec, flags)
+    dataset_b = load_dataset(args.data_b, spec, flags)
     outcome = two_sample_test(
         dataset_a,
         dataset_b,
         spec,
-        sidedness=config.sidedness,
-        significance=config.significance,
+        sidedness=args.sided,
+        significance=args.alpha_level,
     )
     return _test_report(
         "test-two",
         outcome,
         {
-            "spec": config.spec_path,
-            "data_a": config.data_paths[0],
-            "data_b": config.data_paths[1],
+            "spec": args.spec,
+            "data_a": args.data_a,
+            "data_b": args.data_b,
             "models": _spec_fields(spec),
         },
     )
 
 
-def cmd_simulate(config: RunConfig) -> dict[str, Any]:
-    loaded = load_spec(config.spec_path)
+def cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
+    loaded = load_spec(args.spec)
     spec = loaded["spec"]
-    pmf_alt = None
-    with _naming(config.spec_path):
-        pmf = _build_pmf_spec(loaded)
-        if config.study == "size" and loaded["alternative_pmf"] is not None:
-            pmf_alt = _build_pmf_spec(loaded, which="alternative_pmf")
-    if config.n is None or config.replications is None or config.seed is None:
-        raise InputError("simulate needs --n, --replications, and --seed")
+    correlation = loaded["latent_correlation"]
+    alternative = loaded["alternative_pmf"] if args.study == "size" else None
+    with _naming(args.spec):
+        missing = [n for n, p in zip(spec.names, loaded["pmfs"]) if p is None]
+        if missing:
+            raise InputError(f"simulate needs a 'pmf' for every model; missing for {missing}")
+        pmf = PmfSpec(loaded["pmfs"], latent_correlation=correlation)
+        pmf_alt = None if alternative is None else PmfSpec(alternative, latent_correlation=correlation)
     plan = SimulationPlan(
         pmf=pmf,
         spec=spec,
-        n=config.n,
-        replications=config.replications,
-        seed=config.seed,
-        study=config.study or "",
+        n=args.n,
+        replications=args.replications,
+        seed=args.seed,
+        study=args.study,
         pmf_alternative=pmf_alt,
     )
     report = run_study(plan)
     return {
         "command": "simulate",
         "inputs": {
-            "spec": config.spec_path,
+            "spec": args.spec,
             "study": report.study,
             "n": report.n,
             "replications": report.replications,
@@ -393,16 +357,17 @@ def cmd_simulate(config: RunConfig) -> dict[str, Any]:
     }
 
 
-def cmd_surface(config: RunConfig) -> dict[str, Any]:
-    loaded = load_spec(config.spec_path, presets=config.presets)
+def cmd_surface(args: argparse.Namespace) -> dict[str, Any]:
+    presets = tuple(p.strip() for p in args.preset.split(",")) if args.preset else ()
+    loaded = load_spec(args.spec, presets=presets)
     spec = loaded["spec"]
-    rows = surface_grid(spec, config.resolution)
+    rows = surface_grid(spec, args.resolution)
     return {
         "command": "surface",
         "inputs": {
-            "spec": config.spec_path,
-            "resolution": config.resolution,
-            "presets": list(config.presets),
+            "spec": args.spec,
+            "resolution": args.resolution,
+            "presets": list(presets),
             "models": _spec_fields(spec),
         },
         "results": {
@@ -471,27 +436,18 @@ def render_table(report: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(report: dict[str, Any], config: RunConfig) -> str:
-    text = (
-        render_structured(report)
-        if config.out_format == "structured"
-        else render_table(report)
-    )
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def emit(report: dict[str, Any], args: argparse.Namespace) -> str:
+    text = render_structured(report) if args.format == "structured" else render_table(report)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"{args.out}: cannot write report ({exc})") from exc
     return text
 
 
 # --- argument parsing -----------------------------------------------------------
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--spec", required=True, help="study spec JSON file")
-    parser.add_argument("--alpha-level", type=float, default=0.05, dest="alpha_level")
-    parser.add_argument("--sided", choices=("two", "greater", "less"), default="two")
-    parser.add_argument("--out", default=None, help="also write the report to this file")
-    parser.add_argument("--format", choices=("table", "structured"), default="table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,29 +461,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", help="index, variance, and confidence interval")
-    _add_common(p)
+    def command(name: str, run, summary: str, *, alpha: bool = False, sided: bool = False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        p.add_argument("--spec", required=True, help="study spec JSON file")
+        if alpha:
+            p.add_argument("--alpha-level", type=float, default=0.05, dest="alpha_level")
+        if sided:
+            p.add_argument("--sided", choices=("two", "greater", "less"), default="two")
+        p.add_argument("--out", default=None, help="also write the report to this file")
+        p.add_argument("--format", choices=("table", "structured"), default="table")
+        return p
+
+    p = command("compute", cmd_compute, "index, variance, and confidence interval", alpha=True)
     p.add_argument("--data", required=True)
 
-    p = sub.add_parser("test-one", help="leave-one-out test of one corporation")
-    _add_common(p)
+    p = command("test-one", cmd_test_one, "leave-one-out test of one corporation",
+                alpha=True, sided=True)
     p.add_argument("--data", required=True)
     p.add_argument("--row", required=True)
 
-    p = sub.add_parser("test-two", help="two-industry comparison")
-    _add_common(p)
+    p = command("test-two", cmd_test_two, "two-industry comparison", alpha=True, sided=True)
     p.add_argument("--data-a", required=True, dest="data_a")
     p.add_argument("--data-b", required=True, dest="data_b")
 
-    p = sub.add_parser("simulate", help="Monte Carlo validation study")
-    _add_common(p)
+    p = command("simulate", cmd_simulate, "Monte Carlo validation study")
     p.add_argument("--study", required=True, choices=STUDY_KINDS)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--replications", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)
 
-    p = sub.add_parser("surface", help="global index grid over two models")
-    _add_common(p)
+    p = command("surface", cmd_surface, "global index grid over two models")
     p.add_argument("--resolution", required=True, type=int)
     p.add_argument(
         "--preset",
@@ -537,55 +501,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    data_paths: tuple[str, ...] = ()
-    if getattr(args, "data", None):
-        data_paths = (args.data,)
-    elif getattr(args, "data_a", None):
-        data_paths = (args.data_a, args.data_b)
-    presets: tuple[str, ...] = ()
-    if getattr(args, "preset", None):
-        presets = tuple(p.strip() for p in args.preset.split(","))
-    return RunConfig(
-        command=args.command,
-        spec_path=args.spec,
-        data_paths=data_paths,
-        row_id=getattr(args, "row", None),
-        significance=args.alpha_level,
-        sidedness=args.sided,
-        resolution=getattr(args, "resolution", 2),
-        study=getattr(args, "study", None),
-        n=getattr(args, "n", None),
-        replications=getattr(args, "replications", None),
-        seed=getattr(args, "seed", None),
-        presets=presets,
-        out_path=args.out,
-        out_format=args.format,
-    )
-
-
-COMMANDS = {
-    "compute": cmd_compute,
-    "test-one": cmd_test_one,
-    "test-two": cmd_test_two,
-    "simulate": cmd_simulate,
-    "surface": cmd_surface,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        report = COMMANDS[args.command](config)
+        text = emit(args.run(args), args)
     except StatisticalRefusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AdoptionIndexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(emit(report, config))
+    sys.stdout.write(text)
     return 0
 
 

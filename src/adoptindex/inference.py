@@ -77,14 +77,6 @@ class TestOutcome:
     sample_sizes: tuple[int, ...]
     note: str = ""
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.statistic):
-            raise ValueError(f"statistic must be finite, got {self.statistic}")
-        if not self.df > 0:
-            raise ValueError(f"df must be positive, got {self.df}")
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValueError(f"p-value outside [0, 1]: {self.p_value}")
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -123,58 +124,19 @@ def _check_pmf_alignment(pmf: PmfSpec, spec: StudySpec) -> None:
 
 
 def _norm_cdf(x: float) -> float:
+    # erfc keeps the lower tail's relative accuracy, which NormalDist.cdf's 1 + erf loses
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-_PPF_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_PPF_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_PPF_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_PPF_D = (
-    7.784695709041462e-03, 3.224671290700398e-01,
-    2.445134137142996e00, 3.754408661907416e00,
-)
+_STANDARD_NORMAL = NormalDist()
 
 
 def _norm_ppf(p: float) -> float:
-    """Acklam's rational approximation polished with one Newton step."""
     if p <= 0.0:
         return -math.inf
     if p >= 1.0:
         return math.inf
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        x = (
-            ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q + _PPF_C[4]) * q
-            + _PPF_C[5]
-        ) / ((((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1)
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((_PPF_A[0] * r + _PPF_A[1]) * r + _PPF_A[2]) * r + _PPF_A[3]) * r + _PPF_A[4]) * r + _PPF_A[5])
-            * q
-            / (((((_PPF_B[0] * r + _PPF_B[1]) * r + _PPF_B[2]) * r + _PPF_B[3]) * r + _PPF_B[4]) * r + 1)
-        )
-    else:
-        q = math.sqrt(-2 * math.log1p(-p))
-        x = -(
-            ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q + _PPF_C[4]) * q
-            + _PPF_C[5]
-        ) / ((((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1)
-    if abs(x) < 37.0:  # keep exp(x^2/2) finite; beyond this Acklam is ample
-        err = _norm_cdf(x) - p
-        x -= err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def _bvn_lower(h: float, k: float, rho: float) -> float:

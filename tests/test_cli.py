@@ -476,3 +476,62 @@ class TestReports:
         _, first, _ = run_cli(capsys, "compute", "--spec", spec_file, "--data", data_file)
         _, second, _ = run_cli(capsys, "compute", "--spec", spec_file, "--data", data_file)
         assert first == second
+
+    @pytest.mark.parametrize("target", ["nodir/report.txt", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_out_is_an_input_error(self, capsys, spec_file, data_file, tmp_path, target):
+        out_path = tmp_path / target
+        code, out, err = run_cli(
+            capsys, "compute", "--spec", spec_file, "--data", data_file, "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {out_path}: cannot write report (")
+
+
+SIMULATE_ARGS = ["--study", "coverage", "--n", "20", "--replications", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        (["compute", "--data", "{data}"], ["--sided", "less"]),
+        (["simulate", *SIMULATE_ARGS], ["--alpha-level", "0.1"]),
+        (["simulate", *SIMULATE_ARGS], ["--sided", "less"]),
+        (["surface", "--resolution", "3"], ["--alpha-level", "0.1"]),
+        (["surface", "--resolution", "3"], ["--sided", "less"]),
+    ],
+    ids=["compute-sided", "simulate-alpha-level", "simulate-sided", "surface-alpha-level",
+         "surface-sided"],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, spec_file, data_file, command, flag):
+    argv = [command[0], "--spec", spec_file, *(p.format(data=data_file) for p in command[1:]), *flag]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert "usage:" in captured.err and f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["test-one", "test-two"])
+def test_sided_changes_the_tests(capsys, spec_file, tmp_path, command):
+    data = tmp_path / "ind.csv"
+    data.write_text(INDUSTRY_DATA)
+    inputs = ["--data", str(data), "--row", "c2"] if command == "test-one" else [
+        "--data-a", str(data), "--data-b", str(data)]
+    results = {}
+    for sided in ("two", "less"):
+        code, out, err = run_cli(
+            capsys, command, "--spec", spec_file, *inputs, "--sided", sided, "--format", "structured",
+        )
+        assert code == 0, err
+        results[sided] = json.loads(out)["results"]
+    assert results["less"]["sidedness"] == "less"
+    assert results["less"]["p_value"] != results["two"]["p_value"]
+
+
+@pytest.mark.parametrize("command", ["test-one", "test-two"])
+def test_tests_validate_alpha_level(capsys, spec_file, data_file, command):
+    inputs = ["--data", data_file, "--row", "c1"] if command == "test-one" else [
+        "--data-a", data_file, "--data-b", data_file]
+    code, out, err = run_cli(capsys, command, "--spec", spec_file, *inputs, "--alpha-level", "0")
+    assert (code, out) == (2, "")
+    assert "--alpha-level" in err

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from adoptindex import (
     ModelSpec,
@@ -93,6 +94,15 @@ class TestSampleDataset:
         ds = sample_dataset(PmfSpec([probs]), single_model_spec, 120_000, seed=5)
         freq = np.bincount(ds.values[:, 0], minlength=6) / ds.n
         assert np.max(np.abs(freq - np.asarray(probs))) < 0.01
+
+    def test_copula_cut_points_match_scipy_in_both_tails(self):
+        # cumulative stage probabilities 0, 1e-9, 0.5 and 1 - 1e-9
+        tails = (0.0, 1e-9, 0.5 - 1e-9, 0.5 - 1e-9, 1e-9)
+        pmf = PmfSpec([tails, tails[::-1]], latent_correlation=[[1, 0.3], [0.3, 1]])
+        _, cuts = simulation._sampler(pmf)
+        for probs, cut in zip(pmf.pmfs, cuts):
+            expected = stats.norm.ppf(simulation._cumulative(probs)[:-1])
+            np.testing.assert_allclose(cut, expected, rtol=1e-14, atol=0)
 
 
 class TestLatentCrossCovariance:
@@ -304,7 +314,7 @@ def reference_stages(pmf: PmfSpec, n: int, seed) -> np.ndarray:
         variates = rng.random((n, pmf.k))
     else:
         variates = rng.standard_normal((n, pmf.k)) @ simulation._psd_transform(pmf.latent_correlation).T
-        cums = [np.array([simulation._norm_ppf(c) for c in cum]) for cum in cums]
+        cums = [stats.norm.ppf(cum) for cum in cums]
     return np.stack(
         [np.searchsorted(cum, variates[:, j], side="left") for j, cum in enumerate(cums)], axis=1
     )

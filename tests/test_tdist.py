@@ -45,6 +45,8 @@ class TestPvalue:
             assert student_t_pvalue(t, df, "two") == pytest.approx(
                 2 * stats.t.sf(abs(t), df), abs=1e-10
             )
+            for sidedness in ("two", "greater", "less"):
+                assert 0.0 <= student_t_pvalue(t, df, sidedness) <= 1.0
 
     def test_one_sided_relations(self):
         for t in [0.3, 1.7, 4.0]:
