@@ -21,7 +21,6 @@ from .estimation import (
     ScoreEstimate,
     estimate_moments,
     estimate_pmf,
-    estimate_scores,
 )
 from .index import (
     SHAPE_PRESETS,
@@ -46,7 +45,6 @@ from .inference import (
 from .simulation import (
     SimulationPlan,
     SimulationReport,
-    StudyTolerances,
     TruePopulation,
     latent_cross_covariance,
     population_asymptotic_variance,
@@ -71,7 +69,6 @@ __all__ = [
     "SimulationPlan",
     "SimulationReport",
     "StudySpec",
-    "StudyTolerances",
     "TestOutcome",
     "TruePopulation",
     "VarianceEstimate",
@@ -81,7 +78,6 @@ __all__ = [
     "errors",
     "estimate_moments",
     "estimate_pmf",
-    "estimate_scores",
     "global_index",
     "index_variance",
     "latent_cross_covariance",

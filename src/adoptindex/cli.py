@@ -33,6 +33,7 @@ import json
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
+from dataclasses import asdict
 from typing import Any
 
 import numpy as np
@@ -41,7 +42,6 @@ from .domain import AdoptionDataset, ModelSpec, PmfSpec, StudySpec
 from .errors import (
     AdoptionIndexError,
     InputError,
-    InsufficientDf,
     OutOfRangeStage,
     RowArityMismatch,
     SpecMismatch,
@@ -50,7 +50,13 @@ from .errors import (
 )
 from .estimation import estimate_moments
 from .index import SHAPE_PRESETS, global_index, surface_grid
-from .inference import confidence_interval, index_variance, one_sample_test, two_sample_test
+from .inference import (
+    _interval_df,
+    confidence_interval,
+    index_variance,
+    one_sample_test,
+    two_sample_test,
+)
 from .simulation import STUDY_KINDS, SimulationPlan, run_study
 from .tdist import _require_level
 
@@ -191,19 +197,6 @@ def _naming(path: str, lines: list[int] | None = None) -> Iterator[None]:
         raise type(exc)(f"{path}: {line}{exc}", row=exc.row) from exc
 
 
-def _spec_fields(spec: StudySpec) -> list[dict[str, Any]]:
-    return [
-        {
-            "name": mod.name,
-            "m": mod.m,
-            "alpha": mod.alpha,
-            "beta": mod.beta,
-            "weight": mod.weight,
-        }
-        for mod in spec.models
-    ]
-
-
 # --- commands -----------------------------------------------------------------
 
 
@@ -215,20 +208,15 @@ def cmd_compute(args: argparse.Namespace) -> dict[str, Any]:
     moments = estimate_moments(dataset)
     index = global_index(moments.scores, spec)
     variance = index_variance(moments, spec)
-    level = 1.0 - args.alpha_level
-    df = dataset.n - spec.k - 1
-    if df < 1:
-        raise InsufficientDf(
-            f"confidence interval needs n - k - 1 >= 1, got n={dataset.n}, k={spec.k}"
-        )
-    ci = confidence_interval(index, variance, level, df)
+    df = _interval_df(dataset.n, spec.k)
+    ci = confidence_interval(index, variance, 1.0 - args.alpha_level, df)
     return {
         "command": "compute",
         "inputs": {
             "spec": args.spec,
             "data": args.data,
             "n": dataset.n,
-            "models": _spec_fields(spec),
+            "models": [asdict(mod) for mod in spec.models],
             "alpha_level": args.alpha_level,
         },
         "results": {
@@ -274,7 +262,6 @@ def cmd_test_one(args: argparse.Namespace) -> dict[str, Any]:
     dataset = load_dataset(args.data, spec, loaded["offset_flags"])
     outcome = one_sample_test(
         dataset,
-        spec,
         row_id=args.row,
         sidedness=args.sided,
         significance=args.alpha_level,
@@ -286,7 +273,7 @@ def cmd_test_one(args: argparse.Namespace) -> dict[str, Any]:
             "spec": args.spec,
             "data": args.data,
             "row": args.row,
-            "models": _spec_fields(spec),
+            "models": [asdict(mod) for mod in spec.models],
         },
     )
 
@@ -301,7 +288,6 @@ def cmd_test_two(args: argparse.Namespace) -> dict[str, Any]:
     outcome = two_sample_test(
         dataset_a,
         dataset_b,
-        spec,
         sidedness=args.sided,
         significance=args.alpha_level,
     )
@@ -312,7 +298,7 @@ def cmd_test_two(args: argparse.Namespace) -> dict[str, Any]:
             "spec": args.spec,
             "data_a": args.data_a,
             "data_b": args.data_b,
-            "models": _spec_fields(spec),
+            "models": [asdict(mod) for mod in spec.models],
         },
     )
 
@@ -346,7 +332,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
             "n": report.n,
             "replications": report.replications,
             "seed": report.seed,
-            "models": _spec_fields(spec),
+            "models": [asdict(mod) for mod in spec.models],
         },
         "results": {
             "metrics": dict(report.metrics),
@@ -368,7 +354,7 @@ def cmd_surface(args: argparse.Namespace) -> dict[str, Any]:
             "spec": args.spec,
             "resolution": args.resolution,
             "presets": list(presets),
-            "models": _spec_fields(spec),
+            "models": [asdict(mod) for mod in spec.models],
         },
         "results": {
             "header": ["S_1", "S_2", "I"],

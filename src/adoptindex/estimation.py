@@ -102,11 +102,6 @@ def _from_sums(n: int, sums: Sequence[int], cross: Sequence[Sequence[int]]) -> M
     )
 
 
-def estimate_scores(dataset: AdoptionDataset) -> ScoreEstimate:
-    """Column means, computed as exact integer sums divided by n (the scores of the moments)."""
-    return estimate_moments(dataset).scores
-
-
 def estimate_pmf(dataset: AdoptionDataset, j: int) -> PmfEstimate:
     """Exact stage counts and MLE probabilities for model position ``j``."""
     if not 0 <= j < dataset.spec.k:

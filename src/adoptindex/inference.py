@@ -87,10 +87,6 @@ class ConfidenceInterval:
     clamped: bool
 
 
-def _structure_match(a: StudySpec, b: StudySpec) -> bool:
-    return a.structure() == b.structure()
-
-
 def index_variance(
     moments: MomentEstimate,
     spec: StudySpec,
@@ -167,8 +163,7 @@ def _row_index_at(dataset: AdoptionDataset, position: int) -> float:
 
 def one_sample_test(
     dataset: AdoptionDataset,
-    spec: StudySpec | None = None,
-    row_id: str = "",
+    row_id: str,
     sidedness: Sidedness = "two",
     significance: float = 0.05,
 ) -> TestOutcome:
@@ -179,9 +174,7 @@ def one_sample_test(
 
         T = (I_hat - I_0) / sqrt(V[I_hat]),   df = (n-1) - k - 1.
     """
-    spec = dataset.spec if spec is None else spec
-    if not _structure_match(spec, dataset.spec):
-        raise SpecMismatch("dataset was validated against a different study spec")
+    spec = dataset.spec
     significance = _require_level(significance, "significance")
     position = dataset.row_position(row_id)
     k = spec.k
@@ -215,7 +208,6 @@ def one_sample_test(
 def two_sample_test(
     dataset_a: AdoptionDataset,
     dataset_b: AdoptionDataset,
-    spec: StudySpec | None = None,
     sidedness: Sidedness = "two",
     significance: float = 0.05,
 ) -> TestOutcome:
@@ -227,14 +219,11 @@ def two_sample_test(
 
     with Welch-Satterthwaite degrees of freedom.
     """
-    spec = dataset_a.spec if spec is None else spec
-    if not (
-        _structure_match(spec, dataset_a.spec)
-        and _structure_match(spec, dataset_b.spec)
-    ):
+    if dataset_a.spec.structure() != dataset_b.spec.structure():
         raise SpecMismatch("the two datasets do not share the same study spec")
     return _two_sample(
-        estimate_moments(dataset_a), estimate_moments(dataset_b), spec, sidedness, significance
+        estimate_moments(dataset_a), estimate_moments(dataset_b), dataset_a.spec, sidedness,
+        significance,
     )
 
 
@@ -288,6 +277,13 @@ def _outcome(
         sample_sizes=sample_sizes,
         note=note,
     )
+
+
+def _interval_df(n: int, k: int) -> int:
+    """The n - k - 1 degrees of freedom of the index's confidence interval."""
+    if n - k - 1 < 1:
+        raise InsufficientDf(f"confidence interval needs n - k - 1 >= 1, got n={n}, k={k}")
+    return n - k - 1
 
 
 def confidence_interval(

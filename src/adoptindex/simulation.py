@@ -23,16 +23,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from .domain import AdoptionDataset, PmfSpec, StudySpec, _require_exact
-from .errors import DegenerateVariance, InputError, SpecMismatch
+from .errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
 from .estimation import MomentEstimate, ScoreEstimate, _from_sums
 from .index import delta_gradient, global_index
-from .inference import _two_sample, confidence_interval, index_variance
+from .inference import _interval_df, _two_sample, confidence_interval, index_variance
 
 STUDY_KINDS = ("normality", "coverage", "size", "variance-ratio")
 
@@ -40,23 +40,16 @@ STUDY_KINDS = ("normality", "coverage", "size", "variance-ratio")
 _CHUNK_CELLS = 1 << 14
 
 
-@dataclass(frozen=True)
-class StudyTolerances:
-    """Acceptance bands for the Monte Carlo checks.
-
-    The defaults are calibrated to R = 10,000 replications: the binomial
-    Monte Carlo standard error of a 5% rate is about 0.22%, so the bands
-    sit 4 to 5 standard errors out. They are configuration, not constants;
-    shrink R and you should widen them.
-    """
-
-    ci_level: float = 0.95
-    significance: float = 0.05
-    variance_ratio_band: tuple[float, float] = (0.95, 1.05)
-    coverage_band: tuple[float, float] = (0.94, 0.96)
-    size_band: tuple[float, float] = (0.04, 0.06)
-    power_floor: float = 0.95
-    normality_se_multiplier: float = 4.0
+# Acceptance bands, calibrated to R = 10,000 replications: the binomial Monte
+# Carlo standard error of a 5% rate is about 0.22%, so the bands sit 4 to 5
+# standard errors out. Fewer replications need wider bands.
+_CI_LEVEL = 0.95
+_SIGNIFICANCE = 0.05
+_VARIANCE_RATIO_BAND = (0.95, 1.05)
+_COVERAGE_BAND = (0.94, 0.96)
+_SIZE_BAND = (0.04, 0.06)
+_POWER_FLOOR = 0.95
+_NORMALITY_SE_MULTIPLIER = 4.0
 
 
 @dataclass(frozen=True)
@@ -70,19 +63,18 @@ class SimulationPlan:
     seed: int
     study: str
     pmf_alternative: PmfSpec | None = None
-    tolerances: StudyTolerances = field(default_factory=StudyTolerances)
 
     def __post_init__(self) -> None:
         if self.study not in STUDY_KINDS:
             raise InputError(f"study must be one of {STUDY_KINDS}, got {self.study!r}")
-        if self.n <= self.spec.k:
-            raise InputError(f"need n > k, got n={self.n} with k={self.spec.k}")
-        if self.replications < 1:
-            raise InputError(f"replications must be >= 1, got {self.replications}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise InputError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name, low in (("n", self.spec.k + 1), ("replications", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
         _check_pmf_alignment(self.pmf, self.spec)
         if self.pmf_alternative is not None:
+            if self.study != "size":
+                raise InputError(f"pmf_alternative is for the size study, not {self.study!r}")
             _check_pmf_alignment(self.pmf_alternative, self.spec)
 
 
@@ -342,15 +334,43 @@ def _moments_of(z: np.ndarray) -> tuple[float, float, float, float]:
     return mean, _sample_variance(z), skewness, excess_kurtosis
 
 
+def _accepted(
+    plan: SimulationPlan, pmfs: tuple[PmfSpec, ...], statistic
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``statistic(*moments)`` of every replication that it does not refuse, one
+    column per replication and one row per value, and a note counting the refused
+    ones. Raises the first refusal when it refuses every replication."""
+    values, accepted, first = None, 0, None
+    for moments in _sampled_moments(plan, pmfs):
+        try:
+            value = statistic(*moments)
+        except StatisticalRefusal as exc:
+            first = first or exc
+            continue
+        if values is None:
+            values = np.empty((np.size(value), plan.replications))
+        values[:, accepted] = value
+        accepted += 1
+    if values is None:
+        raise first
+    note = () if first is None else (
+        f"{plan.replications - accepted} of {plan.replications} replications refused: {first}",)
+    return values[:, :accepted], note
+
+
 def run_study(plan: SimulationPlan) -> SimulationReport:
-    """Execute one Monte Carlo study and grade it against its tolerances."""
+    """Execute one Monte Carlo study and grade it against its acceptance bands.
+
+    Rates, errors and means are taken over the replications whose statistics
+    are defined; a replication refused (say, one with a constant column) is
+    counted in a note, and a study whose every replication is refused raises.
+    """
     truth = true_index(plan.pmf, plan.spec)
     for v, model in zip(truth.variances, plan.spec.models):
         if v == 0.0:
             raise DegenerateVariance(
                 f"pmf for model {model.name!r} is degenerate; the study cannot run"
             )
-    tol = plan.tolerances
     notes = (
         "observations are treated as iid within each sample; clustered or "
         "stratified sampling is out of scope",
@@ -359,15 +379,17 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     if plan.study == "normality":
         avar = population_asymptotic_variance(plan.pmf, plan.spec)
         scale = math.sqrt(avar)
-        z = np.empty(plan.replications)
-        for r, (moments,) in enumerate(_sampled_moments(plan, (plan.pmf,))):
+
+        def z_score(moments):
             idx = global_index(moments.scores, plan.spec)
-            z[r] = math.sqrt(plan.n) * (idx.value - truth.index) / scale
+            return math.sqrt(plan.n) * (idx.value - truth.index) / scale
+
+        (z,), refusals = _accepted(plan, (plan.pmf,), z_score)
         mean, variance, skewness, kurtosis = _moments_of(z)
-        se_mean = math.sqrt(_sample_variance(z) / plan.replications)
-        se_skew = math.sqrt(6.0 / plan.replications)
-        se_kurt = math.sqrt(24.0 / plan.replications)
-        mult = tol.normality_se_multiplier
+        se_mean = math.sqrt(_sample_variance(z) / z.size)
+        se_skew = math.sqrt(6.0 / z.size)
+        se_kurt = math.sqrt(24.0 / z.size)
+        mult = _NORMALITY_SE_MULTIPLIER
         metrics = {
             "mean": mean,
             "variance": variance,
@@ -385,55 +407,57 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
         }
 
     elif plan.study == "coverage":
-        df = plan.n - plan.spec.k - 1
-        covered = 0
-        for (moments,) in _sampled_moments(plan, (plan.pmf,)):
+        df = _interval_df(plan.n, plan.spec.k)
+
+        def covers(moments):
             idx = global_index(moments.scores, plan.spec)
-            var = index_variance(moments, plan.spec)
-            ci = confidence_interval(idx, var, tol.ci_level, df)
-            covered += int(ci.lower <= truth.index <= ci.upper)
-        rate = covered / plan.replications
-        se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / plan.replications)
-        lo, hi = tol.coverage_band
+            ci = confidence_interval(idx, index_variance(moments, plan.spec), _CI_LEVEL, df)
+            return ci.lower <= truth.index <= ci.upper
+
+        (hits,), refusals = _accepted(plan, (plan.pmf,), covers)
+        rate = int(hits.sum()) / hits.size
+        se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / hits.size)
+        lo, hi = _COVERAGE_BAND
         metrics = {
             "coverage_rate": rate,
             "se_coverage_rate": se,
-            "nominal_level": tol.ci_level,
+            "nominal_level": _CI_LEVEL,
             "true_index": truth.index,
         }
         checks = {"coverage_in_band": lo <= rate <= hi}
 
     elif plan.study == "size":
         pmf_b = plan.pmf_alternative if plan.pmf_alternative is not None else plan.pmf
-        under_null = plan.pmf_alternative is None
-        rejections = 0
-        for moments_a, moments_b in _sampled_moments(plan, (plan.pmf, pmf_b)):
-            outcome = _two_sample(moments_a, moments_b, plan.spec, "two", tol.significance)
-            rejections += int(outcome.reject)
-        rate = rejections / plan.replications
-        se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / plan.replications)
+
+        def rejects(moments_a, moments_b):
+            return _two_sample(moments_a, moments_b, plan.spec, "two", _SIGNIFICANCE).reject
+
+        (rejections,), refusals = _accepted(plan, (plan.pmf, pmf_b), rejects)
+        rate = int(rejections.sum()) / rejections.size
+        se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / rejections.size)
         metrics = {
             "rejection_rate": rate,
             "se_rejection_rate": se,
-            "significance": tol.significance,
+            "significance": _SIGNIFICANCE,
         }
-        if under_null:
-            lo, hi = tol.size_band
+        if plan.pmf_alternative is None:
+            lo, hi = _SIZE_BAND
             checks = {"size_in_band": lo <= rate <= hi}
         else:
-            checks = {"power_above_floor": rate >= tol.power_floor}
+            checks = {"power_above_floor": rate >= _POWER_FLOOR}
 
-    elif plan.study == "variance-ratio":
+    else:  # variance-ratio
         avar = population_asymptotic_variance(plan.pmf, plan.spec)
-        v_hat = np.empty(plan.replications)
-        i_hat = np.empty(plan.replications)
-        for r, (moments,) in enumerate(_sampled_moments(plan, (plan.pmf,))):
-            i_hat[r] = global_index(moments.scores, plan.spec).value
-            v_hat[r] = index_variance(moments, plan.spec).value
+
+        def index_and_variance(moments):
+            return (global_index(moments.scores, plan.spec).value,
+                    index_variance(moments, plan.spec).value)
+
+        (i_hat, v_hat), refusals = _accepted(plan, (plan.pmf,), index_and_variance)
         empirical_variance = _sample_variance(i_hat)
         ratio_empirical = float(v_hat.mean()) / empirical_variance
         ratio_population = float(v_hat.mean()) * plan.n / avar
-        lo, hi = tol.variance_ratio_band
+        lo, hi = _VARIANCE_RATIO_BAND
         metrics = {
             "ratio_vs_empirical": ratio_empirical,
             "ratio_vs_population": ratio_population,
@@ -446,9 +470,6 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
             "population_ratio_in_band": lo <= ratio_population <= hi,
         }
 
-    else:  # pragma: no cover - plan validation makes this unreachable
-        raise InputError(f"unknown study {plan.study!r}")
-
     return SimulationReport(
         study=plan.study,
         n=plan.n,
@@ -457,5 +478,5 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
         metrics=metrics,
         checks=checks,
         passed=all(checks.values()),
-        notes=notes,
+        notes=notes + refusals,
     )

@@ -1,10 +1,13 @@
 import io
 import json
+import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from adoptindex import simulation
 from adoptindex.cli import main
 
 LINEAR_SPEC = {
@@ -389,6 +392,47 @@ class TestSimulate:
         )
         assert (code, out) == (2, "")
         assert err == "error: seed must be an integer >= 0, got -1\n"
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_refused_replications_are_counted_not_fatal(self, capsys, spec_file, seed):
+        # at n = 3 some samples hold a constant column, whose variance is undefined
+        code, out, err = run_cli(
+            capsys, "simulate", "--spec", spec_file, "--study", "size",
+            "--n", "3", "--replications", "50", "--seed", str(seed), "--format", "structured",
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        refusal = report["notes"][-1]
+        match = re.fullmatch(
+            r"(\d+) of 50 replications refused: model '(TAM|CMM)' has zero sample variance; "
+            r"the index variance is undefined",
+            refusal,
+        )
+        assert match, refusal
+        accepted = 50 - int(match.group(1))
+        assert 0 < accepted < 50
+        metrics = report["results"]["metrics"]
+        rate = metrics["rejection_rate"]
+        assert rate == round(rate * accepted) / accepted
+        assert metrics["se_rejection_rate"] == math.sqrt(max(rate * (1 - rate), 1e-12) / accepted)
+
+    def test_coverage_without_interval_df_is_refused_before_drawing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        spec = {"models": [{"name": "M", "m": 5, "pmf": [1 / 6] * 6}]}
+        spec_path = tmp_path / "one.json"
+        spec_path.write_text(json.dumps(spec))
+
+        def no_draws(*args):
+            raise AssertionError("the study drew samples")
+
+        monkeypatch.setattr(simulation, "_sampled_moments", no_draws)
+        code, out, err = run_cli(
+            capsys, "simulate", "--spec", str(spec_path), "--study", "coverage",
+            "--n", "2", "--replications", "10", "--seed", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: confidence interval needs n - k - 1 >= 1, got n=2, k=1\n"
 
     def test_missing_pmf_is_an_input_error(self, capsys, tmp_path):
         spec = {"models": [{"name": "M", "m": 5}]}

@@ -9,7 +9,6 @@ from adoptindex import (
     StudySpec,
     estimate_moments,
     estimate_pmf,
-    estimate_scores,
     validate_dataset,
 )
 from adoptindex.errors import IndexOutOfRange, InputError
@@ -19,15 +18,15 @@ from conftest import make_dataset
 class TestScores:
     def test_column_means(self, tam_cmm_spec):
         ds = make_dataset(tam_cmm_spec, [(0, 5, 2, 3), (5, 0, 3, 2)])
-        assert estimate_scores(ds).scores == (2.5, 2.5)
+        assert estimate_moments(ds).scores.scores == (2.5, 2.5)
 
     def test_all_zero(self, tam_cmm_spec):
         ds = make_dataset(tam_cmm_spec, [(0, 0, 0), (0, 0, 0)])
-        assert estimate_scores(ds).scores == (0.0, 0.0)
+        assert estimate_moments(ds).scores.scores == (0.0, 0.0)
 
     def test_single_column_mean(self, single_model_spec):
         ds = make_dataset(single_model_spec, [(1, 2, 3)])
-        assert estimate_scores(ds).scores == (2.0,)
+        assert estimate_moments(ds).scores.scores == (2.0,)
 
     @given(data=st.data())
     @settings(max_examples=50)
@@ -39,7 +38,7 @@ class TestScores:
         column = [data.draw(st.integers(0, m)) for _ in range(n)]
         spec = StudySpec([ModelSpec("M", m)])
         ds = validate_dataset([(f"r{i}", (v,)) for i, v in enumerate(column)], spec)
-        score = estimate_scores(ds).scores[0]
+        score = estimate_moments(ds).scores.scores[0]
         counts = estimate_pmf(ds, 0).counts
         numerator = sum(stage * count for stage, count in enumerate(counts))
         assert score == numerator / ds.n
@@ -60,7 +59,7 @@ class TestPmf:
         ds = make_dataset(tam_cmm_spec, [(0, 5, 2, 3), (1, 4, 2, 2)])
         for j in range(2):
             assert estimate_pmf(ds, j).mean_stage() == pytest.approx(
-                estimate_scores(ds).scores[j], abs=1e-15
+                estimate_moments(ds).scores.scores[j], abs=1e-15
             )
 
     def test_counts_sum_to_n_and_probabilities_to_one(self, tam_cmm_spec):
@@ -161,7 +160,7 @@ class TestSamplingProperties:
         scores = np.empty(reps)
         for r in range(reps):
             ds = AdoptionDataset(ids, draws[r].reshape(n, 1), self.SPEC)
-            scores[r] = estimate_scores(ds).scores[0]
+            scores[r] = estimate_moments(ds).scores.scores[0]
         return scores
 
     def test_score_estimator_is_unbiased(self):

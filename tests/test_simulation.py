@@ -10,7 +10,7 @@ from adoptindex import (
     PmfSpec,
     SimulationPlan,
     StudySpec,
-    estimate_scores,
+    estimate_moments,
     latent_cross_covariance,
     population_asymptotic_variance,
     run_study,
@@ -74,7 +74,7 @@ class TestSampleDataset:
 
     def test_law_of_large_numbers(self, single_model_spec):
         ds = sample_dataset(PmfSpec([UNIFORM6]), single_model_spec, 100_000, seed=11)
-        assert abs(estimate_scores(ds).scores[0] - 2.5) <= 0.02
+        assert abs(estimate_moments(ds).scores.scores[0] - 2.5) <= 0.02
 
     def test_zero_latent_correlation_keeps_columns_independent(self, linear_pair):
         spec, _ = linear_pair
@@ -149,6 +149,24 @@ class TestPlanValidation:
         with pytest.raises(InputError, match="seed must be an integer >= 0"):
             SimulationPlan(pmf=pmf, spec=spec, n=100, replications=10, seed=seed, study="coverage")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 100.0), ("n", "100"), ("replications", 5.0), ("replications", True),
+         ("replications", 0)],
+    )
+    def test_counts_must_be_integers(self, linear_pair, field, value):
+        spec, pmf = linear_pair
+        fields = dict(n=100, replications=10, seed=1) | {field: value}
+        with pytest.raises(InputError, match=f"{field} must be an integer >= "):
+            SimulationPlan(pmf=pmf, spec=spec, study="coverage", **fields)
+
+    @pytest.mark.parametrize("study", ["normality", "coverage", "variance-ratio"])
+    def test_alternative_pmf_only_for_the_size_study(self, linear_pair, study):
+        spec, pmf = linear_pair
+        with pytest.raises(InputError, match="pmf_alternative is for the size study"):
+            SimulationPlan(pmf=pmf, spec=spec, n=100, replications=10, seed=1, study=study,
+                           pmf_alternative=pmf)
+
     def test_pmf_alignment_checked(self, single_model_spec):
         with pytest.raises(SpecMismatch):
             SimulationPlan(
@@ -172,6 +190,15 @@ class TestRunStudy:
             study="coverage",
         )
         with pytest.raises(DegenerateVariance):
+            run_study(plan)
+
+    def test_study_refusing_every_replication_raises_the_refusal(self, single_model_spec):
+        # two rows from a pmf this concentrated are equal, so every variance is zero
+        pmf = PmfSpec([(1 - 1e-12, 0, 0, 0, 0, 1e-12)])
+        plan = SimulationPlan(
+            pmf=pmf, spec=single_model_spec, n=2, replications=20, seed=1, study="variance-ratio"
+        )
+        with pytest.raises(DegenerateVariance, match="model 'M' has zero sample variance"):
             run_study(plan)
 
     def test_reports_are_reproducible(self, linear_pair):
