@@ -12,9 +12,14 @@ Formats:
 
 * Data: UTF-8 CSV with a header row; first column is the corporation
   id, the remaining columns must be named exactly like the spec models,
-  in order. Cells are integer stages. Blank lines are skipped, and
-  surrounding whitespace is stripped from every cell. Errors name the
-  file and the physical line of the offending row, counting blank lines.
+  in order. Quoting follows the csv module's excel dialect. Whitespace
+  around every cell is stripped, and a stage cell may then be anything
+  int() accepts ("3", "03", "+3", "1_0") within the 64-bit integer
+  range. Blank lines, including lines of only commas and whitespace, are
+  skipped. Errors name the file and the physical line of the offending
+  row, counting skipped lines and every line a quoted cell spans. Plain
+  files (no quotes, carriage returns or NULs, every stage 1 to 18 ASCII
+  digits) are read by a columnar path with identical results.
 
 * Reports: either a human-readable table ("table") or JSON
   ("structured"); both carry the same fields, and the JSON form
@@ -29,9 +34,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Any
@@ -121,35 +127,147 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
 
 
 def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]) -> AdoptionDataset:
-    """Read a CSV data file into a dataset in one pass.
+    """Read a CSV data file into a dataset.
 
     Checks encoding, header, row widths and integer cells, adds the zero
     stage to flagged columns, and names the line of any dataset rule broken.
+    A plain file is read by ``_read_plain``; any other file, and every
+    message about a malformed one, comes from ``_read_csv``.
+    """
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read data file ({exc})") from exc
+    table = _read_plain(raw, spec)
+    ids, values, lines = _read_csv(path, raw, spec) if table is None else table
+    flags = np.array(offset_flags)
+    with _naming(path, lines):
+        # the add would wrap a cell at the int64 maximum; report it as written
+        for i, j in np.argwhere(flags & (values == np.iinfo(np.int64).max))[:1]:
+            raise OutOfRangeStage(
+                f"stage {values[i, j]} out of range 0..{spec.models[j].m - 1} for model "
+                f"{spec.names[j]!r} at row {ids[i]!r} before adding the zero stage", row=int(i)
+            )
+        values += flags
+        return AdoptionDataset(tuple(ids), values, spec)
+
+
+# A plain stage cell: 1 to 18 ASCII digits, so it fits int64 and equals int(cell).
+_PLAIN_DIGITS = 18
+
+
+def _read_plain(raw: bytes, spec: StudySpec) -> tuple[list[str], np.ndarray, range] | None:
+    """Ids, stages and line numbers of a plain file, from numpy passes over its bytes.
+
+    A file is plain when it holds no quote, carriage return or NUL, its first
+    line is the header, and every later line is an id and ``spec.k`` cells of
+    1 to 18 ASCII digits, each line ending in a newline (the last may lack
+    it). ``csv.reader`` splits such a file exactly on commas and newlines, and
+    ``int()`` reads each cell as its digits, so the result is what
+    ``_read_csv`` gives. Returns None for any other file.
+    """
+    if b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return None
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    head_end = raw.index(b"\n")
+    try:
+        header = raw[:head_end].decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        return None
+    # spec names are non-empty and stripped names match them, so the header is not blank
+    if head_end > csv.field_size_limit() or tuple(c.strip() for c in header[1:]) != spec.names:
+        return None
+    body = np.frombuffer(raw, np.uint8, offset=head_end + 1)
+    stages = _plain_stages(body, spec.k)
+    if stages is None:
+        return None
+    values, id_starts, id_ends = stages
+    ids = _plain_ids(body, id_starts, id_ends)
+    if ids is None:
+        return None
+    return ids, values, range(2, len(ids) + 2)
+
+
+def _plain_stages(body: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The stage matrix of a plain body, and where each line's id starts and ends;
+    None if a line is not an id and ``k`` cells of 1 to 18 ASCII digits."""
+    seps = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
+    if seps.size % (k + 1):
+        return None
+    seps = seps.reshape(-1, k + 1)
+    kinds = body[seps]
+    if not ((kinds[:, :k] == ord(",")).all() and (kinds[:, k] == ord("\n")).all()):
+        return None
+    id_starts = np.zeros(len(seps), np.int64)
+    id_starts[1:] = seps[:-1, k] + 1
+    id_ends = seps[:, 0].copy()  # a copy, so seps is freed before the ids are built
+    widths = np.diff(seps, axis=1)
+    widths -= 1
+    if len(seps) and not (
+        widths.min() >= 1 and widths.max() <= _PLAIN_DIGITS
+        and (id_ends - id_starts).max() <= csv.field_size_limit()
+    ):
+        return None
+    # Horner's rule, first digit first; bytes left of a narrow cell count as 0.
+    # Both updates are in place on int64, so no promotion rule can narrow them.
+    ends = seps[:, 1:]
+    values = np.zeros(widths.shape, np.int64)
+    for d in reversed(range(int(widths.max(initial=0)))):
+        digits = body[np.maximum(ends - (d + 1), 0)] - np.uint8(ord("0"))
+        if d:
+            digits[widths <= d] = 0
+        if (digits > 9).any():
+            return None
+        values *= 10
+        values += digits
+    return values, id_starts, id_ends
+
+
+def _plain_ids(body: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str] | None:
+    """The stripped ids ``body[starts[i]:ends[i]]``; None if they are not UTF-8."""
+    # one mask over the ids and the comma after each: "id1,id2,...,idn,"
+    inside = np.zeros(body.size, np.int8)
+    inside[starts] = 1
+    inside[ends + 1] = -1
+    id_bytes = body[np.cumsum(inside, dtype=np.int8, out=inside).view(bool)]
+    try:
+        ids = str(id_bytes, "utf-8").split(",")[:-1]
+    except UnicodeDecodeError:
+        return None
+    return [row_id.strip() for row_id in ids]
+
+
+def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.ndarray, list[int]]:
+    """Ids, stages and physical line numbers of any data file, through ``csv.reader``.
+
+    Blank lines are skipped and whitespace around cells is stripped. This
+    is the reference for ``_read_plain`` and writes every message about a
+    malformed file.
     """
     rows: list[list[str]] = []
     lines: list[int] = []
+    # decoded lazily, as reading the file in text mode would
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            kept = (row for row in reader if "".join(row).strip())
-            header = next(kept, None)
-            if header is None:
-                raise TooFewRows(f"{path}: data file is empty")
-            names = tuple(cell.strip() for cell in header[1:])
-            if names != spec.names:
-                raise SpecMismatch(
-                    f"{path}: data columns {names} do not match spec models {spec.names}"
+        kept = (row for row in reader if "".join(row).strip())
+        header = next(kept, None)
+        if header is None:
+            raise TooFewRows(f"{path}: data file is empty")
+        names = tuple(cell.strip() for cell in header[1:])
+        if names != spec.names:
+            raise SpecMismatch(
+                f"{path}: data columns {names} do not match spec models {spec.names}"
+            )
+        for row in kept:
+            if len(row) != len(header):
+                raise RowArityMismatch(
+                    f"{path}: row {row[0].strip()!r} (line {reader.line_num}) "
+                    f"has {len(row) - 1} values, expected {spec.k}"
                 )
-            for row in kept:
-                if len(row) != len(header):
-                    raise RowArityMismatch(
-                        f"{path}: row {row[0].strip()!r} (line {reader.line_num}) "
-                        f"has {len(row) - 1} values, expected {spec.k}"
-                    )
-                rows.append(row)
-                lines.append(reader.line_num)
-    except OSError as exc:
-        raise InputError(f"{path}: cannot read data file ({exc})") from exc
+            rows.append(row)
+            lines.append(reader.line_num)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: data file is not UTF-8 text ({exc.reason})") from exc
     except csv.Error as exc:
@@ -163,24 +281,20 @@ def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]) -> 
             values[:, j] = cells[:, j + 1].astype(np.int64)
         except (ValueError, OverflowError):
             raise _bad_cell(path, name, cells[:, j + 1], ids, lines) from None
-    flags = np.array(offset_flags)
-    with _naming(path, lines):
-        # the add would wrap a cell at the int64 maximum; report it as written
-        for i, j in np.argwhere(flags & (values == np.iinfo(np.int64).max))[:1]:
-            raise OutOfRangeStage(
-                f"stage {values[i, j]} out of range 0..{spec.models[j].m - 1} for model "
-                f"{spec.names[j]!r} at row {ids[i]!r} before adding the zero stage", row=int(i)
-            )
-        values += flags
-        return AdoptionDataset(tuple(ids), values, spec)
+    return ids, values, lines
+
+
+_INT64_RANGE = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 
 
 def _bad_cell(path: str, name: str, column: np.ndarray, ids: list[str], lines: list[int]) -> InputError:
     """The error for the first cell of ``column`` that is not a 64-bit integer."""
     for i, cell in enumerate(column):
         try:
-            np.int64(int(cell))
-        except (ValueError, OverflowError):
+            good = int(cell) in _INT64_RANGE
+        except ValueError:
+            good = False
+        if not good:
             return InputError(
                 f"{path}: row {ids[i]!r} (line {lines[i]}): "
                 f"stage for {name!r} must be a 64-bit integer, got {cell.strip()!r}"
@@ -188,7 +302,7 @@ def _bad_cell(path: str, name: str, column: np.ndarray, ids: list[str], lines: l
 
 
 @contextmanager
-def _naming(path: str, lines: list[int] | None = None) -> Iterator[None]:
+def _naming(path: str, lines: Sequence[int] | None = None) -> Iterator[None]:
     """Prefix an input error raised in the block with its file and the line of its row."""
     try:
         yield

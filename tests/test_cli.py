@@ -5,10 +5,11 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from adoptindex import simulation
+from adoptindex import ModelSpec, StudySpec, cli, simulation
 from adoptindex.cli import main
+from adoptindex.errors import AdoptionIndexError
 
 LINEAR_SPEC = {
     "models": [
@@ -199,9 +200,15 @@ SHIFTED_MODELS = [{"name": "CMM", "m": 5, "add_zero_stage": True}]
             3,
             ["field larger than field limit"],
         ),
+        (
+            LINEAR_SPEC["models"],
+            "corporation,TAM,CMM\nc1,0,5\n" + "c" * 140_000 + ",1,0\nc3,2,2\nc4,3,3\n",
+            3,
+            ["field larger than field limit"],
+        ),
     ],
     ids=["blank-lines-before-bad-cell", "range", "duplicate-id", "zero-stage-range",
-         "zero-stage-wrap", "oversized-stage", "oversized-field"],
+         "zero-stage-wrap", "oversized-stage", "oversized-field", "oversized-id"],
 )
 def test_data_errors_name_file_and_physical_line(capsys, tmp_path, models, text, line, named):
     spec_path = tmp_path / "spec.json"
@@ -277,6 +284,134 @@ def test_mutated_inputs_end_in_an_exit_status(tmp_path, files, command, out_form
     assert code in (0, 1, 2)
     if code:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+# Edits that turn a plain data file into a near-plain one. Plain-looking
+# cells stay on the columnar path and must read as int() reads them or be
+# refused alike; every other spelling, id, line or header must leave the
+# file to csv.reader. Whitespace ids hold characters str.strip() removes
+# but csv.reader does not split on.
+PLAIN_EDGE_CELLS = ["007", "6", "9" * 18, "9" * 19, "1" * 19, "1" * 20, "0" * 20 + "3"]
+ODD_CELLS = ["+3", " 3 ", "1_0", "\u0663", "", "3.5", "-1", "#3", '"3"', "3\x0b"]
+ODD_IDS = [" c9 ", "\xe9", "#c", "c\x0b9", "c\r9", "\x1cc9", "c ", "", "c1", "1", '"c9"',
+           "c\xa0", "c\x00"]
+ODD_LINES = ["", ",,", " ", "c9,1", "c9,1,2,3", "7", "7,1,2,3", "\x0b", "#"]
+ODD_HEADERS = ["corporation, TAM ,CMM", "\ufeffcorporation,TAM,CMM", " ,TAM,CMM",
+               "\ncorporation,TAM,CMM", "corporation,TAM", "corporation,TAM,CMM,X",
+               "corporation,TAM,\xa0CMM", "corporation,TAM,CMM\x0b"]
+TWO_MODELS = StudySpec([ModelSpec("TAM", 5), ModelSpec("CMM", 5)])
+
+
+@st.composite
+def near_plain_csv(draw) -> bytes:
+    """A plain two-model data file with up to three edits drawn from the lists above,
+    CRLF line ends or a missing final newline."""
+    prefix = draw(st.sampled_from(["c", ""]))
+    rows = [[f"{prefix}{i}", str(draw(st.integers(0, 5))), str(draw(st.integers(0, 5)))]
+            for i in range(draw(st.integers(2, 8)))]
+    header, inserted = "corporation,TAM,CMM", []
+    end, last = "\n", "\n"
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["edge", "cell", "id", "line", "header", "crlf", "last"]))
+        i = draw(st.integers(0, len(rows) - 1))
+        if edit in ("edge", "cell"):
+            rows[i][draw(st.integers(1, 2))] = draw(
+                st.sampled_from(PLAIN_EDGE_CELLS if edit == "edge" else ODD_CELLS))
+        elif edit == "id":
+            rows[i][0] = draw(st.sampled_from(ODD_IDS))
+        elif edit == "line":
+            inserted.append((i, draw(st.sampled_from(ODD_LINES))))
+        elif edit == "header":
+            header = draw(st.sampled_from(ODD_HEADERS))
+        elif edit == "crlf":
+            end = last = "\r\n"
+        else:
+            last = ""
+    lines = [",".join(row) for row in rows]
+    for i, line in inserted:
+        lines.insert(i, line)
+    return (end.join([header, *lines]) + last).encode("utf-8")
+
+
+def _load_outcome(path, flags):
+    try:
+        dataset = cli.load_dataset(path, TWO_MODELS, flags)
+    except AdoptionIndexError as exc:
+        return type(exc), str(exc)
+    return dataset.row_ids, dataset.values.dtype, dataset.values.shape, dataset.values.tobytes()
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=near_plain_csv(), flags=st.tuples(st.booleans(), st.booleans()))
+@example(raw=b"corporation,TAM,CMM\nc0,1,2\nc1," + b"9" * 19 + b",0\nc2,3,4\n", flags=(False, False))
+@example(raw=b"corporation,TAM,CMM\nc0,1,2\nc\r1,1,0\nc2,3,4\n", flags=(False, False))
+@example(raw=b"corporation,TAM,CMM\n0,1\n2,3,4,5\n6,1,1\n7,2,2\n", flags=(False, True))
+# cells past 255 and 65535 catch place values multiplied in a narrow dtype
+@example(raw=b"corporation,TAM,CMM\nc0,300,900\nc1,256,65536\nc2,123456789012345678,4\n",
+         flags=(False, False))
+def test_columnar_reader_agrees_with_csv_reader(tmp_path, raw, flags):
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    fast = _load_outcome(str(path), flags)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_read_plain", lambda raw, spec: None)
+        reference = _load_outcome(str(path), flags)
+    assert fast == reference
+    plain = cli._read_plain(raw, TWO_MODELS)
+    if plain is not None:
+        ids, values, lines = cli._read_csv(str(path), raw, TWO_MODELS)
+        assert (plain[0], plain[1].tobytes(), list(plain[2])) == (ids, values.tobytes(), lines)
+
+
+def _no_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader ran")
+
+
+INGEST_SHAPED_SPEC = {
+    "models": [
+        {"name": "TAM", "m": 5},
+        {"name": "CMM", "m": 5, "alpha": 1.0, "beta": 3.0},
+        {"name": "DIG", "m": 5, "alpha": 0.3, "beta": 1.0, "add_zero_stage": True},
+    ]
+}
+INGEST_SHAPED_DATA = "".join(
+    ["corporation,TAM,CMM,DIG\n"]
+    + [f"a{i:07d},{i % 6},{(3 * i) % 6},{(2 * i) % 5}\n" for i in range(12)]
+)
+
+
+@pytest.mark.parametrize(
+    "spec,text",
+    [(LINEAR_SPEC, INDUSTRY_DATA), (INGEST_SHAPED_SPEC, INGEST_SHAPED_DATA)],
+    ids=["industry", "ingest-shaped"],
+)
+def test_plain_files_skip_csv_reader(tmp_path, monkeypatch, spec, text):
+    spec_path, data_path = tmp_path / "spec.json", tmp_path / "data.csv"
+    spec_path.write_text(json.dumps(spec))
+    data_path.write_text(text)
+    loaded = cli.load_spec(str(spec_path))
+    monkeypatch.setattr(cli.csv, "reader", _no_csv_reader)
+    dataset = cli.load_dataset(str(data_path), loaded["spec"], loaded["offset_flags"])
+    assert dataset.n == text.count("\n") - 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        INDUSTRY_DATA.replace("c2", '"c2"'),
+        INDUSTRY_DATA.replace("\n", "\r\n"),
+        INDUSTRY_DATA.replace("\nc3", "\n\nc3"),
+        INDUSTRY_DATA.replace(",5\n", ", 5\n"),
+    ],
+    ids=["quote", "crlf", "blank-line", "padded-cell"],
+)
+def test_other_files_reach_csv_reader(tmp_path, monkeypatch, text):
+    data_path = tmp_path / "data.csv"
+    data_path.write_text(text, newline="")
+    monkeypatch.setattr(cli.csv, "reader", _no_csv_reader)
+    with pytest.raises(AssertionError, match="csv.reader ran"):
+        cli.load_dataset(str(data_path), TWO_MODELS, (False, False))
 
 
 class TestTests:
