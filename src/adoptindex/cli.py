@@ -4,11 +4,11 @@ Formats:
 
 * Study spec: a JSON file with a "models" list. Each model carries
   name, m, alpha, beta, an optional weight (all or none), an optional
-  "add_zero_stage" flag (the recorded lowest stage does not mean "no
-  adoption", so every observed value is shifted up by one), and an
-  optional "pmf" used by the simulate command. Optional top-level keys:
-  "latent_correlation" (k x k matrix) and "alternative_pmf" (list of
-  per-model pmfs for the size study's shifted alternative).
+  "add_zero_stage" flag (the column is recorded on 0..m-1, its lowest
+  stage not meaning "no adoption"; every value is shifted up by one),
+  and an optional "pmf" used by the simulate command. Optional top-level
+  keys: "latent_correlation" (k x k matrix) and "alternative_pmf" (list
+  of per-model pmfs for the size study's shifted alternative).
 
 * Data: UTF-8 CSV with a header row; first column is the corporation
   id, the remaining columns must be named exactly like the spec models,
@@ -36,6 +36,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
@@ -143,8 +144,8 @@ def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]) -> 
     ids, values, lines = _read_csv(path, raw, spec) if table is None else table
     flags = np.array(offset_flags)
     with _naming(path, lines):
-        # the add would wrap a cell at the int64 maximum; report it as written
-        for i, j in np.argwhere(flags & (values == np.iinfo(np.int64).max))[:1]:
+        # a flagged column is recorded on 0..m-1: check it as written, so the add cannot wrap
+        for i, j in np.argwhere(flags & ((values < 0) | (values >= spec.stage_maxima)))[:1]:
             raise OutOfRangeStage(
                 f"stage {values[i, j]} out of range 0..{spec.models[j].m - 1} for model "
                 f"{spec.names[j]!r} at row {ids[i]!r} before adding the zero stage", row=int(i)
@@ -482,7 +483,18 @@ def cmd_surface(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def render_structured(report: dict[str, Any]) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a metric that is undefined (a NaN or infinite float) is written as null."""
+    return json.dumps(_finite_or_null(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _finite_or_null(value: Any) -> Any:
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def _fmt(value: Any) -> str:

@@ -8,8 +8,8 @@ construction (a dataset fills a cache of exact sums on first use) and
 safe to share across threads.
 
 Every dataset rule (ids, row count, stage ranges) is checked only by
-:class:`AdoptionDataset`; ``validate_dataset`` and ``cli.load_dataset``
-check only what their input format needs to become an int64 matrix.
+:class:`AdoptionDataset`; ``validate_dataset`` and ``cli.load_dataset`` check
+only what their format needs (an int64 matrix; a zero-stage column's 0..m-1).
 ``AdoptionDataset.without_row`` derives from a validated dataset without
 re-validating it, and downdates its exact sums instead of reducing again.
 """
@@ -57,10 +57,11 @@ def _exact_sums(values: np.ndarray) -> tuple[tuple[int, ...], tuple[tuple[int, .
     return tuple(values.sum(axis=0, dtype=np.int64).tolist()), tuple(map(tuple, cross))
 
 
-def _number(value: object, what: str) -> float:
-    """``value`` as a float; bools, strings and other non-numbers are input errors."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InputError(f"{what} must be a number, got {value!r}")
+def _number(value: object, what: str, error: type[InputError] = InputError) -> float:
+    """``value`` as a float; bools, strings and other non-numbers raise ``error``."""
+    # float and int are Reals too; testing them first skips the slow abstract-class check
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise error(f"{what} must be a number, got {value!r}")
     return float(value)
 
 

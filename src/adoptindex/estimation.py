@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AdoptionDataset, _exact_sums
+from .domain import AdoptionDataset
 from .errors import IndexOutOfRange
 
 
@@ -73,11 +73,6 @@ class MomentEstimate:
     @property
     def n(self) -> int:
         return self.scores.n
-
-
-def _moments(values: np.ndarray) -> MomentEstimate:
-    """Moments of an n x k matrix of non-negative integer stages, n >= 2."""
-    return _from_sums(values.shape[0], *_exact_sums(values))
 
 
 def _from_sums(n: int, sums: Sequence[int], cross: Sequence[Sequence[int]]) -> MomentEstimate:

@@ -66,8 +66,6 @@ def subindex(score: float, model: ModelSpec) -> float:
     if s >= rest:
         # ((m-S)/S)^beta <= 1 here, no overflow for any beta
         return 1.0 / (1.0 + alpha * (rest / s) ** beta)
-    if s == 0.0:
-        return 0.0
     ratio = (s / rest) ** beta
     return ratio / (ratio + alpha)
 
@@ -122,8 +120,6 @@ def surface_grid(
         raise UnsupportedArity(f"surface needs exactly 2 models, spec has {spec.k}")
     if not isinstance(resolution, int) or isinstance(resolution, bool) or resolution < 2:
         raise InvalidResolution(f"resolution must be an integer >= 2, got {resolution!r}")
-    model_a, model_b = spec.models
-    w_a, w_b = spec.weights
 
     def axis(m: int) -> list[float]:
         step = m / (resolution - 1)
@@ -131,9 +127,9 @@ def surface_grid(
         points[-1] = float(m)
         return points
 
-    rows = []
-    for s1 in axis(model_a.m):
-        f1 = subindex(s1, model_a)
-        for s2 in axis(model_b.m):
-            rows.append((s1, s2, w_a * f1 + w_b * subindex(s2, model_b)))
-    return rows
+    m1, m2 = spec.stage_maxima
+    return [
+        (s1, s2, global_index(ScoreEstimate((s1, s2), n=1), spec).value)
+        for s1 in axis(m1)
+        for s2 in axis(m2)
+    ]

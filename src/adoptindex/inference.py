@@ -295,10 +295,6 @@ def confidence_interval(
     """Two-sided t interval for the index, clamped to its [0, 1] codomain."""
     level = _require_level(level, "confidence level")
     df = _require_df(df)
-    if variance.value == 0:
-        return ConfidenceInterval(
-            lower=index.value, upper=index.value, level=level, df=df, clamped=False
-        )
     half_width = student_t_quantile(0.5 * (1.0 + level), df) * math.sqrt(variance.value)
     lower = index.value - half_width
     upper = index.value + half_width

@@ -149,8 +149,6 @@ def _bvn_lower(h: float, k: float, rho: float) -> float:
         if h == math.inf:
             return 1.0 if k == math.inf else _norm_cdf(k)
         return _norm_cdf(h)
-    if rho == 0.0:
-        return _norm_cdf(h) * _norm_cdf(k)
     if rho >= 1.0:
         return _norm_cdf(min(h, k))
     if rho <= -1.0:
@@ -309,7 +307,7 @@ def _sampled_moments(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterato
         samples = []
         for sampler, sample_seeds in zip(samplers, seeds):
             stages = _draw(*sampler, sample_seeds, draws)
-            reduced = zip(stages.sum(axis=2).tolist(), (stages @ stages.mT).tolist())
+            reduced = zip(stages.sum(axis=2).tolist(), (stages @ stages.swapaxes(-1, -2)).tolist())
             samples.append([_from_sums(n, sums, cross) for sums, cross in reduced])
         yield from zip(*samples)
 

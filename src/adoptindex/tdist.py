@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .domain import _number
 from .errors import InputError, InvalidDf, InvalidLevel
 
 Sidedness = str
@@ -90,14 +91,14 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def _require_df(df: float) -> float:
-    df = float(df)
+    df = _number(df, "degrees of freedom", InvalidDf)
     if not (math.isfinite(df) and df > 0):
         raise InvalidDf(f"degrees of freedom must be positive and finite, got {df!r}")
     return df
 
 
 def _require_level(value: float, what: str) -> float:
-    value = float(value)
+    value = _number(value, what, InvalidLevel)
     if not (math.isfinite(value) and 0.0 < value < 1.0):
         raise InvalidLevel(f"{what} must lie in (0, 1), got {value!r}")
     return value
@@ -114,7 +115,7 @@ def _require_sidedness(sidedness: Sidedness) -> str:
 def student_t_cdf(t: float, df: float) -> float:
     """P(T <= t) for T Student-t distributed with ``df`` degrees of freedom."""
     df = _require_df(df)
-    t = float(t)
+    t = _number(t, "t")
     if t == 0.0:
         return 0.5
     if math.isinf(t):
@@ -133,7 +134,7 @@ def student_t_pvalue(t: float, df: float, sidedness: Sidedness = "two") -> float
     """
     df = _require_df(df)
     _require_sidedness(sidedness)
-    t = float(t)
+    t = _number(t, "test statistic")
     if not math.isfinite(t):
         raise InputError(f"test statistic must be finite, got {t!r}")
     x = df / (df + t * t)
@@ -145,7 +146,7 @@ def student_t_pvalue(t: float, df: float, sidedness: Sidedness = "two") -> float
     return 0.5 * p_two if t <= 0 else 1.0 - 0.5 * p_two
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)  # typed, so a cached 1 never answers for True
 def student_t_quantile(p: float, df: float) -> float:
     """Inverse CDF by bisection on the monotone ``student_t_cdf``.
 

@@ -44,6 +44,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _refuse_constant(token):
+    raise AssertionError(f"{token} is not JSON")
+
+
+def strict_json(text):
+    """Parse a structured report as RFC 8259 JSON, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 class TestCompute:
     def test_symmetric_fixture_gives_midpoint_index(self, capsys, spec_file, data_file):
         code, out, err = run_cli(
@@ -51,7 +60,7 @@ class TestCompute:
             "--format", "structured",
         )
         assert code == 0, err
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["results"]["index"] == 0.5
         assert report["results"]["scores"] == {"TAM": 2.5, "CMM": 2.5}
         assert report["inputs"]["n"] == 4
@@ -106,7 +115,7 @@ class TestCompute:
             "--format", "structured",
         )
         assert code == 0, err
-        assert json.loads(out)["results"]["scores"]["CMM"] == 3.0
+        assert strict_json(out)["results"]["scores"]["CMM"] == 3.0
 
 
 @pytest.mark.parametrize(
@@ -175,11 +184,18 @@ SHIFTED_MODELS = [{"name": "CMM", "m": 5, "add_zero_stage": True}]
             ["row id 'c2' appears more than once"],
         ),
         (
-            # recorded on the five-stage scale 0..4, so a recorded 5 is 6 after the shift
+            # recorded on the five-stage scale 0..4, checked as written before the shift
             SHIFTED_MODELS,
             "corporation,CMM\nc1,0\nc2,5\nc3,4\n",
             3,
-            ["stage 6 out of range 0..5 for model 'CMM' at row 'c2'"],
+            ["stage 5 out of range 0..4 for model 'CMM' at row 'c2' before adding the zero stage"],
+        ),
+        (
+            # -1 is below the recorded scale, though the shift would make it stage 0
+            SHIFTED_MODELS,
+            "corporation,CMM\nc1,0\nc2,3\nc3,-1\nc4,4\n",
+            4,
+            ["stage -1 out of range 0..4 for model 'CMM' at row 'c3' before adding the zero stage"],
         ),
         (
             # the shift would wrap a 64-bit cell; the value is reported as written
@@ -208,7 +224,8 @@ SHIFTED_MODELS = [{"name": "CMM", "m": 5, "add_zero_stage": True}]
         ),
     ],
     ids=["blank-lines-before-bad-cell", "range", "duplicate-id", "zero-stage-range",
-         "zero-stage-wrap", "oversized-stage", "oversized-field", "oversized-id"],
+         "zero-stage-negative", "zero-stage-wrap", "oversized-stage", "oversized-field",
+         "oversized-id"],
 )
 def test_data_errors_name_file_and_physical_line(capsys, tmp_path, models, text, line, named):
     spec_path = tmp_path / "spec.json"
@@ -230,6 +247,37 @@ def test_file_that_is_not_utf8_is_an_input_error(capsys, spec_file, data_file, w
     code, out, err = run_cli(capsys, "compute", "--spec", spec_file, "--data", data_file)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: ") and "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "spec,named",
+    [
+        (None, "cannot read spec file ("),
+        ([LINEAR_SPEC], "spec must be a JSON object with a 'models' list"),
+        ({"models": []}, "'models' must be a non-empty list"),
+        ({"models": LINEAR_SPEC["models"][0]}, "'models' must be a non-empty list"),
+        ({"models": [LINEAR_SPEC["models"][0], "CMM"]}, "model 1 must be an object"),
+        ({"models": [{"m": 5}]}, "model 0 is missing 'name'"),
+        ({"models": [{"name": "TAM"}]}, "model 0 is missing 'm'"),
+    ],
+    ids=["missing", "not-an-object", "no-models", "models-not-a-list", "model-not-an-object",
+         "no-name", "no-m"],
+)
+def test_malformed_spec_file_names_the_file(capsys, tmp_path, data_file, spec, named):
+    spec_path = tmp_path / "spec.json"
+    if spec is not None:
+        spec_path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "compute", "--spec", str(spec_path), "--data", data_file)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {spec_path}: ") and named in err
+
+
+@pytest.mark.parametrize("target", ["missing.csv", "."], ids=["missing", "a-dir"])
+def test_unreadable_data_file_names_the_file(capsys, spec_file, tmp_path, target):
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "compute", "--spec", spec_file, "--data", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: cannot read data file (")
 
 
 # Byte strings a mutation may insert: encoding errors, CSV and JSON
@@ -284,6 +332,8 @@ def test_mutated_inputs_end_in_an_exit_status(tmp_path, files, command, out_form
     assert code in (0, 1, 2)
     if code:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    elif out_format == "structured":
+        strict_json(out.getvalue())
 
 
 # Edits that turn a plain data file into a near-plain one. Plain-looking
@@ -425,7 +475,7 @@ class TestTests:
             "--row", "c1", "--format", "structured",
         )
         assert code == 0, err
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["results"]["statistic"] == pytest.approx(3.872983, abs=1e-6)
         assert report["results"]["df"] == 2
         assert report["results"]["reject"] is False
@@ -447,7 +497,7 @@ class TestTests:
             "--format", "structured",
         )
         assert code == 0, err
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["results"]["statistic"] == 0.0
         assert report["results"]["p_value"] == pytest.approx(1.0, abs=1e-12)
 
@@ -482,7 +532,7 @@ class TestSimulate:
             "--format", "structured",
         )
         assert code == 0, err
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["inputs"]["seed"] == 7
         assert "ratio_vs_population" in report["results"]["metrics"]
 
@@ -497,6 +547,7 @@ class TestSimulate:
             )
             assert code == 0, err
         assert out_a.read_bytes() == out_b.read_bytes()
+        strict_json(out_a.read_text())
 
     def test_variance_ratio_study_reaches_a_pass_verdict(self, capsys, spec_file):
         code, out, err = run_cli(
@@ -505,7 +556,7 @@ class TestSimulate:
             "--format", "structured",
         )
         assert code == 0, err
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["results"]["passed"] is True
         assert report["results"]["checks"]["empirical_ratio_in_band"] is True
 
@@ -536,7 +587,7 @@ class TestSimulate:
             "--n", "3", "--replications", "50", "--seed", str(seed), "--format", "structured",
         )
         assert code == 0, err
-        report = json.loads(out)
+        report = strict_json(out)
         refusal = report["notes"][-1]
         match = re.fullmatch(
             r"(\d+) of 50 replications refused: model '(TAM|CMM)' has zero sample variance; "
@@ -569,6 +620,26 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == "error: confidence interval needs n - k - 1 >= 1, got n=2, k=1\n"
 
+    @pytest.mark.parametrize(
+        "study,undefined",
+        [
+            ("normality", ["excess_kurtosis", "se_mean", "skewness", "variance"]),
+            ("variance-ratio", ["empirical_index_variance", "ratio_vs_empirical"]),
+        ],
+        ids=["normality", "variance-ratio"],
+    )
+    def test_metrics_undefined_for_one_replication(self, capsys, spec_file, study, undefined):
+        argv = ["simulate", "--spec", spec_file, "--study", study, "--n", "40",
+                "--replications", "1", "--seed", "7"]
+        code, out, err = run_cli(capsys, *argv, "--format", "structured")
+        assert code == 0, err
+        metrics = strict_json(out)["results"]["metrics"]
+        assert sorted(name for name, value in metrics.items() if value is None) == undefined
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        for name in undefined:
+            assert f"    {name}: nan\n" in out
+
     def test_missing_pmf_is_an_input_error(self, capsys, tmp_path):
         spec = {"models": [{"name": "M", "m": 5}]}
         spec_path = tmp_path / "nopmf.json"
@@ -588,7 +659,7 @@ class TestSurface:
             "--format", "structured",
         )
         assert code == 0, err
-        report = json.loads(out)
+        report = strict_json(out)
         rows = report["results"]["rows"]
         assert report["results"]["header"] == ["S_1", "S_2", "I"]
         assert len(rows) == 36
@@ -607,7 +678,7 @@ class TestSurface:
             "--preset", "s-shaped,linear", "--format", "structured",
         )
         assert code == 0, err
-        report = json.loads(out)
+        report = strict_json(out)
         models = report["inputs"]["models"]
         assert models[0]["beta"] == 3.0
         assert models[1] == {"name": "CMM", "m": 5, "alpha": 1.0, "beta": 1.0, "weight": 0.5}
@@ -633,6 +704,14 @@ class TestSurface:
         assert code == 2
         assert "resolution" in err
 
+    def test_preset_count_must_match_the_models(self, capsys, spec_file):
+        code, out, err = run_cli(
+            capsys, "surface", "--spec", spec_file, "--resolution", "3",
+            "--preset", "linear,convex,concave",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: 3 presets given for 2 models; give one preset or one per model\n"
+
 
 class TestReports:
     def test_structured_reports_round_trip(self, capsys, spec_file, data_file):
@@ -640,8 +719,14 @@ class TestReports:
             capsys, "compute", "--spec", spec_file, "--data", data_file,
             "--format", "structured",
         )
-        report = json.loads(out)
-        assert json.loads(json.dumps(report)) == report
+        report = strict_json(out)
+        assert strict_json(json.dumps(report)) == report
+
+    def test_non_finite_floats_are_written_as_null(self):
+        report = {"a": math.nan, "b": [math.inf, 1.5], "c": {"d": (-math.inf, 0.0)}}
+        assert strict_json(cli.render_structured(report)) == {
+            "a": None, "b": [None, 1.5], "c": {"d": [None, 0.0]}
+        }
 
     def test_out_file_matches_stdout(self, capsys, spec_file, data_file, tmp_path):
         out_path = tmp_path / "report.json"
@@ -702,7 +787,7 @@ def test_sided_changes_the_tests(capsys, spec_file, tmp_path, command):
             capsys, command, "--spec", spec_file, *inputs, "--sided", sided, "--format", "structured",
         )
         assert code == 0, err
-        results[sided] = json.loads(out)["results"]
+        results[sided] = strict_json(out)["results"]
     assert results["less"]["sidedness"] == "less"
     assert results["less"]["p_value"] != results["two"]["p_value"]
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from adoptindex import ModelSpec, PmfSpec, StudySpec, validate_dataset
+from adoptindex import AdoptionDataset, ModelSpec, PmfSpec, StudySpec, validate_dataset
 from adoptindex.errors import (
     DuplicateRowId,
     InputError,
@@ -152,6 +152,22 @@ class TestValidateDataset:
         with pytest.raises(error) as info:
             validate_dataset(rows, tam_cmm_spec)
         assert info.value.row == 1
+
+    @pytest.mark.parametrize(
+        "ids,values,error,message",
+        [
+            ("abc", [0, 1, 2], InputError, "values must be a 2-d matrix, got shape (3,)"),
+            ("abc", [[0.5, 1.0]] * 3, InputError,
+             "stage values must be integers, got dtype float64"),
+            ("abc", [[0], [1], [2]], RowArityMismatch, "expected 2 columns, got 1"),
+            ("ab", [[0, 1], [1, 2], [2, 3]], InputError, "2 row ids for 3 rows"),
+        ],
+        ids=["one-dimensional", "float-dtype", "column-count", "id-count"],
+    )
+    def test_direct_construction_checks_the_matrix(self, tam_cmm_spec, ids, values, error, message):
+        with pytest.raises(InputError) as info:
+            AdoptionDataset(tuple(ids), np.array(values), tam_cmm_spec)
+        assert type(info.value) is error and str(info.value) == message
 
     def test_values_are_immutable(self, tam_cmm_spec):
         rows = [("a", (0, 5)), ("b", (5, 0)), ("c", (2, 3)), ("d", (3, 2))]

@@ -63,7 +63,7 @@ class TestSubindex:
     @pytest.mark.parametrize("alpha,beta", [(1, 1), (0.3, 1), (3, 1), (1, 3), (7.5, 4.2)])
     def test_exact_endpoints(self, alpha, beta):
         model = ModelSpec("M", 5, alpha=alpha, beta=beta)
-        assert subindex(0.0, model) == 0.0
+        assert math.copysign(1.0, subindex(0.0, model)) == 1.0 and subindex(0.0, model) == 0.0
         assert subindex(5.0, model) == 1.0
 
     def test_out_of_range_score(self):
@@ -213,6 +213,14 @@ class TestSurfaceGrid:
             (5.0, 0.0),
             (5.0, 5.0),
         ]
+
+    def test_points_are_the_weighted_sum_of_sub_indices(self):
+        spec = StudySpec(
+            [ModelSpec("A", 5, alpha=0.3, weight=0.7), ModelSpec("B", 3, beta=3.0, weight=0.3)]
+        )
+        for s1, s2, value in surface_grid(spec, 9):
+            f1, f2 = subindex(s1, spec.models[0]), subindex(s2, spec.models[1])
+            assert value == 0.7 * f1 + 0.3 * f2
 
     def test_arity_and_resolution_errors(self, single_model_spec, tam_cmm_spec):
         with pytest.raises(UnsupportedArity):

@@ -246,6 +246,10 @@ class TestOneSample:
     def test_significance_validation(self, ladder_dataset):
         with pytest.raises(InvalidLevel):
             one_sample_test(ladder_dataset, row_id="1", significance=1.0)
+        with pytest.raises(InvalidLevel, match="must be a number, got '0.05'"):
+            one_sample_test(ladder_dataset, row_id="1", significance="0.05")
+        with pytest.raises(InvalidLevel, match="must be a number, got True"):
+            two_sample_test(ladder_dataset, ladder_dataset, significance=True)
 
 
 def fresh_reduction(dataset, positions):
@@ -446,3 +450,9 @@ class TestConfidenceInterval:
             confidence_interval(self._index(), self._variance(1e-4), 1.2, 10)
         with pytest.raises(InvalidDf):
             confidence_interval(self._index(), self._variance(1e-4), 0.9, 0.0)
+
+    def test_level_and_df_must_be_numbers(self):
+        with pytest.raises(InvalidLevel, match="must be a number, got '0.95'"):
+            confidence_interval(self._index(), self._variance(1e-4), "0.95", True)
+        with pytest.raises(InvalidDf, match="must be a number, got True"):
+            confidence_interval(self._index(), self._variance(1e-4), 0.95, True)

@@ -18,10 +18,16 @@ from adoptindex import (
     true_index,
 )
 from adoptindex import simulation
+from adoptindex.domain import _exact_sums
 from adoptindex.errors import DegenerateVariance, InputError, SpecMismatch
-from adoptindex.estimation import _moments
+from adoptindex.estimation import _from_sums
 
 UNIFORM6 = (1 / 6,) * 6
+# dyadic, so the cumulative sums are exact and an empty end stage gives a threshold at +-inf
+ZERO_FIRST = (0.0, 0.25, 0.125, 0.375, 0.25)
+ZERO_LAST = (0.125, 0.375, 0.5, 0.0)
+UNEVEN = (0.1, 0.15, 0.25, 0.3, 0.2)
+UNEVEN_SHORT = (0.05, 0.45, 0.2, 0.3)
 
 
 @pytest.fixture
@@ -130,6 +136,46 @@ class TestLatentCrossCovariance:
     def test_zero_without_latent_matrix(self, linear_pair):
         spec, pmf = linear_pair
         assert latent_cross_covariance(pmf, spec, 0, 1) == 0.0
+
+    @pytest.mark.parametrize("rho", [0.6, -0.35])
+    @pytest.mark.parametrize(
+        "pmfs",
+        [(ZERO_FIRST, ZERO_LAST), (ZERO_LAST, ZERO_FIRST), (ZERO_FIRST, ZERO_FIRST)],
+        ids=["first-last", "last-first", "first-first"],
+    )
+    def test_empty_end_stages_match_bivariate_normal_rectangles(self, pmfs, rho):
+        # an empty first or last stage puts a latent threshold at -inf or +inf
+        spec = StudySpec([ModelSpec("A", len(pmfs[0]) - 1), ModelSpec("B", len(pmfs[1]) - 1)])
+        pmf = PmfSpec(pmfs, latent_correlation=[[1, rho], [rho, 1]])
+        latent = stats.multivariate_normal([0, 0], [[1, rho], [rho, 1]])
+        cuts = [np.concatenate([[-np.inf], stats.norm.ppf(np.cumsum(p)[:-1]), [np.inf]])
+                for p in pmfs]
+        cross_moment = 0.0
+        for a in range(1, len(pmfs[0])):
+            for b in range(1, len(pmfs[1])):
+                if pmfs[0][a] and pmfs[1][b]:
+                    rectangle = latent.cdf(
+                        [cuts[0][a + 1], cuts[1][b + 1]], lower_limit=[cuts[0][a], cuts[1][b]]
+                    )
+                    cross_moment += a * b * rectangle
+        scores = true_index(pmf, spec).scores
+        exact = cross_moment - scores[0] * scores[1]
+        assert latent_cross_covariance(pmf, spec, 0, 1) == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0], ids=["comonotone", "countermonotone"])
+    @pytest.mark.parametrize("pmfs", [(UNEVEN, UNEVEN_SHORT), (ZERO_FIRST, ZERO_LAST)],
+                             ids=["uneven", "empty-end-stages"])
+    def test_perfect_latent_correlation_is_the_monotone_coupling(self, pmfs, rho):
+        # at rho = +-1 the stages are Q_A(U) and Q_B(U) or Q_B(1 - U) for one uniform U
+        spec = StudySpec([ModelSpec("A", len(pmfs[0]) - 1), ModelSpec("B", len(pmfs[1]) - 1)])
+        pmf = PmfSpec(pmfs, latent_correlation=[[1, rho], [rho, 1]])
+        cums = [simulation._cumulative(p) for p in pmfs]
+        ends = np.unique(np.concatenate([[0.0], *cums, *(1.0 - c for c in cums)]))
+        u = (ends[:-1] + ends[1:]) / 2
+        a, b = np.searchsorted(cums[0], u), np.searchsorted(cums[1], u if rho > 0 else 1.0 - u)
+        scores = true_index(pmf, spec).scores
+        exact = float(np.sum(a * b * np.diff(ends))) - scores[0] * scores[1]
+        assert latent_cross_covariance(pmf, spec, 0, 1) == pytest.approx(exact, abs=1e-15)
 
 
 class TestPlanValidation:
@@ -381,7 +427,7 @@ def test_chunked_draws_match_per_replication_reference(monkeypatch, copula, samp
         for estimate, seed in zip(moments, child_seeds):
             x = reference_stages(pmf, n, seed)
             expected.append((n, x.sum(axis=0).tolist(), (x.T @ x).tolist()))
-            want = _moments(x)
+            want = _from_sums(n, *_exact_sums(x))
             assert estimate.scores == want.scores
             assert estimate.degenerate == want.degenerate
             assert np.array_equal(estimate.cov, want.cov)

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from adoptindex import student_t_cdf, student_t_pvalue, student_t_quantile
-from adoptindex.errors import InputError, InvalidDf
+from adoptindex.errors import InputError, InvalidDf, InvalidLevel
 
 
 def quadrature_two_sided_p(t, df):
@@ -72,6 +72,32 @@ class TestPvalue:
             student_t_pvalue(math.inf, 3)
         with pytest.raises(InputError):
             student_t_pvalue(1.0, 3, "sideways")
+
+
+@pytest.mark.parametrize(
+    "function,args,error,message",
+    [
+        (student_t_pvalue, (2.0, True), InvalidDf, "degrees of freedom must be a number, got True"),
+        (student_t_pvalue, (2.0, "5"), InvalidDf, "degrees of freedom must be a number, got '5'"),
+        (student_t_pvalue, ("2.0", 5), InputError, "test statistic must be a number, got '2.0'"),
+        (student_t_cdf, (True, 5), InputError, "t must be a number, got True"),
+        (student_t_cdf, (2.0, True), InvalidDf, "degrees of freedom must be a number, got True"),
+        (student_t_quantile, ("0.975", 5), InvalidLevel,
+         "quantile level must be a number, got '0.975'"),
+    ],
+    ids=["pvalue-df-bool", "pvalue-df-string", "pvalue-t-string", "cdf-t-bool", "cdf-df-bool",
+         "quantile-level-string"],
+)
+def test_bools_and_strings_are_refused_not_coerced(function, args, error, message):
+    with pytest.raises(InputError) as info:
+        function(*args)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_cached_quantile_does_not_answer_for_a_bool():
+    student_t_quantile(0.975, 1)
+    with pytest.raises(InvalidDf, match="got True"):
+        student_t_quantile(0.975, True)
 
 
 class TestCdf:
