@@ -86,7 +86,7 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
         raise InputError(f"{path}: 'models' must be a non-empty list")
     if presets and len(presets) not in (1, len(entries)):
         raise InputError(
-            f"{len(presets)} presets given for {len(entries)} models; "
+            f"{path}: {len(presets)} presets given for {len(entries)} models; "
             "give one preset or one per model"
         )
     models = []
@@ -106,7 +106,7 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
             preset = presets[0] if len(presets) == 1 else presets[pos]
             if preset not in SHAPE_PRESETS:
                 raise InputError(
-                    f"unknown preset {preset!r}; choose from {sorted(SHAPE_PRESETS)}"
+                    f"{path}: unknown preset {preset!r}; choose from {sorted(SHAPE_PRESETS)}"
                 )
             alpha, beta = SHAPE_PRESETS[preset]
         flag = entry.get("add_zero_stage", False)

@@ -10,8 +10,8 @@ safe to share across threads.
 Every dataset rule (ids, row count, stage ranges) is checked only by
 :class:`AdoptionDataset`; ``validate_dataset`` and ``cli.load_dataset`` check
 only what their format needs (an int64 matrix; a zero-stage column's 0..m-1).
-``AdoptionDataset.without_row`` derives from a validated dataset without
-re-validating it, and downdates its exact sums instead of reducing again.
+``AdoptionDataset.without_row`` gives the exact sums of a dataset minus one
+row by downdating the dataset's own, without building a reduced dataset.
 """
 
 from __future__ import annotations
@@ -247,30 +247,25 @@ class AdoptionDataset:
         """Exact column sums s = X^T 1 and cross-products C = X^T X, reduced on first use."""
         return _exact_sums(self.values)
 
-    def without_row(self, position: int) -> "AdoptionDataset":
-        """This dataset minus one row. Removing a row keeps every rule but the
-        row count, so only that is checked, and the exact sums are the parent's
-        minus the row; if the parent's are refused, the result reduces its own.
+    def without_row(self, position: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """``(n, sums, cross)`` of the rows left after removing the one at ``position``.
+
+        They keep every rule but the row count, so only that is checked. Their exact
+        sums are the parent's minus the row, or their own if the parent's are refused.
         """
-        n, ids = self.n - 1, self.row_ids
+        n = self.n - 1
         if not 0 <= position <= n:
             raise IndexError(f"row position {position} outside 0..{n}")
         if n <= self.spec.k:
             raise TooFewRows(f"need more rows than models, got n={n} with k={self.spec.k}")
-        values = np.delete(self.values, position, axis=0)
-        values.setflags(write=False)
-        reduced = object.__new__(AdoptionDataset)
-        reduced.__dict__.update(row_ids=ids[:position] + ids[position + 1:], values=values, spec=self.spec)
         try:
             sums, cross = self.sufficient_stats
         except InputError:
-            return reduced
+            return n, *_exact_sums(np.delete(self.values, position, axis=0))
         x = self.values[position].tolist()
-        reduced.__dict__["sufficient_stats"] = (
-            tuple(s - a for s, a in zip(sums, x)),
-            tuple(tuple(c - a * b for c, b in zip(row, x)) for row, a in zip(cross, x)),
+        return n, tuple(s - a for s, a in zip(sums, x)), tuple(
+            tuple(c - a * b for c, b in zip(row, x)) for row, a in zip(cross, x)
         )
-        return reduced
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domain import ModelSpec, StudySpec
+from .domain import ModelSpec, StudySpec, _number
 from .errors import (
     BoundaryScore,
     InvalidResolution,
@@ -56,7 +56,8 @@ class IndexValue:
 def subindex(score: float, model: ModelSpec) -> float:
     """Normalize one score into [0, 1] through the model's shape."""
     m = float(model.m)
-    s = float(score)
+    # a float needs no check, and every score on the per-replication path is one
+    s = score if type(score) is float else _number(score, "score")
     if not (math.isfinite(s) and 0.0 <= s <= m):
         raise ScoreOutOfRange(
             f"score {score!r} outside [0, {model.m}] for model {model.name!r}"
@@ -86,7 +87,7 @@ def delta_derivative(score: float, model: ModelSpec) -> float:
     any other shape is defined only on the open interval (0, m).
     """
     m = float(model.m)
-    s = float(score)
+    s = score if type(score) is float else _number(score, "score")
     linear = model.is_linear
     if not (0.0 <= s <= m if linear else 0.0 < s < m):
         bounds = f"0 <= S <= {model.m}" if linear else f"0 < S < {model.m}"

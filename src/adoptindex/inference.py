@@ -14,9 +14,9 @@ formula). Tests:
   its variance, and the excluded row's own index I_0 is the null value;
   T is t-distributed with (n-1) - k - 1 degrees of freedom (the sample
   actually used has n-1 rows). The null value always comes from the
-  excluded row; there is no variant against a fixed constant. The
-  reduced sample is a downdate: its sums and cross-products are the
-  industry's minus the excluded row, O(k^2) work per test.
+  excluded row; there is no variant against a fixed constant. No
+  reduced dataset is built: the remaining rows' sums and cross-products
+  are the industry's minus the excluded row, O(k^2) work per test.
 * two-sample: unequal variances, Welch-Satterthwaite degrees of freedom.
 
 Both tests share one tail from statistic to p-value to outcome. The
@@ -27,6 +27,7 @@ runs it on sampled stage matrices without building datasets.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .errors import (
     InsufficientSample,
     SpecMismatch,
 )
-from .estimation import MomentEstimate, estimate_moments
+from .estimation import MomentEstimate, _from_sums, estimate_moments
 from .index import IndexValue, delta_gradient, global_index, subindex
 from .tdist import Sidedness, _require_df, _require_level, student_t_pvalue, student_t_quantile
 
@@ -136,8 +137,10 @@ def welch_df(v_a: float, v_b: float, n_a: int, n_b: int, k: int) -> float:
 
     nu = (vA + vB)^2 / (vA^2/(nA - k) + vB^2/(nB - k))
     """
-    if v_a < 0 or v_b < 0:
-        raise InputError(f"variances must be non-negative, got {v_a}, {v_b}")
+    for v in (v_a, v_b):
+        # NaN fails v >= 0; a bool or a string is no number
+        if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)) or not v >= 0:
+            raise InputError(f"variances must be non-negative, got {v_a!r}, {v_b!r}")
     if v_a == 0 and v_b == 0:
         raise BothVariancesZero("Welch df undefined when both variances are zero")
     if n_a <= k or n_b <= k:
@@ -184,8 +187,7 @@ def one_sample_test(
             f"excluding row {row_id!r} leaves df={df}; need at least 1"
         )
     null_value = _row_index_at(dataset, position)
-    reduced = dataset.without_row(position)
-    moments = estimate_moments(reduced)
+    moments = _from_sums(*dataset.without_row(position))
     variance = index_variance(moments, spec)
     if variance.value == 0:
         raise DegenerateVariance(
@@ -194,13 +196,13 @@ def one_sample_test(
     return _outcome(
         (global_index(moments.scores, spec).value, null_value),
         (variance.value,),
-        (reduced.n,),
+        (moments.n,),
         df,
         sidedness,
         significance,
         note=(
             "degrees of freedom use the reduced sample of "
-            f"{reduced.n} rows left after excluding row {row_id!r}"
+            f"{moments.n} rows left after excluding row {row_id!r}"
         ),
     )
 

@@ -218,18 +218,24 @@ def latent_cross_covariance(pmf: PmfSpec, spec: StudySpec, j: int, l: int) -> fl
     return cross_moment - truth.scores[j] * truth.scores[l]
 
 
-def population_asymptotic_variance(pmf: PmfSpec, spec: StudySpec) -> float:
-    """Asymptotic variance of sqrt(n) * (I_hat - I) under the pmf.
-
-    Needs every model non-degenerate (else the delta-method gradient or
-    the variance itself is zero and the studies refuse to run).
-    """
+def _nondegenerate_truth(pmf: PmfSpec, spec: StudySpec) -> TruePopulation:
+    """``true_index`` of a pmf that gives every model a positive variance."""
     truth = true_index(pmf, spec)
     for v, model in zip(truth.variances, spec.models):
         if v == 0.0:
             raise DegenerateVariance(
                 f"pmf for model {model.name!r} is degenerate; inference is impossible"
             )
+    return truth
+
+
+def population_asymptotic_variance(pmf: PmfSpec, spec: StudySpec) -> float:
+    """Asymptotic variance of sqrt(n) * (I_hat - I) under the pmf.
+
+    Needs every model non-degenerate (else the delta-method gradient or
+    the variance itself is zero and the studies refuse to run).
+    """
+    truth = _nondegenerate_truth(pmf, spec)
     gradients = delta_gradient(ScoreEstimate(scores=truth.scores, n=0), spec)
     g = np.asarray(spec.weights) * np.asarray(gradients)
     total = float(np.sum(g**2 * np.asarray(truth.variances)))
@@ -363,12 +369,7 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     are defined; a replication refused (say, one with a constant column) is
     counted in a note, and a study whose every replication is refused raises.
     """
-    truth = true_index(plan.pmf, plan.spec)
-    for v, model in zip(truth.variances, plan.spec.models):
-        if v == 0.0:
-            raise DegenerateVariance(
-                f"pmf for model {model.name!r} is degenerate; the study cannot run"
-            )
+    truth = _nondegenerate_truth(plan.pmf, plan.spec)
     notes = (
         "observations are treated as iid within each sample; clustered or "
         "stratified sampling is out of scope",

@@ -137,13 +137,12 @@ def student_t_pvalue(t: float, df: float, sidedness: Sidedness = "two") -> float
     t = _number(t, "test statistic")
     if not math.isfinite(t):
         raise InputError(f"test statistic must be finite, got {t!r}")
-    x = df / (df + t * t)
-    p_two = regularized_incomplete_beta(0.5 * df, 0.5, x)
-    if sidedness == "two":
-        return min(1.0, p_two)
+    if sidedness == "less":
+        return student_t_cdf(t, df)
     if sidedness == "greater":
-        return 0.5 * p_two if t >= 0 else 1.0 - 0.5 * p_two
-    return 0.5 * p_two if t <= 0 else 1.0 - 0.5 * p_two
+        return student_t_cdf(-t, df)
+    x = df / (df + t * t)
+    return min(1.0, regularized_incomplete_beta(0.5 * df, 0.5, x))
 
 
 @lru_cache(maxsize=1024, typed=True)  # typed, so a cached 1 never answers for True

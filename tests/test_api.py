@@ -1,4 +1,6 @@
 import ast
+import re
+import sys
 from pathlib import Path
 
 import adoptindex
@@ -16,3 +18,29 @@ def test_public_surface_lists_each_package_import_once():
         for alias in node.names
     }
     assert imported == set(names)
+
+
+SOURCES = sorted(Path(adoptindex.__file__).parent.glob("*.py"))
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # a regex, because tomllib is 3.11+ and the floor may be older
+    floor = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', PYPROJECT.read_text(), re.M)
+    version = (int(floor[1]), int(floor[2]))
+    assert SOURCES
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+
+
+def test_sources_import_only_numpy_the_package_and_the_standard_library():
+    allowed = {"numpy", "adoptindex"} | set(sys.stdlib_module_names)
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert imported - allowed == set()

@@ -692,12 +692,15 @@ class TestSurface:
             assert all(a < b for a, b in zip(col, col[1:]))
 
     def test_unknown_preset(self, capsys, spec_file):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "surface", "--spec", spec_file, "--resolution", "5",
-            "--preset", "zigzag",
+            "--preset", "linear,zigzag",
         )
-        assert code == 2
-        assert "zigzag" in err
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {spec_file}: unknown preset 'zigzag'; "
+            "choose from ['concave', 'convex', 'linear', 's-shaped']\n"
+        )
 
     def test_resolution_one_rejected(self, capsys, spec_file):
         code, _, err = run_cli(capsys, "surface", "--spec", spec_file, "--resolution", "1")
@@ -710,7 +713,9 @@ class TestSurface:
             "--preset", "linear,convex,concave",
         )
         assert (code, out) == (2, "")
-        assert err == "error: 3 presets given for 2 models; give one preset or one per model\n"
+        assert err == (
+            f"error: {spec_file}: 3 presets given for 2 models; give one preset or one per model\n"
+        )
 
 
 class TestReports:

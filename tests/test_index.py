@@ -17,6 +17,7 @@ from adoptindex import (
 )
 from adoptindex.errors import (
     BoundaryScore,
+    InputError,
     InvalidResolution,
     ScoreOutOfRange,
     SpecMismatch,
@@ -119,6 +120,18 @@ class TestSubindex:
         grid = np.linspace(0.0, 4.0, 1000)
         values = np.array([subindex(float(s), model) for s in grid])
         assert np.max(np.abs(np.diff(values, 2))) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "function,score",
+    [(subindex, True), (subindex, "3"), (delta_derivative, "2")],
+    ids=["subindex-bool", "subindex-string", "derivative-string"],
+)
+def test_scores_must_be_numbers(function, score):
+    with pytest.raises(InputError) as info:
+        function(score, ModelSpec("M", 4))
+    assert type(info.value) is InputError
+    assert str(info.value) == f"score must be a number, got {score!r}"
 
 
 class TestGlobalIndex:

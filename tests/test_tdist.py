@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate, stats
 
 from adoptindex import student_t_cdf, student_t_pvalue, student_t_quantile
+from adoptindex.tdist import regularized_incomplete_beta
 from adoptindex.errors import InputError, InvalidDf, InvalidLevel
 
 
@@ -56,6 +58,26 @@ class TestPvalue:
             assert student_t_pvalue(-t, 9, "greater") == pytest.approx(
                 1 - two / 2, rel=1e-12
             )
+
+    @given(
+        t=st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-300, -1e-300])),
+        df=st.floats(1e-3, 1e6),
+    )
+    def test_one_sided_p_is_the_cdf_and_the_fold_of_the_two_sided_tail(self, t, df):
+        tail = regularized_incomplete_beta(0.5 * df, 0.5, df / (df + t * t))
+        less = 0.5 * tail if t <= 0 else 1.0 - 0.5 * tail
+        greater = 0.5 * tail if t >= 0 else 1.0 - 0.5 * tail
+        assert student_t_pvalue(t, df, "less").hex() == student_t_cdf(t, df).hex() == less.hex()
+        assert (
+            student_t_pvalue(t, df, "greater").hex() == student_t_cdf(-t, df).hex() == greater.hex()
+        )
+
+    def test_one_sided_p_at_zero_needs_no_incomplete_beta(self):
+        # 0.5 * 5e-324 underflows to 0, which the incomplete beta refuses; P(T <= 0) is 0.5 anyway
+        assert student_t_pvalue(0.0, 5e-324, "less") == 0.5
+        assert student_t_pvalue(0.0, 5e-324, "greater") == 0.5
+        with pytest.raises(InputError, match="a, b > 0"):
+            student_t_pvalue(0.0, 5e-324, "two")
 
     def test_two_sided_p_strictly_decreasing_in_t(self):
         for df in [1, 3, 28, 977]:
