@@ -17,9 +17,12 @@ Formats:
   int() accepts ("3", "03", "+3", "1_0") within the 64-bit integer
   range. Blank lines, including lines of only commas and whitespace, are
   skipped. Errors name the file and the physical line of the offending
-  row, counting skipped lines and every line a quoted cell spans. Plain
-  files (no quotes, carriage returns or NULs, every stage 1 to 18 ASCII
-  digits) are read by a columnar path with identical results.
+  row, counting skipped lines and every line a quoted cell spans.
+  Structurally plain files (UTF-8 with no quotes, carriage returns or
+  NULs, no blank lines, and every line an id and one cell per model) are
+  read column-wise with identical results and messages: stages of 1 to
+  18 ASCII digits in numpy passes, any other cell through int() one at a
+  time. csv.reader reads every other file.
 
 * Reports: either a human-readable table ("table") or JSON
   ("structured"); both carry the same fields, and the JSON form
@@ -38,7 +41,7 @@ import io
 import json
 import math
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Any
@@ -132,15 +135,16 @@ def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]) -> 
 
     Checks encoding, header, row widths and integer cells, adds the zero
     stage to flagged columns, and names the line of any dataset rule broken.
-    A plain file is read by ``_read_plain``; any other file, and every
-    message about a malformed one, comes from ``_read_csv``.
+    A structurally plain file is read by ``_read_plain``; any other file,
+    and every message about a malformed one but a bad stage cell, comes
+    from ``_read_csv``.
     """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
         raise InputError(f"{path}: cannot read data file ({exc})") from exc
-    table = _read_plain(raw, spec)
+    table = _read_plain(path, raw, spec)
     ids, values, lines = _read_csv(path, raw, spec) if table is None else table
     flags = np.array(offset_flags)
     with _naming(path, lines):
@@ -154,19 +158,23 @@ def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]) -> 
         return AdoptionDataset(tuple(ids), values, spec)
 
 
-# A plain stage cell: 1 to 18 ASCII digits, so it fits int64 and equals int(cell).
+# A stage cell of 1 to 18 ASCII digits fits int64 and equals int(cell); any other is odd.
 _PLAIN_DIGITS = 18
 
 
-def _read_plain(raw: bytes, spec: StudySpec) -> tuple[list[str], np.ndarray, range] | None:
-    """Ids, stages and line numbers of a plain file, from numpy passes over its bytes.
+def _read_plain(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.ndarray, range] | None:
+    """Ids, stages and line numbers of a structurally plain file, from numpy passes over its bytes.
 
-    A file is plain when it holds no quote, carriage return or NUL, its first
-    line is the header, and every later line is an id and ``spec.k`` cells of
-    1 to 18 ASCII digits, each line ending in a newline (the last may lack
-    it). ``csv.reader`` splits such a file exactly on commas and newlines, and
-    ``int()`` reads each cell as its digits, so the result is what
-    ``_read_csv`` gives. Returns None for any other file.
+    A file is structurally plain when it holds no quote, carriage return or
+    NUL, its first line is the header, and every later line is an id and
+    ``spec.k`` cells of at most ``csv.field_size_limit()`` bytes, each line
+    ending in a newline (the last may lack it). ``csv.reader`` splits such a
+    file exactly on commas and newlines. Cells of 1 to 18 ASCII digits are read
+    column-wise; every other (odd) cell goes through ``int()``, a column at a
+    time, as ``_read_csv`` converts them, and the first it refuses raises the
+    same error. Returns None for any other file, and for one that
+    ``csv.reader`` would read differently: a field that is not UTF-8, or a
+    line of whitespace only, which it skips.
     """
     if b'"' in raw or b"\r" in raw or b"\0" in raw:
         return None
@@ -184,16 +192,38 @@ def _read_plain(raw: bytes, spec: StudySpec) -> tuple[list[str], np.ndarray, ran
     stages = _plain_stages(body, spec.k)
     if stages is None:
         return None
-    values, id_starts, id_ends = stages
-    ids = _plain_ids(body, id_starts, id_ends)
-    if ids is None:
-        return None
+    values, odd, id_bounds, cell_bounds = stages
+    ids, cells = _plain_text(body, *id_bounds), _plain_text(body, *cell_bounds)
+    if ids is None or cells is None:
+        return None  # csv.reader reports the first byte that is not UTF-8
+    ids = [row_id.strip() for row_id in ids.split(",")[:-1]]
+    if not cells:
+        return ids, values, range(2, len(ids) + 2)
+    cells = np.array(cells.split(",")[1:], dtype=object)
+    rows, cols = np.nonzero(odd)
+    for i in np.flatnonzero(odd.all(axis=1)):
+        if ids[i]:
+            continue
+        at = np.searchsorted(rows, i)
+        if not "".join(cells[at:at + spec.k]).strip():
+            return None  # csv.reader skips a line of whitespace, which shifts the line numbers
+    for j, name in enumerate(spec.names):
+        at = np.flatnonzero(cols == j)
+        try:
+            # an object array converts cell by cell with int()
+            values[rows[at], j] = cells[at].astype(np.int64)
+        except (ValueError, OverflowError):
+            raise _bad_cell(path, name, ((cells[a], ids[rows[a]], rows[a] + 2) for a in at)) from None
     return ids, values, range(2, len(ids) + 2)
 
 
-def _plain_stages(body: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The stage matrix of a plain body, and where each line's id starts and ends;
-    None if a line is not an id and ``k`` cells of 1 to 18 ASCII digits."""
+def _plain_stages(
+    body: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None:
+    """The stage matrix of a structurally plain body with its odd cells left
+    unread, the mask of odd cells, and the byte ranges of every id with the
+    comma after it and of every odd cell with the comma before it; None if a
+    line is not an id and ``k`` cells of at most ``csv.field_size_limit()`` bytes."""
     seps = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
     if seps.size % (k + 1):
         return None
@@ -203,41 +233,38 @@ def _plain_stages(body: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.
         return None
     id_starts = np.zeros(len(seps), np.int64)
     id_starts[1:] = seps[:-1, k] + 1
-    id_ends = seps[:, 0].copy()  # a copy, so seps is freed before the ids are built
+    id_stops = seps[:, 0] + 1
     widths = np.diff(seps, axis=1)
     widths -= 1
-    if len(seps) and not (
-        widths.min() >= 1 and widths.max() <= _PLAIN_DIGITS
-        and (id_ends - id_starts).max() <= csv.field_size_limit()
-    ):
+    if max(widths.max(initial=0), (id_stops - id_starts).max(initial=1) - 1) > csv.field_size_limit():
         return None
+    odd = widths > _PLAIN_DIGITS
     # Horner's rule, first digit first; bytes left of a narrow cell count as 0.
     # Both updates are in place on int64, so no promotion rule can narrow them.
+    # The d = 0 pass always runs: it reads the comma left of an empty cell, so marks it odd.
     ends = seps[:, 1:]
     values = np.zeros(widths.shape, np.int64)
-    for d in reversed(range(int(widths.max(initial=0)))):
+    for d in reversed(range(min(int(widths.max(initial=1)), _PLAIN_DIGITS))):
         digits = body[np.maximum(ends - (d + 1), 0)] - np.uint8(ord("0"))
         if d:
             digits[widths <= d] = 0
-        if (digits > 9).any():
-            return None
+        odd |= digits > 9
         values *= 10
         values += digits
-    return values, id_starts, id_ends
+    return values, odd, (id_starts, id_stops), (seps[:, :k][odd], ends[odd])
 
 
-def _plain_ids(body: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str] | None:
-    """The stripped ids ``body[starts[i]:ends[i]]``; None if they are not UTF-8."""
-    # one mask over the ids and the comma after each: "id1,id2,...,idn,"
-    inside = np.zeros(body.size, np.int8)
-    inside[starts] = 1
-    inside[ends + 1] = -1
-    id_bytes = body[np.cumsum(inside, dtype=np.int8, out=inside).view(bool)]
+def _plain_text(body: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> str | None:
+    """The byte ranges ``body[starts[i]:stops[i]]``, in file order, joined and
+    decoded; None if they are not UTF-8."""
+    low, high = (starts[0], stops[-1]) if starts.size else (0, 0)
+    inside = np.zeros(high - low + 1, np.int8)
+    inside[starts - low] = 1
+    inside[stops - low] -= 1  # a range may start where the one before it stops
     try:
-        ids = str(id_bytes, "utf-8").split(",")[:-1]
+        return str(body[low:high][np.cumsum(inside, dtype=np.int8, out=inside)[:-1].view(bool)], "utf-8")
     except UnicodeDecodeError:
         return None
-    return [row_id.strip() for row_id in ids]
 
 
 def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.ndarray, list[int]]:
@@ -245,7 +272,7 @@ def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.nda
 
     Blank lines are skipped and whitespace around cells is stripped. This
     is the reference for ``_read_plain`` and writes every message about a
-    malformed file.
+    malformed file but the bad-cell one, which both readers share.
     """
     rows: list[list[str]] = []
     lines: list[int] = []
@@ -281,23 +308,23 @@ def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.nda
             # an object array converts cell by cell with int()
             values[:, j] = cells[:, j + 1].astype(np.int64)
         except (ValueError, OverflowError):
-            raise _bad_cell(path, name, cells[:, j + 1], ids, lines) from None
+            raise _bad_cell(path, name, zip(cells[:, j + 1], ids, lines)) from None
     return ids, values, lines
 
 
 _INT64_RANGE = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 
 
-def _bad_cell(path: str, name: str, column: np.ndarray, ids: list[str], lines: list[int]) -> InputError:
-    """The error for the first cell of ``column`` that is not a 64-bit integer."""
-    for i, cell in enumerate(column):
+def _bad_cell(path: str, name: str, cells: Iterable[tuple[str, str, int]]) -> InputError:
+    """The error for the first of ``cells`` (cell, row id, line) that is not a 64-bit integer."""
+    for cell, row_id, line in cells:
         try:
             good = int(cell) in _INT64_RANGE
         except ValueError:
             good = False
         if not good:
             return InputError(
-                f"{path}: row {ids[i]!r} (line {lines[i]}): "
+                f"{path}: row {row_id!r} (line {line}): "
                 f"stage for {name!r} must be a 64-bit integer, got {cell.strip()!r}"
             )
 

@@ -141,6 +141,9 @@ def welch_df(v_a: float, v_b: float, n_a: int, n_b: int, k: int) -> float:
         # NaN fails v >= 0; a bool or a string is no number
         if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)) or not v >= 0:
             raise InputError(f"variances must be non-negative, got {v_a!r}, {v_b!r}")
+    # type(), not isinstance(): a bool is no row count
+    if type(n_a) is not int or type(n_b) is not int:
+        raise InputError(f"sample sizes must be integers, got {n_a!r}, {n_b!r}")
     if v_a == 0 and v_b == 0:
         raise BothVariancesZero("Welch df undefined when both variances are zero")
     if n_a <= k or n_b <= k:

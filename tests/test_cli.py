@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -336,16 +337,20 @@ def test_mutated_inputs_end_in_an_exit_status(tmp_path, files, command, out_form
         strict_json(out.getvalue())
 
 
-# Edits that turn a plain data file into a near-plain one. Plain-looking
-# cells stay on the columnar path and must read as int() reads them or be
-# refused alike; every other spelling, id, line or header must leave the
-# file to csv.reader. Whitespace ids hold characters str.strip() removes
-# but csv.reader does not split on.
+# Edits that turn a plain data file into a near-plain one. Cells of any
+# spelling stay on the columnar path and must read as int() reads them or be
+# refused alike, in the same order; quotes, carriage returns, short or long
+# lines, whitespace-only lines, bytes that are not UTF-8 and fields over the
+# csv field limit must leave the file to csv.reader. Whitespace ids hold
+# characters str.strip() removes but csv.reader does not split on. "\udcff"
+# is written as the byte 0xff, which is not UTF-8.
+FIELD_LIMIT = csv.field_size_limit()
 PLAIN_EDGE_CELLS = ["007", "6", "9" * 18, "9" * 19, "1" * 19, "1" * 20, "0" * 20 + "3"]
-ODD_CELLS = ["+3", " 3 ", "1_0", "\u0663", "", "3.5", "-1", "#3", '"3"', "3\x0b"]
+ODD_CELLS = ["+3", " 3 ", "1_0", "\u0663", "", "3.5", "-1", "#3", '"3"', "3\x0b", " ",
+             "\udcff3", "9" * 5000, "1" * (FIELD_LIMIT + 1)]
 ODD_IDS = [" c9 ", "\xe9", "#c", "c\x0b9", "c\r9", "\x1cc9", "c ", "", "c1", "1", '"c9"',
-           "c\xa0", "c\x00"]
-ODD_LINES = ["", ",,", " ", "c9,1", "c9,1,2,3", "7", "7,1,2,3", "\x0b", "#"]
+           "c\xa0", "c\x00", "c\udcff"]
+ODD_LINES = ["", ",,", " , , ", "\t,\x0b,\xa0", "c9,1", "c9,1,2,3", "7", "7,1,2,3", "\x0b", "#"]
 ODD_HEADERS = ["corporation, TAM ,CMM", "\ufeffcorporation,TAM,CMM", " ,TAM,CMM",
                "\ncorporation,TAM,CMM", "corporation,TAM", "corporation,TAM,CMM,X",
                "corporation,TAM,\xa0CMM", "corporation,TAM,CMM\x0b"]
@@ -355,18 +360,25 @@ TWO_MODELS = StudySpec([ModelSpec("TAM", 5), ModelSpec("CMM", 5)])
 @st.composite
 def near_plain_csv(draw) -> bytes:
     """A plain two-model data file with up to three edits drawn from the lists above,
-    CRLF line ends or a missing final newline."""
+    CRLF line ends or a missing final newline. A "later" edit puts two odd cells
+    on two lines, a "row" edit one in each column of a line."""
     prefix = draw(st.sampled_from(["c", ""]))
     rows = [[f"{prefix}{i}", str(draw(st.integers(0, 5))), str(draw(st.integers(0, 5)))]
             for i in range(draw(st.integers(2, 8)))]
     header, inserted = "corporation,TAM,CMM", []
     end, last = "\n", "\n"
     for _ in range(draw(st.integers(0, 3))):
-        edit = draw(st.sampled_from(["edge", "cell", "id", "line", "header", "crlf", "last"]))
+        edit = draw(st.sampled_from(
+            ["edge", "cell", "later", "row", "id", "line", "header", "crlf", "last"]))
         i = draw(st.integers(0, len(rows) - 1))
         if edit in ("edge", "cell"):
             rows[i][draw(st.integers(1, 2))] = draw(
                 st.sampled_from(PLAIN_EDGE_CELLS if edit == "edge" else ODD_CELLS))
+        elif edit == "later":
+            for row in (i, draw(st.integers(i, len(rows) - 1))):
+                rows[row][draw(st.integers(1, 2))] = draw(st.sampled_from(ODD_CELLS))
+        elif edit == "row":
+            rows[i][1:] = draw(st.lists(st.sampled_from(ODD_CELLS), min_size=2, max_size=2))
         elif edit == "id":
             rows[i][0] = draw(st.sampled_from(ODD_IDS))
         elif edit == "line":
@@ -380,7 +392,7 @@ def near_plain_csv(draw) -> bytes:
     lines = [",".join(row) for row in rows]
     for i, line in inserted:
         lines.insert(i, line)
-    return (end.join([header, *lines]) + last).encode("utf-8")
+    return (end.join([header, *lines]) + last).encode("utf-8", "surrogateescape")
 
 
 def _load_outcome(path, flags):
@@ -389,6 +401,17 @@ def _load_outcome(path, flags):
     except AdoptionIndexError as exc:
         return type(exc), str(exc)
     return dataset.row_ids, dataset.values.dtype, dataset.values.shape, dataset.values.tobytes()
+
+
+def _read_outcome(read, path, raw):
+    try:
+        table = read(path, raw, TWO_MODELS)
+    except AdoptionIndexError as exc:
+        return type(exc), str(exc)
+    return table and (table[0], table[1].tobytes(), list(table[2]))
+
+
+HEADER = b"corporation,TAM,CMM\n"
 
 
 @settings(max_examples=400, deadline=None,
@@ -400,18 +423,28 @@ def _load_outcome(path, flags):
 # cells past 255 and 65535 catch place values multiplied in a narrow dtype
 @example(raw=b"corporation,TAM,CMM\nc0,300,900\nc1,256,65536\nc2,123456789012345678,4\n",
          flags=(False, False))
+# a bad cell on a later line than a valid odd one, and bad cells read column by column
+@example(raw=HEADER + b"c0,+3,2\nc1,1,3.5\nc2,3,4\n", flags=(False, False))
+@example(raw=HEADER + b"c0,1,3.5\nc1,1_0,2\nc2,#3,4\n", flags=(False, False))
+# odd cells in both columns of one row
+@example(raw=HEADER + b"c0, 3 ,+4\nc1,1,2\nc2,3,4\n", flags=(False, False))
+# invalid UTF-8 in a stage cell after a bad cell: csv.reader stops at the bytes first
+@example(raw=HEADER + b"c0,3.5,1\nc1,\xff3,2\nc2,3,4\n", flags=(False, False))
+# a whitespace-only line is skipped, so the bad cell after it is on line 4
+@example(raw=HEADER + b"c0,1,2\n , , \nc1,3.5,4\n", flags=(False, False))
+@example(raw=HEADER + b"c0,1," + b"1" * (FIELD_LIMIT + 1) + b"\nc1,3,4\n", flags=(False, False))
+@example(raw=HEADER + b"c0,1," + b"9" * 5000 + b"\nc1,3,4\n", flags=(False, False))
 def test_columnar_reader_agrees_with_csv_reader(tmp_path, raw, flags):
     path = tmp_path / "data.csv"
     path.write_bytes(raw)
     fast = _load_outcome(str(path), flags)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_read_plain", lambda raw, spec: None)
+        patch.setattr(cli, "_read_plain", lambda path, raw, spec: None)
         reference = _load_outcome(str(path), flags)
     assert fast == reference
-    plain = cli._read_plain(raw, TWO_MODELS)
+    plain = _read_outcome(cli._read_plain, str(path), raw)
     if plain is not None:
-        ids, values, lines = cli._read_csv(str(path), raw, TWO_MODELS)
-        assert (plain[0], plain[1].tobytes(), list(plain[2])) == (ids, values.tobytes(), lines)
+        assert plain == _read_outcome(cli._read_csv, str(path), raw)
 
 
 def _no_csv_reader(*args, **kwargs):
@@ -432,18 +465,28 @@ INGEST_SHAPED_DATA = "".join(
 
 
 @pytest.mark.parametrize(
-    "spec,text",
-    [(LINEAR_SPEC, INDUSTRY_DATA), (INGEST_SHAPED_SPEC, INGEST_SHAPED_DATA)],
-    ids=["industry", "ingest-shaped"],
+    "spec,text,error",
+    [
+        (LINEAR_SPEC, INDUSTRY_DATA, None),
+        (INGEST_SHAPED_SPEC, INGEST_SHAPED_DATA, None),
+        (INGEST_SHAPED_SPEC, INGEST_SHAPED_DATA.replace("a0000011,5,", "a0000011,5.5,"),
+         "row 'a0000011' (line 13): stage for 'TAM' must be a 64-bit integer, got '5.5'"),
+        (LINEAR_SPEC, INDUSTRY_DATA.replace(",5\n", ", 5\n"), None),
+    ],
+    ids=["industry", "ingest-shaped", "ingest-shaped-bad-cell", "padded-cell"],
 )
-def test_plain_files_skip_csv_reader(tmp_path, monkeypatch, spec, text):
+def test_plain_files_skip_csv_reader(tmp_path, monkeypatch, spec, text, error):
     spec_path, data_path = tmp_path / "spec.json", tmp_path / "data.csv"
     spec_path.write_text(json.dumps(spec))
     data_path.write_text(text)
     loaded = cli.load_spec(str(spec_path))
     monkeypatch.setattr(cli.csv, "reader", _no_csv_reader)
-    dataset = cli.load_dataset(str(data_path), loaded["spec"], loaded["offset_flags"])
-    assert dataset.n == text.count("\n") - 1
+    try:
+        dataset = cli.load_dataset(str(data_path), loaded["spec"], loaded["offset_flags"])
+    except AdoptionIndexError as exc:
+        assert str(exc) == f"{data_path}: {error}"
+    else:
+        assert error is None and dataset.n == text.count("\n") - 1
 
 
 @pytest.mark.parametrize(
@@ -452,13 +495,14 @@ def test_plain_files_skip_csv_reader(tmp_path, monkeypatch, spec, text):
         INDUSTRY_DATA.replace("c2", '"c2"'),
         INDUSTRY_DATA.replace("\n", "\r\n"),
         INDUSTRY_DATA.replace("\nc3", "\n\nc3"),
-        INDUSTRY_DATA.replace(",5\n", ", 5\n"),
+        INDUSTRY_DATA.replace("\nc3", "\n , , \nc3"),
+        INDUSTRY_DATA.replace("c3", "c\udcff3"),
     ],
-    ids=["quote", "crlf", "blank-line", "padded-cell"],
+    ids=["quote", "crlf", "blank-line", "whitespace-line", "not-utf8"],
 )
 def test_other_files_reach_csv_reader(tmp_path, monkeypatch, text):
     data_path = tmp_path / "data.csv"
-    data_path.write_text(text, newline="")
+    data_path.write_bytes(text.encode("utf-8", "surrogateescape"))
     monkeypatch.setattr(cli.csv, "reader", _no_csv_reader)
     with pytest.raises(AssertionError, match="csv.reader ran"):
         cli.load_dataset(str(data_path), TWO_MODELS, (False, False))

@@ -207,6 +207,17 @@ class TestWelchDf:
             welch_df(v_a, v_b, 10, 10, 1)
         assert str(info.value) == f"variances must be non-negative, got {shown}"
 
+    @pytest.mark.parametrize(
+        "n_a,n_b,shown",
+        [("10", 10, "'10', 10"), (10.5, 10, "10.5, 10"), (10, True, "10, True"),
+         (10.0, 10, "10.0, 10")],
+        ids=["string", "fraction", "bool", "integral-float"],
+    )
+    def test_sample_sizes_must_be_ints(self, n_a, n_b, shown):
+        with pytest.raises(InputError) as info:
+            welch_df(1.0, 1.0, n_a, n_b, 1)
+        assert str(info.value) == f"sample sizes must be integers, got {shown}"
+
 
 class TestOneSample:
     def test_excluding_the_average_row_gives_zero(self, ladder_dataset):
