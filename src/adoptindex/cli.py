@@ -18,11 +18,12 @@ Formats:
   range. Blank lines, including lines of only commas and whitespace, are
   skipped. Errors name the file and the physical line of the offending
   row, counting skipped lines and every line a quoted cell spans.
-  Structurally plain files (UTF-8 with no quotes, carriage returns or
-  NULs, no blank lines, and every line an id and one cell per model) are
-  read column-wise with identical results and messages: stages of 1 to
-  18 ASCII digits in numpy passes, any other cell through int() one at a
-  time. csv.reader reads every other file.
+  Structurally plain files (UTF-8 with no quotes, NULs or carriage
+  returns outside CRLF line ends, no blank lines, and every line an id
+  and one cell per model) are read column-wise with identical results
+  and messages: stages of 1 to 18 ASCII digits in numpy passes, any
+  other cell through int() one at a time. csv.reader reads every other
+  file.
 
 * Reports: either a human-readable table ("table") or JSON
   ("structured"); both carry the same fields, and the JSON form
@@ -165,18 +166,23 @@ _PLAIN_DIGITS = 18
 def _read_plain(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.ndarray, range] | None:
     """Ids, stages and line numbers of a structurally plain file, from numpy passes over its bytes.
 
-    A file is structurally plain when it holds no quote, carriage return or
-    NUL, its first line is the header, and every later line is an id and
-    ``spec.k`` cells of at most ``csv.field_size_limit()`` bytes, each line
-    ending in a newline (the last may lack it). ``csv.reader`` splits such a
-    file exactly on commas and newlines. Cells of 1 to 18 ASCII digits are read
+    A file is structurally plain when it holds no quote, NUL or carriage
+    return outside a CRLF line end (read as LF), its first line is the
+    header, and every later line is an id and ``spec.k`` cells of at most
+    ``csv.field_size_limit()`` bytes, each line ending in a newline (the
+    last may lack it). ``csv.reader`` splits such a file exactly on commas
+    and line ends. Cells of 1 to 18 ASCII digits are read
     column-wise; every other (odd) cell goes through ``int()``, a column at a
     time, as ``_read_csv`` converts them, and the first it refuses raises the
     same error. Returns None for any other file, and for one that
     ``csv.reader`` would read differently: a field that is not UTF-8, or a
     line of whitespace only, which it skips.
     """
-    if b'"' in raw or b"\r" in raw or b"\0" in raw:
+    if b"\r" in raw:
+        if raw.count(b"\r") != raw.count(b"\r\n"):
+            return None  # csv.reader ends a line at a lone carriage return too
+        raw = raw.replace(b"\r\n", b"\n")  # csv.reader counts either as one line end
+    if b'"' in raw or b"\0" in raw:
         return None
     if not raw.endswith(b"\n"):
         raw += b"\n"

@@ -4,8 +4,9 @@ A study is an ordered collection of adoption models. Model ``j`` has
 ``m_j + 1`` ordered stages coded 0..m_j, where stage 0 always means "no
 adoption at all". Observations are integer stage values, one column per
 model, one row per corporation. Everything here is immutable after
-construction (a dataset fills a cache of exact sums on first use) and
-safe to share across threads.
+construction (a dataset fills a cache of exact sums on first use, and
+one of row positions on its second row lookup) and safe to share across
+threads.
 
 Every dataset rule (ids, row count, stage ranges) is checked only by
 :class:`AdoptionDataset`; ``validate_dataset`` and ``cli.load_dataset`` check
@@ -160,22 +161,11 @@ class StudySpec:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InputError(f"weights must sum to 1 (got {total!r})")
         object.__setattr__(self, "models", models)
-
-    @property
-    def k(self) -> int:
-        return len(self.models)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(mod.name for mod in self.models)
-
-    @property
-    def stage_maxima(self) -> tuple[int, ...]:
-        return tuple(mod.m for mod in self.models)
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(mod.weight for mod in self.models)  # type: ignore[misc]
+        # derived once; not fields, so equality, hashing and repr still see only the models
+        object.__setattr__(self, "k", len(models))
+        object.__setattr__(self, "names", tuple(mod.name for mod in models))
+        object.__setattr__(self, "stage_maxima", tuple(mod.m for mod in models))
+        object.__setattr__(self, "weights", tuple(mod.weight for mod in models))
 
     def structure(self) -> tuple[tuple[int, float, float, float], ...]:
         """Structural identity: (m, alpha, beta, weight) per model, names ignored."""
@@ -237,9 +227,21 @@ class AdoptionDataset:
         return self.values.shape[0]
 
     def row_position(self, row_id: str) -> int:
+        """0-based position of ``row_id``.
+
+        The first lookup scans the ids. Later ones read an id -> position dict
+        built on the second lookup and cached, like ``sufficient_stats``: one
+        lookup, as a CLI call makes, costs less as a scan than building the dict.
+        """
+        positions = self.__dict__.get("_positions")
         try:
-            return self.row_ids.index(row_id)
-        except ValueError:
+            if positions is None:
+                if "_positions" not in self.__dict__:
+                    self.__dict__["_positions"] = None
+                    return self.row_ids.index(row_id)
+                positions = self.__dict__["_positions"] = dict(zip(self.row_ids, range(self.n)))
+            return positions[row_id]
+        except (ValueError, KeyError, TypeError):  # TypeError: an unhashable id
             raise RowNotFound(f"row {row_id!r} not found in dataset") from None
 
     @functools.cached_property

@@ -16,7 +16,10 @@ formula). Tests:
   actually used has n-1 rows). The null value always comes from the
   excluded row; there is no variant against a fixed constant. No
   reduced dataset is built: the remaining rows' sums and cross-products
-  are the industry's minus the excluded row, O(k^2) work per test.
+  are the industry's minus the excluded row, O(k^2) work per test. The
+  row is found by ``AdoptionDataset.row_position``: the first lookup on a
+  dataset scans its n ids, and every later one reads a dict built once,
+  so testing many rows of one dataset costs O(k^2) per row.
 * two-sample: unequal variances, Welch-Satterthwaite degrees of freedom.
 
 Both tests share one tail from statistic to p-value to outcome. The
@@ -117,8 +120,12 @@ def index_variance(
         sigma = corr * np.outer(sd, sd)
         np.fill_diagonal(sigma, variances)
     gradients = delta_gradient(moments.scores, spec)
-    g = np.asarray(spec.weights) * np.asarray(gradients)
-    contributions = np.outer(g, g) * sigma / n
+    # Python floats in the order of np.outer(g, g) * sigma / n, so every entry
+    # rounds as the array form does, without its dispatch on a k x k matrix
+    g = [w * d for w, d in zip(spec.weights, gradients)]
+    contributions = np.array(
+        [[gj * gl * s / n for gl, s in zip(g, row)] for gj, row in zip(g, sigma.tolist())]
+    )
     value = float(contributions.sum())
     if value < 0:
         # the quadratic form is PSD; anything below zero is rounding noise
@@ -160,7 +167,7 @@ def row_index(dataset: AdoptionDataset, row_id: str) -> float:
 
 
 def _row_index_at(dataset: AdoptionDataset, position: int) -> float:
-    stages = dataset.values[position, :]
+    stages = dataset.values[position].tolist()
     return math.fsum(
         w * subindex(float(x), model)
         for w, x, model in zip(dataset.spec.weights, stages, dataset.spec.models)

@@ -1,5 +1,6 @@
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +45,14 @@ def test_sources_import_only_numpy_the_package_and_the_standard_library():
                 imported.add(node.module.split(".")[0])
     assert "numpy" in imported
     assert imported - allowed == set()
+
+
+def test_importing_the_cli_loads_no_random_number_machinery():
+    # every CLI call pays for its imports; numpy loads np.random on first use, which only studies make
+    src = str(Path(adoptindex.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import adoptindex.cli; "
+        "print(sorted({'numpy.random', 'secrets'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

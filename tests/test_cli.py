@@ -339,9 +339,10 @@ def test_mutated_inputs_end_in_an_exit_status(tmp_path, files, command, out_form
 
 # Edits that turn a plain data file into a near-plain one. Cells of any
 # spelling stay on the columnar path and must read as int() reads them or be
-# refused alike, in the same order; quotes, carriage returns, short or long
-# lines, whitespace-only lines, bytes that are not UTF-8 and fields over the
-# csv field limit must leave the file to csv.reader. Whitespace ids hold
+# refused alike, in the same order, and CRLF line ends read as LF. Quotes,
+# carriage returns outside CRLF line ends, short or long lines,
+# whitespace-only lines, bytes that are not UTF-8 and fields over the csv
+# field limit must leave the file to csv.reader. Whitespace ids hold
 # characters str.strip() removes but csv.reader does not split on. "\udcff"
 # is written as the byte 0xff, which is not UTF-8.
 FIELD_LIMIT = csv.field_size_limit()
@@ -434,6 +435,12 @@ HEADER = b"corporation,TAM,CMM\n"
 @example(raw=HEADER + b"c0,1,2\n , , \nc1,3.5,4\n", flags=(False, False))
 @example(raw=HEADER + b"c0,1," + b"1" * (FIELD_LIMIT + 1) + b"\nc1,3,4\n", flags=(False, False))
 @example(raw=HEADER + b"c0,1," + b"9" * 5000 + b"\nc1,3,4\n", flags=(False, False))
+# CRLF and LF line ends mixed, then a carriage return before a CRLF, and a blank and a
+# whitespace-only CRLF line, each before a bad cell whose line number it must not shift
+@example(raw=HEADER + b"c0,1,2\r\nc1,+3,4\nc2,3.5,4\r\nc3,1,1\n", flags=(False, False))
+@example(raw=HEADER + b"c0,1,2\r\r\nc1,3.5,4\r\n", flags=(False, False))
+@example(raw=HEADER + b"c0,1,2\r\n\r\nc1,3.5,4\r\n", flags=(False, False))
+@example(raw=HEADER + b"c0,1,2\r\n , , \r\nc1,3.5,4\r\n", flags=(False, False))
 def test_columnar_reader_agrees_with_csv_reader(tmp_path, raw, flags):
     path = tmp_path / "data.csv"
     path.write_bytes(raw)
@@ -472,8 +479,13 @@ INGEST_SHAPED_DATA = "".join(
         (INGEST_SHAPED_SPEC, INGEST_SHAPED_DATA.replace("a0000011,5,", "a0000011,5.5,"),
          "row 'a0000011' (line 13): stage for 'TAM' must be a 64-bit integer, got '5.5'"),
         (LINEAR_SPEC, INDUSTRY_DATA.replace(",5\n", ", 5\n"), None),
+        (LINEAR_SPEC, INDUSTRY_DATA.replace("\n", "\r\n"), None),
+        (INGEST_SHAPED_SPEC, INGEST_SHAPED_DATA.replace("a0000011,5,", "a0000011,5.5,")
+         .replace("\n", "\r\n"),
+         "row 'a0000011' (line 13): stage for 'TAM' must be a 64-bit integer, got '5.5'"),
     ],
-    ids=["industry", "ingest-shaped", "ingest-shaped-bad-cell", "padded-cell"],
+    ids=["industry", "ingest-shaped", "ingest-shaped-bad-cell", "padded-cell", "crlf",
+         "crlf-bad-cell"],
 )
 def test_plain_files_skip_csv_reader(tmp_path, monkeypatch, spec, text, error):
     spec_path, data_path = tmp_path / "spec.json", tmp_path / "data.csv"
@@ -493,12 +505,12 @@ def test_plain_files_skip_csv_reader(tmp_path, monkeypatch, spec, text, error):
     "text",
     [
         INDUSTRY_DATA.replace("c2", '"c2"'),
-        INDUSTRY_DATA.replace("\n", "\r\n"),
+        INDUSTRY_DATA.replace("\nc3", "\rc3"),
         INDUSTRY_DATA.replace("\nc3", "\n\nc3"),
         INDUSTRY_DATA.replace("\nc3", "\n , , \nc3"),
         INDUSTRY_DATA.replace("c3", "c\udcff3"),
     ],
-    ids=["quote", "crlf", "blank-line", "whitespace-line", "not-utf8"],
+    ids=["quote", "lone-cr", "blank-line", "whitespace-line", "not-utf8"],
 )
 def test_other_files_reach_csv_reader(tmp_path, monkeypatch, text):
     data_path = tmp_path / "data.csv"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from adoptindex.errors import (
     InputError,
     OutOfRangeStage,
     RowArityMismatch,
+    RowNotFound,
     TooFewRows,
 )
 
@@ -66,6 +69,27 @@ class TestStudySpec:
     def test_empty_study_rejected(self):
         with pytest.raises(InputError):
             StudySpec([])
+
+    @pytest.mark.parametrize("weights", [(None, None, None), (0.25, 0.5, 0.25)])
+    def test_derived_tuples_follow_the_models(self, weights):
+        models = [ModelSpec("A", 5, weight=weights[0]), ModelSpec("B", 3, 0.5, 2.0, weights[1]),
+                  ModelSpec("C", 7, weight=weights[2])]
+        spec = StudySpec(models)
+        assert spec.k == len(spec.models) == 3
+        assert spec.names == tuple(mod.name for mod in spec.models) == ("A", "B", "C")
+        assert spec.stage_maxima == tuple(mod.m for mod in spec.models) == (5, 3, 7)
+        assert spec.weights == tuple(mod.weight for mod in spec.models)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.k = 4
+
+    def test_identical_specs_stay_equal(self):
+        def make():
+            return StudySpec([ModelSpec("A", 5), ModelSpec("B", 3, alpha=0.5, beta=2.0)])
+
+        spec, twin = make(), make()
+        assert spec == twin and hash(spec) == hash(twin)
+        assert repr(spec) == repr(twin) == f"StudySpec(models={spec.models!r})"
+        assert spec != StudySpec([ModelSpec("A", 5), ModelSpec("B", 3)])
 
 
 class TestPmfSpec:
@@ -234,3 +258,36 @@ class TestValidateDataset:
         rows[bad_i] = (rows[bad_i][0], tuple(row))
         with pytest.raises(OutOfRangeStage):
             validate_dataset(rows, spec)
+
+
+class TestRowPosition:
+    ROWS = [(f"r{i}", (i % 6, (2 * i) % 6)) for i in range(7)]
+
+    def test_first_and_later_lookups_agree_with_the_ids(self, tam_cmm_spec):
+        ids = [row_id for row_id, _ in self.ROWS]
+        first = [validate_dataset(self.ROWS, tam_cmm_spec).row_position(row_id) for row_id in ids]
+        ds = validate_dataset(self.ROWS, tam_cmm_spec)
+        # the first lookup scans, the second builds the dict, the rest read it
+        later = [ds.row_position(row_id) for row_id in ids + ids[::-1]]
+        assert first == [ds.row_ids.index(row_id) for row_id in ids]
+        assert later == first + first[::-1]
+
+    @pytest.mark.parametrize("row_id", ["missing", "", 5, None, [1], ("r0",)])
+    def test_unknown_ids_are_not_found_before_and_after_the_dict(self, tam_cmm_spec, row_id):
+        ds = validate_dataset(self.ROWS, tam_cmm_spec)
+        message = f"row {row_id!r} not found in dataset"
+        with pytest.raises(RowNotFound) as first:
+            ds.row_position(row_id)
+        assert str(first.value) == message
+        assert ds.row_position("r3") == 3
+        with pytest.raises(RowNotFound) as later:
+            ds.row_position(row_id)
+        assert str(later.value) == message
+        assert ds.row_position("r6") == 6
+
+    def test_one_lookup_builds_no_dict(self, tam_cmm_spec):
+        ds = validate_dataset(self.ROWS, tam_cmm_spec)
+        assert ds.row_position("r6") == 6
+        assert not any(isinstance(value, dict) for value in vars(ds).values())
+        assert ds.row_position("r6") == 6
+        assert any(isinstance(value, dict) for value in vars(ds).values())

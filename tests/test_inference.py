@@ -14,6 +14,7 @@ from adoptindex import (
     StudySpec,
     VarianceEstimate,
     confidence_interval,
+    delta_gradient,
     estimate_moments,
     global_index,
     index_variance,
@@ -165,6 +166,43 @@ class TestIndexVariance:
         rho_matrix = [[1 if i == j else rho for j in range(3)] for i in range(3)]
         direct = linear_variance_direct(variances, rho_matrix, ms, n, k=3)
         assert mine == pytest.approx(direct, rel=1e-12, abs=1e-18)
+
+    @given(data=st.data(), override=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_the_array_form(self, data, override):
+        k = data.draw(st.integers(1, 4))
+        ms = data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        shapes = data.draw(st.lists(st.sampled_from([(1.0, 1.0), (0.5, 3.0), (2.0, 1.5)]),
+                                    min_size=k, max_size=k))
+        spec = StudySpec([ModelSpec(f"M{j}", m, alpha=a, beta=b)
+                          for j, (m, (a, b)) in enumerate(zip(ms, shapes))])
+        n = data.draw(st.integers(k + 2, 40))
+        # a row of zeros and one of maxima keep every score inside (0, m) and every variance > 0
+        rows = [[0] * k, ms] + [[data.draw(st.integers(0, m)) for m in ms] for _ in range(n - 2)]
+        moments = estimate_moments(make_dataset(spec, list(zip(*rows))))
+        sigma = np.asarray(moments.cov, dtype=float)
+        corr = None
+        if override:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            a = rng.uniform(-1.0, 1.0, (k, k + 1))
+            c = a @ a.T
+            corr = c / np.sqrt(np.outer(c.diagonal(), c.diagonal()))
+            corr = (corr + corr.T) / 2
+            np.fill_diagonal(corr, 1.0)
+            sd = np.sqrt(sigma.diagonal())
+            variances, sigma = sigma.diagonal(), corr * np.outer(sd, sd)
+            np.fill_diagonal(sigma, variances)
+        got = index_variance(moments, spec, correlation=corr)
+        gradients = delta_gradient(moments.scores, spec)
+        g = np.asarray(spec.weights) * np.asarray(gradients)
+        contributions = np.outer(g, g) * sigma / n
+        value = float(contributions.sum())
+        if value < 0:
+            contributions, value = np.zeros_like(contributions), 0.0
+        assert got.value.hex() == value.hex()
+        assert np.array_equal(got.contributions, contributions)
+        assert got.contributions.dtype == np.float64 and got.contributions.shape == (k, k)
+        assert [x.hex() for x in got.gradients] == [x.hex() for x in gradients]
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(77)
