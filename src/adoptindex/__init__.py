@@ -17,10 +17,8 @@ from .domain import (
 )
 from .estimation import (
     MomentEstimate,
-    PmfEstimate,
     ScoreEstimate,
     estimate_moments,
-    estimate_pmf,
 )
 from .index import (
     SHAPE_PRESETS,
@@ -62,7 +60,6 @@ __all__ = [
     "IndexValue",
     "ModelSpec",
     "MomentEstimate",
-    "PmfEstimate",
     "PmfSpec",
     "SHAPE_PRESETS",
     "ScoreEstimate",
@@ -77,7 +74,6 @@ __all__ = [
     "delta_gradient",
     "errors",
     "estimate_moments",
-    "estimate_pmf",
     "global_index",
     "index_variance",
     "latent_cross_covariance",

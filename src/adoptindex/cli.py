@@ -62,6 +62,7 @@ from .errors import (
 from .estimation import estimate_moments
 from .index import SHAPE_PRESETS, global_index, surface_grid
 from .inference import (
+    TestOutcome,
     _interval_df,
     confidence_interval,
     index_variance,
@@ -348,107 +349,64 @@ def _naming(path: str, lines: Sequence[int] | None = None) -> Iterator[None]:
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_compute(args: argparse.Namespace) -> dict[str, Any]:
+def _load(args: argparse.Namespace, *paths: str) -> tuple[StudySpec, list[AdoptionDataset]]:
+    """Check ``--alpha-level``, then load the spec and each data file in turn."""
     _require_level(args.alpha_level, "--alpha-level")
     loaded = load_spec(args.spec)
     spec = loaded["spec"]
-    dataset = load_dataset(args.data, spec, loaded["offset_flags"])
+    return spec, [load_dataset(path, spec, loaded["offset_flags"]) for path in paths]
+
+
+def _report(args: argparse.Namespace, spec: StudySpec, inputs: dict[str, Any],
+            results: dict[str, Any], notes: Iterable[str] = ()) -> dict[str, Any]:
+    """A command's report: the spec path, ``inputs``, the spec's models, then results and notes."""
+    return {
+        "command": args.command,
+        "inputs": {"spec": args.spec, **inputs, "models": [asdict(mod) for mod in spec.models]},
+        "results": results,
+        "notes": list(notes),
+    }
+
+
+def _test_report(args: argparse.Namespace, spec: StudySpec, inputs: dict[str, Any],
+                 outcome: TestOutcome) -> dict[str, Any]:
+    results = asdict(outcome)
+    note = results.pop("note")
+    return _report(args, spec, inputs, results, [note] if note else [])
+
+
+def cmd_compute(args: argparse.Namespace) -> dict[str, Any]:
+    spec, (dataset,) = _load(args, args.data)
     moments = estimate_moments(dataset)
     index = global_index(moments.scores, spec)
     variance = index_variance(moments, spec)
     df = _interval_df(dataset.n, spec.k)
     ci = confidence_interval(index, variance, 1.0 - args.alpha_level, df)
-    return {
-        "command": "compute",
-        "inputs": {
-            "spec": args.spec,
-            "data": args.data,
-            "n": dataset.n,
-            "models": [asdict(mod) for mod in spec.models],
-            "alpha_level": args.alpha_level,
-        },
-        "results": {
-            "scores": {n: s for n, s in zip(spec.names, moments.scores.scores)},
-            "sub_indices": {n: v for n, v in zip(spec.names, index.sub_indices)},
-            "index": index.value,
-            "variance": variance.value,
-            "interval": {
-                "lower": ci.lower,
-                "upper": ci.upper,
-                "level": ci.level,
-                "df": ci.df,
-                "clamped": ci.clamped,
-            },
-        },
-        "notes": [],
-    }
-
-
-def _test_report(command: str, outcome, extra_inputs: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "command": command,
-        "inputs": extra_inputs,
-        "results": {
-            "statistic": outcome.statistic,
-            "df": outcome.df,
-            "p_value": outcome.p_value,
-            "sidedness": outcome.sidedness,
-            "significance": outcome.significance,
-            "reject": outcome.reject,
-            "indices": list(outcome.indices),
-            "variances": list(outcome.variances),
-            "sample_sizes": list(outcome.sample_sizes),
-        },
-        "notes": [outcome.note] if outcome.note else [],
-    }
+    report = _report(args, spec, {"data": args.data, "n": dataset.n}, {
+        "scores": dict(zip(spec.names, moments.scores.scores)),
+        "sub_indices": dict(zip(spec.names, index.sub_indices)),
+        "index": index.value,
+        "variance": variance.value,
+        "interval": asdict(ci),
+    })
+    report["inputs"]["alpha_level"] = args.alpha_level  # the table lists it after the models
+    return report
 
 
 def cmd_test_one(args: argparse.Namespace) -> dict[str, Any]:
-    _require_level(args.alpha_level, "--alpha-level")
-    loaded = load_spec(args.spec)
-    spec = loaded["spec"]
-    dataset = load_dataset(args.data, spec, loaded["offset_flags"])
+    spec, (dataset,) = _load(args, args.data)
     outcome = one_sample_test(
-        dataset,
-        row_id=args.row,
-        sidedness=args.sided,
-        significance=args.alpha_level,
+        dataset, row_id=args.row, sidedness=args.sided, significance=args.alpha_level
     )
-    return _test_report(
-        "test-one",
-        outcome,
-        {
-            "spec": args.spec,
-            "data": args.data,
-            "row": args.row,
-            "models": [asdict(mod) for mod in spec.models],
-        },
-    )
+    return _test_report(args, spec, {"data": args.data, "row": args.row}, outcome)
 
 
 def cmd_test_two(args: argparse.Namespace) -> dict[str, Any]:
-    _require_level(args.alpha_level, "--alpha-level")
-    loaded = load_spec(args.spec)
-    spec = loaded["spec"]
-    flags = loaded["offset_flags"]
-    dataset_a = load_dataset(args.data_a, spec, flags)
-    dataset_b = load_dataset(args.data_b, spec, flags)
+    spec, (dataset_a, dataset_b) = _load(args, args.data_a, args.data_b)
     outcome = two_sample_test(
-        dataset_a,
-        dataset_b,
-        sidedness=args.sided,
-        significance=args.alpha_level,
+        dataset_a, dataset_b, sidedness=args.sided, significance=args.alpha_level
     )
-    return _test_report(
-        "test-two",
-        outcome,
-        {
-            "spec": args.spec,
-            "data_a": args.data_a,
-            "data_b": args.data_b,
-            "models": [asdict(mod) for mod in spec.models],
-        },
-    )
+    return _test_report(args, spec, {"data_a": args.data_a, "data_b": args.data_b}, outcome)
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
@@ -471,45 +429,18 @@ def cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
         study=args.study,
         pmf_alternative=pmf_alt,
     )
-    report = run_study(plan)
-    return {
-        "command": "simulate",
-        "inputs": {
-            "spec": args.spec,
-            "study": report.study,
-            "n": report.n,
-            "replications": report.replications,
-            "seed": report.seed,
-            "models": [asdict(mod) for mod in spec.models],
-        },
-        "results": {
-            "metrics": dict(report.metrics),
-            "checks": dict(report.checks),
-            "passed": report.passed,
-        },
-        "notes": list(report.notes),
-    }
+    results = asdict(run_study(plan))
+    notes = results.pop("notes")
+    inputs = {key: results.pop(key) for key in ("study", "n", "replications", "seed")}
+    return _report(args, spec, inputs, results, notes)
 
 
 def cmd_surface(args: argparse.Namespace) -> dict[str, Any]:
     presets = tuple(p.strip() for p in args.preset.split(",")) if args.preset else ()
-    loaded = load_spec(args.spec, presets=presets)
-    spec = loaded["spec"]
+    spec = load_spec(args.spec, presets=presets)["spec"]
     rows = surface_grid(spec, args.resolution)
-    return {
-        "command": "surface",
-        "inputs": {
-            "spec": args.spec,
-            "resolution": args.resolution,
-            "presets": list(presets),
-            "models": [asdict(mod) for mod in spec.models],
-        },
-        "results": {
-            "header": ["S_1", "S_2", "I"],
-            "rows": [list(row) for row in rows],
-        },
-        "notes": [],
-    }
+    inputs = {"resolution": args.resolution, "presets": presets}
+    return _report(args, spec, inputs, {"header": ["S_1", "S_2", "I"], "rows": rows})
 
 
 # --- rendering ----------------------------------------------------------------
@@ -555,7 +486,7 @@ def render_table(report: dict[str, Any]) -> str:
         if key == "models":
             lines.append("models:")
             lines.extend(_model_table(value))
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             lines.append(f"{key}: {', '.join(_fmt(v) for v in value)}")
         else:
             lines.append(f"{key}: {_fmt(value)}")
@@ -572,7 +503,7 @@ def render_table(report: dict[str, Any]) -> str:
                 lines.append(f"  {key}:")
                 for sub_key, sub_value in value.items():
                     lines.append(f"    {sub_key}: {_fmt(sub_value)}")
-            elif isinstance(value, list):
+            elif isinstance(value, (list, tuple)):
                 lines.append(f"  {key}: {', '.join(_fmt(v) for v in value)}")
             else:
                 lines.append(f"  {key}: {_fmt(value)}")

@@ -50,10 +50,6 @@ class DuplicateRowId(InputError):
     """Two rows share the same identifier."""
 
 
-class IndexOutOfRange(InputError):
-    """A model position is outside 0..k-1."""
-
-
 class RowNotFound(InputError):
     """The requested row id does not exist in the dataset."""
 
@@ -94,7 +90,7 @@ class InsufficientDf(StatisticalRefusal):
 
 
 class BoundaryScore(StatisticalRefusal):
-    """The delta-method derivative is undefined at a boundary score."""
+    """The delta-method derivative is undefined at a boundary score, or not finite in floats."""
 
 
 class BothVariancesZero(StatisticalRefusal):

@@ -1,10 +1,11 @@
-"""Score, pmf, and second-moment estimation from integer stage matrices.
+"""Score and second-moment estimation from integer stage matrices.
 
 Every moment comes from the same three sufficient statistics of the n x k
 stage matrix X: n, the integer column sums s = X^T 1, and the integer
 cross-product matrix C = X^T X, which a dataset reduces once and caches
 (``AdoptionDataset.sufficient_stats``). Scores are s / n, one division per
-column, so the column mean and the pmf-weighted stage sum agree bitwise.
+column of an exact integer sum, so a score is bitwise the stage sum
+weighted by stage counts, divided by n.
 The unbiased covariance is
 
     cov = (n C - s s^T) / (n (n - 1))
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import AdoptionDataset
-from .errors import IndexOutOfRange
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,6 @@ class ScoreEstimate:
     @property
     def k(self) -> int:
         return len(self.scores)
-
-
-@dataclass(frozen=True)
-class PmfEstimate:
-    """Stage counts and maximum-likelihood probabilities for one model."""
-
-    model_name: str
-    counts: tuple[int, ...]
-    probabilities: tuple[float, ...]
-    n: int
-
-    def mean_stage(self) -> float:
-        return float(sum(a * p for a, p in enumerate(self.probabilities)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,21 +81,6 @@ def _from_sums(n: int, sums: Sequence[int], cross: Sequence[Sequence[int]]) -> M
         cov=cov_array,
         corr=corr_array,
         degenerate=degenerate,
-    )
-
-
-def estimate_pmf(dataset: AdoptionDataset, j: int) -> PmfEstimate:
-    """Exact stage counts and MLE probabilities for model position ``j``."""
-    if not 0 <= j < dataset.spec.k:
-        raise IndexOutOfRange(f"model position {j} outside 0..{dataset.spec.k - 1}")
-    model = dataset.spec.models[j]
-    counts = np.bincount(dataset.values[:, j], minlength=model.m + 1)
-    n = dataset.n
-    return PmfEstimate(
-        model_name=model.name,
-        counts=tuple(int(c) for c in counts),
-        probabilities=tuple(int(c) / n for c in counts),
-        n=n,
     )
 
 

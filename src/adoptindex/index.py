@@ -84,7 +84,8 @@ def delta_derivative(score: float, model: ModelSpec) -> float:
     """d f / d S at ``score``.
 
     A linear model has the constant derivative 1/m on the closed [0, m];
-    any other shape is defined only on the open interval (0, m).
+    any other shape is defined only on the open interval (0, m), and is
+    refused where its float value is not finite (beta * m can overflow).
     """
     m = float(model.m)
     s = score if type(score) is float else _number(score, "score")
@@ -98,7 +99,12 @@ def delta_derivative(score: float, model: ModelSpec) -> float:
     if linear:
         return 1.0 / m
     f = subindex(s, model)
-    return model.beta * m * f * (1.0 - f) / (s * (m - s))
+    derivative = model.beta * m * f * (1.0 - f) / (s * (m - s))
+    if not math.isfinite(derivative):
+        raise BoundaryScore(
+            f"derivative at score {score!r} for model {model.name!r} is not finite in floating point"
+        )
+    return derivative
 
 
 def delta_gradient(scores: ScoreEstimate, spec: StudySpec) -> tuple[float, ...]:

@@ -41,25 +41,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and then the odd coefficient of the fraction, each one Lentz step
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _LENTZ_TINY:
+                d = _LENTZ_TINY
+            c = 1.0 + aa / c
+            if abs(c) < _LENTZ_TINY:
+                c = _LENTZ_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _LENTZ_EPS:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")

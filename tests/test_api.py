@@ -47,6 +47,22 @@ def test_sources_import_only_numpy_the_package_and_the_standard_library():
     assert imported - allowed == set()
 
 
+def test_every_error_class_is_raised_or_a_base():
+    # an error class that nothing raises is dead surface
+    tree = ast.parse((Path(adoptindex.__file__).parent / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    bases = {base.id for node in classes.values() for base in node.bases if isinstance(base, ast.Name)}
+    raised = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert classes
+    assert sorted(set(classes) - raised - bases) == []
+
+
 def test_importing_the_cli_loads_no_random_number_machinery():
     # every CLI call pays for its imports; numpy loads np.random on first use, which only studies make
     src = str(Path(adoptindex.__file__).resolve().parents[1])

@@ -4,6 +4,7 @@ import json
 import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -860,3 +861,60 @@ def test_tests_validate_alpha_level(capsys, spec_file, data_file, command):
     code, out, err = run_cli(capsys, command, "--spec", spec_file, *inputs, "--alpha-level", "0")
     assert (code, out) == (2, "")
     assert "--alpha-level" in err
+
+
+OVERFLOW_SPEC = {"models": [{"name": "A", "m": 5, "alpha": 1e308, "beta": 1e308, "pmf": [1 / 6] * 6},
+                            {"name": "B", "m": 5, "pmf": [1 / 6] * 6}]}
+
+
+@pytest.mark.parametrize(
+    "argv,score",
+    [
+        (["compute", "--data", "{data}"], "2.2"),
+        (["test-one", "--data", "{data}", "--row", "c5"], "1.5"),
+        (["test-two", "--data-a", "{data}", "--data-b", "{data}"], "2.2"),
+        *((["simulate", "--study", study, "--n", "50", "--replications", "200", "--seed", "1"],
+           r"[\d.]+") for study in ("coverage", "normality", "variance-ratio")),
+    ],
+    ids=["compute", "test-one", "test-two", "coverage", "normality", "variance-ratio"],
+)
+def test_non_finite_derivative_is_a_statistical_refusal(capsys, tmp_path, argv, score):
+    # beta * m overflows; left unchecked it ends in a NaN variance or a misnamed input error
+    spec_path = tmp_path / "overflow.json"
+    spec_path.write_text(json.dumps(OVERFLOW_SPEC))
+    data_path = tmp_path / "overflow.csv"
+    data_path.write_text("corporation,A,B\nc1,1,2\nc2,3,1\nc3,2,2\nc4,0,1\nc5,5,3\n")
+    argv = [argv[0], "--spec", str(spec_path), *(a.format(data=data_path) for a in argv[1:])]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(
+        rf"error: derivative at score {score} for model 'A' is not finite in floating point\n", err
+    ), err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_SIMULATE = ["--n", "40", "--replications", "50", "--seed", "5"]
+GOLDEN_RUNS = {
+    "compute": ["compute", "--data", "industry.csv", "--alpha-level", "0.1"],
+    **{f"test-one-{sided}": ["test-one", "--data", "industry.csv", "--row", "c2", "--sided", sided]
+       for sided in ("two", "greater", "less")},
+    "test-two": ["test-two", "--data-a", "industry.csv", "--data-b", "symmetric.csv"],
+    **{f"simulate-{study}": ["simulate", "--study", study, *GOLDEN_SIMULATE]
+       for study in simulation.STUDY_KINDS},
+    "surface": ["surface", "--resolution", "3"],
+    "surface-preset": ["surface", "--resolution", "3", "--preset", "s-shaped,convex"],
+}
+
+
+@pytest.mark.parametrize("out_format", ["table", "structured"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
+def test_reports_match_their_golden_copies(capsys, tmp_path, monkeypatch, case, out_format):
+    # every byte of a report is part of the contract, so the golden copies are fixed, not regenerated
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(LINEAR_SPEC))
+    (tmp_path / "industry.csv").write_text(INDUSTRY_DATA)
+    (tmp_path / "symmetric.csv").write_text(SYMMETRIC_DATA)
+    command, *rest = GOLDEN_RUNS[case]
+    code, out, err = run_cli(capsys, command, "--spec", "spec.json", *rest, "--format", out_format)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{case}.{out_format}.txt").read_text(encoding="utf-8")

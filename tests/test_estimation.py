@@ -8,10 +8,9 @@ from adoptindex import (
     ModelSpec,
     StudySpec,
     estimate_moments,
-    estimate_pmf,
     validate_dataset,
 )
-from adoptindex.errors import IndexOutOfRange, InputError
+from adoptindex.errors import InputError
 from conftest import make_dataset
 
 
@@ -39,39 +38,9 @@ class TestScores:
         spec = StudySpec([ModelSpec("M", m)])
         ds = validate_dataset([(f"r{i}", (v,)) for i, v in enumerate(column)], spec)
         score = estimate_moments(ds).scores.scores[0]
-        counts = estimate_pmf(ds, 0).counts
-        numerator = sum(stage * count for stage, count in enumerate(counts))
+        counts = np.bincount(ds.values[:, 0], minlength=m + 1)
+        numerator = sum(stage * int(count) for stage, count in enumerate(counts))
         assert score == numerator / ds.n
-
-
-class TestPmf:
-    def test_direct_counting(self, single_model_spec):
-        ds = make_dataset(single_model_spec, [(0, 0, 5, 5)])
-        est = estimate_pmf(ds, 0)
-        assert est.counts == (2, 0, 0, 0, 0, 2)
-        assert est.probabilities == (0.5, 0, 0, 0, 0, 0.5)
-
-    def test_degenerate_pmf(self, single_model_spec):
-        ds = make_dataset(single_model_spec, [(3, 3, 3)])
-        assert estimate_pmf(ds, 0).probabilities == (0, 0, 0, 1.0, 0, 0)
-
-    def test_mean_stage_equals_score(self, tam_cmm_spec):
-        ds = make_dataset(tam_cmm_spec, [(0, 5, 2, 3), (1, 4, 2, 2)])
-        for j in range(2):
-            assert estimate_pmf(ds, j).mean_stage() == pytest.approx(
-                estimate_moments(ds).scores.scores[j], abs=1e-15
-            )
-
-    def test_counts_sum_to_n_and_probabilities_to_one(self, tam_cmm_spec):
-        ds = make_dataset(tam_cmm_spec, [(0, 5, 2, 3), (1, 4, 2, 2)])
-        est = estimate_pmf(ds, 0)
-        assert sum(est.counts) == ds.n
-        assert math.fsum(est.probabilities) == pytest.approx(1.0, abs=1e-12)
-
-    def test_position_out_of_range(self, single_model_spec):
-        ds = make_dataset(single_model_spec, [(1, 2, 3)])
-        with pytest.raises(IndexOutOfRange):
-            estimate_pmf(ds, 1)
 
 
 class TestMoments:

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -193,6 +194,14 @@ class TestDeltaDerivative:
     @settings(max_examples=100)
     def test_positive_inside_the_interval(self, alpha, beta, m, frac):
         assert delta_derivative(frac * m, ModelSpec("M", m, alpha=alpha, beta=beta)) > 0
+
+    @pytest.mark.parametrize("s", [2.2, 2.5], ids=["f-is-zero", "f-is-tiny"])
+    def test_overflowing_derivative_is_refused(self, s):
+        # beta * m overflows: inf * f(1 - f) is NaN at f = 0 and inf at S = m/2, where f' = 0.8
+        model = ModelSpec("A", 5, alpha=1e308, beta=1e308)
+        message = f"derivative at score {s!r} for model 'A' is not finite in floating point"
+        with pytest.raises(BoundaryScore, match=re.escape(message)):
+            delta_derivative(s, model)
 
     def test_gradient_vector(self):
         spec = StudySpec([ModelSpec("A", 5), ModelSpec("B", 4, beta=2.0)])
