@@ -36,7 +36,6 @@ from .inference import (
     confidence_interval,
     index_variance,
     one_sample_test,
-    row_index,
     two_sample_test,
     welch_df,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "latent_cross_covariance",
     "one_sample_test",
     "population_asymptotic_variance",
-    "row_index",
     "run_study",
     "sample_dataset",
     "student_t_cdf",

@@ -8,7 +8,8 @@ Formats:
   stage not meaning "no adoption"; every value is shifted up by one),
   and an optional "pmf" used by the simulate command. Optional top-level
   keys: "latent_correlation" (k x k matrix) and "alternative_pmf" (list
-  of per-model pmfs for the size study's shifted alternative).
+  of per-model pmfs for the size study's shifted alternative). Any
+  other key, in a model or at the top level, is refused.
 
 * Data: UTF-8 CSV with a header row; first column is the corporation
   id, the remaining columns must be named exactly like the spec models,
@@ -49,7 +50,7 @@ from typing import Any
 
 import numpy as np
 
-from .domain import AdoptionDataset, ModelSpec, PmfSpec, StudySpec
+from .domain import _INT64, AdoptionDataset, ModelSpec, PmfSpec, StudySpec
 from .errors import (
     AdoptionIndexError,
     InputError,
@@ -70,7 +71,19 @@ from .inference import (
     two_sample_test,
 )
 from .simulation import STUDY_KINDS, SimulationPlan, run_study
-from .tdist import _require_level
+from .tdist import SIDEDNESS_VALUES, _require_level
+
+
+# every key a spec may hold; any other is refused, so a misspelt key cannot pass unnoticed
+_SPEC_KEYS = ("models", "latent_correlation", "alternative_pmf")
+_MODEL_KEYS = ("name", "m", "alpha", "beta", "weight", "add_zero_stage", "pmf")
+
+
+def _known_keys(entry: dict[str, Any], keys: tuple[str, ...], where: str) -> None:
+    """Refuse the first key of ``entry`` that is not one of ``keys``."""
+    for key in entry:
+        if key not in keys:
+            raise InputError(f"{where}: unknown key {key!r}; expected one of {', '.join(keys)}")
 
 
 def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
@@ -86,6 +99,7 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict) or "models" not in raw:
         raise InputError(f"{path}: spec must be a JSON object with a 'models' list")
+    _known_keys(raw, _SPEC_KEYS, path)
     entries = raw["models"]
     if not isinstance(entries, list) or not entries:
         raise InputError(f"{path}: 'models' must be a non-empty list")
@@ -100,6 +114,7 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise InputError(f"{path}: model {pos} must be an object")
+        _known_keys(entry, _MODEL_KEYS, f"{path}: model {pos}")
         try:
             name = entry["name"]
             m = entry["m"]
@@ -319,14 +334,11 @@ def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.nda
     return ids, values, lines
 
 
-_INT64_RANGE = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
-
-
 def _bad_cell(path: str, name: str, cells: Iterable[tuple[str, str, int]]) -> InputError:
     """The error for the first of ``cells`` (cell, row id, line) that is not a 64-bit integer."""
     for cell, row_id, line in cells:
         try:
-            good = int(cell) in _INT64_RANGE
+            good = _INT64.min <= int(cell) <= _INT64.max
         except ValueError:
             good = False
         if not good:
@@ -544,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         if alpha:
             p.add_argument("--alpha-level", type=float, default=0.05, dest="alpha_level")
         if sided:
-            p.add_argument("--sided", choices=("two", "greater", "less"), default="two")
+            p.add_argument("--sided", choices=SIDEDNESS_VALUES, default="two")
         p.add_argument("--out", default=None, help="also write the report to this file")
         p.add_argument("--format", choices=("table", "structured"), default="table")
         return p

@@ -66,6 +66,12 @@ def _number(value: object, what: str, error: type[InputError] = InputError) -> f
     return float(value)
 
 
+def _integer(value: object, what: str, low: int) -> None:
+    """Refuse ``value`` (named ``what``) unless it is an int, not a bool, of at least ``low``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise InputError(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 def _number_rows(rows: object, what: str) -> list[tuple[float, ...]]:
     """A list of rows of numbers, every entry checked by ``_number``."""
     try:
@@ -110,8 +116,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise InputError(f"model name must be a non-empty string, got {self.name!r}")
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise InputError(f"model {self.name!r}: m must be an integer >= 1, got {self.m!r}")
+        _integer(self.m, f"model {self.name!r}: m", 1)
         alpha = _number(self.alpha, f"model {self.name!r}: alpha")
         if not (math.isfinite(alpha) and alpha > 0):
             raise InputError(f"model {self.name!r}: alpha must be > 0, got {alpha!r}")

@@ -54,10 +54,6 @@ class MomentEstimate:
     degenerate: tuple[bool, ...]
 
     @property
-    def variances(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in np.diag(self.cov))
-
-    @property
     def n(self) -> int:
         return self.scores.n
 

@@ -46,11 +46,10 @@ SHAPE_PRESETS: dict[str, tuple[float, float]] = {
 
 @dataclass(frozen=True)
 class IndexValue:
-    """Sub-indices, their weighted average, and the spec that shaped them."""
+    """Per-model sub-indices in [0, 1] and their weighted average, the global index."""
 
     sub_indices: tuple[float, ...]
     value: float
-    spec: StudySpec
 
 
 def subindex(score: float, model: ModelSpec) -> float:
@@ -77,7 +76,7 @@ def global_index(scores: ScoreEstimate, spec: StudySpec) -> IndexValue:
         raise SpecMismatch(f"{scores.k} scores for a {spec.k}-model spec")
     subs = tuple(subindex(s, model) for s, model in zip(scores.scores, spec.models))
     value = math.fsum(w * i for w, i in zip(spec.weights, subs))
-    return IndexValue(sub_indices=subs, value=value, spec=spec)
+    return IndexValue(sub_indices=subs, value=value)
 
 
 def delta_derivative(score: float, model: ModelSpec) -> float:

@@ -160,13 +160,8 @@ def welch_df(v_a: float, v_b: float, n_a: int, n_b: int, k: int) -> float:
     return (v_a + v_b) ** 2 / (v_a**2 / (n_a - k) + v_b**2 / (n_b - k))
 
 
-def row_index(dataset: AdoptionDataset, row_id: str) -> float:
-    """A single corporation's own index: the sub-index transform applied
-    componentwise to its observed stages, then weighted."""
-    return _row_index_at(dataset, dataset.row_position(row_id))
-
-
 def _row_index_at(dataset: AdoptionDataset, position: int) -> float:
+    """The own index of the row at ``position``: its stages' sub-indices, weighted."""
     stages = dataset.values[position].tolist()
     return math.fsum(
         w * subindex(float(x), model)

@@ -28,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .domain import AdoptionDataset, PmfSpec, StudySpec, _require_exact
+from .domain import AdoptionDataset, PmfSpec, StudySpec, _integer, _require_exact
 from .errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
 from .estimation import MomentEstimate, ScoreEstimate, _from_sums
 from .index import delta_gradient, global_index
@@ -68,9 +68,7 @@ class SimulationPlan:
         if self.study not in STUDY_KINDS:
             raise InputError(f"study must be one of {STUDY_KINDS}, got {self.study!r}")
         for name, low in (("n", self.spec.k + 1), ("replications", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
+            _integer(getattr(self, name), name, low)
         _check_pmf_alignment(self.pmf, self.spec)
         if self.pmf_alternative is not None:
             if self.study != "size":
@@ -207,11 +205,10 @@ def latent_cross_covariance(pmf: PmfSpec, spec: StudySpec, j: int, l: int) -> fl
     rho = float(pmf.latent_correlation[j, l])
     if rho == 0.0:
         return 0.0
-    taus_j = [_norm_ppf(c) for c in _cumulative(pmf.pmfs[j])[:-1]]
-    taus_l = [_norm_ppf(c) for c in _cumulative(pmf.pmfs[l])[:-1]]
+    cuts = _sampler(pmf)[1]
     cross_moment = 0.0
-    for tau_a in taus_j:
-        for tau_b in taus_l:
+    for tau_a in cuts[j]:
+        for tau_b in cuts[l]:
             # P(Z_j > tau_a, Z_l > tau_b) = Phi2(-tau_a, -tau_b; rho)
             cross_moment += _bvn_lower(-tau_a, -tau_b, rho)
     truth = true_index(pmf, spec)
@@ -261,8 +258,7 @@ def sample_dataset(pmf: PmfSpec, spec: StudySpec, n: int, seed) -> AdoptionDatas
     model's quantile thresholds.
     """
     _check_pmf_alignment(pmf, spec)
-    if n <= spec.k:
-        raise InputError(f"need n > k, got n={n} with k={spec.k}")
+    _integer(n, "n", spec.k + 1)
     row_ids = tuple(f"r{i + 1}" for i in range(n))
     stages = _draw(*_sampler(pmf), [seed], np.empty((1, n, spec.k)))
     return AdoptionDataset(row_ids=row_ids, values=stages[0].T.copy(), spec=spec)
@@ -385,7 +381,7 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
 
         (z,), refusals = _accepted(plan, (plan.pmf,), z_score)
         mean, variance, skewness, kurtosis = _moments_of(z)
-        se_mean = math.sqrt(_sample_variance(z) / z.size)
+        se_mean = math.sqrt(variance / z.size)
         se_skew = math.sqrt(6.0 / z.size)
         se_kurt = math.sqrt(24.0 / z.size)
         mult = _NORMALITY_SE_MULTIPLIER

@@ -63,6 +63,16 @@ def test_every_error_class_is_raised_or_a_base():
     assert sorted(set(classes) - raised - bases) == []
 
 
+def test_readme_quickstart_runs_as_written():
+    # a name the README uses but the package no longer has fails here first
+    readme = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    (quickstart,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    src = str(Path(adoptindex.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r})\n{quickstart}"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_importing_the_cli_loads_no_random_number_machinery():
     # every CLI call pays for its imports; numpy loads np.random on first use, which only studies make
     src = str(Path(adoptindex.__file__).resolve().parents[1])

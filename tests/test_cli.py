@@ -141,12 +141,15 @@ class TestCompute:
         ({}, {"latent_correlation": 1.0}, "latent correlation"),
         ({"name": None}, {}, "model name"),
         ({"name": 7}, {}, "model name"),
+        ({"beat": 3}, {}, "model 0: unknown key 'beat'"),
+        ({}, {"latent_corelation": [[1.0]]}, "unknown key 'latent_corelation'"),
     ],
     ids=[
         "m-float", "m-bool", "m-string", "alpha-string", "alpha-bool", "alpha-negative", "beta-string",
         "weight-string", "weight-bool", "add_zero_stage-string", "pmf-string-entry",
         "pmf-bool-entry", "pmf-not-a-list", "latent-string-entry", "latent-bool-entry",
-        "latent-not-a-matrix", "name-null", "name-number",
+        "latent-not-a-matrix", "name-null", "name-number", "model-key-misspelt",
+        "top-level-key-misspelt",
     ],
 )
 def test_spec_values_are_validated_not_coerced(capsys, tmp_path, model_fields, top_level, named):

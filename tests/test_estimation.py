@@ -48,7 +48,7 @@ class TestMoments:
         # deviations +-2.5, squared sum 25, over n-1 = 3
         ds = make_dataset(single_model_spec, [(0, 0, 5, 5)])
         moments = estimate_moments(ds)
-        assert moments.variances[0] == pytest.approx(25 / 3, rel=1e-15)
+        assert np.diag(moments.cov)[0] == pytest.approx(25 / 3, rel=1e-15)
 
     def test_identical_columns_fully_correlated(self, tam_cmm_spec):
         ds = make_dataset(tam_cmm_spec, [(0, 5, 2, 3), (0, 5, 2, 3)])
@@ -58,7 +58,7 @@ class TestMoments:
         ds = make_dataset(tam_cmm_spec, [(3, 3, 3, 3), (0, 5, 2, 3)])
         moments = estimate_moments(ds)
         assert moments.degenerate == (True, False)
-        assert moments.variances[0] == 0.0
+        assert np.diag(moments.cov)[0] == 0.0
         assert math.isnan(moments.corr[0, 1])
         assert moments.corr[1, 1] == 1.0
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -223,6 +224,31 @@ class TestPlanValidation:
                 seed=1,
                 study="coverage",
             )
+
+
+COUNT_SPEC = StudySpec([ModelSpec("A", 2), ModelSpec("B", 2)])
+COUNT_PMF = PmfSpec([(0.2, 0.3, 0.5)] * 2)
+# each entry point's count, its floor, and a call that passes it the value
+COUNTS = {
+    "ModelSpec-m": (1, lambda v: ModelSpec("M", v)),
+    "SimulationPlan-n": (3, lambda v: SimulationPlan(
+        pmf=COUNT_PMF, spec=COUNT_SPEC, n=v, replications=10, seed=1, study="coverage")),
+    "sample_dataset-n": (3, lambda v: sample_dataset(COUNT_PMF, COUNT_SPEC, v, seed=1)),
+}
+BELOW_FLOOR = object()
+
+
+@pytest.mark.parametrize(
+    "value", [10.0, 10.5, "10", None, True, np.int64(10), BELOW_FLOOR],
+    ids=["float", "fraction", "string", "none", "bool", "numpy-int", "below-floor"],
+)
+@pytest.mark.parametrize("entry", COUNTS)
+def test_counts_share_one_integer_rule(entry, value):
+    low, call = COUNTS[entry]
+    value = low - 1 if value is BELOW_FLOOR else value
+    with pytest.raises(InputError, match=re.escape(f"must be an integer >= {low}, got {value!r}")):
+        call(value)
+    call(low)
 
 
 class TestRunStudy:
