@@ -58,6 +58,12 @@ def _exact_sums(values: np.ndarray) -> tuple[tuple[int, ...], tuple[tuple[int, .
     return tuple(values.sum(axis=0, dtype=np.int64).tolist()), tuple(map(tuple, cross))
 
 
+def _require_rows(n: int, k: int) -> None:
+    """Refuse a sample of no more rows than models (n <= k)."""
+    if n <= k:
+        raise TooFewRows(f"need more rows than models, got n={n} with k={k}")
+
+
 def _number(value: object, what: str, error: type[InputError] = InputError) -> float:
     """``value`` as a float; bools, strings and other non-numbers raise ``error``."""
     # float and int are Reals too; testing them first skips the slow abstract-class check
@@ -202,8 +208,7 @@ class AdoptionDataset:
         row_ids = tuple(self.row_ids)
         if len(row_ids) != n:
             raise InputError(f"{len(row_ids)} row ids for {n} rows")
-        if n <= self.spec.k:
-            raise TooFewRows(f"need more rows than models, got n={n} with k={self.spec.k}")
+        _require_rows(n, self.spec.k)
         unique = set(row_ids)
         if len(unique) != n or "" in unique:
             seen: set[str] = set()
@@ -263,8 +268,7 @@ class AdoptionDataset:
         n = self.n - 1
         if not 0 <= position <= n:
             raise IndexError(f"row position {position} outside 0..{n}")
-        if n <= self.spec.k:
-            raise TooFewRows(f"need more rows than models, got n={n} with k={self.spec.k}")
+        _require_rows(n, self.spec.k)
         try:
             sums, cross = self.sufficient_stats
         except InputError:

@@ -38,6 +38,7 @@ import numpy as np
 from .domain import AdoptionDataset, StudySpec, correlation_matrix
 from .errors import (
     BothVariancesZero,
+    BoundaryScore,
     DegenerateVariance,
     InputError,
     InsufficientDf,
@@ -45,7 +46,7 @@ from .errors import (
     SpecMismatch,
 )
 from .estimation import MomentEstimate, _from_sums, estimate_moments
-from .index import IndexValue, delta_gradient, global_index, subindex
+from .index import IndexValue, delta_derivative, delta_gradient, global_index, subindex
 from .tdist import Sidedness, _require_df, _require_level, student_t_pvalue, student_t_quantile
 
 VARIANCE_EXPANSION_TOL = 1e-12
@@ -137,6 +138,46 @@ def index_variance(
     return VarianceEstimate(
         value=value, contributions=contributions, gradients=gradients, n_used=n
     )
+
+
+@np.errstate(all="ignore")  # as in Python floats, overflow gives inf and 0 / 0 gives NaN silently
+def _chunk_statistics(n: int, sums: np.ndarray, cross: np.ndarray, spec: StudySpec | None = None):
+    """``_from_sums`` of B samples of n rows, from int64 ``sums[B, k]`` and ``cross[B, k, k]``, as
+    read-only arrays, and with ``spec`` each sample's ``global_index`` and ``index_variance`` parts
+    and ``flagged`` where either refuses or the form is negative. Bit for bit: numpy does only
+    + - * /, sqrt, comparisons and clipping; powers and ``fsum`` stay in ``math``. None once
+    ``n max(cross)``, ``max(sums)^2`` or ``n(n-1)`` reaches 2^53, where int64 ``/`` may misround."""
+    if max(n * int(cross.max()), int(sums.max()) ** 2, n * (n - 1)) >= 2**53:
+        return None
+    k = sums.shape[1]
+    cov = (n * cross - sums[:, :, None] * sums[:, None, :]) / (n * (n - 1))
+    sd = np.sqrt(cov.diagonal(axis1=1, axis2=2))
+    degenerate = sd == 0.0
+    corr = np.clip(cov / (sd[:, :, None] * sd[:, None, :]), -1.0, 1.0)
+    corr[:, range(k), range(k)] = 1.0
+    corr[degenerate[:, :, None] | degenerate[:, None, :]] = math.nan
+    stats = {"scores": sums / n, "cov": cov, "corr": corr, "degenerate": degenerate}
+    if spec is not None:
+        columns = list(zip(stats["scores"].T.tolist(), spec.models))
+        subs = np.array([[subindex(s, model) for s in column] for column, model in columns]).T
+        gradients = np.array([[_derivative(s, model) for s in column] for column, model in columns]).T
+        g = gradients * spec.weights
+        # index_variance's gj * gl * s / n, in its order; a refused derivative makes the value NaN
+        contributions = g[:, :, None] * g[:, None, :] * cov / n
+        value = contributions.sum(axis=(1, 2))  # per sample, in the order contributions.sum() adds
+        index = np.array([math.fsum(row) for row in (subs * spec.weights).tolist()])
+        stats.update(sub_indices=subs, index=index, gradients=gradients, contributions=contributions,
+                     value=value, flagged=degenerate.any(axis=1) | ~(value >= 0))
+    for array in stats.values():
+        array.setflags(write=False)
+    return stats
+
+
+def _derivative(score: float, model) -> float:  # delta_derivative, NaN where it refuses
+    try:
+        return delta_derivative(score, model)
+    except BoundaryScore:
+        return math.nan
 
 
 def welch_df(v_a: float, v_b: float, n_a: int, n_b: int, k: int) -> float:

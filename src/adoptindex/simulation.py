@@ -8,8 +8,12 @@ aggregates are order-independent sums.
 
 Studies draw replications in chunks of at most ``_CHUNK_CELLS`` stage cells,
 each from its own child into one buffer (the stream of a lone draw, which
-``sample_dataset`` makes), and reduce a chunk to integer sums at once.
-Statistics stay per replication, so studies check the functions users call.
+``sample_dataset`` makes), and reduce a chunk to integer sums, then to moments
+and (coverage, size) index variances in one numpy pass, bitwise equal to the
+scalar functions. Only the function a study grades runs per replication. A
+replication that a scalar function would refuse, and all of a chunk whose sums
+reach 2^53 (where int64 division stops rounding as Python's does), go through
+``_from_sums`` and the scalar functions, so refusals are those users get.
 
 Cross-model dependence is induced by a latent normal copula: correlated
 standard normals are pushed through each model's stage quantile
@@ -31,8 +35,9 @@ import numpy as np
 from .domain import AdoptionDataset, PmfSpec, StudySpec, _integer, _require_exact
 from .errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
 from .estimation import MomentEstimate, ScoreEstimate, _from_sums
-from .index import delta_gradient, global_index
-from .inference import _interval_df, _two_sample, confidence_interval, index_variance
+from .index import IndexValue, delta_gradient, global_index
+from .inference import (VarianceEstimate, _chunk_statistics, _interval_df, _outcome, _two_sample,
+                        confidence_interval, index_variance, welch_df)
 
 STUDY_KINDS = ("normality", "coverage", "size", "variance-ratio")
 
@@ -215,13 +220,13 @@ def latent_cross_covariance(pmf: PmfSpec, spec: StudySpec, j: int, l: int) -> fl
     return cross_moment - truth.scores[j] * truth.scores[l]
 
 
-def _nondegenerate_truth(pmf: PmfSpec, spec: StudySpec) -> TruePopulation:
-    """``true_index`` of a pmf that gives every model a positive variance."""
+def _nondegenerate_truth(pmf: PmfSpec, spec: StudySpec, what: str = "pmf") -> TruePopulation:
+    """``true_index`` of a pmf (named ``what``) that gives every model a positive variance."""
     truth = true_index(pmf, spec)
     for v, model in zip(truth.variances, spec.models):
         if v == 0.0:
             raise DegenerateVariance(
-                f"pmf for model {model.name!r} is degenerate; inference is impossible"
+                f"{what} for model {model.name!r} is degenerate; inference is impossible"
             )
     return truth
 
@@ -293,10 +298,11 @@ def _draw(root: np.ndarray | None, cuts: list, seeds, draws: np.ndarray) -> np.n
     return stages.transpose(1, 0, 2)
 
 
-def _sampled_moments(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[tuple[MomentEstimate, ...]]:
-    """Each replication's moments, one sample per pmf. Replication r owns child r
-    of the plan's seed, and with two pmfs sample i its grandchild i; spawning
-    one chunk at a time yields the same children as spawning all at once."""
+def _sampled_sums(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[list]:
+    """Each chunk's int64 column sums [B, k] and cross-products [B, k, k], one pair
+    per pmf. Replication r owns child r of the plan's seed, and with two pmfs sample
+    i its grandchild i; spawning one chunk at a time yields the same children as
+    spawning all at once."""
     n, k = plan.n, plan.spec.k
     _require_exact(n, max(plan.spec.stage_maxima))
     per_chunk = max(1, _CHUNK_CELLS // (n * k))
@@ -306,12 +312,27 @@ def _sampled_moments(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterato
     for start in range(0, plan.replications, per_chunk):
         children = parent.spawn(min(per_chunk, plan.replications - start))
         seeds = [children] if len(pmfs) == 1 else zip(*(child.spawn(2) for child in children))
-        samples = []
-        for sampler, sample_seeds in zip(samplers, seeds):
-            stages = _draw(*sampler, sample_seeds, draws)
-            reduced = zip(stages.sum(axis=2).tolist(), (stages @ stages.swapaxes(-1, -2)).tolist())
-            samples.append([_from_sums(n, sums, cross) for sums, cross in reduced])
-        yield from zip(*samples)
+        # each _draw returns fresh stages, so the shared buffer may be reused at once
+        stages = [_draw(*sampler, sample_seeds, draws) for sampler, sample_seeds in zip(samplers, seeds)]
+        yield [(x.sum(axis=2), x @ x.swapaxes(-1, -2)) for x in stages]
+
+
+def _chunk_arguments(n: int, spec: StudySpec, chunk: list, graded) -> list:
+    """Per replication, from ``_chunk_statistics``: a MomentEstimate, or with ``graded`` an IndexValue
+    and a VarianceEstimate, per sample; None if flagged, if the variances sum to zero, or past 2^53."""
+    batches = [_chunk_statistics(n, sums, cross, spec if graded else None) for sums, cross in chunk]
+    if any(batch is None for batch in batches):
+        return [None] * len(chunk[0][0])
+    if graded is None:
+        return list(zip(*(
+            [MomentEstimate(ScoreEstimate(tuple(s), n), cov, corr, tuple(d)) for s, cov, corr, d
+             in zip(b["scores"].tolist(), b["cov"], b["corr"], b["degenerate"].tolist())]
+            for b in batches)))
+    skip = np.any([b["flagged"] for b in batches], axis=0) | (sum(b["value"] for b in batches) == 0)
+    samples = [[(IndexValue(tuple(subs), index), VarianceEstimate(value, contributions, tuple(g), n))
+                for subs, index, value, g, contributions in zip(*(b[key].tolist() for key in (
+                    "sub_indices", "index", "value", "gradients")), b["contributions"])] for b in batches]
+    return [None if s else sum(row, ()) for s, row in zip(skip.tolist(), zip(*samples))]
 
 
 # --- studies -----------------------------------------------------------------
@@ -335,22 +356,28 @@ def _moments_of(z: np.ndarray) -> tuple[float, float, float, float]:
 
 
 def _accepted(
-    plan: SimulationPlan, pmfs: tuple[PmfSpec, ...], statistic
+    plan: SimulationPlan, pmfs: tuple[PmfSpec, ...], statistic, graded=None
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """``statistic(*moments)`` of every replication that it does not refuse, one
     column per replication and one row per value, and a note counting the refused
-    ones. Raises the first refusal when it refuses every replication."""
+    ones. Raises the first refusal when it refuses every replication.
+
+    A replication with ``_chunk_arguments`` gets ``(graded or statistic)(*arguments)``, any
+    other ``statistic`` on the scalar ``_from_sums``: the value or refusal users would get."""
+    n = plan.n
     values, accepted, first = None, 0, None
-    for moments in _sampled_moments(plan, pmfs):
-        try:
-            value = statistic(*moments)
-        except StatisticalRefusal as exc:
-            first = first or exc
-            continue
-        if values is None:
-            values = np.empty((np.size(value), plan.replications))
-        values[:, accepted] = value
-        accepted += 1
+    for chunk in _sampled_sums(plan, pmfs):
+        for r, arguments in enumerate(_chunk_arguments(n, plan.spec, chunk, graded)):
+            try:
+                value = (graded or statistic)(*arguments) if arguments else statistic(
+                    *(_from_sums(n, s[r].tolist(), c[r].tolist()) for s, c in chunk))
+            except StatisticalRefusal as exc:
+                first = first or exc
+                continue
+            if values is None:
+                values = np.empty((np.size(value), plan.replications))
+            values[:, accepted] = value
+            accepted += 1
     if values is None:
         raise first
     note = () if first is None else (
@@ -366,6 +393,8 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     counted in a note, and a study whose every replication is refused raises.
     """
     truth = _nondegenerate_truth(plan.pmf, plan.spec)
+    if plan.pmf_alternative is not None:
+        _nondegenerate_truth(plan.pmf_alternative, plan.spec, "alternative pmf")
     notes = (
         "observations are treated as iid within each sample; clustered or "
         "stratified sampling is out of scope",
@@ -404,12 +433,14 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     elif plan.study == "coverage":
         df = _interval_df(plan.n, plan.spec.k)
 
-        def covers(moments):
-            idx = global_index(moments.scores, plan.spec)
-            ci = confidence_interval(idx, index_variance(moments, plan.spec), _CI_LEVEL, df)
+        def covered(index, variance):
+            ci = confidence_interval(index, variance, _CI_LEVEL, df)
             return ci.lower <= truth.index <= ci.upper
 
-        (hits,), refusals = _accepted(plan, (plan.pmf,), covers)
+        def covers(moments):
+            return covered(global_index(moments.scores, plan.spec), index_variance(moments, plan.spec))
+
+        (hits,), refusals = _accepted(plan, (plan.pmf,), covers, covered)
         rate = int(hits.sum()) / hits.size
         se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / hits.size)
         lo, hi = _COVERAGE_BAND
@@ -427,7 +458,12 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
         def rejects(moments_a, moments_b):
             return _two_sample(moments_a, moments_b, plan.spec, "two", _SIGNIFICANCE).reject
 
-        (rejections,), refusals = _accepted(plan, (plan.pmf, pmf_b), rejects)
+        def rejected(index_a, variance_a, index_b, variance_b):
+            v, sizes = (variance_a.value, variance_b.value), (plan.n, plan.n)
+            df = welch_df(*v, *sizes, plan.spec.k)
+            return _outcome((index_a.value, index_b.value), v, sizes, df, "two", _SIGNIFICANCE).reject
+
+        (rejections,), refusals = _accepted(plan, (plan.pmf, pmf_b), rejects, rejected)
         rate = int(rejections.sum()) / rejections.size
         se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / rejections.size)
         metrics = {

@@ -672,13 +672,37 @@ class TestSimulate:
         def no_draws(*args):
             raise AssertionError("the study drew samples")
 
-        monkeypatch.setattr(simulation, "_sampled_moments", no_draws)
+        monkeypatch.setattr(simulation, "_sampled_sums", no_draws)
         code, out, err = run_cli(
             capsys, "simulate", "--spec", str(spec_path), "--study", "coverage",
             "--n", "2", "--replications", "10", "--seed", "1",
         )
         assert (code, out) == (1, "")
         assert err == "error: confidence interval needs n - k - 1 >= 1, got n=2, k=1\n"
+
+    def test_degenerate_alternative_pmf_is_refused_before_drawing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        spec = {
+            "models": [{"name": "A", "m": 2, "pmf": [0.2, 0.3, 0.5]},
+                       {"name": "B", "m": 2, "pmf": [0.2, 0.3, 0.5]}],
+            "alternative_pmf": [[0, 1.0, 0], [0.2, 0.3, 0.5]],
+        }
+        spec_path = tmp_path / "shifted.json"
+        spec_path.write_text(json.dumps(spec))
+
+        def no_draws(*args):
+            raise AssertionError("the study drew samples")
+
+        monkeypatch.setattr(simulation, "_sampled_sums", no_draws)
+        code, out, err = run_cli(
+            capsys, "simulate", "--spec", str(spec_path), "--study", "size",
+            "--n", "40", "--replications", "10", "--seed", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: alternative pmf for model 'A' is degenerate; inference is impossible\n"
+        )
 
     @pytest.mark.parametrize(
         "study,undefined",

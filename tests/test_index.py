@@ -54,6 +54,15 @@ def decimal_slope(score, m, alpha, beta):
         return float((f(s + h) - f(s - h)) / (2 * h))
 
 
+def decimal_subindex(score, m, alpha, beta):
+    """S^beta / (S^beta + alpha (m-S)^beta) in 50 digits, as a Decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s, b = Decimal(score), Decimal(beta)
+        num = s**b
+        return num / (num + Decimal(alpha) * (Decimal(m) - s) ** b)
+
+
 class TestSubindex:
     def test_linear_special_case_midpoint(self):
         assert subindex(2.0, ModelSpec("M", 4)) == 0.5
@@ -95,12 +104,21 @@ class TestSubindex:
         hi=st.floats(0.0, 1.0),
     )
     @settings(max_examples=200)
+    # the exact values differ by 1e-20 here, far below an ulp of 1.0, so both round to 1.0
+    @example(alpha=1.0, beta=4.0, m=1, lo=0.99999, hi=1.0)
+    # 3.6 ulps apart exactly, equal in floats: the power scales the rounding of S / (m - S) by beta
+    @example(alpha=9.641537156057494, beta=4.203380125684237, m=4,
+             lo=0.11780139516783748, hi=0.1178013951678375)
     def test_strictly_increasing(self, alpha, beta, m, lo, hi):
-        if abs(hi - lo) < 1e-6:
-            return
         lo, hi = sorted((lo, hi))
         model = ModelSpec("M", m, alpha=alpha, beta=beta)
-        assert subindex(lo * m, model) < subindex(hi * m, model)
+        low, high = subindex(lo * m, model), subindex(hi * m, model)
+        assert low <= high
+        # each value is within (2 beta + 4) ulps of the exact one: about 2 beta + 1 half-ulp
+        # relative errors from S / (m - S) raised to beta, and a few from the other steps
+        gap = decimal_subindex(hi * m, m, alpha, beta) - decimal_subindex(lo * m, m, alpha, beta)
+        if gap > Decimal(2 * (2 * beta + 4) * math.ulp(high)):
+            assert low < high
 
     def test_no_overflow_for_extreme_steepness(self):
         model = ModelSpec("M", 5, alpha=2.0, beta=400.0)

@@ -1,9 +1,11 @@
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from adoptindex import (
@@ -11,17 +13,21 @@ from adoptindex import (
     PmfSpec,
     SimulationPlan,
     StudySpec,
+    delta_gradient,
     estimate_moments,
+    global_index,
+    index_variance,
     latent_cross_covariance,
     population_asymptotic_variance,
     run_study,
     sample_dataset,
     true_index,
 )
-from adoptindex import simulation
+from adoptindex import inference, simulation, tdist
 from adoptindex.domain import _exact_sums
-from adoptindex.errors import DegenerateVariance, InputError, SpecMismatch
+from adoptindex.errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
 from adoptindex.estimation import _from_sums
+from adoptindex.inference import _chunk_statistics
 
 UNIFORM6 = (1 / 6,) * 6
 # dyadic, so the cumulative sums are exact and an empty end stage gives a threshold at +-inf
@@ -424,7 +430,7 @@ def reference_stages(pmf: PmfSpec, n: int, seed) -> np.ndarray:
 @pytest.mark.parametrize(
     "shape", ["one-replication", "one-full-chunk", "one-chunk-plus-one", "one-replication-per-chunk"]
 )
-def test_chunked_draws_match_per_replication_reference(monkeypatch, copula, samples, shape):
+def test_chunked_draws_match_per_replication_reference(copula, samples, shape):
     # 6000 rows of 3 models hold more cells than one chunk
     n = 6000 if shape == "one-replication-per-chunk" else 200
     pmf = PmfSpec(CHUNK_PMFS, latent_correlation=CHUNK_CORRELATION if copula else None)
@@ -435,30 +441,200 @@ def test_chunked_draws_match_per_replication_reference(monkeypatch, copula, samp
     plan = SimulationPlan(
         pmf=pmf, spec=CHUNK_SPEC, n=n, replications=replications, seed=99, study="coverage"
     )
-    reduced = []
-    finish = simulation._from_sums
-
-    def recording(n, sums, cross):
-        reduced.append((n, sums, cross))
-        return finish(n, sums, cross)
-
-    monkeypatch.setattr(simulation, "_from_sums", recording)
-    got = list(simulation._sampled_moments(plan, (pmf,) * samples))
+    chunks = list(simulation._sampled_sums(plan, (pmf,) * samples))
+    sizes = [len(chunk[0][0]) for chunk in chunks]
+    assert sizes == [min(max(1, per_chunk), replications - start)
+                     for start in range(0, replications, max(1, per_chunk))]
     children = np.random.SeedSequence(99).spawn(replications)
     seeds = [[c] for c in children] if samples == 1 else [c.spawn(2) for c in children]
-    assert len(got) == replications
-    expected = []
-    for moments, child_seeds in zip(got, seeds):
-        assert len(moments) == samples
-        for estimate, seed in zip(moments, child_seeds):
-            x = reference_stages(pmf, n, seed)
-            expected.append((n, x.sum(axis=0).tolist(), (x.T @ x).tolist()))
-            want = _from_sums(n, *_exact_sums(x))
-            assert estimate.scores == want.scores
-            assert estimate.degenerate == want.degenerate
-            assert np.array_equal(estimate.cov, want.cov)
-            assert np.array_equal(estimate.corr, want.corr, equal_nan=True)
-    assert sorted(reduced) == sorted(expected)
+    for i in range(samples):
+        sums = np.concatenate([chunk[i][0] for chunk in chunks])
+        cross = np.concatenate([chunk[i][1] for chunk in chunks])
+        assert sums.dtype == cross.dtype == np.int64
+        expected = [_exact_sums(reference_stages(pmf, n, seed[i])) for seed in seeds]
+        assert sums.tolist() == [list(want) for want, _ in expected]
+        assert cross.tolist() == [[list(row) for row in want] for _, want in expected]
+    for chunk in chunks:
+        for sums, cross in chunk:
+            got = _chunk_statistics(n, sums, cross)
+            for r in range(len(sums)):
+                want = _from_sums(n, sums[r].tolist(), cross[r].tolist())
+                assert tuple(got["scores"][r].tolist()) == want.scores.scores
+                assert tuple(got["degenerate"][r].tolist()) == want.degenerate
+                assert np.array_equal(got["cov"][r], want.cov)
+                assert np.array_equal(got["corr"][r], want.corr, equal_nan=True)
+
+
+def hexes(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+ALPHAS = st.floats(0.1, 10.0)
+BETAS = st.floats(1.0, 5.0)
+
+
+@st.composite
+def chunks(draw):
+    """A spec and B samples of one n, each as a few distinct rows with multiplicities."""
+    k = draw(st.integers(1, 4))
+    models = []
+    for j in range(k):
+        m = draw(st.integers(1, 7))
+        shape = draw(st.sampled_from(["linear", "nonlinear", "steep"]))
+        if shape == "nonlinear":
+            alpha, beta = draw(ALPHAS), draw(BETAS)
+        else:
+            # so steep that delta_derivative refuses every score but m / 2, where the
+            # derivative is finite and its square overflows the variance to inf
+            alpha, beta = 1.0, 1.0 if shape == "linear" else 1e308
+        models.append(ModelSpec(f"M{j}", m, alpha=alpha, beta=beta))
+    spec = StudySpec(models)
+    # small n, and n on both sides of the 2^53 fallback
+    n = draw(st.one_of(st.integers(2, 12), st.integers(2, 10**4), st.integers(2**24, 2**31)))
+    samples = []
+    for _ in range(draw(st.integers(1, 4))):
+        distinct = draw(st.integers(1, min(n, 5)))
+        cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=distinct - 1,
+                                    max_size=distinct - 1, unique=True))) if distinct > 1 else []
+        counts = np.diff([0, *cuts, n])
+        rows = [[draw(st.integers(0, mod.m)) for mod in models] for _ in counts]
+        # a column held at one stage; with at most five distinct rows, most stages are empty
+        constant = draw(st.one_of(st.none(), st.integers(0, k - 1)))
+        if constant is not None:
+            level = draw(st.integers(0, models[constant].m))
+            for row in rows:
+                row[constant] = level
+        x = np.array(rows, dtype=object)
+        samples.append(((counts @ x).tolist(), (x.T * counts) @ x))
+    sums = np.array([s for s, _ in samples], dtype=np.int64)
+    cross = np.array([c.tolist() for _, c in samples], dtype=np.int64)
+    return spec, n, sums, cross
+
+
+@given(chunk=chunks())
+@settings(max_examples=300, deadline=None)
+def test_chunk_statistics_match_the_scalar_chain(chunk):
+    spec, n, sums, cross = chunk
+    got = _chunk_statistics(n, sums, cross, spec)
+    exact = max(n * int(cross.max()), int(sums.max()) ** 2, n * (n - 1)) < 2**53
+    assert (got is not None) == exact
+    if got is None:
+        return
+    assert not any(array.flags.writeable for array in got.values())
+    for r in range(len(sums)):
+        moments = _from_sums(n, sums[r].tolist(), cross[r].tolist())
+        assert hexes(got["scores"][r]) == hexes(moments.scores.scores)
+        assert hexes(got["cov"][r]) == hexes(moments.cov)
+        assert hexes(got["corr"][r]) == hexes(moments.corr)
+        assert tuple(got["degenerate"][r].tolist()) == moments.degenerate
+        index = global_index(moments.scores, spec)
+        assert hexes(got["sub_indices"][r]) == hexes(index.sub_indices)
+        assert hexes(got["index"][r]) == hexes([index.value])
+        try:
+            variance = index_variance(moments, spec)
+        except (StatisticalRefusal, ValueError):
+            assert got["flagged"][r]
+            continue
+        if got["flagged"][r]:
+            # a negative form within rounding, which index_variance zeroes
+            assert got["value"][r] < 0 and variance.value == 0.0
+            continue
+        assert hexes(got["gradients"][r]) == hexes(delta_gradient(moments.scores, spec))
+        assert hexes(got["contributions"][r]) == hexes(variance.contributions)
+        assert hexes(got["value"][r]) == hexes([variance.value])
+
+
+def reference_accepted(plan, pmfs, statistic, graded=None):
+    """The per-replication loop: each sample drawn on its own, reduced by _exact_sums and
+    _from_sums, and passed to the study's scalar statistic."""
+    values, first = [], None
+    for child in np.random.SeedSequence(plan.seed).spawn(plan.replications):
+        seeds = [child] if len(pmfs) == 1 else child.spawn(2)
+        moments = [_from_sums(plan.n, *_exact_sums(reference_stages(pmf, plan.n, seed)))
+                   for pmf, seed in zip(pmfs, seeds)]
+        try:
+            values.append(np.ravel(statistic(*moments)).astype(float))
+        except StatisticalRefusal as exc:
+            first = first or exc
+    if not values:
+        raise first
+    note = () if first is None else (
+        f"{plan.replications - len(values)} of {plan.replications} replications refused: {first}",)
+    return np.array(values).T, note
+
+
+PILED = (0.85, 0.05, 0.05, 0.05)
+SYMMETRIC = (0.1, 0.4, 0.4, 0.1)
+STUDY_PLANS = {
+    "copula": dict(pmf=PmfSpec(NONLINEAR_PMFS, latent_correlation=[[1, 0.5], [0.5, 1]]),
+                   spec=NONLINEAR_SPEC, n=60, replications=120, seed=4),
+    "k3-unequal-m": dict(pmf=PmfSpec(CHUNK_PMFS, latent_correlation=CHUNK_CORRELATION),
+                         spec=CHUNK_SPEC, n=40, replications=90, seed=5),
+    # most replications hold a constant column
+    "small-n-refusals": dict(pmf=PmfSpec([PILED, PILED]), spec=StudySpec(
+        [ModelSpec("A", 3, alpha=1.0, beta=2.0), ModelSpec("B", 3, alpha=2.0)]),
+        n=5, replications=100, seed=3),
+    # B = 3 - A, so the index variance is exactly zero in every replication
+    "antithetic": dict(pmf=PmfSpec([SYMMETRIC, SYMMETRIC], latent_correlation=[[1, -1], [-1, 1]]),
+                       spec=StudySpec([ModelSpec("A", 3), ModelSpec("B", 3)]),
+                       n=20, replications=30, seed=3),
+}
+
+
+def study_outcome(plan):
+    try:
+        report = run_study(plan)
+    # ValueError: the antithetic population's asymptotic variance rounds to -1e-16, and
+    # the normality study's math.sqrt refuses it
+    except (StatisticalRefusal, ValueError) as exc:
+        return type(exc), str(exc)
+    return ({name: float(value).hex() for name, value in report.metrics.items()},
+            report.checks, report.passed, report.notes)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["chunked", "past-2^53"])
+@pytest.mark.parametrize("case", sorted(STUDY_PLANS))
+@pytest.mark.parametrize("study", ["normality", "coverage", "size", "power", "variance-ratio"])
+def test_study_reports_match_the_per_replication_reference(monkeypatch, study, case, fallback):
+    fields = dict(STUDY_PLANS[case])
+    if study == "power":
+        pmf = fields["pmf"]
+        shifted = [p[1:] + p[:1] for p in pmf.pmfs]
+        study, fields["pmf_alternative"] = "size", PmfSpec(shifted, pmf.latent_correlation)
+    plan = SimulationPlan(study=study, **fields)
+    if fallback:
+        # every chunk as if its sums reached 2^53
+        monkeypatch.setattr(simulation, "_chunk_statistics", lambda *args: None)
+    got = study_outcome(plan)
+    monkeypatch.setattr(simulation, "_accepted", reference_accepted)
+    assert got == study_outcome(plan)
+
+
+@pytest.mark.parametrize("case", ["copula", "small-n-refusals"])
+@pytest.mark.parametrize("study, seam", [
+    ("coverage", inference.confidence_interval),
+    ("size", tdist.student_t_pvalue),
+    ("variance-ratio", inference.index_variance),
+], ids=["coverage", "size", "variance-ratio"])
+def test_each_accepted_replication_calls_the_graded_function_once(monkeypatch, study, seam, case):
+    # the bench fault tests patch these bindings; a study that bypassed them would escape
+    returned = []
+
+    def counting(*args, **kwargs):
+        value = seam(*args, **kwargs)
+        returned.append(value)
+        return value
+
+    for name, module in list(sys.modules.items()):
+        if name == "adoptindex" or name.startswith("adoptindex."):
+            for attribute, value in list(vars(module).items()):
+                if value is seam:
+                    monkeypatch.setattr(module, attribute, counting)
+    plan = SimulationPlan(study=study, **STUDY_PLANS[case])
+    notes = run_study(plan).notes
+    refused = int(notes[-1].split()[0]) if len(notes) > 1 else 0
+    assert (case == "small-n-refusals") == (refused > 0)
+    assert len(returned) == plan.replications - refused
 
 
 @pytest.mark.parametrize("study", ["coverage", "size", "variance-ratio"])
