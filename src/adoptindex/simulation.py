@@ -1,13 +1,19 @@
 """Synthetic ordinal data and Monte Carlo checks of the asymptotics.
 
-Random generation uses numpy's PCG64 through ``default_rng``. Streams
-are split with ``SeedSequence.spawn``: replication r always owns child r
-of the plan's seed (and grandchildren when it needs two samples), so
-replications are reproducible independently of execution order and the
-aggregates are order-independent sums.
+Random generation uses numpy's PCG64 as ``default_rng`` seeds it. Streams
+are split as ``SeedSequence.spawn`` splits them: replication r always owns
+child r of the plan's seed (and grandchild i for sample i when it needs two
+samples), so replications are reproducible independently of execution order
+and the aggregates are order-independent sums.
+
+Studies do not build those numpy objects, about 11 us each. ``_stream_words``
+hashes a block of spawn keys at once with ``SeedSequence``'s own arithmetic in
+uint32 numpy, and ``_reseeded`` sets one reused PCG64 to each sample's seeded
+state: the streams are bit for bit those of ``spawn`` and ``default_rng``,
+which ``sample_dataset`` still calls.
 
 Studies draw replications in chunks of at most ``_CHUNK_CELLS`` stage cells,
-each from its own child into one buffer (the stream of a lone draw, which
+each from its own stream into one buffer (the stream of a lone draw, which
 ``sample_dataset`` makes), and reduce a chunk to integer sums, then to moments
 and (coverage, size) index variances in one numpy pass, bitwise equal to the
 scalar functions. Only the function a study grades runs per replication. A
@@ -36,13 +42,23 @@ from .domain import AdoptionDataset, PmfSpec, StudySpec, _integer, _require_exac
 from .errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
 from .estimation import MomentEstimate, ScoreEstimate, _from_sums
 from .index import IndexValue, delta_gradient, global_index
-from .inference import (VarianceEstimate, _chunk_statistics, _interval_df, _outcome, _two_sample,
-                        confidence_interval, index_variance, welch_df)
+from .inference import (VARIANCE_EXPANSION_TOL, VarianceEstimate, _chunk_statistics, _interval_df,
+                        _outcome, _two_sample, confidence_interval, index_variance, welch_df)
 
 STUDY_KINDS = ("normality", "coverage", "size", "variance-ratio")
 
 # stage cells drawn and reduced at once; bounds the study's buffers, never its streams
 _CHUNK_CELLS = 1 << 14
+# replications seeded at once (rounded down to whole chunks); a few hundred keys
+# amortise the hash's numpy calls, and the block never changes a stream
+_SEED_BLOCK = 512
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 seeding constants
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 # Acceptance bands, calibrated to R = 10,000 replications: the binomial Monte
@@ -134,7 +150,17 @@ def _norm_ppf(p: float) -> float:
     return _STANDARD_NORMAL.inv_cdf(p)
 
 
-def _bvn_lower(h: float, k: float, rho: float) -> float:
+def _simpson_nodes(rho: float) -> tuple[float, list[tuple[float, float]]]:
+    """The step of ``_bvn_lower``'s Simpson rule over [0, asin rho], for |rho| < 1, and
+    (sin t, 2 cos^2 t) at its nodes t: both ends, then the inner nodes in order."""
+    upper = math.asin(rho)
+    steps = 256  # even; Simpson error ~ (range/steps)^4, far below 1e-12 here
+    width = upper / steps
+    sines = [math.sin(t) for t in (0.0, upper, *(i * width for i in range(1, steps)))]
+    return width, [(s, 2.0 * (1.0 - s * s)) for s in sines]
+
+
+def _bvn_lower(h: float, k: float, rho: float, nodes) -> float:
     """P(Z1 <= h, Z2 <= k) for standard bivariate normal, correlation rho.
 
     Evaluated with the angular form of Plackett's identity,
@@ -144,7 +170,9 @@ def _bvn_lower(h: float, k: float, rho: float) -> float:
                                                    / (2 cos^2 t)) dt
 
     whose integrand is smooth and bounded on the whole range, so a fixed
-    Simpson rule is accurate to ~1e-12 for |rho| < 1.
+    Simpson rule is accurate to ~1e-12 for |rho| < 1. ``nodes`` is
+    ``_simpson_nodes(rho)``, which depends on rho alone; it is read only
+    when |rho| < 1 and both limits are finite.
     """
     if math.isinf(h) or math.isinf(k):
         if h == -math.inf or k == -math.inf:
@@ -156,18 +184,13 @@ def _bvn_lower(h: float, k: float, rho: float) -> float:
         return _norm_cdf(min(h, k))
     if rho <= -1.0:
         return max(0.0, _norm_cdf(h) - _norm_cdf(-k))
-
-    def integrand(theta: float) -> float:
-        sin_t = math.sin(theta)
-        cos2_t = 1.0 - sin_t * sin_t
-        return math.exp(-(h * h + k * k - 2.0 * h * k * sin_t) / (2.0 * cos2_t))
-
-    upper = math.asin(rho)
-    steps = 256  # even; Simpson error ~ (range/steps)^4, far below 1e-12 here
-    width = upper / steps
-    acc = integrand(0.0) + integrand(upper)
-    for i in range(1, steps):
-        acc += (4.0 if i % 2 else 2.0) * integrand(i * width)
+    width, points = nodes
+    # h * h + k * k - 2.0 * h * k * sin_t as Python groups it, each pair's parts hoisted
+    squares, cross = h * h + k * k, 2.0 * h * k
+    terms = [math.exp(-(squares - cross * sin_t) / twice_cos2_t) for sin_t, twice_cos2_t in points]
+    acc = terms[0] + terms[1]
+    for i, term in enumerate(terms[2:], 1):
+        acc += (4.0 if i % 2 else 2.0) * term
     integral = acc * width / 3.0
     return _norm_cdf(h) * _norm_cdf(k) + integral / (2.0 * math.pi)
 
@@ -211,11 +234,12 @@ def latent_cross_covariance(pmf: PmfSpec, spec: StudySpec, j: int, l: int) -> fl
     if rho == 0.0:
         return 0.0
     cuts = _sampler(pmf)[1]
+    nodes = _simpson_nodes(rho) if abs(rho) < 1.0 else None
     cross_moment = 0.0
     for tau_a in cuts[j]:
         for tau_b in cuts[l]:
             # P(Z_j > tau_a, Z_l > tau_b) = Phi2(-tau_a, -tau_b; rho)
-            cross_moment += _bvn_lower(-tau_a, -tau_b, rho)
+            cross_moment += _bvn_lower(-tau_a, -tau_b, rho, nodes)
     truth = true_index(pmf, spec)
     return cross_moment - truth.scores[j] * truth.scores[l]
 
@@ -235,7 +259,9 @@ def population_asymptotic_variance(pmf: PmfSpec, spec: StudySpec) -> float:
     """Asymptotic variance of sqrt(n) * (I_hat - I) under the pmf.
 
     Needs every model non-degenerate (else the delta-method gradient or
-    the variance itself is zero and the studies refuse to run).
+    the variance itself is zero and the studies refuse to run). A negative
+    total within ``VARIANCE_EXPANSION_TOL`` is rounding noise of a PSD form
+    and reads as 0.0, as in ``index_variance``.
     """
     truth = _nondegenerate_truth(pmf, spec)
     gradients = delta_gradient(ScoreEstimate(scores=truth.scores, n=0), spec)
@@ -244,6 +270,10 @@ def population_asymptotic_variance(pmf: PmfSpec, spec: StudySpec) -> float:
     for j in range(spec.k):
         for l in range(j + 1, spec.k):
             total += 2.0 * float(g[j]) * float(g[l]) * latent_cross_covariance(pmf, spec, j, l)
+    if total < 0.0:
+        if total < -VARIANCE_EXPANSION_TOL:
+            raise ValueError(f"negative population variance {total} from a PSD form")
+        total = 0.0
     return float(total)
 
 
@@ -252,6 +282,77 @@ def _psd_transform(corr: np.ndarray) -> np.ndarray:
     eigenvalues, eigenvectors = np.linalg.eigh(corr)
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     return eigenvectors * np.sqrt(eigenvalues)
+
+
+def _hashmix(value, h: int, multiplier: int = _MULT_A):
+    """SeedSequence's ``hashmix`` of a uint32 word (an int or a uint32 array) under hash
+    constant ``h``, and the next constant; ``generate_state`` hashes so with ``_MULT_B``."""
+    following = h * multiplier & _MASK32
+    value = (value ^ h) * following & _MASK32
+    return value ^ value >> 16, following
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two uint32 words (ints or uint32 arrays)."""
+    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _stream_words(seed: int, replications: range, samples: int) -> np.ndarray:
+    """uint64 [len(replications), samples, 4]: for replication r and sample i,
+    ``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)`` with key (r,) for
+    one sample and (r, i) for several, that is the seed of child r of ``SeedSequence(seed)``
+    (grandchild i) as ``default_rng`` reads it.
+
+    The entropy is the seed's 32-bit words, low first, padded with zeros to the pool's
+    four, then the key's words. The seed's words hash to the same pool for every key, in
+    Python ints; the key's words are then mixed in, one uint32 array over the block.
+    """
+    if replications.stop > 1 << 32:
+        # numpy splits a key word past 32 bits in two; this hash would seed another stream
+        raise ValueError(f"replication indices must be below 2^32, got {replications.stop - 1}")
+    entropy = []
+    while True:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    entropy += [0] * (4 - len(entropy))
+    r = np.arange(replications.start, replications.stop, dtype=np.uint32)
+    keys = [r] if samples == 1 else [
+        np.repeat(r, samples), np.tile(np.arange(samples, dtype=np.uint32), len(r))]
+    h, pool = _INIT_A, []
+    for word in entropy[:4]:
+        value, h = _hashmix(word, h)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[4:] + keys:
+        for dst in range(4):
+            value, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], value)
+    # generate_state: eight words cycling the pool, read as four little-endian uint64
+    state = np.empty((len(r) * samples, 8), dtype="<u4")
+    h = _INIT_B
+    for i in range(8):
+        state[:, i], h = _hashmix(pool[i % 4], h, _MULT_B)
+    return state.view("<u8").reshape(len(r), samples, 4)
+
+
+def _reseeded(rng: np.random.Generator, words: np.ndarray) -> Iterator[np.random.Generator]:
+    """``rng``, its PCG64 set in turn to the state ``default_rng`` seeds from each row of
+    ``words`` [B, 4] (``_stream_words``); each row becomes a state only when it is reached."""
+    bit_generator = rng.bit_generator
+    for s_high, s_low, t_high, t_low in words.tolist():
+        # pcg64_set_seed: inc = 2t + 1, then two steps of the LCG from 0 with s added
+        inc = ((t_high << 64 | t_low) << 1 | 1) & _MASK128
+        state = ((inc + (s_high << 64 | s_low)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def sample_dataset(pmf: PmfSpec, spec: StudySpec, n: int, seed) -> AdoptionDataset:
@@ -265,7 +366,7 @@ def sample_dataset(pmf: PmfSpec, spec: StudySpec, n: int, seed) -> AdoptionDatas
     _check_pmf_alignment(pmf, spec)
     _integer(n, "n", spec.k + 1)
     row_ids = tuple(f"r{i + 1}" for i in range(n))
-    stages = _draw(*_sampler(pmf), [seed], np.empty((1, n, spec.k)))
+    stages = _draw(*_sampler(pmf), [np.random.default_rng(seed)], np.empty((1, n, spec.k)))
     return AdoptionDataset(row_ids=row_ids, values=stages[0].T.copy(), spec=spec)
 
 
@@ -278,13 +379,12 @@ def _sampler(pmf: PmfSpec) -> tuple[np.ndarray | None, list]:
     return _psd_transform(pmf.latent_correlation).T, [[_norm_ppf(c) for c in cum] for cum in cums]
 
 
-def _draw(root: np.ndarray | None, cuts: list, seeds, draws: np.ndarray) -> np.ndarray:
-    """len(seeds) x k x n int64 stages; sample r is drawn from ``default_rng(seeds[r])``
-    into ``draws[r]``. A variate above c of its model's cut points is stage c,
-    which is ``searchsorted(cut points, variate, side="left")``."""
-    draws = draws[: len(seeds)]
-    for seed, out in zip(seeds, draws):
-        rng = np.random.default_rng(seed)
+def _draw(root: np.ndarray | None, cuts: list, rngs, draws: np.ndarray) -> np.ndarray:
+    """len(draws) x k x n int64 stages; sample r is drawn into ``draws[r]`` by the r-th
+    Generator of the iterable ``rngs``, taken one at a time and no further than ``draws``
+    reaches. A variate above c of its model's cut points is stage c, which is
+    ``searchsorted(cut points, variate, side="left")``."""
+    for out, rng in zip(draws, rngs):
         if root is None:
             rng.random(out=out)
         else:
@@ -301,20 +401,23 @@ def _draw(root: np.ndarray | None, cuts: list, seeds, draws: np.ndarray) -> np.n
 def _sampled_sums(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[list]:
     """Each chunk's int64 column sums [B, k] and cross-products [B, k, k], one pair
     per pmf. Replication r owns child r of the plan's seed, and with two pmfs sample
-    i its grandchild i; spawning one chunk at a time yields the same children as
-    spawning all at once."""
+    i its grandchild i; the streams are seeded a block of whole chunks at a time."""
     n, k = plan.n, plan.spec.k
     _require_exact(n, max(plan.spec.stage_maxima))
     per_chunk = max(1, _CHUNK_CELLS // (n * k))
+    per_block = per_chunk * max(1, _SEED_BLOCK // per_chunk)
     samplers = [_sampler(pmf) for pmf in pmfs]
     draws = np.empty((min(per_chunk, plan.replications), n, k))
-    parent = np.random.SeedSequence(plan.seed)
-    for start in range(0, plan.replications, per_chunk):
-        children = parent.spawn(min(per_chunk, plan.replications - start))
-        seeds = [children] if len(pmfs) == 1 else zip(*(child.spawn(2) for child in children))
-        # each _draw returns fresh stages, so the shared buffer may be reused at once
-        stages = [_draw(*sampler, sample_seeds, draws) for sampler, sample_seeds in zip(samplers, seeds)]
-        yield [(x.sum(axis=2), x @ x.swapaxes(-1, -2)) for x in stages]
+    rng = np.random.Generator(np.random.PCG64(0))  # its state is replaced before every draw
+    for block in range(0, plan.replications, per_block):
+        words = _stream_words(
+            plan.seed, range(block, min(block + per_block, plan.replications)), len(pmfs))
+        for start in range(0, len(words), per_chunk):
+            chunk = words[start : start + per_chunk]
+            # each _draw returns fresh stages, so the shared buffer may be reused at once
+            stages = [_draw(*sampler, _reseeded(rng, chunk[:, i]), draws[: len(chunk)])
+                      for i, sampler in enumerate(samplers)]
+            yield [(x.sum(axis=2), x @ x.swapaxes(-1, -2)) for x in stages]
 
 
 def _chunk_arguments(n: int, spec: StudySpec, chunk: list, graded) -> list:
@@ -395,13 +498,19 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     truth = _nondegenerate_truth(plan.pmf, plan.spec)
     if plan.pmf_alternative is not None:
         _nondegenerate_truth(plan.pmf_alternative, plan.spec, "alternative pmf")
+    if plan.study in ("normality", "variance-ratio"):
+        avar = population_asymptotic_variance(plan.pmf, plan.spec)
+        if avar == 0.0:
+            raise DegenerateVariance(
+                f"the index's population asymptotic variance is zero under this pmf; "
+                f"the {plan.study} study divides by it"
+            )
     notes = (
         "observations are treated as iid within each sample; clustered or "
         "stratified sampling is out of scope",
     )
 
     if plan.study == "normality":
-        avar = population_asymptotic_variance(plan.pmf, plan.spec)
         scale = math.sqrt(avar)
 
         def z_score(moments):
@@ -478,8 +587,6 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
             checks = {"power_above_floor": rate >= _POWER_FLOOR}
 
     else:  # variance-ratio
-        avar = population_asymptotic_variance(plan.pmf, plan.spec)
-
         def index_and_variance(moments):
             return (global_index(moments.scores, plan.spec).value,
                     index_variance(moments, plan.spec).value)

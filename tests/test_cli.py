@@ -631,6 +631,23 @@ class TestSimulate:
         assert code == 1
         assert "degenerate" in err
 
+    @pytest.mark.parametrize("study", ["normality", "variance-ratio"])
+    def test_zero_population_variance_exits_with_refusal(self, capsys, tmp_path, study):
+        # B = 3 - A, so the index does not vary; its variance's sum rounds to -1e-16
+        symmetric = [0.1, 0.4, 0.4, 0.1]
+        spec = {"models": [{"name": "A", "m": 3, "pmf": symmetric},
+                           {"name": "B", "m": 3, "pmf": symmetric}],
+                "latent_correlation": [[1, -1], [-1, 1]]}
+        spec_path = tmp_path / "antithetic.json"
+        spec_path.write_text(json.dumps(spec))
+        code, out, err = run_cli(
+            capsys, "simulate", "--spec", str(spec_path), "--study", study,
+            "--n", "20", "--replications", "30", "--seed", "3",
+        )
+        assert (code, out) == (1, "")
+        assert err == (f"error: the index's population asymptotic variance is zero under this "
+                       f"pmf; the {study} study divides by it\n")
+
     def test_negative_seed_is_an_input_error(self, capsys, spec_file):
         code, out, err = run_cli(
             capsys, "simulate", "--spec", spec_file, "--study", "coverage",

@@ -279,6 +279,20 @@ class TestRunStudy:
         with pytest.raises(DegenerateVariance, match="model 'M' has zero sample variance"):
             run_study(plan)
 
+    @pytest.mark.parametrize("study", ["normality", "variance-ratio"])
+    def test_zero_population_variance_refused_before_drawing(self, monkeypatch, study):
+        # B = 3 - A: the population variance rounds to about -1e-16 and reads as zero
+        pmf, spec = STUDY_PLANS["antithetic"]["pmf"], STUDY_PLANS["antithetic"]["spec"]
+        assert population_asymptotic_variance(pmf, spec) == 0.0
+
+        def no_draws(*args):
+            raise AssertionError("the study drew samples")
+
+        monkeypatch.setattr(simulation, "_sampled_sums", no_draws)
+        plan = SimulationPlan(pmf=pmf, spec=spec, n=20, replications=30, seed=3, study=study)
+        with pytest.raises(DegenerateVariance, match=f"variance is zero .* the {study} study"):
+            run_study(plan)
+
     def test_reports_are_reproducible(self, linear_pair):
         spec, pmf = linear_pair
         plan = SimulationPlan(
@@ -405,6 +419,42 @@ def test_sampler_streams_are_stable(study):
         assert metrics[k] == pytest.approx(float.fromhex(value), rel=1e-12)
 
 
+@pytest.mark.parametrize("study", sorted(STREAM_CASES))
+def test_studies_seed_without_numpy_seed_sequences(monkeypatch, study):
+    # the studies' streams must come from _stream_words, not from a fallback to spawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("a study seeded through SeedSequence or default_rng")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    test_sampler_streams_are_stable(study)
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1])
+def test_stream_states_match_numpy(seed, samples):
+    # seeds of one to five 32-bit words; a block larger than a study hashes at once
+    replications = range(2, 2 + 600)
+    words = simulation._stream_words(seed, replications, samples)
+    assert words.shape == (len(replications), samples, 4) and words.dtype == np.uint64
+    rng = np.random.Generator(np.random.PCG64(12345))
+    for position in (0, 1, 299, 599):
+        r = replications[position]
+        for i in range(samples):
+            key = (r,) if samples == 1 else (r, i)
+            want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state
+            got = next(simulation._reseeded(rng, words[position : position + 1, i]))
+            assert got is rng
+            assert rng.bit_generator.state == want
+
+
+def test_stream_keys_past_32_bits_are_refused():
+    # numpy would split such a key into two words, which this hash does not do
+    with pytest.raises(ValueError, match="below 2\\^32"):
+        simulation._stream_words(0, range(2**32 - 1, 2**32 + 1), 1)
+    assert simulation._stream_words(0, range(2**32 - 1, 2**32), 1).shape == (1, 1, 4)
+
+
 # three models with unequal m; the second has an empty stage 0
 CHUNK_SPEC = StudySpec([ModelSpec("A", 5), ModelSpec("B", 3, alpha=2.0), ModelSpec("C", 7)])
 CHUNK_PMFS = [NONLINEAR_PMFS[0], (0.0, 0.2, 0.3, 0.5), (0.05, 0.1, 0.15, 0.2, 0.2, 0.15, 0.1, 0.05)]
@@ -425,27 +475,29 @@ def reference_stages(pmf: PmfSpec, n: int, seed) -> np.ndarray:
     )
 
 
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3])
 @pytest.mark.parametrize("copula", [False, True], ids=["independent", "copula"])
 @pytest.mark.parametrize("samples", [1, 2])
-@pytest.mark.parametrize(
-    "shape", ["one-replication", "one-full-chunk", "one-chunk-plus-one", "one-replication-per-chunk"]
-)
-def test_chunked_draws_match_per_replication_reference(copula, samples, shape):
+@pytest.mark.parametrize("shape", ["one-replication", "one-full-chunk", "one-chunk-plus-one",
+                                   "one-replication-per-chunk", "one-seeding-block-plus-one"])
+def test_chunked_draws_match_per_replication_reference(copula, samples, shape, seed):
     # 6000 rows of 3 models hold more cells than one chunk
     n = 6000 if shape == "one-replication-per-chunk" else 200
     pmf = PmfSpec(CHUNK_PMFS, latent_correlation=CHUNK_CORRELATION if copula else None)
     per_chunk = simulation._CHUNK_CELLS // (n * CHUNK_SPEC.k)
+    per_block = simulation._SEED_BLOCK - simulation._SEED_BLOCK % max(1, per_chunk)  # whole chunks
     replications = {"one-replication": 1, "one-full-chunk": per_chunk,
-                    "one-chunk-plus-one": per_chunk + 1, "one-replication-per-chunk": 2}[shape]
+                    "one-chunk-plus-one": per_chunk + 1, "one-replication-per-chunk": 2,
+                    "one-seeding-block-plus-one": per_block + 1}[shape]
     assert replications >= 1 and (shape != "one-replication-per-chunk" or per_chunk == 0)
     plan = SimulationPlan(
-        pmf=pmf, spec=CHUNK_SPEC, n=n, replications=replications, seed=99, study="coverage"
+        pmf=pmf, spec=CHUNK_SPEC, n=n, replications=replications, seed=seed, study="coverage"
     )
     chunks = list(simulation._sampled_sums(plan, (pmf,) * samples))
     sizes = [len(chunk[0][0]) for chunk in chunks]
     assert sizes == [min(max(1, per_chunk), replications - start)
                      for start in range(0, replications, max(1, per_chunk))]
-    children = np.random.SeedSequence(99).spawn(replications)
+    children = np.random.SeedSequence(seed).spawn(replications)
     seeds = [[c] for c in children] if samples == 1 else [c.spawn(2) for c in children]
     for i in range(samples):
         sums = np.concatenate([chunk[i][0] for chunk in chunks])
@@ -584,9 +636,7 @@ STUDY_PLANS = {
 def study_outcome(plan):
     try:
         report = run_study(plan)
-    # ValueError: the antithetic population's asymptotic variance rounds to -1e-16, and
-    # the normality study's math.sqrt refuses it
-    except (StatisticalRefusal, ValueError) as exc:
+    except StatisticalRefusal as exc:
         return type(exc), str(exc)
     return ({name: float(value).hex() for name, value in report.metrics.items()},
             report.checks, report.passed, report.notes)
