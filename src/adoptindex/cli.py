@@ -190,9 +190,10 @@ def _read_plain(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.n
     and line ends. Cells of 1 to 18 ASCII digits are read
     column-wise; every other (odd) cell goes through ``int()``, a column at a
     time, as ``_read_csv`` converts them, and the first it refuses raises the
-    same error. Returns None for any other file, and for one that
-    ``csv.reader`` would read differently: a field that is not UTF-8, or a
-    line of whitespace only, which it skips.
+    same error. Returns None for any other file, for one that
+    ``csv.reader`` would read differently (a field that is not UTF-8, or a
+    line of whitespace only, which it skips), and for one with a row whose id
+    is blank and whose cells are all odd, which may be such a line.
     """
     if b"\r" in raw:
         if raw.count(b"\r") != raw.count(b"\r\n"):
@@ -221,14 +222,11 @@ def _read_plain(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.n
     ids = [row_id.strip() for row_id in ids.split(",")[:-1]]
     if not cells:
         return ids, values, range(2, len(ids) + 2)
-    cells = np.array(cells.split(",")[1:], dtype=object)
     rows, cols = np.nonzero(odd)
-    for i in np.flatnonzero(odd.all(axis=1)):
-        if ids[i]:
-            continue
-        at = np.searchsorted(rows, i)
-        if not "".join(cells[at:at + spec.k]).strip():
-            return None  # csv.reader skips a line of whitespace, which shifts the line numbers
+    # a blank id and k odd cells may be a line of whitespace, which csv.reader skips (shifting lines)
+    if any(not ids[i] for i in np.flatnonzero(np.bincount(rows) == spec.k)):
+        return None
+    cells = np.array(cells.split(",")[1:], dtype=object)
     for j, name in enumerate(spec.names):
         at = np.flatnonzero(cols == j)
         try:

@@ -82,7 +82,8 @@ class InvalidDf(InputError):
 
 
 class DegenerateVariance(StatisticalRefusal):
-    """A model with positive weight has zero sample variance."""
+    """A variance the inference needs is zero (say a model with positive weight has zero
+    sample variance), or the index variance is not finite in floating point."""
 
 
 class InsufficientDf(StatisticalRefusal):

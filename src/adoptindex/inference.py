@@ -23,8 +23,8 @@ formula). Tests:
 * two-sample: unequal variances, Welch-Satterthwaite degrees of freedom.
 
 Both tests share one tail from statistic to p-value to outcome. The
-two-sample test works on moment estimates, so the Monte Carlo size study
-runs it on sampled stage matrices without building datasets.
+two-sample test's Welch tail, ``_two_sample``, takes indices and index
+variances, so the Monte Carlo size study runs it without building datasets.
 """
 
 from __future__ import annotations
@@ -128,6 +128,8 @@ def index_variance(
         [[gj * gl * s / n for gl, s in zip(g, row)] for gj, row in zip(g, sigma.tolist())]
     )
     value = float(contributions.sum())
+    if not math.isfinite(value):  # a finite derivative's square, say, may overflow
+        raise DegenerateVariance(f"the index variance is not finite in floating point, got {value}")
     if value < 0:
         # the quadratic form is PSD; anything below zero is rounding noise
         if value < -VARIANCE_EXPANSION_TOL:
@@ -144,9 +146,9 @@ def index_variance(
 def _chunk_statistics(n: int, sums: np.ndarray, cross: np.ndarray, spec: StudySpec | None = None):
     """``_from_sums`` of B samples of n rows, from int64 ``sums[B, k]`` and ``cross[B, k, k]``, as
     read-only arrays, and with ``spec`` each sample's ``global_index`` and ``index_variance`` parts
-    and ``flagged`` where either refuses or the form is negative. Bit for bit: numpy does only
-    + - * /, sqrt, comparisons and clipping; powers and ``fsum`` stay in ``math``. None once
-    ``n max(cross)``, ``max(sums)^2`` or ``n(n-1)`` reaches 2^53, where int64 ``/`` may misround."""
+    and ``flagged`` where either refuses or the form is negative or not finite. Bit for bit:
+    numpy does only + - * /, sqrt, comparisons and clipping; powers and ``fsum`` stay in ``math``.
+    None once ``n max(cross)``, ``max(sums)^2`` or ``n(n-1)`` reaches 2^53, where int64 ``/`` may misround."""
     if max(n * int(cross.max()), int(sums.max()) ** 2, n * (n - 1)) >= 2**53:
         return None
     k = sums.shape[1]
@@ -167,7 +169,7 @@ def _chunk_statistics(n: int, sums: np.ndarray, cross: np.ndarray, spec: StudySp
         value = contributions.sum(axis=(1, 2))  # per sample, in the order contributions.sum() adds
         index = np.array([math.fsum(row) for row in (subs * spec.weights).tolist()])
         stats.update(sub_indices=subs, index=index, gradients=gradients, contributions=contributions,
-                     value=value, flagged=degenerate.any(axis=1) | ~(value >= 0))
+                     value=value, flagged=degenerate.any(axis=1) | ~(value >= 0) | np.isinf(value))
     for array in stats.values():
         array.setflags(write=False)
     return stats
@@ -198,6 +200,11 @@ def welch_df(v_a: float, v_b: float, n_a: int, n_b: int, k: int) -> float:
         raise InsufficientSample(
             f"need more rows than models in both samples, got n={n_a}, {n_b} with k={k}"
         )
+    top = max(v_a, v_b)
+    if not 2.0**-500 <= top <= 2.0**500:
+        # nu is scale-free: a common power of two keeps the squares from underflow and overflow
+        shift = -math.frexp(top)[1]
+        v_a, v_b = math.ldexp(v_a, shift), math.ldexp(v_b, shift)
     return (v_a + v_b) ** 2 / (v_a**2 / (n_a - k) + v_b**2 / (n_b - k))
 
 
@@ -269,36 +276,26 @@ def two_sample_test(
     """
     if dataset_a.spec.structure() != dataset_b.spec.structure():
         raise SpecMismatch("the two datasets do not share the same study spec")
+    spec = dataset_a.spec
+    moments = estimate_moments(dataset_a), estimate_moments(dataset_b)
+    significance = _require_level(significance, "significance")
+    variances = tuple(index_variance(m, spec).value for m in moments)
     return _two_sample(
-        estimate_moments(dataset_a), estimate_moments(dataset_b), dataset_a.spec, sidedness,
-        significance,
+        tuple(global_index(m.scores, spec).value for m in moments), variances,
+        tuple(m.n for m in moments), spec.k, sidedness, significance,
     )
 
 
-def _two_sample(
-    moments_a: MomentEstimate,
-    moments_b: MomentEstimate,
-    spec: StudySpec,
-    sidedness: Sidedness,
-    significance: float,
-) -> TestOutcome:
-    """Welch comparison of two samples given their moments."""
-    significance = _require_level(significance, "significance")
-    var_a = index_variance(moments_a, spec)
-    var_b = index_variance(moments_b, spec)
-    if var_a.value + var_b.value == 0:
+def _two_sample(indices: tuple[float, float], variances: tuple[float, float], sizes: tuple[int, int],
+                k: int, sidedness: Sidedness, significance: float) -> TestOutcome:
+    """Welch comparison of two samples given their indices, index variances and sizes: the
+    tail of ``two_sample_test`` and of each replication of the size study."""
+    if variances[0] + variances[1] == 0:
         raise DegenerateVariance(
             "both weighted stage combinations are constant; no variance to test against"
         )
-    df = welch_df(var_a.value, var_b.value, moments_a.n, moments_b.n, spec.k)
-    return _outcome(
-        (global_index(moments_a.scores, spec).value, global_index(moments_b.scores, spec).value),
-        (var_a.value, var_b.value),
-        (moments_a.n, moments_b.n),
-        df,
-        sidedness,
-        significance,
-    )
+    df = welch_df(*variances, *sizes, k)
+    return _outcome(indices, variances, sizes, df, sidedness, significance)
 
 
 def _outcome(

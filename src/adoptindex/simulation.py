@@ -15,10 +15,11 @@ which ``sample_dataset`` still calls.
 Studies draw replications in chunks of at most ``_CHUNK_CELLS`` stage cells,
 each from its own stream into one buffer (the stream of a lone draw, which
 ``sample_dataset`` makes), and reduce a chunk to integer sums, then to moments
-and (coverage, size) index variances in one numpy pass, bitwise equal to the
-scalar functions. Only the function a study grades runs per replication. A
+and (coverage, size) indices and variances in one numpy pass, bitwise equal to
+the scalar functions. Each study's one statistic, which alone runs per
+replication, takes each sample's moments, or its index and variance. A
 replication that a scalar function would refuse, and all of a chunk whose sums
-reach 2^53 (where int64 division stops rounding as Python's does), go through
+reach 2^53 (where int64 division stops rounding as Python's does), get them from
 ``_from_sums`` and the scalar functions, so refusals are those users get.
 
 Cross-model dependence is induced by a latent normal copula: correlated
@@ -43,7 +44,7 @@ from .errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRef
 from .estimation import MomentEstimate, ScoreEstimate, _from_sums
 from .index import IndexValue, delta_gradient, global_index
 from .inference import (VARIANCE_EXPANSION_TOL, VarianceEstimate, _chunk_statistics, _interval_df,
-                        _outcome, _two_sample, confidence_interval, index_variance, welch_df)
+                        _two_sample, confidence_interval, index_variance)
 
 STUDY_KINDS = ("normality", "coverage", "size", "variance-ratio")
 
@@ -358,13 +359,15 @@ def _reseeded(rng: np.random.Generator, words: np.ndarray) -> Iterator[np.random
 def sample_dataset(pmf: PmfSpec, spec: StudySpec, n: int, seed) -> AdoptionDataset:
     """Draw n iid stage rows from the pmf, deterministically in the seed.
 
-    ``seed`` may be an integer, a SeedSequence, or a Generator. Without a
+    ``seed`` may be an integer >= 0, a SeedSequence, or a Generator. Without a
     latent correlation matrix the columns are sampled independently from
     uniform variates; with one, correlated normals go through each
     model's quantile thresholds.
     """
     _check_pmf_alignment(pmf, spec)
     _integer(n, "n", spec.k + 1)
+    if not isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        _integer(seed, "seed", 0)
     row_ids = tuple(f"r{i + 1}" for i in range(n))
     stages = _draw(*_sampler(pmf), [np.random.default_rng(seed)], np.empty((1, n, spec.k)))
     return AdoptionDataset(row_ids=row_ids, values=stages[0].T.copy(), spec=spec)
@@ -420,22 +423,22 @@ def _sampled_sums(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[l
             yield [(x.sum(axis=2), x @ x.swapaxes(-1, -2)) for x in stages]
 
 
-def _chunk_arguments(n: int, spec: StudySpec, chunk: list, graded) -> list:
-    """Per replication, from ``_chunk_statistics``: a MomentEstimate, or with ``graded`` an IndexValue
-    and a VarianceEstimate, per sample; None if flagged, if the variances sum to zero, or past 2^53."""
-    batches = [_chunk_statistics(n, sums, cross, spec if graded else None) for sums, cross in chunk]
+def _chunk_arguments(n: int, spec: StudySpec | None, chunk: list) -> list:
+    """Per replication, from ``_chunk_statistics``: a MomentEstimate, or with ``spec`` an IndexValue
+    and a VarianceEstimate, per sample; None if flagged, and for every replication past 2^53."""
+    batches = [_chunk_statistics(n, sums, cross, spec) for sums, cross in chunk]
     if any(batch is None for batch in batches):
         return [None] * len(chunk[0][0])
-    if graded is None:
+    if spec is None:
         return list(zip(*(
             [MomentEstimate(ScoreEstimate(tuple(s), n), cov, corr, tuple(d)) for s, cov, corr, d
              in zip(b["scores"].tolist(), b["cov"], b["corr"], b["degenerate"].tolist())]
             for b in batches)))
-    skip = np.any([b["flagged"] for b in batches], axis=0) | (sum(b["value"] for b in batches) == 0)
+    flagged = np.any([b["flagged"] for b in batches], axis=0)
     samples = [[(IndexValue(tuple(subs), index), VarianceEstimate(value, contributions, tuple(g), n))
                 for subs, index, value, g, contributions in zip(*(b[key].tolist() for key in (
                     "sub_indices", "index", "value", "gradients")), b["contributions"])] for b in batches]
-    return [None if s else sum(row, ()) for s, row in zip(skip.tolist(), zip(*samples))]
+    return [None if f else sum(row, ()) for f, row in zip(flagged.tolist(), zip(*samples))]
 
 
 # --- studies -----------------------------------------------------------------
@@ -459,21 +462,25 @@ def _moments_of(z: np.ndarray) -> tuple[float, float, float, float]:
 
 
 def _accepted(
-    plan: SimulationPlan, pmfs: tuple[PmfSpec, ...], statistic, graded=None
+    plan: SimulationPlan, pmfs: tuple[PmfSpec, ...], statistic, spec: StudySpec | None = None
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """``statistic(*moments)`` of every replication that it does not refuse, one
-    column per replication and one row per value, and a note counting the refused
-    ones. Raises the first refusal when it refuses every replication.
+    """``statistic`` of every replication that it does not refuse, one column per
+    replication and one row per value, and a note counting the refused ones. Raises
+    the first refusal when it refuses every replication.
 
-    A replication with ``_chunk_arguments`` gets ``(graded or statistic)(*arguments)``, any
-    other ``statistic`` on the scalar ``_from_sums``: the value or refusal users would get."""
+    ``statistic`` takes per sample a MomentEstimate, or with ``spec`` an IndexValue and a
+    VarianceEstimate, from ``_chunk_arguments`` or, where it has none, from ``_from_sums``,
+    ``global_index`` and ``index_variance``: the values or refusal users would get."""
     n = plan.n
     values, accepted, first = None, 0, None
     for chunk in _sampled_sums(plan, pmfs):
-        for r, arguments in enumerate(_chunk_arguments(n, plan.spec, chunk, graded)):
+        for r, arguments in enumerate(_chunk_arguments(n, spec, chunk)):
             try:
-                value = (graded or statistic)(*arguments) if arguments else statistic(
-                    *(_from_sums(n, s[r].tolist(), c[r].tolist()) for s, c in chunk))
+                if arguments is None:
+                    moments = [_from_sums(n, s[r].tolist(), c[r].tolist()) for s, c in chunk]
+                    arguments = moments if spec is None else [x for m in moments for x in (
+                        global_index(m.scores, spec), index_variance(m, spec))]
+                value = statistic(*arguments)
             except StatisticalRefusal as exc:
                 first = first or exc
                 continue
@@ -546,10 +553,7 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
             ci = confidence_interval(index, variance, _CI_LEVEL, df)
             return ci.lower <= truth.index <= ci.upper
 
-        def covers(moments):
-            return covered(global_index(moments.scores, plan.spec), index_variance(moments, plan.spec))
-
-        (hits,), refusals = _accepted(plan, (plan.pmf,), covers, covered)
+        (hits,), refusals = _accepted(plan, (plan.pmf,), covered, plan.spec)
         rate = int(hits.sum()) / hits.size
         se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / hits.size)
         lo, hi = _COVERAGE_BAND
@@ -564,15 +568,11 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     elif plan.study == "size":
         pmf_b = plan.pmf_alternative if plan.pmf_alternative is not None else plan.pmf
 
-        def rejects(moments_a, moments_b):
-            return _two_sample(moments_a, moments_b, plan.spec, "two", _SIGNIFICANCE).reject
+        def rejects(index_a, variance_a, index_b, variance_b):
+            return _two_sample((index_a.value, index_b.value), (variance_a.value, variance_b.value),
+                               (plan.n, plan.n), plan.spec.k, "two", _SIGNIFICANCE).reject
 
-        def rejected(index_a, variance_a, index_b, variance_b):
-            v, sizes = (variance_a.value, variance_b.value), (plan.n, plan.n)
-            df = welch_df(*v, *sizes, plan.spec.k)
-            return _outcome((index_a.value, index_b.value), v, sizes, df, "two", _SIGNIFICANCE).reject
-
-        (rejections,), refusals = _accepted(plan, (plan.pmf, pmf_b), rejects, rejected)
+        (rejections,), refusals = _accepted(plan, (plan.pmf, pmf_b), rejects, plan.spec)
         rate = int(rejections.sum()) / rejections.size
         se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / rejections.size)
         metrics = {

@@ -82,3 +82,41 @@ def test_importing_the_cli_loads_no_random_number_machinery():
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def test_sources_leave_no_unused_import_or_unreferenced_private_name():
+    # the repo has no linter; this catches what a deletion leaves behind
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    referenced, leftovers = set(), []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    for name, tree in trees.items():
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        used |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                 for elt in node.value.elts}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        leftovers.append(f"{name}: unused import {bound}")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                defined = []
+            for private in defined:
+                if private.startswith("_") and not private.startswith("__"):
+                    if private not in referenced:
+                        leftovers.append(f"{name}: private name {private} is never referenced")
+    assert leftovers == []

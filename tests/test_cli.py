@@ -513,8 +513,9 @@ def test_plain_files_skip_csv_reader(tmp_path, monkeypatch, spec, text, error):
         INDUSTRY_DATA.replace("\nc3", "\n\nc3"),
         INDUSTRY_DATA.replace("\nc3", "\n , , \nc3"),
         INDUSTRY_DATA.replace("c3", "c\udcff3"),
+        INDUSTRY_DATA.replace("\nc3", "\n ,x,y\nc3"),
     ],
-    ids=["quote", "lone-cr", "blank-line", "whitespace-line", "not-utf8"],
+    ids=["quote", "lone-cr", "blank-line", "whitespace-line", "not-utf8", "blank-id"],
 )
 def test_other_files_reach_csv_reader(tmp_path, monkeypatch, text):
     data_path = tmp_path / "data.csv"
@@ -582,6 +583,64 @@ class TestTests:
         )
         assert code == 1
         assert "variance" in err
+
+
+STEEP_SPEC = {"models": [{"name": "A", "m": 5, "beta": 3000}]}
+# mean 2.4, far down the steep logistic: index variances near 1e-204, whose squares underflow
+STEEP_DATA = {n: "corporation,A\n" + "".join(f"c{i + 1},{(2, 3, 2, 3, 2)[i % 5]}\n" for i in range(n))
+              for n in (5, 10)}
+# A's derivative is finite, but its square overflows the index variance to inf
+HUGE_SPEC = {"models": [{"name": "A", "m": 5, "beta": 1e200}, {"name": "B", "m": 5}]}
+HUGE_ROWS = "corporation,A,B\nr1,2,2\nr2,3,4\nr3,3,1\nr4,2,2\nr5,3,3\nr6,2,5\n"
+
+
+class TestExtremeVariances:
+    def write(self, tmp_path, spec, **data):
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        for name, text in data.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        return str(tmp_path / "spec.json"), *(str(tmp_path / f"{name}.csv") for name in data)
+
+    @pytest.mark.parametrize("n_a,n_b,df", [(5, 5, 8.0), (10, 10, 18.0), (5, 10, None)])
+    def test_two_sample_with_underflowing_variances(self, capsys, tmp_path, n_a, n_b, df):
+        spec, a, b = self.write(tmp_path, STEEP_SPEC, a=STEEP_DATA[n_a], b=STEEP_DATA[n_b])
+        code, out, err = run_cli(capsys, "test-two", "--spec", spec, "--data-a", a, "--data-b", b,
+                                 "--format", "structured")
+        assert code == 0, err
+        results = strict_json(out)["results"]
+        assert 0 < max(results["variances"]) < 1e-200
+        v_a, v_b = (v * 2.0**600 for v in results["variances"])
+        assert results["df"] == (df or (v_a + v_b) ** 2 / (v_a**2 / (n_a - 1) + v_b**2 / (n_b - 1)))
+
+    def test_two_sample_with_overflowing_variance_squares(self, capsys, tmp_path):
+        data = "corporation,A\nr1,2\nr2,3\nr3,2\nr4,3\nr5,1\nr6,4\n"
+        spec, a = self.write(tmp_path, {"models": [{"name": "A", "m": 5, "beta": 1e150}]}, a=data)
+        code, out, err = run_cli(capsys, "test-two", "--spec", spec, "--data-a", a, "--data-b", a,
+                                 "--format", "structured")
+        assert code == 0, err
+        results = strict_json(out)["results"]
+        assert min(results["variances"]) > 1e200 and results["df"] == 10.0
+
+    def test_size_study_with_underflowing_variances(self, capsys, tmp_path):
+        steep = {"models": [dict(STEEP_SPEC["models"][0], pmf=[0, 0, 0.5, 0.5, 0, 0])]}
+        (spec,) = self.write(tmp_path, steep)
+        code, out, err = run_cli(capsys, "simulate", "--spec", spec, "--study", "size", "--n", "20",
+                                 "--replications", "20", "--seed", "1", "--format", "structured")
+        assert code == 0, err
+        assert 0 <= strict_json(out)["results"]["metrics"]["rejection_rate"] <= 1
+
+    @pytest.mark.parametrize("command,flags", [
+        ("compute", ("--data", "rows")),
+        ("test-one", ("--data", "more", "--row", "r7")),
+        ("test-two", ("--data-a", "rows", "--data-b", "more")),
+    ])
+    def test_infinite_variance_is_a_statistical_refusal(self, capsys, tmp_path, command, flags):
+        paths = self.write(tmp_path, HUGE_SPEC, rows=HUGE_ROWS, more=HUGE_ROWS + "r7,4,1\n")
+        paths = dict(zip(("spec", "rows", "more"), paths))
+        code, out, err = run_cli(capsys, command, "--spec", paths["spec"],
+                                 *(paths.get(flag, flag) for flag in flags))
+        assert (code, out) == (1, "")
+        assert err == "error: the index variance is not finite in floating point, got inf\n"
 
 
 class TestSimulate:

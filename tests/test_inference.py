@@ -226,6 +226,25 @@ class TestWelchDf:
     def test_worked_value(self):
         assert welch_df(2e-4, 1e-4, 102, 52, 2) == pytest.approx(150.0, rel=1e-12)
 
+    @pytest.mark.parametrize("v", [1e-200, 1e200, 5e-324, 1.7e308])
+    def test_extreme_equal_variances(self, v):
+        # the squares of these underflow to 0 or overflow in floats
+        assert welch_df(v, v, 10, 10, 2) == 16.0
+
+    @given(
+        v_a=st.floats(1e-3, 1e3), v_b=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+        n_a=st.integers(5, 500), n_b=st.integers(5, 500), k=st.integers(1, 4),
+        scale=st.floats(-300, 300),
+    )
+    def test_df_is_scale_free_and_unchanged_inside_the_range(self, v_a, v_b, n_a, n_b, k, scale):
+        c = 10.0**scale
+        a, b = c * v_a, c * v_b
+        df = welch_df(a, b, n_a, n_b, k)
+        if 2.0**-500 <= max(a, b) <= 2.0**500:
+            expected = (a + b) ** 2 / (a**2 / (n_a - k) + b**2 / (n_b - k))
+            assert df.hex() == expected.hex()
+        assert df == pytest.approx(welch_df(v_a, v_b, n_a, n_b, k), rel=1e-14)
+
     def test_errors(self):
         with pytest.raises(BothVariancesZero):
             welch_df(0.0, 0.0, 10, 10, 2)
