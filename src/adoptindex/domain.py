@@ -5,8 +5,8 @@ A study is an ordered collection of adoption models. Model ``j`` has
 adoption at all". Observations are integer stage values, one column per
 model, one row per corporation. Everything here is immutable after
 construction (a dataset fills a cache of exact sums on first use, and
-one of row positions on its second row lookup) and safe to share across
-threads.
+one of row positions once its row lookups have scanned n ids) and safe to
+share across threads.
 
 Every dataset rule (ids, row count, stage ranges) is checked only by
 :class:`AdoptionDataset`; ``validate_dataset`` and ``cli.load_dataset`` check
@@ -239,16 +239,20 @@ class AdoptionDataset:
     def row_position(self, row_id: str) -> int:
         """0-based position of ``row_id``.
 
-        The first lookup scans the ids. Later ones read an id -> position dict
-        built on the second lookup and cached, like ``sufficient_stats``: one
-        lookup, as a CLI call makes, costs less as a scan than building the dict.
+        Lookups scan the ids until they have scanned n of them in total, a
+        failed one counting n. Later ones read an id -> position dict built then
+        and cached, like ``sufficient_stats``: one lookup, as a CLI call makes,
+        never builds it, and lookups of rows near the top scan while that is cheap.
         """
         positions = self.__dict__.get("_positions")
         try:
             if positions is None:
-                if "_positions" not in self.__dict__:
-                    self.__dict__["_positions"] = None
-                    return self.row_ids.index(row_id)
+                scanned = self.__dict__.get("_scanned", 0)
+                if scanned < self.n:
+                    self.__dict__["_scanned"] = scanned + self.n  # what a failed scan reads
+                    position = self.row_ids.index(row_id)
+                    self.__dict__["_scanned"] = scanned + position + 1
+                    return position
                 positions = self.__dict__["_positions"] = dict(zip(self.row_ids, range(self.n)))
             return positions[row_id]
         except (ValueError, KeyError, TypeError):  # TypeError: an unhashable id

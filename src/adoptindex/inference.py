@@ -17,9 +17,10 @@ formula). Tests:
   excluded row; there is no variant against a fixed constant. No
   reduced dataset is built: the remaining rows' sums and cross-products
   are the industry's minus the excluded row, O(k^2) work per test. The
-  row is found by ``AdoptionDataset.row_position``: the first lookup on a
-  dataset scans its n ids, and every later one reads a dict built once,
-  so testing many rows of one dataset costs O(k^2) per row.
+  row is found by ``AdoptionDataset.row_position``, which scans until a
+  dataset's lookups have scanned n ids and then builds a dict. Rows with
+  one stage tuple leave the same sums, so the remaining rows' moments and
+  index are computed once per distinct downdate (see ``one_sample_test``).
 * two-sample: unequal variances, Welch-Satterthwaite degrees of freedom.
 
 Both tests share one tail from statistic to p-value to outcome. The
@@ -29,6 +30,7 @@ variances, so the Monte Carlo size study runs it without building datasets.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -191,6 +193,8 @@ def welch_df(v_a: float, v_b: float, n_a: int, n_b: int, k: int) -> float:
         # NaN fails v >= 0; a bool or a string is no number
         if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)) or not v >= 0:
             raise InputError(f"variances must be non-negative, got {v_a!r}, {v_b!r}")
+    if math.inf in (v_a, v_b):
+        raise InputError(f"variances must be finite, got {v_a!r}, {v_b!r}")
     # type(), not isinstance(): a bool is no row count
     if type(n_a) is not int or type(n_b) is not int:
         raise InputError(f"sample sizes must be integers, got {n_a!r}, {n_b!r}")
@@ -217,6 +221,13 @@ def _row_index_at(dataset: AdoptionDataset, position: int) -> float:
     )
 
 
+@functools.lru_cache(maxsize=1024)
+def _remaining(spec: StudySpec, n: int, sums: tuple, cross: tuple) -> tuple[MomentEstimate, float]:
+    """The moments and index of the rows a leave-one-out test keeps."""
+    moments = _from_sums(n, sums, cross)
+    return moments, global_index(moments.scores, spec).value
+
+
 def one_sample_test(
     dataset: AdoptionDataset,
     row_id: str,
@@ -229,6 +240,12 @@ def one_sample_test(
     n-1 rows is compared against the excluded row's own index I_0 with
 
         T = (I_hat - I_0) / sqrt(V[I_hat]),   df = (n-1) - k - 1.
+
+    The remaining rows' moments and index depend only on the spec and the
+    exact ``(n, sums, cross)`` of ``without_row``, so a cache of up to 1,024
+    downdates shares them; a dataset has at most prod(m_j + 1) distinct ones.
+    The rest runs per call, in the same order, so a replaced ``index_variance``
+    or ``student_t_pvalue`` binding still sees every test, and refusals recur.
     """
     spec = dataset.spec
     significance = _require_level(significance, "significance")
@@ -240,14 +257,14 @@ def one_sample_test(
             f"excluding row {row_id!r} leaves df={df}; need at least 1"
         )
     null_value = _row_index_at(dataset, position)
-    moments = _from_sums(*dataset.without_row(position))
+    moments, index = _remaining(spec, *dataset.without_row(position))
     variance = index_variance(moments, spec)
     if variance.value == 0:
         raise DegenerateVariance(
             "the weighted stage combination is constant across the remaining rows"
         )
     return _outcome(
-        (global_index(moments.scores, spec).value, null_value),
+        (index, null_value),
         (variance.value,),
         (moments.n,),
         df,

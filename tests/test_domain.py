@@ -291,3 +291,18 @@ class TestRowPosition:
         assert not any(isinstance(value, dict) for value in vars(ds).values())
         assert ds.row_position("r6") == 6
         assert any(isinstance(value, dict) for value in vars(ds).values())
+
+    @pytest.mark.parametrize("lookups", [["r0", "r1", "r2", "r0"], ["missing"]], ids=["early", "failed"])
+    def test_lookups_scan_until_their_scans_add_up_to_n(self, tam_cmm_spec, lookups):
+        ds = validate_dataset(self.ROWS, tam_cmm_spec)
+        # scans of 1, 2, 3 and 1 ids add up to n = 7, and so does one failed scan
+        for row_id in lookups:
+            assert not any(isinstance(value, dict) for value in vars(ds).values())
+            if row_id == "missing":
+                with pytest.raises(RowNotFound):
+                    ds.row_position(row_id)
+            else:
+                assert ds.row_position(row_id) == int(row_id[1:])
+        assert not any(isinstance(value, dict) for value in vars(ds).values())
+        assert ds.row_position("r1") == 1
+        assert any(isinstance(value, dict) for value in vars(ds).values())

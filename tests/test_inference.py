@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from adoptindex import (
     one_sample_test,
     student_t_pvalue,
     subindex,
+    tdist,
     two_sample_test,
     welch_df,
 )
@@ -255,13 +258,23 @@ class TestWelchDf:
 
     @pytest.mark.parametrize(
         "v_a,v_b,shown",
-        [("1", 2.0, "'1', 2.0"), (1.0, math.nan, "1.0, nan")],
-        ids=["string", "nan"],
+        [("1", 2.0, "'1', 2.0"), (1.0, math.nan, "1.0, nan"), (-1.0, 2.0, "-1.0, 2.0"),
+         (math.inf, -math.inf, "inf, -inf")],
+        ids=["string", "nan", "negative", "minus-inf"],
     )
     def test_variances_must_be_numbers(self, v_a, v_b, shown):
         with pytest.raises(InputError) as info:
             welch_df(v_a, v_b, 10, 10, 1)
         assert str(info.value) == f"variances must be non-negative, got {shown}"
+
+    @pytest.mark.parametrize(
+        "v_a,v_b,shown",
+        [(math.inf, 1.0, "inf, 1.0"), (1.0, math.inf, "1.0, inf"), (math.inf, 0.0, "inf, 0.0")],
+    )
+    def test_variances_must_be_finite(self, v_a, v_b, shown):
+        with pytest.raises(InputError) as info:
+            welch_df(v_a, v_b, 10, 10, 2)
+        assert str(info.value) == f"variances must be finite, got {shown}"
 
     @pytest.mark.parametrize(
         "n_a,n_b,shown",
@@ -406,28 +419,42 @@ def assert_downdate_matches_reference(dataset, positions):
                 )
 
 
+def nonlinear_industry():
+    """Seven rows of one nonlinear and one linear six-stage model."""
+    spec = StudySpec([ModelSpec("A", 5, alpha=1.0, beta=2.0), ModelSpec("B", 5)])
+    return make_dataset(spec, [(1, 2, 3, 4, 0, 5, 2), (0, 5, 2, 3, 1, 1, 4)])
+
+
+def draw_spec(data, max_m):
+    """A spec of 1-3 models with up to ``max_m`` stages and mixed shapes."""
+    k = data.draw(st.integers(1, 3))
+    ms = data.draw(st.lists(st.integers(1, max_m), min_size=k, max_size=k))
+    shape = st.sampled_from([(1.0, 1.0), (0.5, 3.0), (2.0, 1.0)])
+    shapes = data.draw(st.lists(shape, min_size=k, max_size=k))
+    return StudySpec(
+        [ModelSpec(f"M{j}", m, alpha=a, beta=b) for j, (m, (a, b)) in enumerate(zip(ms, shapes))]
+    )
+
+
+def draw_dataset(data, spec, max_n):
+    """A dataset of ``spec`` with k + 3 to ``max_n`` rows of uniformly drawn stages."""
+    n = data.draw(st.integers(spec.k + 3, max_n))
+    return make_dataset(spec, [[data.draw(st.integers(0, m)) for _ in range(n)] for m in spec.stage_maxima])
+
+
 class TestLeaveOneOutDowndate:
     def test_every_row_of_the_ladder(self, ladder_dataset):
         assert_downdate_matches_reference(ladder_dataset, range(ladder_dataset.n))
 
     def test_every_row_of_a_nonlinear_industry(self):
-        spec = StudySpec([ModelSpec("A", 5, alpha=1.0, beta=2.0), ModelSpec("B", 5)])
-        ds = make_dataset(spec, [(1, 2, 3, 4, 0, 5, 2), (0, 5, 2, 3, 1, 1, 4)])
+        ds = nonlinear_industry()
         assert_downdate_matches_reference(ds, range(ds.n))
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_downdates_match_fresh_reductions(self, data):
-        k = data.draw(st.integers(1, 3))
-        ms = data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
-        shape = st.sampled_from([(1.0, 1.0), (0.5, 3.0), (2.0, 1.0)])
-        shapes = data.draw(st.lists(shape, min_size=k, max_size=k))
-        n = data.draw(st.integers(k + 3, 40))
-        spec = StudySpec(
-            [ModelSpec(f"M{j}", m, alpha=a, beta=b) for j, (m, (a, b)) in enumerate(zip(ms, shapes))]
-        )
-        ds = make_dataset(spec, [[data.draw(st.integers(0, m)) for _ in range(n)] for m in ms])
-        first = data.draw(st.integers(0, n - 1))
+        ds = draw_dataset(data, draw_spec(data, 9), 40)
+        first = data.draw(st.integers(0, ds.n - 1))
         assert_downdate_matches_reference(ds, [first])
 
     def test_a_column_made_constant_by_the_removal_is_refused(self, tam_cmm_spec):
@@ -449,6 +476,108 @@ class TestLeaveOneOutDowndate:
         with pytest.raises(InputError) as info:
             one_sample_test(ds, row_id="r1")
         assert str(info.value) == f"stages up to {peak} over 3 rows overflow exact int64 moments"
+
+
+SEAMS = (AdoptionDataset.without_row, inference.index_variance, tdist.student_t_pvalue)
+REPEATED_CELLS = [(0, 1, 1, 2, 3, 1), (2, 3, 3, 4, 0, 3)]  # rows r1, r2 and r5 share (1, 3)
+
+
+def replace_everywhere(monkeypatch, replacements):
+    """Point every package binding of each key of ``replacements``, in a module or a class, at its value."""
+    by_id = {id(original): replacement for original, replacement in replacements.items()}
+    for name, module in list(sys.modules.items()):
+        if name == "adoptindex" or name.startswith("adoptindex."):
+            owners = [module] + [value for value in vars(module).values() if isinstance(value, type)]
+            for owner in owners:
+                for attribute, value in list(vars(owner).items()):
+                    if id(value) in by_id:
+                        monkeypatch.setattr(owner, attribute, by_id[id(value)])
+
+
+def assert_cached_tests_match_reference(datasets):
+    """Each row's test, with the downdate cache cleared and warm, is bitwise
+    ``reference_one_sample``'s, and the cache never holds more downdates than the
+    datasets have distinct stage tuples."""
+    rows = [(ds, position) for ds in datasets for position in range(ds.n)]
+    distinct = sum(len(set(map(tuple, ds.values.tolist()))) for ds in datasets)
+    expected = [bits(lambda: reference_one_sample(ds, position)) for ds, position in rows]
+    cold = []
+    for ds, position in rows:
+        inference._remaining.cache_clear()
+        cold.append(bits(lambda: one_sample_test(ds, row_id=ds.row_ids[position])))
+    assert cold == expected
+    inference._remaining.cache_clear()
+    for _ in range(2):  # the second pass finds every downdate cached
+        warm = []
+        for ds, position in rows:
+            warm.append(bits(lambda: one_sample_test(ds, row_id=ds.row_ids[position])))
+            assert inference._remaining.cache_info().currsize <= distinct
+        assert warm == expected
+
+
+class TestSharedDowndates:
+    def test_each_test_goes_once_through_every_seam(self, monkeypatch, tam_cmm_spec):
+        # the bench fault tests patch these bindings; a cached test that skipped one would escape
+        ds = make_dataset(tam_cmm_spec, REPEATED_CELLS)
+        calls = {seam: 0 for seam in SEAMS}
+
+        def counting(seam):
+            def call(*args, **kwargs):
+                calls[seam] += 1
+                return seam(*args, **kwargs)
+            return call
+
+        replace_everywhere(monkeypatch, {seam: counting(seam) for seam in SEAMS})
+        inference._remaining.cache_clear()
+        for tests, row_id in enumerate(2 * ds.row_ids, 1):  # a cold round, then a warm one
+            one_sample_test(ds, row_id=row_id)
+            assert list(calls.values()) == [tests] * len(SEAMS)
+        assert inference._remaining.cache_info().hits == 2 * ds.n - 4  # 4 distinct rows
+
+    def test_a_replaced_variance_changes_every_warm_outcome(self, monkeypatch, tam_cmm_spec):
+        ds = make_dataset(tam_cmm_spec, REPEATED_CELLS)
+        for row_id in ds.row_ids:  # fill the cache
+            one_sample_test(ds, row_id=row_id)
+        warm = [one_sample_test(ds, row_id=row_id) for row_id in ds.row_ids]
+        variance = inference.index_variance
+
+        def scaled(*args, **kwargs):  # the benchmark's variance fault
+            v = variance(*args, **kwargs)
+            return dataclasses.replace(v, value=v.value * 1.01, contributions=v.contributions * 1.01)
+
+        replace_everywhere(monkeypatch, {variance: scaled})
+        for before, row_id in zip(warm, ds.row_ids):
+            after = one_sample_test(ds, row_id=row_id)
+            assert after.statistic != before.statistic and after.p_value != before.p_value
+
+    def test_every_row_of_the_fixtures(self, ladder_dataset):
+        industry = nonlinear_industry()
+        # the same stages under a linear spec leave the same sums, and must not share a downdate
+        linear = make_dataset(StudySpec([ModelSpec("A", 5), ModelSpec("B", 5)]), industry.values.T)
+        assert_cached_tests_match_reference([ladder_dataset, industry, linear])
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_two_industries_under_one_spec(self, data):
+        spec = draw_spec(data, 4)  # few stages, so rows share stage tuples
+        assert_cached_tests_match_reference([draw_dataset(data, spec, 25), draw_dataset(data, spec, 25)])
+
+    def test_repeated_calls_raise_the_same_refusal(self, single_model_spec, tam_cmm_spec):
+        peak = 2**31
+        cases = [
+            (make_dataset(single_model_spec, [(1, 2, 3)]), "r0",
+             InsufficientDf, "excluding row 'r0' leaves df=0; need at least 1"),
+            (make_dataset(tam_cmm_spec, [(3, 3, 3, 3, 5), (0, 5, 2, 3, 1)]), "r4",
+             DegenerateVariance, "model 'TAM' has zero sample variance; the index variance is undefined"),
+            (make_dataset(tam_cmm_spec, [(0, 5, 2, 3, 1), (5, 0, 3, 2, 4)]), "r0", DegenerateVariance,
+             "the weighted stage combination is constant across the remaining rows"),
+            (make_dataset(StudySpec([ModelSpec("M", peak)]), [(peak, 1, 2, 3)]), "r1",
+             InputError, f"stages up to {peak} over 3 rows overflow exact int64 moments"),
+        ]
+        inference._remaining.cache_clear()
+        for ds, row_id, error, message in cases:
+            for _ in range(3):
+                assert bits(lambda: one_sample_test(ds, row_id=row_id)) == (error, message)
 
 
 class TestTwoSample:
