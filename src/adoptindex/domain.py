@@ -5,7 +5,7 @@ A study is an ordered collection of adoption models. Model ``j`` has
 adoption at all". Observations are integer stage values, one column per
 model, one row per corporation. Everything here is immutable after
 construction (a dataset fills a cache of exact sums on first use, and
-one of row positions once its row lookups have scanned n ids) and safe to
+one of row positions once its row lookups have scanned 8n ids) and safe to
 share across threads.
 
 Every dataset rule (ids, row count, stage ranges) is checked only by
@@ -41,6 +41,9 @@ PSD_EIGENVALUE_FLOOR = -1e-10
 _INT64 = np.iinfo(np.int64)
 # sums and cross-products are accumulated in int64; n * max_stage^2 must stay below this
 _INT64_LIMIT = 2**63
+# row lookups scan until they have scanned this many times n ids, then build an id -> position
+# dict; with the ids' hashes cached the dict costs about 5 full scans at 2,000 rows, 25 at 10^6
+_SCANS_BEFORE_DICT = 8
 
 RawRows = Sequence[tuple[str, Sequence[int]]]
 
@@ -239,16 +242,16 @@ class AdoptionDataset:
     def row_position(self, row_id: str) -> int:
         """0-based position of ``row_id``.
 
-        Lookups scan the ids until they have scanned n of them in total, a
-        failed one counting n. Later ones read an id -> position dict built then
-        and cached, like ``sufficient_stats``: one lookup, as a CLI call makes,
-        never builds it, and lookups of rows near the top scan while that is cheap.
+        Lookups scan the ids until they have scanned ``_SCANS_BEFORE_DICT`` * n of
+        them in total, a failed one counting n. Later ones read an id -> position dict
+        built then and cached, like ``sufficient_stats``: one lookup, as a CLI call makes,
+        never builds it, and a few lookups of a large dataset scan, which costs less.
         """
         positions = self.__dict__.get("_positions")
         try:
             if positions is None:
                 scanned = self.__dict__.get("_scanned", 0)
-                if scanned < self.n:
+                if scanned < _SCANS_BEFORE_DICT * self.n:
                     self.__dict__["_scanned"] = scanned + self.n  # what a failed scan reads
                     position = self.row_ids.index(row_id)
                     self.__dict__["_scanned"] = scanned + position + 1

@@ -18,9 +18,9 @@ formula). Tests:
   reduced dataset is built: the remaining rows' sums and cross-products
   are the industry's minus the excluded row, O(k^2) work per test. The
   row is found by ``AdoptionDataset.row_position``, which scans until a
-  dataset's lookups have scanned n ids and then builds a dict. Rows with
-  one stage tuple leave the same sums, so the remaining rows' moments and
-  index are computed once per distinct downdate (see ``one_sample_test``).
+  dataset's lookups have scanned 8n ids and then builds a dict. Rows with
+  one stage tuple leave the same sums, so both indices and the remaining
+  rows' moments are computed once per distinct row (see ``one_sample_test``).
 * two-sample: unequal variances, Welch-Satterthwaite degrees of freedom.
 
 Both tests share one tail from statistic to p-value to outcome. The
@@ -47,7 +47,7 @@ from .errors import (
     InsufficientSample,
     SpecMismatch,
 )
-from .estimation import MomentEstimate, _from_sums, estimate_moments
+from .estimation import MomentEstimate, ScoreEstimate, _from_sums, estimate_moments
 from .index import IndexValue, delta_derivative, delta_gradient, global_index, subindex
 from .tdist import Sidedness, _require_df, _require_level, student_t_pvalue, student_t_quantile
 
@@ -212,20 +212,13 @@ def welch_df(v_a: float, v_b: float, n_a: int, n_b: int, k: int) -> float:
     return (v_a + v_b) ** 2 / (v_a**2 / (n_a - k) + v_b**2 / (n_b - k))
 
 
-def _row_index_at(dataset: AdoptionDataset, position: int) -> float:
-    """The own index of the row at ``position``: its stages' sub-indices, weighted."""
-    stages = dataset.values[position].tolist()
-    return math.fsum(
-        w * subindex(float(x), model)
-        for w, x, model in zip(dataset.spec.weights, stages, dataset.spec.models)
-    )
-
-
 @functools.lru_cache(maxsize=1024)
-def _remaining(spec: StudySpec, n: int, sums: tuple, cross: tuple) -> tuple[MomentEstimate, float]:
-    """The moments and index of the rows a leave-one-out test keeps."""
+def _remaining(spec: StudySpec, row: tuple, n: int, sums: tuple, cross: tuple) -> tuple:
+    """The moments and index of the rows a leave-one-out test keeps, and the own index
+    of the row of stages ``row`` that it leaves out."""
     moments = _from_sums(n, sums, cross)
-    return moments, global_index(moments.scores, spec).value
+    own = ScoreEstimate(tuple(float(x) for x in row), n=1)
+    return moments, global_index(moments.scores, spec).value, global_index(own, spec).value
 
 
 def one_sample_test(
@@ -242,10 +235,12 @@ def one_sample_test(
         T = (I_hat - I_0) / sqrt(V[I_hat]),   df = (n-1) - k - 1.
 
     The remaining rows' moments and index depend only on the spec and the
-    exact ``(n, sums, cross)`` of ``without_row``, so a cache of up to 1,024
-    downdates shares them; a dataset has at most prod(m_j + 1) distinct ones.
-    The rest runs per call, in the same order, so a replaced ``index_variance``
-    or ``student_t_pvalue`` binding still sees every test, and refusals recur.
+    exact ``(n, sums, cross)`` of ``without_row``, and I_0 on the spec and the
+    row's stages. A cache of up to 1,024 keys of all of them holds the three (two
+    datasets may leave other rows with the same sums); a dataset has at most
+    prod(m_j + 1) distinct rows. The rest runs per call, in the same order, so a
+    replaced ``index_variance`` or ``student_t_pvalue`` binding still sees every
+    test, and refusals recur.
     """
     spec = dataset.spec
     significance = _require_level(significance, "significance")
@@ -256,8 +251,8 @@ def one_sample_test(
         raise InsufficientDf(
             f"excluding row {row_id!r} leaves df={df}; need at least 1"
         )
-    null_value = _row_index_at(dataset, position)
-    moments, index = _remaining(spec, *dataset.without_row(position))
+    row = tuple(dataset.values[position].tolist())
+    moments, index, null_value = _remaining(spec, row, *dataset.without_row(position))
     variance = index_variance(moments, spec)
     if variance.value == 0:
         raise DegenerateVariance(

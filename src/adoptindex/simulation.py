@@ -6,11 +6,11 @@ child r of the plan's seed (and grandchild i for sample i when it needs two
 samples), so replications are reproducible independently of execution order
 and the aggregates are order-independent sums.
 
-Studies do not build those numpy objects, about 11 us each. ``_stream_words``
-hashes a block of spawn keys at once with ``SeedSequence``'s own arithmetic in
-uint32 numpy, and ``_reseeded`` sets one reused PCG64 to each sample's seeded
-state: the streams are bit for bit those of ``spawn`` and ``default_rng``,
-which ``sample_dataset`` still calls.
+Studies build no ``SeedSequence``, about 11 us each. ``_stream_words`` hashes a
+block of spawn keys at once with ``SeedSequence``'s own arithmetic in uint32
+numpy, and numpy's PCG64 seeds itself from each sample's four hashed words: the
+streams are bit for bit those of ``spawn`` and ``default_rng``, which
+``sample_dataset`` still calls.
 
 Studies draw replications in chunks of at most ``_CHUNK_CELLS`` stage cells,
 each from its own stream into one buffer (the stream of a lone draw, which
@@ -54,12 +54,10 @@ _CHUNK_CELLS = 1 << 14
 # amortise the hash's numpy calls, and the block never changes a stream
 _SEED_BLOCK = 512
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 seeding constants
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 # Acceptance bands, calibrated to R = 10,000 replications: the binomial Monte
@@ -340,20 +338,7 @@ def _stream_words(seed: int, replications: range, samples: int) -> np.ndarray:
     h = _INIT_B
     for i in range(8):
         state[:, i], h = _hashmix(pool[i % 4], h, _MULT_B)
-    return state.view("<u8").reshape(len(r), samples, 4)
-
-
-def _reseeded(rng: np.random.Generator, words: np.ndarray) -> Iterator[np.random.Generator]:
-    """``rng``, its PCG64 set in turn to the state ``default_rng`` seeds from each row of
-    ``words`` [B, 4] (``_stream_words``); each row becomes a state only when it is reached."""
-    bit_generator = rng.bit_generator
-    for s_high, s_low, t_high, t_low in words.tolist():
-        # pcg64_set_seed: inc = 2t + 1, then two steps of the LCG from 0 with s added
-        inc = ((t_high << 64 | t_low) << 1 | 1) & _MASK128
-        state = ((inc + (s_high << 64 | s_low)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield rng
+    return state.view("<u8").reshape(len(r), samples, 4).astype(np.uint64, copy=False)  # native order
 
 
 def sample_dataset(pmf: PmfSpec, spec: StudySpec, n: int, seed) -> AdoptionDataset:
@@ -404,21 +389,34 @@ def _draw(root: np.ndarray | None, cuts: list, rngs, draws: np.ndarray) -> np.nd
 def _sampled_sums(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[list]:
     """Each chunk's int64 column sums [B, k] and cross-products [B, k, k], one pair
     per pmf. Replication r owns child r of the plan's seed, and with two pmfs sample
-    i its grandchild i; the streams are seeded a block of whole chunks at a time."""
+    i its grandchild i. A block of whole chunks is hashed at once, and numpy's PCG64
+    seeds itself from each sample's words, which ``Words`` hands it as a seed sequence
+    would; ``Words`` is made per study, as a subclass made at import would load
+    ``numpy.random`` with the CLI."""
+
+    class Words(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # PCG64 asks for 4 uint64 and reads their memory unchecked: a row of the
+            # C-ordered, native uint64 words is just that
+            return self.words
+
     n, k = plan.n, plan.spec.k
     _require_exact(n, max(plan.spec.stage_maxima))
     per_chunk = max(1, _CHUNK_CELLS // (n * k))
     per_block = per_chunk * max(1, _SEED_BLOCK // per_chunk)
     samplers = [_sampler(pmf) for pmf in pmfs]
     draws = np.empty((min(per_chunk, plan.replications), n, k))
-    rng = np.random.Generator(np.random.PCG64(0))  # its state is replaced before every draw
     for block in range(0, plan.replications, per_block):
         words = _stream_words(
             plan.seed, range(block, min(block + per_block, plan.replications)), len(pmfs))
         for start in range(0, len(words), per_chunk):
             chunk = words[start : start + per_chunk]
             # each _draw returns fresh stages, so the shared buffer may be reused at once
-            stages = [_draw(*sampler, _reseeded(rng, chunk[:, i]), draws[: len(chunk)])
+            stages = [_draw(*sampler, (np.random.Generator(np.random.PCG64(Words(row)))
+                                       for row in chunk[:, i]), draws[: len(chunk)])
                       for i, sampler in enumerate(samplers)]
             yield [(x.sum(axis=2), x @ x.swapaxes(-1, -2)) for x in stages]
 

@@ -267,7 +267,7 @@ class TestRowPosition:
         ids = [row_id for row_id, _ in self.ROWS]
         first = [validate_dataset(self.ROWS, tam_cmm_spec).row_position(row_id) for row_id in ids]
         ds = validate_dataset(self.ROWS, tam_cmm_spec)
-        # the first lookup scans, the second builds the dict, the rest read it
+        # at n = 7 these scans add up to 56 = 8n, so all of them scan; see the dict test below
         later = [ds.row_position(row_id) for row_id in ids + ids[::-1]]
         assert first == [ds.row_ids.index(row_id) for row_id in ids]
         assert later == first + first[::-1]
@@ -285,17 +285,33 @@ class TestRowPosition:
         assert str(later.value) == message
         assert ds.row_position("r6") == 6
 
+    @pytest.mark.parametrize("row_id", ["missing", "", 5, None, [1], ("r0",)])
+    def test_lookups_through_the_dict_agree_with_the_ids(self, tam_cmm_spec, row_id):
+        ds = validate_dataset(self.ROWS, tam_cmm_spec)
+        for _ in range(8):  # eight failed scans count 8n, so the next lookup builds the dict
+            with pytest.raises(RowNotFound):
+                ds.row_position("missing")
+        ids = [known for known, _ in self.ROWS]
+        assert [ds.row_position(known) for known in ids] == list(range(7))
+        assert any(isinstance(value, dict) for value in vars(ds).values())
+        with pytest.raises(RowNotFound) as later:
+            ds.row_position(row_id)
+        assert str(later.value) == f"row {row_id!r} not found in dataset"
+
     def test_one_lookup_builds_no_dict(self, tam_cmm_spec):
         ds = validate_dataset(self.ROWS, tam_cmm_spec)
-        assert ds.row_position("r6") == 6
-        assert not any(isinstance(value, dict) for value in vars(ds).values())
+        # eight scans of all n = 7 ids add up to 8n = 56; the ninth lookup builds the dict
+        for _ in range(8):
+            assert ds.row_position("r6") == 6
+            assert not any(isinstance(value, dict) for value in vars(ds).values())
         assert ds.row_position("r6") == 6
         assert any(isinstance(value, dict) for value in vars(ds).values())
 
-    @pytest.mark.parametrize("lookups", [["r0", "r1", "r2", "r0"], ["missing"]], ids=["early", "failed"])
-    def test_lookups_scan_until_their_scans_add_up_to_n(self, tam_cmm_spec, lookups):
+    @pytest.mark.parametrize(
+        "lookups", [[f"r{i}" for i in range(7)] * 2, ["missing"] * 8], ids=["early", "failed"])
+    def test_lookups_scan_until_their_scans_add_up_to_8n(self, tam_cmm_spec, lookups):
         ds = validate_dataset(self.ROWS, tam_cmm_spec)
-        # scans of 1, 2, 3 and 1 ids add up to n = 7, and so does one failed scan
+        # two rounds of scans of 1, 2, ..., 7 ids add up to 8n = 56, and so do eight failed scans
         for row_id in lookups:
             assert not any(isinstance(value, dict) for value in vars(ds).values())
             if row_id == "missing":

@@ -556,6 +556,20 @@ class TestSharedDowndates:
         linear = make_dataset(StudySpec([ModelSpec("A", 5), ModelSpec("B", 5)]), industry.values.T)
         assert_cached_tests_match_reference([ladder_dataset, industry, linear])
 
+    def test_rows_that_leave_the_same_sums_keep_their_own_index(self, tam_cmm_spec):
+        # R + {x} without x and R + {y} without y leave the same (n, sums, cross)
+        rest = [(0, 1, 1, 2, 3, 1), (2, 3, 3, 4, 0, 3)]
+        with_x = make_dataset(tam_cmm_spec, [column + (x,) for column, x in zip(rest, (1, 4))])
+        with_y = make_dataset(tam_cmm_spec, [column + (y,) for column, y in zip(rest, (5, 5))])
+        assert with_x.without_row(6) == with_y.without_row(6)
+        inference._remaining.cache_clear()
+        first = bits(lambda: one_sample_test(with_x, row_id="r6"))
+        second = bits(lambda: one_sample_test(with_y, row_id="r6"))  # the cache is warm
+        assert first == bits(lambda: reference_one_sample(with_x, 6))
+        assert second == bits(lambda: reference_one_sample(with_y, 6))
+        (remaining_x, own_x), (remaining_y, own_y) = first[6], second[6]  # the indices
+        assert remaining_x == remaining_y and own_x != own_y
+
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_two_industries_under_one_spec(self, data):
