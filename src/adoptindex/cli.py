@@ -54,6 +54,7 @@ from .domain import _INT64, AdoptionDataset, ModelSpec, PmfSpec, StudySpec
 from .errors import (
     AdoptionIndexError,
     InputError,
+    InvalidLevel,
     OutOfRangeStage,
     RowArityMismatch,
     SpecMismatch,
@@ -387,11 +388,15 @@ def _test_report(args: argparse.Namespace, spec: StudySpec, inputs: dict[str, An
 
 def cmd_compute(args: argparse.Namespace) -> dict[str, Any]:
     spec, (dataset,) = _load(args, args.data)
+    level = 1.0 - args.alpha_level
+    if 0.5 * (1.0 + level) == 1.0:  # the interval's quantile level, as confidence_interval forms it
+        raise InvalidLevel(f"--alpha-level {args.alpha_level!r} is too small: the interval's "
+                           "quantile level 1 - alpha/2 rounds to 1 in floating point")
     moments = estimate_moments(dataset)
     index = global_index(moments.scores, spec)
     variance = index_variance(moments, spec)
     df = _interval_df(dataset.n, spec.k)
-    ci = confidence_interval(index, variance, 1.0 - args.alpha_level, df)
+    ci = confidence_interval(index, variance, level, df)
     report = _report(args, spec, {"data": args.data, "n": dataset.n}, {
         "scores": dict(zip(spec.names, moments.scores.scores)),
         "sub_indices": dict(zip(spec.names, index.sub_indices)),

@@ -17,15 +17,17 @@ formula). Tests:
   excluded row; there is no variant against a fixed constant. No
   reduced dataset is built: the remaining rows' sums and cross-products
   are the industry's minus the excluded row, O(k^2) work per test. The
-  row is found by ``AdoptionDataset.row_position``, which scans until a
-  dataset's lookups have scanned 8n ids and then builds a dict. Rows with
-  one stage tuple leave the same sums, so both indices and the remaining
-  rows' moments are computed once per distinct row (see ``one_sample_test``).
+  row is found by ``AdoptionDataset.row_position``. Rows with one stage
+  tuple leave the same sums, so both indices and the remaining rows'
+  moments are computed once per distinct row (see ``one_sample_test``).
 * two-sample: unequal variances, Welch-Satterthwaite degrees of freedom.
 
 Both tests share one tail from statistic to p-value to outcome. The
 two-sample test's Welch tail, ``_two_sample``, takes indices and index
 variances, so the Monte Carlo size study runs it without building datasets.
+
+Every function here is scalar, on one sample; the Monte Carlo studies reduce a
+chunk of samples at once, bit for bit the same, in ``simulation._chunk_arguments``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import numpy as np
 from .domain import AdoptionDataset, StudySpec, correlation_matrix
 from .errors import (
     BothVariancesZero,
-    BoundaryScore,
     DegenerateVariance,
     InputError,
     InsufficientDf,
@@ -48,7 +49,7 @@ from .errors import (
     SpecMismatch,
 )
 from .estimation import MomentEstimate, ScoreEstimate, _from_sums, estimate_moments
-from .index import IndexValue, delta_derivative, delta_gradient, global_index, subindex
+from .index import IndexValue, delta_gradient, global_index
 from .tdist import Sidedness, _require_df, _require_level, student_t_pvalue, student_t_quantile
 
 VARIANCE_EXPANSION_TOL = 1e-12
@@ -142,46 +143,6 @@ def index_variance(
     return VarianceEstimate(
         value=value, contributions=contributions, gradients=gradients, n_used=n
     )
-
-
-@np.errstate(all="ignore")  # as in Python floats, overflow gives inf and 0 / 0 gives NaN silently
-def _chunk_statistics(n: int, sums: np.ndarray, cross: np.ndarray, spec: StudySpec | None = None):
-    """``_from_sums`` of B samples of n rows, from int64 ``sums[B, k]`` and ``cross[B, k, k]``, as
-    read-only arrays, and with ``spec`` each sample's ``global_index`` and ``index_variance`` parts
-    and ``flagged`` where either refuses or the form is negative or not finite. Bit for bit:
-    numpy does only + - * /, sqrt, comparisons and clipping; powers and ``fsum`` stay in ``math``.
-    None once ``n max(cross)``, ``max(sums)^2`` or ``n(n-1)`` reaches 2^53, where int64 ``/`` may misround."""
-    if max(n * int(cross.max()), int(sums.max()) ** 2, n * (n - 1)) >= 2**53:
-        return None
-    k = sums.shape[1]
-    cov = (n * cross - sums[:, :, None] * sums[:, None, :]) / (n * (n - 1))
-    sd = np.sqrt(cov.diagonal(axis1=1, axis2=2))
-    degenerate = sd == 0.0
-    corr = np.clip(cov / (sd[:, :, None] * sd[:, None, :]), -1.0, 1.0)
-    corr[:, range(k), range(k)] = 1.0
-    corr[degenerate[:, :, None] | degenerate[:, None, :]] = math.nan
-    stats = {"scores": sums / n, "cov": cov, "corr": corr, "degenerate": degenerate}
-    if spec is not None:
-        columns = list(zip(stats["scores"].T.tolist(), spec.models))
-        subs = np.array([[subindex(s, model) for s in column] for column, model in columns]).T
-        gradients = np.array([[_derivative(s, model) for s in column] for column, model in columns]).T
-        g = gradients * spec.weights
-        # index_variance's gj * gl * s / n, in its order; a refused derivative makes the value NaN
-        contributions = g[:, :, None] * g[:, None, :] * cov / n
-        value = contributions.sum(axis=(1, 2))  # per sample, in the order contributions.sum() adds
-        index = np.array([math.fsum(row) for row in (subs * spec.weights).tolist()])
-        stats.update(sub_indices=subs, index=index, gradients=gradients, contributions=contributions,
-                     value=value, flagged=degenerate.any(axis=1) | ~(value >= 0) | np.isinf(value))
-    for array in stats.values():
-        array.setflags(write=False)
-    return stats
-
-
-def _derivative(score: float, model) -> float:  # delta_derivative, NaN where it refuses
-    try:
-        return delta_derivative(score, model)
-    except BoundaryScore:
-        return math.nan
 
 
 def welch_df(v_a: float, v_b: float, n_a: int, n_b: int, k: int) -> float:

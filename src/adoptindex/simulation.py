@@ -14,13 +14,14 @@ streams are bit for bit those of ``spawn`` and ``default_rng``, which
 
 Studies draw replications in chunks of at most ``_CHUNK_CELLS`` stage cells,
 each from its own stream into one buffer (the stream of a lone draw, which
-``sample_dataset`` makes), and reduce a chunk to integer sums, then to moments
-and (coverage, size) indices and variances in one numpy pass, bitwise equal to
-the scalar functions. Each study's one statistic, which alone runs per
-replication, takes each sample's moments, or its index and variance. A
-replication that a scalar function would refuse, and all of a chunk whose sums
-reach 2^53 (where int64 division stops rounding as Python's does), get them from
-``_from_sums`` and the scalar functions, so refusals are those users get.
+``sample_dataset`` makes), and reduce a chunk to integer sums, which this
+module's ``_chunk_arguments`` turns into moments, or (coverage, size) indices
+and variances, in one numpy pass, bitwise equal to the scalar functions. Each
+study's one statistic, which alone runs per replication, takes each sample's
+moments, or its index and variance. A replication that a scalar function would
+refuse, and all of a chunk whose sums reach 2^53 (where int64 division stops
+rounding as Python's does), get them from ``_from_sums`` and the scalar
+functions, so refusals are those users get.
 
 Cross-model dependence is induced by a latent normal copula: correlated
 standard normals are pushed through each model's stage quantile
@@ -40,11 +41,11 @@ from statistics import NormalDist
 import numpy as np
 
 from .domain import AdoptionDataset, PmfSpec, StudySpec, _integer, _require_exact
-from .errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
+from .errors import BoundaryScore, DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
 from .estimation import MomentEstimate, ScoreEstimate, _from_sums
-from .index import IndexValue, delta_gradient, global_index
-from .inference import (VARIANCE_EXPANSION_TOL, VarianceEstimate, _chunk_statistics, _interval_df,
-                        _two_sample, confidence_interval, index_variance)
+from .index import IndexValue, delta_derivative, delta_gradient, global_index, subindex
+from .inference import (VARIANCE_EXPANSION_TOL, VarianceEstimate, _interval_df, _two_sample,
+                        confidence_interval, index_variance)
 
 STUDY_KINDS = ("normality", "coverage", "size", "variance-ratio")
 
@@ -119,7 +120,6 @@ class TruePopulation:
 
     scores: tuple[float, ...]
     variances: tuple[float, ...]
-    sub_indices: tuple[float, ...]
     index: float
 
 
@@ -201,7 +201,7 @@ def _cumulative(pmf: tuple[float, ...]) -> np.ndarray:
 
 
 def true_index(pmf: PmfSpec, spec: StudySpec) -> TruePopulation:
-    """Exact population scores, variances, sub-indices, and global index."""
+    """Exact population scores, variances, and global index."""
     _check_pmf_alignment(pmf, spec)
     scores = []
     variances = []
@@ -211,12 +211,10 @@ def true_index(pmf: PmfSpec, spec: StudySpec) -> TruePopulation:
         mean = float(stages @ p)
         scores.append(mean)
         variances.append(float((stages**2) @ p) - mean**2)
-    idx = global_index(ScoreEstimate(scores=tuple(scores), n=0), spec)
     return TruePopulation(
         scores=tuple(scores),
         variances=tuple(max(0.0, v) for v in variances),
-        sub_indices=idx.sub_indices,
-        index=idx.value,
+        index=global_index(ScoreEstimate(scores=tuple(scores), n=0), spec).value,
     )
 
 
@@ -421,21 +419,53 @@ def _sampled_sums(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[l
             yield [(x.sum(axis=2), x @ x.swapaxes(-1, -2)) for x in stages]
 
 
+@np.errstate(all="ignore")  # as in Python floats, overflow gives inf and 0 / 0 gives NaN silently
 def _chunk_arguments(n: int, spec: StudySpec | None, chunk: list) -> list:
-    """Per replication, from ``_chunk_statistics``: a MomentEstimate, or with ``spec`` an IndexValue
-    and a VarianceEstimate, per sample; None if flagged, and for every replication past 2^53."""
-    batches = [_chunk_statistics(n, sums, cross, spec) for sums, cross in chunk]
-    if any(batch is None for batch in batches):
-        return [None] * len(chunk[0][0])
-    if spec is None:
-        return list(zip(*(
-            [MomentEstimate(ScoreEstimate(tuple(s), n), cov, corr, tuple(d)) for s, cov, corr, d
-             in zip(b["scores"].tolist(), b["cov"], b["corr"], b["degenerate"].tolist())]
-            for b in batches)))
-    flagged = np.any([b["flagged"] for b in batches], axis=0)
-    samples = [[(IndexValue(tuple(subs), index), VarianceEstimate(value, contributions, tuple(g), n))
-                for subs, index, value, g, contributions in zip(*(b[key].tolist() for key in (
-                    "sub_indices", "index", "value", "gradients")), b["contributions"])] for b in batches]
+    """Per replication of a chunk from ``_sampled_sums``, per sample: the MomentEstimate that
+    ``_from_sums`` gives, or with ``spec`` the IndexValue and VarianceEstimate of ``global_index``
+    and ``index_variance``. None where either refuses or the form is negative or not finite,
+    and for every replication once ``n max(cross)``, ``max(sums)^2`` or ``n(n-1)`` reaches
+    2^53, where int64 ``/`` may misround. Bit for bit: numpy does only + - * /, sqrt,
+    comparisons and clipping; powers and ``fsum`` stay in ``math``."""
+
+    def derivative(score: float, model) -> float:  # delta_derivative, NaN where it refuses
+        try:
+            return delta_derivative(score, model)
+        except BoundaryScore:
+            return math.nan
+
+    replications = len(chunk[0][0])
+    if any(max(n * int(cross.max()), int(sums.max()) ** 2, n * (n - 1)) >= 2**53
+           for sums, cross in chunk):
+        return [None] * replications
+    samples, flagged = [], np.zeros(replications, dtype=bool)
+    for sums, cross in chunk:
+        cov = (n * cross - sums[:, :, None] * sums[:, None, :]) / (n * (n - 1))
+        sd = np.sqrt(cov.diagonal(axis1=1, axis2=2))
+        degenerate = sd == 0.0
+        scores = sums / n
+        if spec is None:
+            k = sums.shape[1]
+            corr = np.clip(cov / (sd[:, :, None] * sd[:, None, :]), -1.0, 1.0)
+            corr[:, range(k), range(k)] = 1.0
+            corr[degenerate[:, :, None] | degenerate[:, None, :]] = math.nan
+            cov.setflags(write=False)
+            corr.setflags(write=False)
+            samples.append([(MomentEstimate(ScoreEstimate(tuple(s), n), c, r, tuple(d)),) for s, c, r, d
+                            in zip(scores.tolist(), cov, corr, degenerate.tolist())])
+            continue
+        columns = list(zip(scores.T.tolist(), spec.models))
+        subs = np.array([[subindex(s, model) for s in column] for column, model in columns]).T
+        gradients = np.array([[derivative(s, model) for s in column] for column, model in columns]).T
+        g = gradients * spec.weights
+        # index_variance's gj * gl * s / n, in its order; a refused derivative makes the value NaN
+        contributions = g[:, :, None] * g[:, None, :] * cov / n
+        contributions.setflags(write=False)
+        value = contributions.sum(axis=(1, 2))  # per sample, in the order contributions.sum() adds
+        index = [math.fsum(row) for row in (subs * spec.weights).tolist()]
+        flagged |= degenerate.any(axis=1) | ~(value >= 0) | np.isinf(value)
+        samples.append([(IndexValue(tuple(s), i), VarianceEstimate(v, c, tuple(d), n)) for s, i, v, d, c
+                        in zip(subs.tolist(), index, value.tolist(), gradients.tolist(), contributions)])
     return [None if f else sum(row, ()) for f, row in zip(flagged.tolist(), zip(*samples))]
 
 

@@ -103,6 +103,14 @@ class TestCompute:
         assert code == 2
         assert "alpha-level" in err
 
+    @pytest.mark.parametrize("alpha", ["1e-17", "1e-16", "1.5e-16"])
+    def test_alpha_level_whose_quantile_level_rounds_to_one(self, capsys, spec_file, data_file, alpha):
+        code, out, err = run_cli(
+            capsys, "compute", "--spec", spec_file, "--data", data_file, "--alpha-level", alpha,
+        )
+        assert (code, out) == (2, "")
+        assert "--alpha-level" in err and repr(float(alpha)) in err
+
     def test_add_zero_stage_shifts_before_validation(self, capsys, tmp_path):
         spec = {
             "models": [{"name": "CMM", "m": 5, "add_zero_stage": True}],

@@ -73,7 +73,7 @@ class TestMoments:
         k = data.draw(st.integers(1, 4))
         ms = [data.draw(st.integers(1, 9)) for _ in range(k)]
         n = data.draw(st.integers(k + 1, 40))
-        columns = [[data.draw(st.integers(0, m)) for _ in range(n)] for m in ms]
+        columns = [data.draw(st.lists(st.integers(0, m), min_size=n, max_size=n)) for m in ms]
         spec = StudySpec([ModelSpec(f"M{j}", m) for j, m in enumerate(ms)])
         ds = make_dataset(spec, columns)
         moments = estimate_moments(ds)

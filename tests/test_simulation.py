@@ -27,7 +27,6 @@ from adoptindex import inference, simulation, tdist
 from adoptindex.domain import _exact_sums
 from adoptindex.errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
 from adoptindex.estimation import _from_sums
-from adoptindex.inference import _chunk_statistics
 
 UNIFORM6 = (1 / 6,) * 6
 # dyadic, so the cumulative sums are exact and an empty end stage gives a threshold at +-inf
@@ -506,14 +505,14 @@ def test_chunked_draws_match_per_replication_reference(copula, samples, shape, s
         assert sums.tolist() == [list(want) for want, _ in expected]
         assert cross.tolist() == [[list(row) for row in want] for _, want in expected]
     for chunk in chunks:
-        for sums, cross in chunk:
-            got = _chunk_statistics(n, sums, cross)
-            for r in range(len(sums)):
+        for r, arguments in enumerate(simulation._chunk_arguments(n, None, chunk)):
+            assert len(arguments) == samples
+            for got, (sums, cross) in zip(arguments, chunk):
                 want = _from_sums(n, sums[r].tolist(), cross[r].tolist())
-                assert tuple(got["scores"][r].tolist()) == want.scores.scores
-                assert tuple(got["degenerate"][r].tolist()) == want.degenerate
-                assert np.array_equal(got["cov"][r], want.cov)
-                assert np.array_equal(got["corr"][r], want.corr, equal_nan=True)
+                assert got.scores == want.scores
+                assert got.degenerate == want.degenerate
+                assert np.array_equal(got.cov, want.cov)
+                assert np.array_equal(got.corr, want.corr, equal_nan=True)
 
 
 def hexes(values) -> list:
@@ -562,40 +561,60 @@ def chunks(draw):
     return spec, n, sums, cross
 
 
-@given(chunk=chunks())
+def scalar_arguments(n, spec, sums, cross):
+    """One sample's MomentEstimate, and its IndexValue and VarianceEstimate from the scalar
+    chain, or None where that refuses or the delta-method form is negative within rounding."""
+    moments = _from_sums(n, sums.tolist(), cross.tolist())
+    index = global_index(moments.scores, spec)
+    try:
+        variance = index_variance(moments, spec)
+    except (StatisticalRefusal, ValueError):
+        return moments, None
+    # the form before index_variance zeroes a negative one, summed as it sums it
+    g = [w * d for w, d in zip(spec.weights, delta_gradient(moments.scores, spec))]
+    form = np.array([[gj * gl * s / n for gl, s in zip(g, row)]
+                     for gj, row in zip(g, moments.cov.tolist())]).sum()
+    return moments, None if form < 0 else (index, variance)
+
+
+@given(chunk=chunks(), paired=st.booleans())
 # a finite derivative whose square overflows: the variance is +inf, which index_variance refuses
 @example(chunk=(StudySpec([ModelSpec("A", 5, beta=1e200), ModelSpec("B", 5)]), 6,
-                np.array([[15, 17]]), np.array([[[39, 42], [42, 59]]])))
+                np.array([[15, 17]]), np.array([[[39, 42], [42, 59]]])), paired=False)
 @settings(max_examples=300, deadline=None)
-def test_chunk_statistics_match_the_scalar_chain(chunk):
+def test_chunk_arguments_match_the_scalar_chain(chunk, paired):
     spec, n, sums, cross = chunk
-    got = _chunk_statistics(n, sums, cross, spec)
-    exact = max(n * int(cross.max()), int(sums.max()) ** 2, n * (n - 1)) < 2**53
-    assert (got is not None) == exact
-    if got is None:
+    # a second sample per replication, so that one refusing sample refuses the pair
+    batch = [(sums, cross), (sums[::-1], cross[::-1])] if paired else [(sums, cross)]
+    moments_form = simulation._chunk_arguments(n, None, batch)
+    index_form = simulation._chunk_arguments(n, spec, batch)
+    assert len(moments_form) == len(index_form) == len(sums)
+    if max(n * int(cross.max()), int(sums.max()) ** 2, n * (n - 1)) >= 2**53:
+        assert moments_form == index_form == [None] * len(sums)
         return
-    assert not any(array.flags.writeable for array in got.values())
-    for r in range(len(sums)):
-        moments = _from_sums(n, sums[r].tolist(), cross[r].tolist())
-        assert hexes(got["scores"][r]) == hexes(moments.scores.scores)
-        assert hexes(got["cov"][r]) == hexes(moments.cov)
-        assert hexes(got["corr"][r]) == hexes(moments.corr)
-        assert tuple(got["degenerate"][r].tolist()) == moments.degenerate
-        index = global_index(moments.scores, spec)
-        assert hexes(got["sub_indices"][r]) == hexes(index.sub_indices)
-        assert hexes(got["index"][r]) == hexes([index.value])
-        try:
-            variance = index_variance(moments, spec)
-        except (StatisticalRefusal, ValueError):
-            assert got["flagged"][r]
+    for r, (got_moments, got_index) in enumerate(zip(moments_form, index_form)):
+        expected = [scalar_arguments(n, spec, s[r], c[r]) for s, c in batch]
+        assert len(got_moments) == len(batch)
+        for got, (moments, _) in zip(got_moments, expected):
+            assert got.n == moments.n
+            assert hexes(got.scores.scores) == hexes(moments.scores.scores)
+            assert hexes(got.cov) == hexes(moments.cov)
+            assert hexes(got.corr) == hexes(moments.corr)
+            assert got.degenerate == moments.degenerate
+            assert not got.cov.flags.writeable and not got.corr.flags.writeable
+        if any(pair is None for _, pair in expected):
+            assert got_index is None
             continue
-        if got["flagged"][r]:
-            # a negative form within rounding, which index_variance zeroes
-            assert got["value"][r] < 0 and variance.value == 0.0
-            continue
-        assert hexes(got["gradients"][r]) == hexes(delta_gradient(moments.scores, spec))
-        assert hexes(got["contributions"][r]) == hexes(variance.contributions)
-        assert hexes(got["value"][r]) == hexes([variance.value])
+        assert got_index is not None and len(got_index) == 2 * len(batch)
+        for (index, variance), (_, (want_index, want_variance)) in zip(
+                zip(got_index[::2], got_index[1::2]), expected):
+            assert hexes(index.sub_indices) == hexes(want_index.sub_indices)
+            assert hexes([index.value]) == hexes([want_index.value])
+            assert hexes([variance.value]) == hexes([want_variance.value])
+            assert hexes(variance.contributions) == hexes(want_variance.contributions)
+            assert hexes(variance.gradients) == hexes(want_variance.gradients)
+            assert variance.n_used == want_variance.n_used
+            assert not variance.contributions.flags.writeable
 
 
 def reference_accepted(plan, pmfs, statistic, spec=None):
@@ -659,7 +678,8 @@ def test_study_reports_match_the_per_replication_reference(monkeypatch, study, c
     plan = SimulationPlan(study=study, **fields)
     if fallback:
         # every chunk as if its sums reached 2^53
-        monkeypatch.setattr(simulation, "_chunk_statistics", lambda *args: None)
+        monkeypatch.setattr(simulation, "_chunk_arguments",
+                            lambda n, spec, chunk: [None] * len(chunk[0][0]))
     got = study_outcome(plan)
     monkeypatch.setattr(simulation, "_accepted", reference_accepted)
     assert got == study_outcome(plan)
