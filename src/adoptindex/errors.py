@@ -82,8 +82,8 @@ class InvalidDf(InputError):
 
 
 class DegenerateVariance(StatisticalRefusal):
-    """A variance the inference needs is zero (say a model with positive weight has zero
-    sample variance), or the index variance is not finite in floating point."""
+    """A variance the inference needs is zero (say a model with positive weight has zero sample
+    variance), or a delta-method variance's sum is not finite or below zero beyond rounding."""
 
 
 class InsufficientDf(StatisticalRefusal):

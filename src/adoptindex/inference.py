@@ -52,7 +52,23 @@ from .estimation import MomentEstimate, ScoreEstimate, _from_sums, estimate_mome
 from .index import IndexValue, delta_gradient, global_index
 from .tdist import Sidedness, _require_df, _require_level, student_t_pvalue, student_t_quantile
 
+# A PSD form's float sum below zero is rounding down to -VARIANCE_EXPANSION_TOL * max(1,
+# sum|terms|), and reads as 0.0; below that, or not finite, the variance is refused. A float
+# sum of N terms errs by at most about (N - 1) u sum|terms|, u = 2^-53 (Higham 2002, ch. 4),
+# and each term by a few u more from its products: 1e-12 is about 9,000 u, room for thousands
+# of terms. The floor of 1 keeps every sum of at least -1e-12 rounding, whatever its terms.
 VARIANCE_EXPANSION_TOL = 1e-12
+
+
+def _psd_sum(total: float, terms, what: str) -> float:
+    """``total``, the float sum of a PSD form's ``terms``, judged as the variance named ``what``."""
+    if not math.isfinite(total):  # a finite derivative's square, say, may overflow
+        raise DegenerateVariance(f"the {what} is not finite in floating point, got {total}")
+    if total < -VARIANCE_EXPANSION_TOL:  # the clean path never sums the terms' scale
+        bound = -VARIANCE_EXPANSION_TOL * max(1.0, float(np.abs(terms).sum()))
+        if total < bound:
+            raise DegenerateVariance(f"the {what} is {total}, below zero beyond rounding (bound {bound})")
+    return 0.0 if total < 0 else total
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,10 +118,10 @@ def index_variance(
 ) -> VarianceEstimate:
     """Delta-method variance of the estimated global index.
 
-    ``correlation`` optionally replaces the sample correlation matrix
-    (for example to force independence) and is checked like a latent
-    correlation; variances always come from the sample. Refuses
-    zero-variance models, since every model carries positive weight.
+    ``correlation`` optionally replaces the sample correlation matrix (for example to force
+    independence) and is checked like a latent correlation; variances always come from the
+    sample. Refuses zero-variance models, since every model carries positive weight, and a sum
+    that ``_psd_sum`` refuses; a negative sum that it reads as 0.0 zeroes ``contributions`` too.
     """
     if moments.scores.k != spec.k:
         raise SpecMismatch(f"{moments.scores.k} moment columns for a {spec.k}-model spec")
@@ -130,15 +146,10 @@ def index_variance(
     contributions = np.array(
         [[gj * gl * s / n for gl, s in zip(g, row)] for gj, row in zip(g, sigma.tolist())]
     )
-    value = float(contributions.sum())
-    if not math.isfinite(value):  # a finite derivative's square, say, may overflow
-        raise DegenerateVariance(f"the index variance is not finite in floating point, got {value}")
-    if value < 0:
-        # the quadratic form is PSD; anything below zero is rounding noise
-        if value < -VARIANCE_EXPANSION_TOL:
-            raise ValueError(f"negative variance {value} from a PSD form")
+    raw = float(contributions.sum())
+    value = _psd_sum(raw, contributions, "index variance")
+    if raw < 0:
         contributions = np.zeros_like(contributions)
-        value = 0.0
     contributions.setflags(write=False)
     return VarianceEstimate(
         value=value, contributions=contributions, gradients=gradients, n_used=n

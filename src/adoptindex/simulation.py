@@ -44,8 +44,8 @@ from .domain import AdoptionDataset, PmfSpec, StudySpec, _integer, _require_exac
 from .errors import BoundaryScore, DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
 from .estimation import MomentEstimate, ScoreEstimate, _from_sums
 from .index import IndexValue, delta_derivative, delta_gradient, global_index, subindex
-from .inference import (VARIANCE_EXPANSION_TOL, VarianceEstimate, _interval_df, _two_sample,
-                        confidence_interval, index_variance)
+from .inference import (VarianceEstimate, _interval_df, _psd_sum, _two_sample, confidence_interval,
+                        index_variance)
 
 STUDY_KINDS = ("normality", "coverage", "size", "variance-ratio")
 
@@ -90,6 +90,8 @@ class SimulationPlan:
             raise InputError(f"study must be one of {STUDY_KINDS}, got {self.study!r}")
         for name, low in (("n", self.spec.k + 1), ("replications", 1), ("seed", 0)):
             _integer(getattr(self, name), name, low)
+        if self.replications > 1 << 32:  # replication r seeds from spawn-key word r, 32 bits wide
+            raise InputError(f"replications must be at most 2^32 = {1 << 32}, got {self.replications}")
         _check_pmf_alignment(self.pmf, self.spec)
         if self.pmf_alternative is not None:
             if self.study != "size":
@@ -255,23 +257,22 @@ def _nondegenerate_truth(pmf: PmfSpec, spec: StudySpec, what: str = "pmf") -> Tr
 def population_asymptotic_variance(pmf: PmfSpec, spec: StudySpec) -> float:
     """Asymptotic variance of sqrt(n) * (I_hat - I) under the pmf.
 
-    Needs every model non-degenerate (else the delta-method gradient or
-    the variance itself is zero and the studies refuse to run). A negative
-    total within ``VARIANCE_EXPANSION_TOL`` is rounding noise of a PSD form
-    and reads as 0.0, as in ``index_variance``.
+    Needs every model non-degenerate (else the delta-method gradient or the variance itself
+    is zero and the studies refuse to run). Its sum is judged as ``index_variance``'s is, by
+    ``inference._psd_sum``: a negative one within rounding reads as 0.0, and one further below
+    zero, or one that is not finite, is a ``DegenerateVariance``.
     """
     truth = _nondegenerate_truth(pmf, spec)
     gradients = delta_gradient(ScoreEstimate(scores=truth.scores, n=0), spec)
-    g = np.asarray(spec.weights) * np.asarray(gradients)
-    total = float(np.sum(g**2 * np.asarray(truth.variances)))
+    # Python floats: an overflow reads inf without a numpy warning
+    g = [w * d for w, d in zip(spec.weights, gradients)]
+    terms = [gj * gj * v for gj, v in zip(g, truth.variances)]
+    total = float(np.sum(terms))
     for j in range(spec.k):
         for l in range(j + 1, spec.k):
-            total += 2.0 * float(g[j]) * float(g[l]) * latent_cross_covariance(pmf, spec, j, l)
-    if total < 0.0:
-        if total < -VARIANCE_EXPANSION_TOL:
-            raise ValueError(f"negative population variance {total} from a PSD form")
-        total = 0.0
-    return float(total)
+            terms.append(2.0 * g[j] * g[l] * latent_cross_covariance(pmf, spec, j, l))
+            total += terms[-1]
+    return _psd_sum(total, terms, "index's population asymptotic variance")
 
 
 def _psd_transform(corr: np.ndarray) -> np.ndarray:
@@ -423,10 +424,10 @@ def _sampled_sums(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[l
 def _chunk_arguments(n: int, spec: StudySpec | None, chunk: list) -> list:
     """Per replication of a chunk from ``_sampled_sums``, per sample: the MomentEstimate that
     ``_from_sums`` gives, or with ``spec`` the IndexValue and VarianceEstimate of ``global_index``
-    and ``index_variance``. None where either refuses or the form is negative or not finite,
-    and for every replication once ``n max(cross)``, ``max(sums)^2`` or ``n(n-1)`` reaches
-    2^53, where int64 ``/`` may misround. Bit for bit: numpy does only + - * /, sqrt,
-    comparisons and clipping; powers and ``fsum`` stay in ``math``."""
+    and ``index_variance``. None where either refuses or the form is negative or not finite (the
+    scalar chain's ``_psd_sum`` reads it as 0.0 or refuses it), and for every replication once
+    ``n max(cross)``, ``max(sums)^2`` or ``n(n-1)`` reaches 2^53, where int64 ``/`` may misround.
+    Bit for bit: numpy does only + - * /, sqrt, comparisons, clipping; powers, ``fsum`` stay in math."""
 
     def derivative(score: float, model) -> float:  # delta_derivative, NaN where it refuses
         try:

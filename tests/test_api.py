@@ -1,4 +1,5 @@
 import ast
+import builtins
 import re
 import subprocess
 import sys
@@ -61,6 +62,33 @@ def test_every_error_class_is_raised_or_a_base():
                     raised.add(exc.id)
     assert classes
     assert sorted(set(classes) - raised - bases) == []
+
+
+# every raise of a builtin exception in src/, as (file, function, exception), and why it is no
+# AdoptionIndexError: those alone reach a CLI exit status, any other exception a traceback
+BUILTIN_RAISES = {
+    ("domain.py", "without_row", "IndexError"): "a library caller's position; the CLI passes found ones",
+    ("simulation.py", "_stream_words", "ValueError"): "unreachable: SimulationPlan refuses R > 2^32",
+    ("tdist.py", "_betacf", "ArithmeticError"): "a continued fraction that fails to converge is a fault",
+    ("tdist.py", "student_t_quantile", "ArithmeticError"): "a bracket past 1e300 is a fault",
+}
+
+
+def test_builtin_exceptions_are_raised_only_where_listed():
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, path, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and isinstance(getattr(builtins, exc.id, None), type):
+                    yield path.name, function, exc.id
+            yield from visit(child, path, function)
+
+    raised = {found for path in SOURCES
+              for found in visit(ast.parse(path.read_text(encoding="utf-8")), path, None)}
+    assert sorted(raised) == sorted(BUILTIN_RAISES)
 
 
 def test_readme_quickstart_runs_as_written():

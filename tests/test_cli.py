@@ -597,9 +597,33 @@ STEEP_SPEC = {"models": [{"name": "A", "m": 5, "beta": 3000}]}
 # mean 2.4, far down the steep logistic: index variances near 1e-204, whose squares underflow
 STEEP_DATA = {n: "corporation,A\n" + "".join(f"c{i + 1},{(2, 3, 2, 3, 2)[i % 5]}\n" for i in range(n))
               for n in (5, 10)}
+# two steep, near-equal shapes on anti-correlated columns: each delta-method form is about zero,
+# and its float sum rounds below -1e-12 though not below -1e-12 * max(1, sum|terms|)
+STEEP_PAIR_PMF = [0.05, 0.1, 0.2, 0.3, 0.2, 0.1, 0.05]
+STEEP_PAIR_SPEC = {"models": [{"name": "A", "m": 6, "beta": 65507.70429955353, "pmf": STEEP_PAIR_PMF},
+                              {"name": "B", "m": 6, "beta": 65507.70429955391, "pmf": STEEP_PAIR_PMF}],
+                   "latent_correlation": [[1, -1], [-1, 1]]}
 # A's derivative is finite, but its square overflows the index variance to inf
 HUGE_SPEC = {"models": [{"name": "A", "m": 5, "beta": 1e200}, {"name": "B", "m": 5}]}
 HUGE_ROWS = "corporation,A,B\nr1,2,2\nr2,3,4\nr3,3,1\nr4,2,2\nr5,3,3\nr6,2,5\n"
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("compute", ("--data", "big")),
+    ("test-two", ("--data-a", "small", "--data-b", "big")),
+])
+def test_int64_overflow_names_its_file(capsys, tmp_path, command, flags):
+    # 4 rows of stages up to 2^40 may sum past 2^63 in a cross-product
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"models": [{"name": "A", "m": 2**40}, {"name": "B", "m": 5}]}))
+    paths = {"big": tmp_path / "big.csv", "small": tmp_path / "small.csv"}
+    paths["big"].write_text(f"corporation,A,B\nr1,{2**40},1\nr2,0,2\nr3,1,3\nr4,2,4\n")
+    paths["small"].write_text("corporation,A,B\nr1,1,1\nr2,0,2\nr3,1,3\nr4,2,4\n")
+    code, out, err = run_cli(capsys, command, "--spec", str(spec),
+                             *(str(paths.get(flag, flag)) for flag in flags))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {paths['big']}: stages up to 1099511627776 over 4 rows overflow "
+                   "exact int64 moments\n")
 
 
 class TestExtremeVariances:
@@ -649,6 +673,50 @@ class TestExtremeVariances:
                                  *(paths.get(flag, flag) for flag in flags))
         assert (code, out) == (1, "")
         assert err == "error: the index variance is not finite in floating point, got inf\n"
+
+    def test_sample_sum_below_zero_by_rounding_reads_as_zero(self, capsys, tmp_path):
+        # the form sums to -1.2e-10 of terms whose absolute sum is 2.3e6
+        spec, data = self.write(
+            tmp_path, {"models": [{"name": "A", "m": 6, "beta": 54818.87415507686},
+                                  {"name": "B", "m": 6, "beta": 54818.874155077334}]},
+            data="corporation,A,B\nr1,2,4\nr2,4,2\n" + "".join(f"r{i},3,3\n" for i in range(3, 10)))
+        code, out, err = run_cli(capsys, "compute", "--spec", spec, "--data", data,
+                                 "--format", "structured")
+        assert (code, err) == (0, ""), err
+        results = strict_json(out)["results"]
+        assert results["variance"] == 0.0
+        assert results["interval"]["lower"] == results["interval"]["upper"] == results["index"]
+
+    def test_population_sum_below_zero_by_rounding_is_a_zero_variance(self, capsys, tmp_path):
+        # the population form sums to -1.5e-8
+        (spec,) = self.write(tmp_path, STEEP_PAIR_SPEC)
+        code, out, err = run_cli(capsys, "simulate", "--spec", spec, "--study", "normality",
+                                 "--n", "50", "--replications", "10", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == ("error: the index's population asymptotic variance is zero under this "
+                       "pmf; the normality study divides by it\n")
+
+    def test_replications_whose_sums_round_below_zero_are_accepted(self, capsys, tmp_path):
+        # some replications' forms sum to about -2e-10; the scalar chain reads them as zero
+        (spec,) = self.write(tmp_path, STEEP_PAIR_SPEC)
+        code, out, err = run_cli(capsys, "simulate", "--spec", spec, "--study", "coverage",
+                                 "--n", "50", "--replications", "200", "--seed", "1",
+                                 "--format", "structured")
+        assert (code, err) == (0, ""), err
+        report = strict_json(out)
+        assert 0 <= report["results"]["metrics"]["coverage_rate"] <= 1
+        assert not any("refused" in note for note in report["notes"])
+
+    def test_infinite_population_variance_is_a_statistical_refusal(self, capsys, tmp_path):
+        # A's derivative at its score 3 is finite, and its square overflows
+        (spec,) = self.write(tmp_path, {"models": [
+            {"name": "A", "m": 6, "beta": 1e300, "pmf": STEEP_PAIR_PMF},
+            {"name": "B", "m": 6, "pmf": STEEP_PAIR_PMF}]})
+        code, out, err = run_cli(capsys, "simulate", "--spec", spec, "--study", "normality",
+                                 "--n", "50", "--replications", "50", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == ("error: the index's population asymptotic variance is not finite in "
+                       "floating point, got inf\n")
 
 
 class TestSimulate:
@@ -807,6 +875,20 @@ class TestSimulate:
         assert code == 0, err
         for name in undefined:
             assert f"    {name}: nan\n" in out
+
+    def test_replications_past_2_to_the_32_are_refused_before_drawing(
+        self, capsys, spec_file, monkeypatch
+    ):
+        def no_draws(*args):
+            raise AssertionError("the study drew samples")
+
+        monkeypatch.setattr(simulation, "_sampled_sums", no_draws)
+        code, out, err = run_cli(
+            capsys, "simulate", "--spec", spec_file, "--study", "coverage",
+            "--n", "40", "--replications", str(2**32 + 1), "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: replications must be at most 2^32 = 4294967296, got 4294967297\n"
 
     def test_missing_pmf_is_an_input_error(self, capsys, tmp_path):
         spec = {"models": [{"name": "M", "m": 5}]}

@@ -39,6 +39,7 @@ from adoptindex.errors import (
     InvalidLevel,
     RowNotFound,
     SpecMismatch,
+    StatisticalRefusal,
 )
 from adoptindex.estimation import _from_sums
 from conftest import make_dataset
@@ -117,6 +118,32 @@ class TestIndexVariance:
         ds = make_dataset(tam_cmm_spec, [(0, 5, 2, 3, 1), (1, 4, 0, 5, 3)])
         with pytest.raises(InputError, match="correlation override"):
             index_variance(estimate_moments(ds), tam_cmm_spec, correlation=corr)
+
+    def test_override_with_a_negative_eigenvalue_is_refused_past_rounding(self, tam_cmm_spec):
+        # correlation_matrix admits an eigenvalue down to -1e-10, so the form is PSD only up to
+        # that: here it sums to about -4e-12 of terms whose absolute sum is 0.08
+        r = -1.0 - 9.9999e-11
+        assert -1e-10 <= np.linalg.eigvalsh([[1.0, r], [r, 1.0]]).min() < -0.9999e-10
+        ds = make_dataset(tam_cmm_spec, [(0, 5, 0, 5), (5, 0, 5, 0)])
+        with pytest.raises(DegenerateVariance, match=r"the index variance is -4\.1\d*e-12, "
+                                                     r"below zero beyond rounding \(bound -1e-12\)"):
+            index_variance(estimate_moments(ds), tam_cmm_spec, correlation=[[1.0, r], [r, 1.0]])
+
+    @given(beta=st.floats(1e3, 1e5), gap=st.floats(-1e-14, 1e-14),
+           offsets=st.lists(st.integers(1, 3), min_size=1, max_size=3), centre=st.integers(1, 11))
+    @settings(max_examples=200, deadline=None)
+    def test_near_equal_steep_shapes_on_anticorrelated_columns(self, beta, gap, offsets, centre):
+        # B = 6 - A and both scores are 3, so the form is var(A) (g_A - g_B)^2 / n, about zero,
+        # while its terms reach 1e8: the float sum rounds to either side of zero, far past
+        # -1e-12. The columns vary and the scores are inside (0, 6), so nothing may be refused.
+        spec = StudySpec([ModelSpec("A", 6, beta=beta), ModelSpec("B", 6, beta=beta * (1 + gap))])
+        stages = [3 - d for d in offsets] + [3 + d for d in offsets] + [3] * centre
+        ds = make_dataset(spec, [stages, [6 - s for s in stages]])
+        try:
+            value = index_variance(estimate_moments(ds), spec).value
+        except StatisticalRefusal as exc:
+            pytest.fail(f"refused: {exc}")
+        assert math.isfinite(value) and value >= 0
 
     def test_closed_form_on_real_data(self, tam_cmm_spec):
         rng = np.random.default_rng(404)

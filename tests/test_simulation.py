@@ -212,6 +212,21 @@ class TestPlanValidation:
         with pytest.raises(InputError, match=f"{field} must be an integer >= "):
             SimulationPlan(pmf=pmf, spec=spec, study="coverage", **fields)
 
+    def test_replications_past_2_to_the_32_are_refused(self, linear_pair, monkeypatch):
+        # replication r seeds from spawn-key word r, which numpy splits in two past 32 bits
+        spec, pmf = linear_pair
+
+        def no_draws(*args):
+            raise AssertionError("the plan drew samples")
+
+        monkeypatch.setattr(simulation, "_sampled_sums", no_draws)
+        monkeypatch.setattr(simulation, "_stream_words", no_draws)
+        fields = dict(pmf=pmf, spec=spec, n=100, seed=1, study="coverage")
+        assert SimulationPlan(replications=2**32, **fields).replications == 2**32
+        with pytest.raises(InputError, match=r"replications must be at most 2\^32 = 4294967296, "
+                                             r"got 4294967297"):
+            SimulationPlan(replications=2**32 + 1, **fields)
+
     @pytest.mark.parametrize("study", ["normality", "coverage", "variance-ratio"])
     def test_alternative_pmf_only_for_the_size_study(self, linear_pair, study):
         spec, pmf = linear_pair
