@@ -37,7 +37,6 @@ from .inference import (
     index_variance,
     one_sample_test,
     two_sample_test,
-    welch_df,
 )
 from .simulation import (
     SimulationPlan,
@@ -88,5 +87,4 @@ __all__ = [
     "true_index",
     "two_sample_test",
     "validate_dataset",
-    "welch_df",
 ]

@@ -93,10 +93,3 @@ class InsufficientDf(StatisticalRefusal):
 class BoundaryScore(StatisticalRefusal):
     """The delta-method derivative is undefined at a boundary score, or not finite in floats."""
 
-
-class BothVariancesZero(StatisticalRefusal):
-    """Welch degrees of freedom need at least one positive variance."""
-
-
-class InsufficientSample(StatisticalRefusal):
-    """A sample is too small for the variance pooling it is used in."""

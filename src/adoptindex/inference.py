@@ -24,7 +24,8 @@ formula). Tests:
 
 Both tests share one tail from statistic to p-value to outcome. The
 two-sample test's Welch tail, ``_two_sample``, takes indices and index
-variances, so the Monte Carlo size study runs it without building datasets.
+variances, so the Monte Carlo size study runs it without building datasets;
+it alone computes the Welch degrees of freedom.
 
 Every function here is scalar, on one sample; the Monte Carlo studies reduce a
 chunk of samples at once, bit for bit the same, in ``simulation._chunk_arguments``.
@@ -34,20 +35,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import AdoptionDataset, StudySpec, correlation_matrix
-from .errors import (
-    BothVariancesZero,
-    DegenerateVariance,
-    InputError,
-    InsufficientDf,
-    InsufficientSample,
-    SpecMismatch,
-)
+from .errors import DegenerateVariance, InsufficientDf, SpecMismatch
 from .estimation import MomentEstimate, ScoreEstimate, _from_sums, estimate_moments
 from .index import IndexValue, delta_gradient, global_index
 from .tdist import Sidedness, _require_df, _require_level, student_t_pvalue, student_t_quantile
@@ -156,34 +149,6 @@ def index_variance(
     )
 
 
-def welch_df(v_a: float, v_b: float, n_a: int, n_b: int, k: int) -> float:
-    """Welch-Satterthwaite degrees of freedom for unequal variances.
-
-    nu = (vA + vB)^2 / (vA^2/(nA - k) + vB^2/(nB - k))
-    """
-    for v in (v_a, v_b):
-        # NaN fails v >= 0; a bool or a string is no number
-        if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)) or not v >= 0:
-            raise InputError(f"variances must be non-negative, got {v_a!r}, {v_b!r}")
-    if math.inf in (v_a, v_b):
-        raise InputError(f"variances must be finite, got {v_a!r}, {v_b!r}")
-    # type(), not isinstance(): a bool is no row count
-    if type(n_a) is not int or type(n_b) is not int:
-        raise InputError(f"sample sizes must be integers, got {n_a!r}, {n_b!r}")
-    if v_a == 0 and v_b == 0:
-        raise BothVariancesZero("Welch df undefined when both variances are zero")
-    if n_a <= k or n_b <= k:
-        raise InsufficientSample(
-            f"need more rows than models in both samples, got n={n_a}, {n_b} with k={k}"
-        )
-    top = max(v_a, v_b)
-    if not 2.0**-500 <= top <= 2.0**500:
-        # nu is scale-free: a common power of two keeps the squares from underflow and overflow
-        shift = -math.frexp(top)[1]
-        v_a, v_b = math.ldexp(v_a, shift), math.ldexp(v_b, shift)
-    return (v_a + v_b) ** 2 / (v_a**2 / (n_a - k) + v_b**2 / (n_b - k))
-
-
 @functools.lru_cache(maxsize=1024)
 def _remaining(spec: StudySpec, row: tuple, n: int, sums: tuple, cross: tuple) -> tuple:
     """The moments and index of the rows a leave-one-out test keeps, and the own index
@@ -273,12 +238,24 @@ def two_sample_test(
 def _two_sample(indices: tuple[float, float], variances: tuple[float, float], sizes: tuple[int, int],
                 k: int, sidedness: Sidedness, significance: float) -> TestOutcome:
     """Welch comparison of two samples given their indices, index variances and sizes: the
-    tail of ``two_sample_test`` and of each replication of the size study."""
-    if variances[0] + variances[1] == 0:
+    tail of ``two_sample_test`` and of each replication of the size study. The degrees of
+    freedom are Welch-Satterthwaite's
+
+        nu = (vA + vB)^2 / (vA^2/(nA - k) + vB^2/(nB - k)),
+
+    for variances that ``_psd_sum`` judged finite and non-negative, and sizes above k."""
+    v_a, v_b = variances
+    if v_a + v_b == 0:
         raise DegenerateVariance(
             "both weighted stage combinations are constant; no variance to test against"
         )
-    df = welch_df(*variances, *sizes, k)
+    top = max(v_a, v_b)
+    if not 2.0**-500 <= top <= 2.0**500:
+        # nu is scale-free: a common power of two keeps the squares from underflow and overflow
+        shift = -math.frexp(top)[1]
+        v_a, v_b = math.ldexp(v_a, shift), math.ldexp(v_b, shift)
+    n_a, n_b = sizes
+    df = (v_a + v_b) ** 2 / (v_a**2 / (n_a - k) + v_b**2 / (n_b - k))
     return _outcome(indices, variances, sizes, df, sidedness, significance)
 
 

@@ -530,6 +530,8 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     Rates, errors and means are taken over the replications whose statistics
     are defined; a replication refused (say, one with a constant column) is
     counted in a note, and a study whose every replication is refused raises.
+    A ``variance-ratio`` study whose accepted replications all give the same
+    index raises ``DegenerateVariance``, since it divides by their variance.
     """
     truth = _nondegenerate_truth(plan.pmf, plan.spec)
     if plan.pmf_alternative is not None:
@@ -622,6 +624,11 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
 
         (i_hat, v_hat), refusals = _accepted(plan, (plan.pmf,), index_and_variance)
         empirical_variance = _sample_variance(i_hat)
+        if empirical_variance == 0.0:
+            raise DegenerateVariance(
+                "every accepted replication gave the same index; "
+                "the variance-ratio study divides by their variance"
+            )
         ratio_empirical = float(v_hat.mean()) / empirical_variance
         ratio_population = float(v_hat.mean()) * plan.n / avar
         lo, hi = _VARIANCE_RATIO_BAND

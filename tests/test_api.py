@@ -22,6 +22,36 @@ def test_public_surface_lists_each_package_import_once():
     assert imported == set(names)
 
 
+# Editing either list below is a change to the public API, which CHANGES.md must name;
+# the ROADMAP tracks the size of __all__.
+PUBLIC_NAMES = [
+    "AdoptionDataset", "ConfidenceInterval", "IndexValue", "ModelSpec", "MomentEstimate",
+    "PmfSpec", "SHAPE_PRESETS", "ScoreEstimate", "SimulationPlan", "SimulationReport",
+    "StudySpec", "TestOutcome", "TruePopulation", "VarianceEstimate", "confidence_interval",
+    "delta_derivative", "delta_gradient", "errors", "estimate_moments", "global_index",
+    "index_variance", "latent_cross_covariance", "one_sample_test",
+    "population_asymptotic_variance", "run_study", "sample_dataset", "student_t_cdf",
+    "student_t_pvalue", "student_t_quantile", "subindex", "surface_grid", "true_index",
+    "two_sample_test", "validate_dataset",
+]
+ERROR_CLASSES = [
+    "AdoptionIndexError", "InputError", "StatisticalRefusal", "OutOfRangeStage",
+    "RowArityMismatch", "TooFewRows", "DuplicateRowId", "RowNotFound", "SpecMismatch",
+    "ScoreOutOfRange", "UnsupportedArity", "InvalidResolution", "InvalidLevel", "InvalidDf",
+    "DegenerateVariance", "InsufficientDf", "BoundaryScore",
+]
+
+
+def test_public_surface_is_the_listed_names():
+    assert sorted(adoptindex.__all__) == PUBLIC_NAMES
+
+
+def test_error_classes_are_the_listed_ones():
+    classes = [name for name, value in vars(adoptindex.errors).items()
+               if isinstance(value, type) and value.__module__ == adoptindex.errors.__name__]
+    assert classes == ERROR_CLASSES
+
+
 SOURCES = sorted(Path(adoptindex.__file__).parent.glob("*.py"))
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 

@@ -592,6 +592,20 @@ class TestTests:
         assert code == 1
         assert "variance" in err
 
+    def test_two_sample_with_constant_indices_is_a_statistical_refusal(self, capsys, tmp_path):
+        # B = 5 - A in both files, so neither index varies
+        spec_path = tmp_path / "pair.json"
+        spec_path.write_text(json.dumps({"models": [{"name": "A", "m": 5}, {"name": "B", "m": 5}]}))
+        a = tmp_path / "a.csv"
+        a.write_text("corporation,A,B\nc1,1,4\nc2,2,3\nc3,3,2\nc4,5,0\n")
+        b = tmp_path / "b.csv"
+        b.write_text("corporation,A,B\nc1,0,5\nc2,4,1\nc3,2,3\nc4,3,2\nc5,1,4\n")
+        code, out, err = run_cli(capsys, "test-two", "--spec", str(spec_path),
+                                 "--data-a", str(a), "--data-b", str(b))
+        assert (code, out) == (1, "")
+        assert err == ("error: both weighted stage combinations are constant; "
+                       "no variance to test against\n")
+
 
 STEEP_SPEC = {"models": [{"name": "A", "m": 5, "beta": 3000}]}
 # mean 2.4, far down the steep logistic: index variances near 1e-204, whose squares underflow
@@ -782,6 +796,20 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == (f"error: the index's population asymptotic variance is zero under this "
                        f"pmf; the {study} study divides by it\n")
+
+    @pytest.mark.parametrize("pmf,n,seed", [([0.5, 0.5], 2, 1), ([0, 2 / 3, 1 / 3], 20, 0)])
+    def test_variance_ratio_with_one_index_is_a_statistical_refusal(self, capsys, tmp_path,
+                                                                   pmf, n, seed):
+        # every accepted replication gives the same index, so their variance is zero
+        spec_path = tmp_path / "flat.json"
+        spec_path.write_text(json.dumps({"models": [{"name": "A", "m": len(pmf) - 1, "pmf": pmf}]}))
+        code, out, err = run_cli(
+            capsys, "simulate", "--spec", str(spec_path), "--study", "variance-ratio",
+            "--n", str(n), "--replications", "2", "--seed", str(seed),
+        )
+        assert (code, out) == (1, "")
+        assert err == ("error: every accepted replication gave the same index; "
+                       "the variance-ratio study divides by their variance\n")
 
     def test_negative_seed_is_an_input_error(self, capsys, spec_file):
         code, out, err = run_cli(

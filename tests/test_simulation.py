@@ -315,6 +315,17 @@ class TestRunStudy:
         )
         assert run_study(plan) == run_study(plan)
 
+    @pytest.mark.parametrize("pmf,n,seed", [((0.5, 0.5), 2, 1), ((0, 2 / 3, 1 / 3), 20, 0)])
+    def test_variance_ratio_refuses_a_zero_empirical_variance(self, pmf, n, seed):
+        # every accepted replication gives the same index, so their variance is zero
+        spec = StudySpec([ModelSpec("A", len(pmf) - 1)])
+        plan = SimulationPlan(pmf=PmfSpec([pmf]), spec=spec, n=n, replications=2, seed=seed,
+                              study="variance-ratio")
+        with pytest.raises(DegenerateVariance) as info:
+            run_study(plan)
+        assert str(info.value) == ("every accepted replication gave the same index; "
+                                   "the variance-ratio study divides by their variance")
+
     def test_single_replication_runs(self, linear_pair):
         spec, pmf = linear_pair
         plan = SimulationPlan(
