@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from adoptindex import ModelSpec, StudySpec, validate_dataset
@@ -28,3 +30,24 @@ def make_dataset(spec, columns):
         for i in range(len(columns[0]))
     ]
     return validate_dataset(rows, spec)
+
+
+def record_two_sample_calls(monkeypatch, module):
+    """Wrap ``module._two_sample`` so that each call's variances, sizes and k are kept."""
+    calls = []
+    original = module._two_sample
+
+    def recording(indices, variances, sizes, k, *rest):
+        calls.append((variances, sizes, k))
+        return original(indices, variances, sizes, k, *rest)
+
+    monkeypatch.setattr(module, "_two_sample", recording)
+    return calls
+
+
+def assert_welch_inputs_judged(calls):
+    """What ``_two_sample`` takes on trust: finite, non-negative variances and int sizes above k."""
+    assert calls
+    for variances, sizes, k in calls:
+        assert all(isinstance(v, float) and math.isfinite(v) and v >= 0 for v in variances), variances
+        assert all(type(n) is int and n > k for n in sizes), (sizes, k)

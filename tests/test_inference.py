@@ -39,7 +39,7 @@ from adoptindex.errors import (
     StatisticalRefusal,
 )
 from adoptindex.estimation import _from_sums
-from conftest import make_dataset
+from conftest import assert_welch_inputs_judged, make_dataset, record_two_sample_calls
 
 
 def synthetic_moments(variances, rho, scores=None, n=100):
@@ -641,6 +641,23 @@ class TestTwoSample:
             return
         n_a, n_b = ds_a.n, ds_b.n
         assert (min(n_a, n_b) - k) * (1 - 1e-12) <= outcome.df <= (n_a + n_b - 2 * k) * (1 + 1e-12)
+
+    def test_only_judged_variances_and_sizes_above_k_reach_the_df(self, monkeypatch, tam_cmm_spec):
+        # _two_sample checks neither: the datasets and _psd_sum guarantee both before it
+        calls = record_two_sample_calls(monkeypatch, inference)
+        rng = np.random.default_rng(7)
+        for sizes in [(3, 3), (3, 40), (25, 9)]:
+            two_sample_test(*(make_dataset(tam_cmm_spec, rng.integers(0, 6, size=(2, n)))
+                              for n in sizes))
+        assert [call[1] for call in calls] == [(3, 3), (3, 40), (25, 9)]
+        assert_welch_inputs_judged(calls)
+
+    def test_infinite_index_variance_is_refused_before_the_df(self):
+        spec = StudySpec([ModelSpec("A", 5, beta=1e200), ModelSpec("B", 5)])
+        columns = [(2, 3, 3, 2, 3, 2), (2, 4, 1, 2, 3, 5)]
+        with pytest.raises(DegenerateVariance) as info:
+            two_sample_test(make_dataset(spec, columns), make_dataset(spec, columns))
+        assert str(info.value) == "the index variance is not finite in floating point, got inf"
 
     def test_statistic_sign_swaps_with_order(self, tam_cmm_spec):
         ds_a = make_dataset(tam_cmm_spec, [(2, 5, 3, 4, 5), (3, 5, 4, 5, 2)])

@@ -27,6 +27,7 @@ from adoptindex import inference, simulation, tdist
 from adoptindex.domain import _exact_sums
 from adoptindex.errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
 from adoptindex.estimation import _from_sums
+from conftest import assert_welch_inputs_judged, record_two_sample_calls
 
 UNIFORM6 = (1 / 6,) * 6
 # dyadic, so the cumulative sums are exact and an empty end stage gives a threshold at +-inf
@@ -212,6 +213,14 @@ class TestPlanValidation:
         with pytest.raises(InputError, match=f"{field} must be an integer >= "):
             SimulationPlan(pmf=pmf, spec=spec, study="coverage", **fields)
 
+    @pytest.mark.parametrize("n", [2, 3.0])
+    def test_size_study_needs_an_integer_n_above_k(self, linear_pair, n):
+        # the Welch df divide by n - k, and _two_sample takes the plan's n on trust
+        spec, pmf = linear_pair
+        with pytest.raises(InputError) as info:
+            SimulationPlan(pmf=pmf, spec=spec, n=n, replications=10, seed=1, study="size")
+        assert str(info.value) == f"n must be an integer >= 3, got {n!r}"
+
     def test_replications_past_2_to_the_32_are_refused(self, linear_pair, monkeypatch):
         # replication r seeds from spawn-key word r, which numpy splits in two past 32 bits
         spec, pmf = linear_pair
@@ -273,6 +282,13 @@ def test_counts_share_one_integer_rule(entry, value):
 
 
 class TestRunStudy:
+    def test_size_study_passes_judged_variances_and_sizes_above_k(self, linear_pair, monkeypatch):
+        # each replication's Welch df come from _psd_sum's variances and the plan's n
+        calls = record_two_sample_calls(monkeypatch, simulation)
+        spec, pmf = linear_pair
+        run_study(SimulationPlan(pmf=pmf, spec=spec, n=3, replications=50, seed=1, study="size"))
+        assert_welch_inputs_judged(calls)
+
     def test_degenerate_pmf_refused(self, single_model_spec):
         plan = SimulationPlan(
             pmf=PmfSpec([(0, 0, 0, 1.0, 0, 0)]),
