@@ -23,8 +23,12 @@ Formats:
   returns outside CRLF line ends, no blank lines, and every line an id
   and one cell per model) are read column-wise with identical results
   and messages: stages of 1 to 18 ASCII digits in numpy passes, any
-  other cell through int() one at a time. csv.reader reads every other
-  file.
+  other cell through int() one at a time. Their ids go to the dataset as
+  byte ranges of the file, and a string is made only for an id that is
+  read (a message, or ``row_ids``), unless an id starts or ends with a
+  byte that may be whitespace (ASCII up to the space, or any non-ASCII
+  byte): such a file's ids are decoded and stripped as csv.reader's are.
+  csv.reader reads every other file.
 
 * Reports: either a human-readable table ("table") or JSON
   ("structured"); both carry the same fields, and the JSON form
@@ -43,14 +47,14 @@ import io
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Any
 
 import numpy as np
 
-from .domain import _INT64, AdoptionDataset, ModelSpec, PmfSpec, StudySpec
+from .domain import _INT64, AdoptionDataset, ModelSpec, PmfSpec, StudySpec, _RowIds
 from .errors import (
     AdoptionIndexError,
     InputError,
@@ -173,14 +177,16 @@ def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]) -> 
                 f"{spec.names[j]!r} at row {ids[i]!r} before adding the zero stage", row=int(i)
             )
         values += flags
-        return AdoptionDataset(tuple(ids), values, spec)
+        return AdoptionDataset(ids, values, spec)
 
 
 # A stage cell of 1 to 18 ASCII digits fits int64 and equals int(cell); any other is odd.
 _PLAIN_DIGITS = 18
 
 
-def _read_plain(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.ndarray, range] | None:
+def _read_plain(
+    path: str, raw: bytes, spec: StudySpec
+) -> tuple[list[str] | _RowIds, np.ndarray, range] | None:
     """Ids, stages and line numbers of a structurally plain file, from numpy passes over its bytes.
 
     A file is structurally plain when it holds no quote, NUL or carriage
@@ -191,10 +197,15 @@ def _read_plain(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.n
     and line ends. Cells of 1 to 18 ASCII digits are read
     column-wise; every other (odd) cell goes through ``int()``, a column at a
     time, as ``_read_csv`` converts them, and the first it refuses raises the
-    same error. Returns None for any other file, for one that
-    ``csv.reader`` would read differently (a field that is not UTF-8, or a
-    line of whitespace only, which it skips), and for one with a row whose id
-    is blank and whose cells are all odd, which may be such a line.
+    same error, decoding only its own row's id. Returns None for any other
+    file, for one that ``csv.reader`` would read differently (bytes that are
+    not UTF-8, or a line of whitespace only, which it skips), and for one with
+    a row whose id is blank and whose cells are all odd, which may be such a line.
+
+    The ids are the byte ranges of the file, packed, when none starts or ends
+    with a byte of at most 0x20 or at least 0x80, so that ``str.strip``, which
+    also removes ``\x1c``-``\x1f`` and Unicode whitespace, would keep them
+    whole. Otherwise they are decoded and stripped, a list of strings.
     """
     if b"\r" in raw:
         if raw.count(b"\r") != raw.count(b"\r\n"):
@@ -216,35 +227,43 @@ def _read_plain(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.n
     stages = _plain_stages(body, spec.k)
     if stages is None:
         return None
-    values, odd, id_bounds, cell_bounds = stages
-    ids, cells = _plain_text(body, *id_bounds), _plain_text(body, *cell_bounds)
-    if ids is None or cells is None:
-        return None  # csv.reader reports the first byte that is not UTF-8
-    ids = [row_id.strip() for row_id in ids.split(",")[:-1]]
-    if not cells:
-        return ids, values, range(2, len(ids) + 2)
-    rows, cols = np.nonzero(odd)
-    # a blank id and k odd cells may be a line of whitespace, which csv.reader skips (shifting lines)
-    if any(not ids[i] for i in np.flatnonzero(np.bincount(rows) == spec.k)):
-        return None
-    cells = np.array(cells.split(",")[1:], dtype=object)
-    for j, name in enumerate(spec.names):
-        at = np.flatnonzero(cols == j)
+    if not raw.isascii():
         try:
-            # an object array converts cell by cell with int()
-            values[rows[at], j] = cells[at].astype(np.int64)
-        except (ValueError, OverflowError):
-            raise _bad_cell(path, name, ((cells[a], ids[rows[a]], rows[a] + 2) for a in at)) from None
-    return ids, values, range(2, len(ids) + 2)
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None  # csv.reader reports the first byte that is not UTF-8
+    values, odd, (id_starts, id_stops), cell_bounds = stages
+    packed = _RowIds(raw, id_starts + (head_end + 1), id_stops + (head_end + 1))
+    lines = range(2, len(values) + 2)
+    if odd.any():
+        rows, cols = np.nonzero(odd)
+        # a blank id and k odd cells may be a line of whitespace, which csv.reader skips (shifting lines)
+        if any(not packed[i].strip() for i in np.flatnonzero(np.bincount(rows) == spec.k)):
+            return None
+        cells = np.array(_plain_text(body, *cell_bounds).split(",")[1:], dtype=object)
+        for j, name in enumerate(spec.names):
+            at = np.flatnonzero(cols == j)
+            try:
+                # an object array converts cell by cell with int()
+                values[rows[at], j] = cells[at].astype(np.int64)
+            except (ValueError, OverflowError):
+                raise _bad_cell(
+                    path, name, zip(rows[at], cells[at]), lambda i: packed[i].strip(), lines
+                ) from None
+    edges = body[np.concatenate([id_starts, id_stops - 1])]
+    if ((edges <= 0x20) | (edges >= 0x80)).any():
+        text = _plain_text(body, id_starts, id_stops + 1)  # each id with the comma after it
+        return [row_id.strip() for row_id in text.split(",")[:-1]], values, lines
+    return packed, values, lines
 
 
 def _plain_stages(
     body: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None:
     """The stage matrix of a structurally plain body with its odd cells left
-    unread, the mask of odd cells, and the byte ranges of every id with the
-    comma after it and of every odd cell with the comma before it; None if a
-    line is not an id and ``k`` cells of at most ``csv.field_size_limit()`` bytes."""
+    unread, the mask of odd cells, and the byte ranges of every id and of
+    every odd cell with the comma before it; None if a line is not an id
+    and ``k`` cells of at most ``csv.field_size_limit()`` bytes."""
     seps = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
     if seps.size % (k + 1):
         return None
@@ -254,10 +273,10 @@ def _plain_stages(
         return None
     id_starts = np.zeros(len(seps), np.int64)
     id_starts[1:] = seps[:-1, k] + 1
-    id_stops = seps[:, 0] + 1
+    id_stops = seps[:, 0]
     widths = np.diff(seps, axis=1)
     widths -= 1
-    if max(widths.max(initial=0), (id_stops - id_starts).max(initial=1) - 1) > csv.field_size_limit():
+    if max(widths.max(initial=0), (id_stops - id_starts).max(initial=0)) > csv.field_size_limit():
         return None
     odd = widths > _PLAIN_DIGITS
     # Horner's rule, first digit first; bytes left of a narrow cell count as 0.
@@ -275,17 +294,14 @@ def _plain_stages(
     return values, odd, (id_starts, id_stops), (seps[:, :k][odd], ends[odd])
 
 
-def _plain_text(body: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> str | None:
+def _plain_text(body: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> str:
     """The byte ranges ``body[starts[i]:stops[i]]``, in file order, joined and
-    decoded; None if they are not UTF-8."""
+    decoded; the caller has checked that the body is UTF-8."""
     low, high = (starts[0], stops[-1]) if starts.size else (0, 0)
     inside = np.zeros(high - low + 1, np.int8)
     inside[starts - low] = 1
     inside[stops - low] -= 1  # a range may start where the one before it stops
-    try:
-        return str(body[low:high][np.cumsum(inside, dtype=np.int8, out=inside)[:-1].view(bool)], "utf-8")
-    except UnicodeDecodeError:
-        return None
+    return str(body[low:high][np.cumsum(inside, dtype=np.int8, out=inside)[:-1].view(bool)], "utf-8")
 
 
 def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.ndarray, list[int]]:
@@ -329,20 +345,22 @@ def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.nda
             # an object array converts cell by cell with int()
             values[:, j] = cells[:, j + 1].astype(np.int64)
         except (ValueError, OverflowError):
-            raise _bad_cell(path, name, zip(cells[:, j + 1], ids, lines)) from None
+            raise _bad_cell(path, name, enumerate(cells[:, j + 1]), ids.__getitem__, lines) from None
     return ids, values, lines
 
 
-def _bad_cell(path: str, name: str, cells: Iterable[tuple[str, str, int]]) -> InputError:
-    """The error for the first of ``cells`` (cell, row id, line) that is not a 64-bit integer."""
-    for cell, row_id, line in cells:
+def _bad_cell(path: str, name: str, cells: Iterable[tuple[int, str]],
+              row_id: Callable[[int], str], lines: Sequence[int]) -> InputError:
+    """The error for the first of ``cells`` (row, cell) that is not a 64-bit integer,
+    naming the row's id, made by ``row_id``, and its line."""
+    for row, cell in cells:
         try:
             good = _INT64.min <= int(cell) <= _INT64.max
         except ValueError:
             good = False
         if not good:
             return InputError(
-                f"{path}: row {row_id!r} (line {line}): "
+                f"{path}: row {row_id(row)!r} (line {lines[row]}): "
                 f"stage for {name!r} must be a 64-bit integer, got {cell.strip()!r}"
             )
 

@@ -4,9 +4,17 @@ A study is an ordered collection of adoption models. Model ``j`` has
 ``m_j + 1`` ordered stages coded 0..m_j, where stage 0 always means "no
 adoption at all". Observations are integer stage values, one column per
 model, one row per corporation. Everything here is immutable after
-construction (a dataset fills a cache of exact sums on first use, and
-one of row positions once its row lookups have scanned 8n ids) and safe to
-share across threads.
+construction and safe to share across threads. A dataset fills three caches
+on demand: its exact sums on first use, its ids as a tuple of ``str`` on
+first read of ``row_ids``, and an id -> position dict once its row lookups
+have searched 8n ids.
+
+A dataset keeps its row ids packed (``_RowIds``): one UTF-8 byte buffer and
+each row's start and stop offset into it. A plain data file hands over the
+byte ranges of its ids without making a string per row; a tuple of ids is
+packed on the way in and kept as ``row_ids``. The blank and duplicate checks
+hash the packed bytes in numpy, and lookups compare them, so a file whose ids
+are never read never decodes them.
 
 Every dataset rule (ids, row count, stage ranges) is checked only by
 :class:`AdoptionDataset`; ``validate_dataset`` and ``cli.load_dataset`` check
@@ -41,9 +49,15 @@ PSD_EIGENVALUE_FLOOR = -1e-10
 _INT64 = np.iinfo(np.int64)
 # sums and cross-products are accumulated in int64; n * max_stage^2 must stay below this
 _INT64_LIMIT = 2**63
-# row lookups scan until they have scanned this many times n ids, then build an id -> position
-# dict; with the ids' hashes cached the dict costs about 5 full scans at 2,000 rows, 25 at 10^6
+# row lookups search the packed ids until they have searched this many times n ids, then
+# build an id -> position dict; decoding the ids for it costs about 6 searches at 2,000 rows,
+# 25 at 10^6
 _SCANS_BEFORE_DICT = 8
+# splitmix64's multipliers (Steele, Lea and Flood, 2014) and the golden-ratio word salt
+_MIX_FACTORS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_WORD_SALT = np.uint64(0x9E3779B97F4A7C15)
+# _BYTE_MASKS[b] keeps the low b bytes of a uint64
+_BYTE_MASKS = np.array([(1 << 8 * b) - 1 for b in range(9)], np.uint64)
 
 RawRows = Sequence[tuple[str, Sequence[int]]]
 
@@ -186,13 +200,130 @@ class StudySpec:
         return tuple((mod.m, mod.alpha, mod.beta, mod.weight) for mod in self.models)  # type: ignore[misc]
 
 
+def _mix(words: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser of each uint64: a bijection in which every input bit
+    moves about half the output bits."""
+    words = words ^ (words >> np.uint64(30))
+    words *= _MIX_FACTORS[0]
+    words ^= words >> np.uint64(27)
+    words *= _MIX_FACTORS[1]
+    words ^= words >> np.uint64(31)
+    return words
+
+
+class _RowIds:
+    """Row ids packed as UTF-8: id i is the bytes ``data[starts[i]:stops[i]]``.
+
+    Lone surrogates are written with the "surrogatepass" handler, so packing and
+    decoding are inverse and two ids are equal exactly when their bytes are.
+    ``data`` may hold other bytes between the ids, as a data file's stage cells.
+    """
+
+    __slots__ = ("data", "starts", "stops")
+
+    def __init__(self, data: bytes, starts: np.ndarray, stops: np.ndarray):
+        self.data, self.starts, self.stops = data, starts, stops
+
+    @classmethod
+    def pack(cls, ids: tuple[str, ...]) -> _RowIds:
+        """``ids`` packed end to end; the first that is not a ``str`` is refused."""
+        try:
+            text = "".join(ids)
+        except TypeError:
+            i = next(i for i, row_id in enumerate(ids) if not isinstance(row_id, str))
+            raise InputError(f"row {i + 1} id must be a string, got {ids[i]!r}", row=i) from None
+        if text.isascii():
+            data, parts = text.encode("ascii"), ids
+        else:
+            parts = [row_id.encode("utf-8", "surrogatepass") for row_id in ids]
+            data = b"".join(parts)
+        lengths = np.fromiter(map(len, parts), np.int64, len(parts))
+        stops = np.cumsum(lengths)
+        return cls(data, stops - lengths, stops)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i: int) -> str:
+        """Id ``i``, decoded alone."""
+        return self.data[self.starts[i]:self.stops[i]].decode("utf-8", "surrogatepass")
+
+    def __eq__(self, other: object) -> bool:
+        # equal to a list or tuple of the same ids, so either reader's ids compare alike
+        if not isinstance(other, (list, tuple)):
+            return NotImplemented
+        return self.strings() == tuple(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def strings(self) -> tuple[str, ...]:
+        """Every id as a ``str``, in row order: the one place the ids are all decoded."""
+        data = self.data
+        return tuple(
+            data[a:b].decode("utf-8", "surrogatepass")
+            for a, b in zip(self.starts.tolist(), self.stops.tolist())
+        )
+
+    def _words(self, at: np.ndarray, stops: np.ndarray) -> np.ndarray:
+        """The bytes from each offset in ``at`` up to 8 or to its stop, whichever is
+        nearer, as a little-endian uint64 with zeros above them."""
+        data = np.frombuffer(self.data, np.uint8)
+        if data.size < 8:
+            data = np.concatenate([data, np.zeros(8 - data.size, np.uint8)])
+        last = data.size - 8
+        windows = np.ndarray((last + 1,), "<u8", data, 0, (1,))  # one starting at each byte
+        words = windows[np.minimum(at, last)]
+        tail = np.flatnonzero(at > last)  # a word in the last 8 bytes shifts their window down
+        words[tail] >>= (8 * (at[tail] - last)).astype(np.uint64)
+        return words & _BYTE_MASKS[np.clip(stops - at, 0, 8)]
+
+    def needs_exact_check(self) -> bool:
+        """False when no id is blank and no two hash alike, so every id is unique.
+
+        An id's hash mixes each of its zero-padded 8-byte words, salted by its
+        place, sums them and mixes the sum with its length; time and memory grow
+        with the ids' total bytes. True asks for an exact check.
+        """
+        lengths = self.stops - self.starts
+        if not lengths.all():
+            return True
+        counts = (lengths + 7) // 8
+        if counts.max() == 1:  # one word each, at place 0, so each sum is that word mixed
+            sums = _mix(self._words(self.starts, self.stops))
+        else:
+            firsts = np.cumsum(counts) - counts
+            places = np.arange(counts.sum()) - np.repeat(firsts, counts)
+            at = np.repeat(self.starts, counts) + 8 * places
+            words = self._words(at, np.repeat(self.stops, counts))
+            sums = np.add.reduceat(_mix(words ^ places.astype(np.uint64) * _WORD_SALT), firsts)
+        hashes = np.sort(_mix(sums ^ lengths.astype(np.uint64)))
+        return bool((hashes[1:] == hashes[:-1]).any())
+
+    def index(self, row_id: object) -> int:
+        """Position of the first id equal to ``row_id``, among those of its byte length,
+        compared 8 bytes at a time; ValueError if none is, as ``tuple.index`` raises."""
+        if isinstance(row_id, str):
+            want = row_id.encode("utf-8", "surrogatepass")
+            hits = np.flatnonzero(self.stops - self.starts == len(want))
+            for at in range(0, len(want), 8):
+                word = np.uint64(int.from_bytes(want[at:at + 8], "little"))
+                hits = hits[self._words(self.starts[hits] + at, self.stops[hits]) == word]
+            if hits.size:
+                return int(hits[0])
+        raise ValueError(f"{row_id!r} is not a row id")
+
+
 @dataclass(frozen=True, eq=False)
 class AdoptionDataset:
     """n x k matrix of observed stages with row identities.
 
     Construction enforces every invariant: integer cells within 0..m_j,
-    non-empty unique row ids, and strictly more rows than models. An error
+    non-empty unique ``str`` row ids, and strictly more rows than models. An error
     about one row carries its 0-based position in ``InputError.row``.
+
+    ``row_ids`` may be any sequence of ids, which is kept as a tuple, or packed
+    ids (``_RowIds``), whose tuple of strings is made on the first read of
+    ``row_ids``. The checks, lookups and error messages read the packed ids.
     """
 
     row_ids: tuple[str, ...]
@@ -208,14 +339,19 @@ class AdoptionDataset:
         n, k = values.shape
         if k != self.spec.k:
             raise RowArityMismatch(f"expected {self.spec.k} columns, got {k}")
-        row_ids = tuple(self.row_ids)
-        if len(row_ids) != n:
-            raise InputError(f"{len(row_ids)} row ids for {n} rows")
+        if isinstance(self.row_ids, _RowIds):
+            ids = self.row_ids
+            del self.__dict__["row_ids"]  # made from the packed ids on first read
+        else:
+            object.__setattr__(self, "row_ids", tuple(self.row_ids))
+            ids = _RowIds.pack(self.row_ids)
+        object.__setattr__(self, "_ids", ids)
+        if len(ids) != n:
+            raise InputError(f"{len(ids)} row ids for {n} rows")
         _require_rows(n, self.spec.k)
-        unique = set(row_ids)
-        if len(unique) != n or "" in unique:
+        if ids.needs_exact_check():
             seen: set[str] = set()
-            for i, row_id in enumerate(row_ids):
+            for i, row_id in enumerate(self.row_ids):
                 if not row_id:
                     raise InputError(f"row {i + 1} has an empty id", row=i)
                 if row_id in seen:
@@ -227,13 +363,19 @@ class AdoptionDataset:
             model = self.spec.models[j]
             raise OutOfRangeStage(
                 f"stage {int(values[i, j])} out of range 0..{model.m} "
-                f"for model {model.name!r} at row {row_ids[i]!r}",
+                f"for model {model.name!r} at row {ids[i]!r}",
                 row=i,
             )
         values = values.astype(np.int64, copy=True)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "row_ids", row_ids)
+
+    def __getattr__(self, name: str) -> tuple[str, ...]:
+        # only reached for row_ids when the ids came packed: decode them all once, then cache
+        if name != "row_ids" or "_ids" not in self.__dict__:
+            raise AttributeError(name)
+        row_ids = self.__dict__["row_ids"] = self.__dict__["_ids"].strings()
+        return row_ids
 
     @property
     def n(self) -> int:
@@ -242,20 +384,20 @@ class AdoptionDataset:
     def row_position(self, row_id: str) -> int:
         """0-based position of ``row_id``.
 
-        Lookups scan the ids until they have scanned ``_SCANS_BEFORE_DICT`` * n of
-        them in total, a failed one counting n. Later ones read an id -> position dict
-        built then and cached, like ``sufficient_stats``: one lookup, as a CLI call makes,
-        never builds it, and a few lookups of a large dataset scan, which costs less.
+        Lookups search the packed ids, by byte length and then by bytes, until
+        they have searched ``_SCANS_BEFORE_DICT`` * n ids in total, each search
+        counting n. Later ones read an id -> position dict built then from
+        ``row_ids`` and cached, like ``sufficient_stats``: one lookup, as a CLI call
+        makes, decodes no id and builds no dict, and a few lookups of a large
+        dataset search, which costs less.
         """
         positions = self.__dict__.get("_positions")
         try:
             if positions is None:
                 scanned = self.__dict__.get("_scanned", 0)
                 if scanned < _SCANS_BEFORE_DICT * self.n:
-                    self.__dict__["_scanned"] = scanned + self.n  # what a failed scan reads
-                    position = self.row_ids.index(row_id)
-                    self.__dict__["_scanned"] = scanned + position + 1
-                    return position
+                    self.__dict__["_scanned"] = scanned + self.n
+                    return self._ids.index(row_id)
                 positions = self.__dict__["_positions"] = dict(zip(self.row_ids, range(self.n)))
             return positions[row_id]
         except (ValueError, KeyError, TypeError):  # TypeError: an unhashable id
@@ -334,7 +476,8 @@ def validate_dataset(raw_rows: RawRows, spec: StudySpec) -> AdoptionDataset:
     """Turn labeled Python rows into a validated :class:`AdoptionDataset`.
 
     Checks here that each row has one cell per model and that each cell is
-    an int (not a bool) within int64; :class:`AdoptionDataset` checks the rest.
+    an int (not a bool) within int64; :class:`AdoptionDataset` checks the rest,
+    ids included: each must be a ``str``.
     """
     row_ids = []
     rows = []
@@ -355,7 +498,7 @@ def validate_dataset(raw_rows: RawRows, spec: StudySpec) -> AdoptionDataset:
                     f"stage must be a 64-bit integer, got {cell!r}",
                     row=len(rows),
                 )
-        row_ids.append(str(row_id))
+        row_ids.append(row_id)
         rows.append(cells)
     values = np.array(rows, dtype=np.int64).reshape(len(rows), spec.k)
     return AdoptionDataset(row_ids=tuple(row_ids), values=values, spec=spec)

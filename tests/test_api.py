@@ -98,6 +98,8 @@ def test_every_error_class_is_raised_or_a_base():
 # AdoptionIndexError: those alone reach a CLI exit status, any other exception a traceback
 BUILTIN_RAISES = {
     ("domain.py", "without_row", "IndexError"): "a library caller's position; the CLI passes found ones",
+    ("domain.py", "__getattr__", "AttributeError"): "the attribute protocol, for a name a dataset lacks",
+    ("domain.py", "index", "ValueError"): "tuple.index's contract; row_position turns it into RowNotFound",
     ("simulation.py", "_stream_words", "ValueError"): "unreachable: SimulationPlan refuses R > 2^32",
     ("tdist.py", "_betacf", "ArithmeticError"): "a continued fraction that fails to converge is a fault",
     ("tdist.py", "student_t_quantile", "ArithmeticError"): "a bracket past 1e300 is a fault",

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from adoptindex import ModelSpec, StudySpec, cli, simulation
+from adoptindex import ModelSpec, StudySpec, cli, domain, simulation
 from adoptindex.cli import main
 from adoptindex.errors import AdoptionIndexError
 
@@ -531,6 +531,33 @@ def test_other_files_reach_csv_reader(tmp_path, monkeypatch, text):
     monkeypatch.setattr(cli.csv, "reader", _no_csv_reader)
     with pytest.raises(AssertionError, match="csv.reader ran"):
         cli.load_dataset(str(data_path), TWO_MODELS, (False, False))
+
+
+def _refuse_to_decode(ids):
+    raise AssertionError("every row id was decoded")
+
+
+def test_plain_file_commands_decode_no_row_ids(capsys, tmp_path, monkeypatch):
+    # compute and test-two read no id, test-one searches the packed ids for its row, and a
+    # refused cell decodes only its own row's id: none of them makes every id a string
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(INGEST_SHAPED_SPEC))
+    data = {"a": INGEST_SHAPED_DATA, "b": INGEST_SHAPED_DATA.replace("a00", "b00"),
+            "bad": INGEST_SHAPED_DATA.replace("a0000011,5,", "a0000011,5.5,")}
+    for name, text in data.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    runs = [["compute", "--data", "a.csv"], ["test-two", "--data-a", "a.csv", "--data-b", "b.csv"],
+            ["test-one", "--data", "a.csv", "--row", "a0000007"], ["compute", "--data", "bad.csv"]]
+    monkeypatch.chdir(tmp_path)
+    free = [run_cli(capsys, *run, "--spec", "spec.json") for run in runs]
+    assert [code for code, _, _ in free] == [0, 0, 0, 2]
+    assert free[3][2] == ("error: bad.csv: row 'a0000011' (line 13): "
+                          "stage for 'TAM' must be a 64-bit integer, got '5.5'\n")
+    monkeypatch.setattr(domain._RowIds, "strings", _refuse_to_decode)
+    assert [run_cli(capsys, *run, "--spec", "spec.json") for run in runs] == free
+    loaded = cli.load_spec("spec.json")
+    with pytest.raises(AssertionError, match="every row id was decoded"):
+        cli.load_dataset("a.csv", loaded["spec"], loaded["offset_flags"]).row_ids
 
 
 class TestTests:

@@ -1,10 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from adoptindex import AdoptionDataset, ModelSpec, PmfSpec, StudySpec, validate_dataset
+from adoptindex import AdoptionDataset, ModelSpec, PmfSpec, StudySpec, cli, domain, validate_dataset
 from adoptindex.errors import (
     DuplicateRowId,
     InputError,
@@ -260,21 +261,45 @@ class TestValidateDataset:
             validate_dataset(rows, spec)
 
 
+def _plain_file_dataset(tmp_path, rows, spec):
+    """``cli.load_dataset`` of ``rows`` written as a plain data file, whose ids stay packed."""
+    path = tmp_path / "rows.csv"
+    lines = [",".join(["corporation", *spec.names])]
+    lines += [",".join([row_id, *map(str, cells)]) for row_id, cells in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return cli.load_dataset(str(path), spec, (False,) * spec.k)
+
+
+def _has_dict(ds):
+    return any(isinstance(value, dict) for value in vars(ds).values())
+
+
 class TestRowPosition:
     ROWS = [(f"r{i}", (i % 6, (2 * i) % 6)) for i in range(7)]
 
-    def test_first_and_later_lookups_agree_with_the_ids(self, tam_cmm_spec):
+    @pytest.fixture(params=["validate_dataset", "plain-file"])
+    def route(self, request):
+        return request.param
+
+    @pytest.fixture
+    def build(self, route, tmp_path, tam_cmm_spec):
+        """Make a fresh dataset of the given rows by one construction route."""
+        if route == "validate_dataset":
+            return lambda rows=self.ROWS: validate_dataset(rows, tam_cmm_spec)
+        return lambda rows=self.ROWS: _plain_file_dataset(tmp_path, rows, tam_cmm_spec)
+
+    def test_first_and_later_lookups_agree_with_the_ids(self, build):
         ids = [row_id for row_id, _ in self.ROWS]
-        first = [validate_dataset(self.ROWS, tam_cmm_spec).row_position(row_id) for row_id in ids]
-        ds = validate_dataset(self.ROWS, tam_cmm_spec)
-        # at n = 7 these scans add up to 56 = 8n, so all of them scan; see the dict test below
+        first = [build().row_position(row_id) for row_id in ids]
+        ds = build()
+        # the first eight lookups search the packed ids and the rest read the dict
         later = [ds.row_position(row_id) for row_id in ids + ids[::-1]]
         assert first == [ds.row_ids.index(row_id) for row_id in ids]
         assert later == first + first[::-1]
 
-    @pytest.mark.parametrize("row_id", ["missing", "", 5, None, [1], ("r0",)])
-    def test_unknown_ids_are_not_found_before_and_after_the_dict(self, tam_cmm_spec, row_id):
-        ds = validate_dataset(self.ROWS, tam_cmm_spec)
+    @pytest.mark.parametrize("row_id", ["missing", "", 5, None, [1], ("r0",), b"r0"])
+    def test_unknown_ids_are_not_found_before_and_after_the_dict(self, build, row_id):
+        ds = build()
         message = f"row {row_id!r} not found in dataset"
         with pytest.raises(RowNotFound) as first:
             ds.row_position(row_id)
@@ -285,40 +310,173 @@ class TestRowPosition:
         assert str(later.value) == message
         assert ds.row_position("r6") == 6
 
-    @pytest.mark.parametrize("row_id", ["missing", "", 5, None, [1], ("r0",)])
-    def test_lookups_through_the_dict_agree_with_the_ids(self, tam_cmm_spec, row_id):
-        ds = validate_dataset(self.ROWS, tam_cmm_spec)
-        for _ in range(8):  # eight failed scans count 8n, so the next lookup builds the dict
+    @pytest.mark.parametrize("row_id", ["missing", "", 5, None, [1], ("r0",), b"r0"])
+    def test_lookups_through_the_dict_agree_with_the_ids(self, build, row_id):
+        ds = build()
+        for _ in range(8):  # eight failed searches count 8n, so the next lookup builds the dict
             with pytest.raises(RowNotFound):
                 ds.row_position("missing")
         ids = [known for known, _ in self.ROWS]
         assert [ds.row_position(known) for known in ids] == list(range(7))
-        assert any(isinstance(value, dict) for value in vars(ds).values())
+        assert _has_dict(ds)
         with pytest.raises(RowNotFound) as later:
             ds.row_position(row_id)
         assert str(later.value) == f"row {row_id!r} not found in dataset"
 
-    def test_one_lookup_builds_no_dict(self, tam_cmm_spec):
-        ds = validate_dataset(self.ROWS, tam_cmm_spec)
-        # eight scans of all n = 7 ids add up to 8n = 56; the ninth lookup builds the dict
+    def test_one_lookup_builds_no_dict(self, build, route):
+        ds = build()
+        # eight searches of all n = 7 ids add up to 8n = 56; the ninth lookup builds the dict
         for _ in range(8):
             assert ds.row_position("r6") == 6
-            assert not any(isinstance(value, dict) for value in vars(ds).values())
+            assert not _has_dict(ds)
+            # a tuple of ids is kept as given; a plain file's stay packed, as a search decodes none
+            assert ("row_ids" in vars(ds)) == (route == "validate_dataset")
         assert ds.row_position("r6") == 6
-        assert any(isinstance(value, dict) for value in vars(ds).values())
+        assert _has_dict(ds) and "row_ids" in vars(ds)
 
     @pytest.mark.parametrize(
-        "lookups", [[f"r{i}" for i in range(7)] * 2, ["missing"] * 8], ids=["early", "failed"])
-    def test_lookups_scan_until_their_scans_add_up_to_8n(self, tam_cmm_spec, lookups):
-        ds = validate_dataset(self.ROWS, tam_cmm_spec)
-        # two rounds of scans of 1, 2, ..., 7 ids add up to 8n = 56, and so do eight failed scans
+        "lookups", [[f"r{i}" for i in range(7)] + ["r0"], ["missing"] * 8], ids=["found", "failed"])
+    def test_lookups_scan_until_their_scans_add_up_to_8n(self, build, lookups):
+        ds = build()
+        # every search counts all n ids, found or not, so eight of them add up to 8n = 56
         for row_id in lookups:
-            assert not any(isinstance(value, dict) for value in vars(ds).values())
+            assert not _has_dict(ds)
             if row_id == "missing":
                 with pytest.raises(RowNotFound):
                     ds.row_position(row_id)
             else:
                 assert ds.row_position(row_id) == int(row_id[1:])
-        assert not any(isinstance(value, dict) for value in vars(ds).values())
+        assert not _has_dict(ds)
         assert ds.row_position("r1") == 1
-        assert any(isinstance(value, dict) for value in vars(ds).values())
+        assert _has_dict(ds)
+
+    def test_packed_lookups_compare_every_byte(self, build, route):
+        # ids of one byte length that differ in one word only, across 8-byte word edges
+        ids = ["a" * 8 + "b", "a" * 8 + "c", "a" * 16 + "b", "a" * 17, "xéx", "xèx", "ab", "ba"]
+        ds = build([(row_id, (i % 6, 0)) for i, row_id in enumerate(ids)])
+        assert ("row_ids" in vars(ds)) == (route == "validate_dataset")
+        for position, row_id in enumerate(ids):
+            assert ds.row_position(row_id) == position
+        for missing in ["a" * 8 + "d", "a" * 16 + "c", "a" * 16, "xex", "a", "aab"]:
+            with pytest.raises(RowNotFound):
+                ds.row_position(missing)
+
+
+ONE_MODEL = StudySpec([ModelSpec("M", 5)])
+
+# characters that str.strip() removes or keeps, non-ASCII, NUL and a lone surrogate, and a
+# run of eight, so that ids cross 8-byte word edges and repeat often
+ROW_ID = st.lists(
+    st.sampled_from(["a", "b", "\xe9", "\u20ac", " ", "\t", "\x0b", "\x1c", "\xa0", "\u2003",
+                     "\x00", "\udc80", "aaaaaaaa"]),
+    max_size=4,
+).map("".join)
+
+
+def _dataset(ids):
+    return AdoptionDataset(tuple(ids), np.zeros((len(ids), 1), np.int64), ONE_MODEL)
+
+
+def _plain_one_model(tmp_path, ids):
+    return _plain_file_dataset(tmp_path, [(row_id, (0,)) for row_id in ids], ONE_MODEL)
+
+
+def _outcome(build):
+    try:
+        build()
+    except InputError as exc:
+        return type(exc), str(exc), exc.row
+    return None
+
+
+def _reference_id_check(ids):
+    """The first blank or repeated id, in row order, as (error, message, row); None if none is."""
+    seen = set()
+    for i, row_id in enumerate(ids):
+        if not row_id:
+            return InputError, f"row {i + 1} has an empty id", i
+        if row_id in seen:
+            return DuplicateRowId, f"row id {row_id!r} appears more than once", i
+        seen.add(row_id)
+    return None
+
+
+
+class TestRowIds:
+    @pytest.mark.parametrize("bad", [1, None, b"b"], ids=["int", "none", "bytes"])
+    @pytest.mark.parametrize("route", ["validate_dataset", "constructor"])
+    def test_an_id_that_is_not_a_str_is_refused(self, tam_cmm_spec, route, bad):
+        rows = [("a", (0, 5)), (bad, (5, 0)), ("c", (2, 3)), ("d", (3, 2))]
+        with pytest.raises(InputError) as info:
+            if route == "validate_dataset":
+                validate_dataset(rows, tam_cmm_spec)
+            else:
+                AdoptionDataset([row_id for row_id, _ in rows], np.zeros((4, 2), int), tam_cmm_spec)
+        assert type(info.value) is InputError
+        assert str(info.value) == f"row 2 id must be a string, got {bad!r}"
+        assert info.value.row == 1
+
+    def test_an_id_that_is_not_a_str_is_refused_before_blank_and_repeated_ones(self, tam_cmm_spec):
+        # 1 and "1" were once both read as "1", a repeated id
+        rows = [("1", (0, 5)), ("1", (5, 0)), ("", (2, 3)), (1, (3, 2))]
+        with pytest.raises(InputError) as info:
+            validate_dataset(rows, tam_cmm_spec)
+        assert type(info.value) is InputError
+        assert (str(info.value), info.value.row) == ("row 4 id must be a string, got 1", 3)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ids=st.lists(ROW_ID, min_size=2, max_size=12))
+    # ids a plain file hands over packed: repeated, distinct, and alike up to a word edge
+    @example(ids=["ab", "b", "ab"])
+    @example(ids=["a\xe9a", "a" * 9, "a" * 8 + "b", "a" * 8])
+    @example(ids=["a" * 8 + "b", "b", "a" * 8 + "b"])
+    # a blank id, and one that only stripping blanks, in a file whose other ids are packed
+    @example(ids=["a", "", "a"])
+    @example(ids=["a", " \xa0", "b"])
+    def test_packed_checks_agree_with_the_in_order_loop(self, tmp_path, ids):
+        assert _outcome(lambda: _dataset(ids)) == _reference_id_check(ids)
+        if any("\ud800" <= char <= "\udfff" for row_id in ids for char in row_id):
+            return  # a lone surrogate has no UTF-8 bytes to write to a file
+        path = tmp_path / "ids.csv"
+        path.write_text("corporation,M\n" + "".join(f"{row_id},0\n" for row_id in ids), "utf-8")
+        expected = _reference_id_check([row_id.strip() for row_id in ids])
+        if expected is not None:
+            error, message, row = expected
+            expected = error, f"{path}: line {row + 2}: {message}", row
+        assert _outcome(lambda: cli.load_dataset(str(path), ONE_MODEL, (False,))) == expected
+
+    def test_hashes_tell_apart_ids_of_the_same_words(self):
+        # words in another order, and a NUL that zero padding would hide, hash apart
+        ids = ("a" * 8 + "b" * 8, "b" * 8 + "a" * 8, "a", "a\x00", "ab", "ba")
+        assert not domain._RowIds.pack(ids).needs_exact_check()
+        assert domain._RowIds.pack(ids + ("ba",)).needs_exact_check()
+
+    @pytest.mark.parametrize("route", ["constructor", "plain-file"])
+    def test_equal_hashes_fall_back_to_the_exact_check(self, tmp_path, monkeypatch, route):
+        monkeypatch.setattr(domain, "_mix", lambda words: np.zeros_like(words))
+        build = _dataset if route == "constructor" else lambda ids: _plain_one_model(tmp_path, ids)
+        distinct = ["a", "b", "ab", "ba", "a" * 9, "a" * 8 + "b", "xéx"]
+        assert build(distinct).row_ids == tuple(distinct)
+        with pytest.raises(DuplicateRowId) as info:
+            build(distinct + ["a" * 8 + "b"])
+        assert info.value.row == len(distinct)
+
+    @pytest.mark.parametrize("route", ["constructor", "plain-file"])
+    def test_the_check_needs_memory_for_the_ids_bytes_not_n_times_the_longest(
+        self, tmp_path, route
+    ):
+        ids = [f"r{i}" for i in range(10_000)] + ["x" * 100_000]
+        path = tmp_path / "ids.csv"
+        path.write_text("corporation,M\n" + "".join(f"{row_id},0\n" for row_id in ids), "utf-8")
+        tracemalloc.start()
+        try:
+            if route == "constructor":
+                _dataset(ids)
+            else:
+                cli.load_dataset(str(path), ONE_MODEL, (False,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # 10^4 ids padded to 100 KB each would take 1 GB
+
