@@ -226,20 +226,21 @@ class _RowIds:
 
     @classmethod
     def pack(cls, ids: tuple[str, ...]) -> _RowIds:
-        """``ids`` packed end to end; the first that is not a ``str`` is refused."""
+        """``ids`` packed in order; the first that is not a ``str`` is refused."""
         try:
-            text = "".join(ids)
+            text = "\n".join(ids)
         except TypeError:
             i = next(i for i, row_id in enumerate(ids) if not isinstance(row_id, str))
             raise InputError(f"row {i + 1} id must be a string, got {ids[i]!r}", row=i) from None
-        if text.isascii():
-            data, parts = text.encode("ascii"), ids
-        else:
-            parts = [row_id.encode("utf-8", "surrogatepass") for row_id in ids]
-            data = b"".join(parts)
+        if text.isascii() and text.count("\n") == len(ids) - 1:
+            # a byte per character, and the line ends are exactly those between the ids
+            data = text.encode("ascii")
+            ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+            return cls(data, np.concatenate([[0], ends + 1]), np.append(ends, len(data)))
+        parts = [row_id.encode("utf-8", "surrogatepass") for row_id in ids]
         lengths = np.fromiter(map(len, parts), np.int64, len(parts))
         stops = np.cumsum(lengths)
-        return cls(data, stops - lengths, stops)
+        return cls(b"".join(parts), stops - lengths, stops)
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -265,39 +266,43 @@ class _RowIds:
         )
 
     def _words(self, at: np.ndarray, stops: np.ndarray) -> np.ndarray:
-        """The bytes from each offset in ``at`` up to 8 or to its stop, whichever is
-        nearer, as a little-endian uint64 with zeros above them."""
+        """The bytes from each offset in ``at`` up to 8 or to its stop (not before
+        it), whichever is nearer, as a little-endian uint64 with zeros above them."""
         data = np.frombuffer(self.data, np.uint8)
         if data.size < 8:
             data = np.concatenate([data, np.zeros(8 - data.size, np.uint8)])
         last = data.size - 8
         windows = np.ndarray((last + 1,), "<u8", data, 0, (1,))  # one starting at each byte
-        words = windows[np.minimum(at, last)]
+        words = windows.take(np.minimum(at, last))
         tail = np.flatnonzero(at > last)  # a word in the last 8 bytes shifts their window down
-        words[tail] >>= (8 * (at[tail] - last)).astype(np.uint64)
-        return words & _BYTE_MASKS[np.clip(stops - at, 0, 8)]
+        if tail.size:
+            words[tail] >>= (8 * (at[tail] - last)).astype(np.uint64)
+        return words & _BYTE_MASKS[np.minimum(stops - at, 8)]
 
     def needs_exact_check(self) -> bool:
-        """False when no id is blank and no two hash alike, so every id is unique.
+        """False when no id is blank and no two share a key, so every id is unique.
 
-        An id's hash mixes each of its zero-padded 8-byte words, salted by its
-        place, sums them and mixes the sum with its length; time and memory grow
-        with the ids' total bytes. True asks for an exact check.
+        When no id is longer than 8 bytes, an id's key is its bytes as one
+        zero-padded word, which only trailing NULs can share with another id.
+        Otherwise it is a hash that mixes each of the id's zero-padded 8-byte
+        words, salted by its place, sums them and mixes the sum with its length.
+        Time and memory grow with the ids' total bytes. True asks for an exact check.
         """
         lengths = self.stops - self.starts
         if not lengths.all():
             return True
-        counts = (lengths + 7) // 8
-        if counts.max() == 1:  # one word each, at place 0, so each sum is that word mixed
-            sums = _mix(self._words(self.starts, self.stops))
+        if lengths.max() <= 8:
+            keys = self._words(self.starts, self.stops)
         else:
+            counts = (lengths + 7) // 8
             firsts = np.cumsum(counts) - counts
             places = np.arange(counts.sum()) - np.repeat(firsts, counts)
             at = np.repeat(self.starts, counts) + 8 * places
             words = self._words(at, np.repeat(self.stops, counts))
             sums = np.add.reduceat(_mix(words ^ places.astype(np.uint64) * _WORD_SALT), firsts)
-        hashes = np.sort(_mix(sums ^ lengths.astype(np.uint64)))
-        return bool((hashes[1:] == hashes[:-1]).any())
+            keys = _mix(sums ^ lengths.astype(np.uint64))
+        keys.sort()
+        return bool((keys[1:] == keys[:-1]).any())
 
     def index(self, row_id: object) -> int:
         """Position of the first id equal to ``row_id``, among those of its byte length,

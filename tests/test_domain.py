@@ -364,11 +364,11 @@ class TestRowPosition:
 
 ONE_MODEL = StudySpec([ModelSpec("M", 5)])
 
-# characters that str.strip() removes or keeps, non-ASCII, NUL and a lone surrogate, and a
-# run of eight, so that ids cross 8-byte word edges and repeat often
+# characters that str.strip() removes or keeps, non-ASCII, NUL, a line end and a lone
+# surrogate, and a run of eight, so that ids cross 8-byte word edges and repeat often
 ROW_ID = st.lists(
     st.sampled_from(["a", "b", "\xe9", "\u20ac", " ", "\t", "\x0b", "\x1c", "\xa0", "\u2003",
-                     "\x00", "\udc80", "aaaaaaaa"]),
+                     "\x00", "\n", "\udc80", "aaaaaaaa"]),
     max_size=4,
 ).map("".join)
 
@@ -431,13 +431,15 @@ class TestRowIds:
     @example(ids=["ab", "b", "ab"])
     @example(ids=["a\xe9a", "a" * 9, "a" * 8 + "b", "a" * 8])
     @example(ids=["a" * 8 + "b", "b", "a" * 8 + "b"])
+    # ids of at most 8 bytes that differ only in trailing NULs
+    @example(ids=["a", "a\x00", "a\x00\x00", "a\x00"])
     # a blank id, and one that only stripping blanks, in a file whose other ids are packed
     @example(ids=["a", "", "a"])
     @example(ids=["a", " \xa0", "b"])
     def test_packed_checks_agree_with_the_in_order_loop(self, tmp_path, ids):
         assert _outcome(lambda: _dataset(ids)) == _reference_id_check(ids)
-        if any("\ud800" <= char <= "\udfff" for row_id in ids for char in row_id):
-            return  # a lone surrogate has no UTF-8 bytes to write to a file
+        if any("\ud800" <= char <= "\udfff" or char == "\n" for row_id in ids for char in row_id):
+            return  # a lone surrogate has no UTF-8 bytes, and a line end would split its row
         path = tmp_path / "ids.csv"
         path.write_text("corporation,M\n" + "".join(f"{row_id},0\n" for row_id in ids), "utf-8")
         expected = _reference_id_check([row_id.strip() for row_id in ids])
