@@ -273,7 +273,7 @@ class _RowIds:
             data = np.concatenate([data, np.zeros(8 - data.size, np.uint8)])
         last = data.size - 8
         windows = np.ndarray((last + 1,), "<u8", data, 0, (1,))  # one starting at each byte
-        words = windows.take(np.minimum(at, last))
+        words = windows[np.minimum(at, last)]  # take() would first copy every window
         tail = np.flatnonzero(at > last)  # a word in the last 8 bytes shifts their window down
         if tail.size:
             words[tail] >>= (8 * (at[tail] - last)).astype(np.uint64)
