@@ -216,7 +216,10 @@ class _RowIds:
 
     Lone surrogates are written with the "surrogatepass" handler, so packing and
     decoding are inverse and two ids are equal exactly when their bytes are.
-    ``data`` may hold other bytes between the ids, as a data file's stage cells.
+    ``data`` may hold other bytes between the ids: a plain data file's ids are
+    ranges of the whole file, so its stage cells stay in memory as long as the
+    dataset does (about as many bytes as the file; the strings of its ids would
+    take more unless its cells are much wider than its ids).
     """
 
     __slots__ = ("data", "starts", "stops")
@@ -228,16 +231,10 @@ class _RowIds:
     def pack(cls, ids: tuple[str, ...]) -> _RowIds:
         """``ids`` packed in order; the first that is not a ``str`` is refused."""
         try:
-            text = "\n".join(ids)
+            parts = [str.encode(row_id, "utf-8", "surrogatepass") for row_id in ids]
         except TypeError:
             i = next(i for i, row_id in enumerate(ids) if not isinstance(row_id, str))
             raise InputError(f"row {i + 1} id must be a string, got {ids[i]!r}", row=i) from None
-        if text.isascii() and text.count("\n") == len(ids) - 1:
-            # a byte per character, and the line ends are exactly those between the ids
-            data = text.encode("ascii")
-            ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
-            return cls(data, np.concatenate([[0], ends + 1]), np.append(ends, len(data)))
-        parts = [row_id.encode("utf-8", "surrogatepass") for row_id in ids]
         lengths = np.fromiter(map(len, parts), np.int64, len(parts))
         stops = np.cumsum(lengths)
         return cls(b"".join(parts), stops - lengths, stops)
@@ -250,7 +247,8 @@ class _RowIds:
         return self.data[self.starts[i]:self.stops[i]].decode("utf-8", "surrogatepass")
 
     def __eq__(self, other: object) -> bool:
-        # equal to a list or tuple of the same ids, so either reader's ids compare alike
+        # equal to a list or tuple of the same ids, so that a test can compare the ids of
+        # cli._read_plain and cli._read_csv as they come; no code in the package compares them
         if not isinstance(other, (list, tuple)):
             return NotImplemented
         return self.strings() == tuple(other)
@@ -282,25 +280,20 @@ class _RowIds:
     def needs_exact_check(self) -> bool:
         """False when no id is blank and no two share a key, so every id is unique.
 
-        When no id is longer than 8 bytes, an id's key is its bytes as one
-        zero-padded word, which only trailing NULs can share with another id.
-        Otherwise it is a hash that mixes each of the id's zero-padded 8-byte
-        words, salted by its place, sums them and mixes the sum with its length.
-        Time and memory grow with the ids' total bytes. True asks for an exact check.
+        An id's key is a hash that mixes each of its zero-padded 8-byte words,
+        salted by its place, sums them and mixes the sum with its length. Time
+        and memory grow with the ids' total bytes. True asks for an exact check.
         """
         lengths = self.stops - self.starts
         if not lengths.all():
             return True
-        if lengths.max() <= 8:
-            keys = self._words(self.starts, self.stops)
-        else:
-            counts = (lengths + 7) // 8
-            firsts = np.cumsum(counts) - counts
-            places = np.arange(counts.sum()) - np.repeat(firsts, counts)
-            at = np.repeat(self.starts, counts) + 8 * places
-            words = self._words(at, np.repeat(self.stops, counts))
-            sums = np.add.reduceat(_mix(words ^ places.astype(np.uint64) * _WORD_SALT), firsts)
-            keys = _mix(sums ^ lengths.astype(np.uint64))
+        counts = (lengths + 7) // 8
+        firsts = np.cumsum(counts) - counts
+        places = np.arange(counts.sum()) - np.repeat(firsts, counts)
+        at = np.repeat(self.starts, counts) + 8 * places
+        words = self._words(at, np.repeat(self.stops, counts))
+        sums = np.add.reduceat(_mix(words ^ places.astype(np.uint64) * _WORD_SALT), firsts)
+        keys = _mix(sums ^ lengths.astype(np.uint64))
         keys.sort()
         return bool((keys[1:] == keys[:-1]).any())
 
