@@ -216,10 +216,10 @@ class _RowIds:
 
     Lone surrogates are written with the "surrogatepass" handler, so packing and
     decoding are inverse and two ids are equal exactly when their bytes are.
-    ``data`` may hold other bytes between the ids: a plain data file's ids are
-    ranges of the whole file, so its stage cells stay in memory as long as the
-    dataset does (about as many bytes as the file; the strings of its ids would
-    take more unless its cells are much wider than its ids).
+    ``data`` may hold other bytes between the ids: a plain data file's packed ids
+    are ranges of the whole file, so its stage cells stay in memory as long as
+    the dataset does. That takes less than the ids as a tuple of strings, about
+    60 bytes an id more than their text, unless a row's cells take more bytes.
     """
 
     __slots__ = ("data", "starts", "stops")
