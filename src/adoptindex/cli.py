@@ -22,8 +22,10 @@ Formats:
   Structurally plain files (UTF-8 with no quotes, NULs or carriage
   returns outside CRLF line ends, no blank lines, and every line an id
   and one cell per model) are read column-wise with identical results
-  and messages: stages of 1 to 18 ASCII digits in numpy passes, any
-  other cell through int() one at a time. Their ids go to the dataset as
+  and messages: stages of 1 to 18 ASCII digits in numpy passes, each
+  over one contiguous row of a (k+1) x n table of the lines' commas and
+  line ends, so the stage matrix comes out column-major; any other cell
+  through int() one at a time. Their ids go to the dataset as
   byte ranges of the file, and a string is made only for an id that is
   read (a message, or ``row_ids``), unless an id starts or ends with a
   byte that may be whitespace (ASCII up to the space, or any non-ASCII
@@ -168,15 +170,19 @@ def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]) -> 
         raise InputError(f"{path}: cannot read data file ({exc})") from exc
     table = _read_plain(path, raw, spec)
     ids, values, lines = _read_csv(path, raw, spec) if table is None else table
-    flags = np.array(offset_flags)
+    flagged = np.flatnonzero(offset_flags)
+    shifted = values[:, flagged]  # a copy of the flagged columns only
     with _naming(path, lines):
         # a flagged column is recorded on 0..m-1: check it as written, so the add cannot wrap
-        for i, j in np.argwhere(flags & ((values < 0) | (values >= spec.stage_maxima)))[:1]:
+        bad = (shifted < 0) | (shifted >= np.array(spec.stage_maxima)[flagged])
+        for i, f in np.argwhere(bad)[:1]:
+            j = flagged[f]
             raise OutOfRangeStage(
                 f"stage {values[i, j]} out of range 0..{spec.models[j].m - 1} for model "
                 f"{spec.names[j]!r} at row {ids[i]!r} before adding the zero stage", row=int(i)
             )
-        values += flags
+        shifted += 1
+        values[:, flagged] = shifted
         return AdoptionDataset(ids, values, spec)
 
 
@@ -262,19 +268,26 @@ def _plain_stages(
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None:
     """The stage matrix of a structurally plain body with its odd cells left
     unread, the mask of odd cells, and the byte ranges of every id and of
-    every odd cell with the comma before it; None if a line is not an id
-    and ``k`` cells of at most ``csv.field_size_limit()`` bytes."""
-    seps = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
-    if seps.size % (k + 1):
+    every odd cell with the comma before it, in file order; None if a line is
+    not an id and ``k`` cells of at most ``csv.field_size_limit()`` bytes.
+
+    The separators (each line's k commas and its line end) are held as a
+    (k+1, n) table, one contiguous row per separator, so that every pass over
+    a column of cells reads contiguous memory. The stage matrix and the odd
+    mask are the (n, k) transposes of (k, n) arrays."""
+    flat = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
+    if flat.size % (k + 1):
         return None
-    seps = seps.reshape(-1, k + 1)
+    seps = np.ascontiguousarray(flat.reshape(-1, k + 1).T)
+    del flat  # the table is a copy: free the flat array before the passes below
     kinds = body[seps]
-    if not ((kinds[:, :k] == ord(",")).all() and (kinds[:, k] == ord("\n")).all()):
+    if not ((kinds[:k] == ord(",")).all() and (kinds[k] == ord("\n")).all()):
         return None
-    id_starts = np.zeros(len(seps), np.int64)
-    id_starts[1:] = seps[:-1, k] + 1
-    id_stops = seps[:, 0]
-    widths = np.diff(seps, axis=1)
+    id_starts = np.zeros(seps.shape[1], np.int64)
+    id_starts[1:] = seps[k, :-1] + 1
+    id_stops = seps[0]
+    starts, ends = seps[:k], seps[1:]  # each cell's comma before it and the separator after it
+    widths = ends - starts
     widths -= 1
     if max(widths.max(initial=0), (id_stops - id_starts).max(initial=0)) > csv.field_size_limit():
         return None
@@ -282,7 +295,6 @@ def _plain_stages(
     # Horner's rule, first digit first; bytes left of a narrow cell count as 0.
     # Both updates are in place on int64, so no promotion rule can narrow them.
     # The d = 0 pass always runs: it reads the comma left of an empty cell, so marks it odd.
-    ends = seps[:, 1:]
     values = np.zeros(widths.shape, np.int64)
     for d in reversed(range(min(int(widths.max(initial=1)), _PLAIN_DIGITS))):
         digits = body[np.maximum(ends - (d + 1), 0)] - np.uint8(ord("0"))
@@ -291,7 +303,8 @@ def _plain_stages(
         odd |= digits > 9
         values *= 10
         values += digits
-    return values, odd, (id_starts, id_stops), (seps[:, :k][odd], ends[odd])
+    # indexing the (n, k) transposes takes the odd cells in file order
+    return values.T, odd.T, (id_starts, id_stops), (starts.T[odd.T], ends.T[odd.T])
 
 
 def _plain_text(body: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> str:

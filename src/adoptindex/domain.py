@@ -13,8 +13,13 @@ A dataset keeps its row ids packed (``_RowIds``): one UTF-8 byte buffer and
 each row's start and stop offset into it. A plain data file hands over the
 byte ranges of its ids without making a string per row; a tuple of ids is
 packed on the way in and kept as ``row_ids``. The blank and duplicate checks
-hash the packed bytes in numpy, and lookups compare them, so a file whose ids
-are never read never decodes them.
+key each id by a hash of its packed bytes in numpy (one pass over every id's
+first 8 bytes, a second over the rest of only the longer ids), and lookups
+compare the bytes, so a file whose ids are never read never decodes them.
+
+A dataset's stage matrix keeps the memory order it comes in: a plain data
+file's is column-major, so the checks and sums over its columns read
+contiguous memory. Nothing here depends on the order.
 
 Every dataset rule (ids, row count, stage ranges) is checked only by
 :class:`AdoptionDataset`; ``validate_dataset`` and ``cli.load_dataset`` check
@@ -216,8 +221,9 @@ class _RowIds:
 
     Lone surrogates are written with the "surrogatepass" handler, so packing and
     decoding are inverse and two ids are equal exactly when their bytes are.
-    ``data`` may hold other bytes between the ids: a plain data file's packed ids
-    are ranges of the whole file, so its stage cells stay in memory as long as
+    ``data`` may hold other bytes between the ids, but decodes as a whole, as
+    ``strings`` reads it: a plain data file's packed ids are ranges of the whole
+    file (checked to be UTF-8), so its stage cells stay in memory as long as
     the dataset does. That takes less than the ids as a tuple of strings, about
     60 bytes an id more than their text, unless a row's cells take more bytes.
     """
@@ -246,22 +252,19 @@ class _RowIds:
         """Id ``i``, decoded alone."""
         return self.data[self.starts[i]:self.stops[i]].decode("utf-8", "surrogatepass")
 
-    def __eq__(self, other: object) -> bool:
-        # equal to a list or tuple of the same ids, so that a test can compare the ids of
-        # cli._read_plain and cli._read_csv as they come; no code in the package compares them
-        if not isinstance(other, (list, tuple)):
-            return NotImplemented
-        return self.strings() == tuple(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
     def strings(self) -> tuple[str, ...]:
-        """Every id as a ``str``, in row order: the one place the ids are all decoded."""
-        data = self.data
-        return tuple(
-            data[a:b].decode("utf-8", "surrogatepass")
-            for a, b in zip(self.starts.tolist(), self.stops.tolist())
-        )
+        """Every id as a ``str``, in row order: the one place the ids are all decoded.
+
+        ``data`` is decoded at once, and each id is a slice of its text. An id's
+        offsets into the text count the bytes before it that start a character:
+        every byte but the UTF-8 continuation bytes 0x80-0xBF."""
+        text = self.data.decode("utf-8", "surrogatepass")
+        starts, stops = self.starts, self.stops
+        if len(text) < len(self.data):
+            continuations = np.flatnonzero((np.frombuffer(self.data, np.uint8) & 0xC0) == 0x80)
+            starts = starts - np.searchsorted(continuations, starts)
+            stops = stops - np.searchsorted(continuations, stops)
+        return tuple([text[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
 
     def _words(self, at: np.ndarray, stops: np.ndarray) -> np.ndarray:
         """The bytes from each offset in ``at`` up to 8 or to its stop (not before
@@ -277,23 +280,37 @@ class _RowIds:
             words[tail] >>= (8 * (at[tail] - last)).astype(np.uint64)
         return words & _BYTE_MASKS[np.minimum(stops - at, 8)]
 
+    def keys(self) -> np.ndarray:
+        """Each id's 64-bit key: the sum, wrapping, of ``_mix`` of each of its
+        zero-padded 8-byte words xor its place times ``_WORD_SALT``, then ``_mix``
+        of that sum xor the id's byte length.
+
+        Every id's first word is mixed in one pass, and the further words of only
+        the ids longer than 8 bytes in a second, added to the first pass's sums;
+        wrapping uint64 addition commutes, so the split leaves every key as if all
+        of an id's words were summed at once. Time and memory are O(total id
+        bytes)."""
+        lengths = self.stops - self.starts
+        sums = _mix(self._words(self.starts, self.stops))
+        long = np.flatnonzero(lengths > 8)
+        if long.size:
+            counts = (lengths[long] - 1) // 8  # words after the first, at least 1
+            firsts = np.cumsum(counts) - counts
+            places = np.arange(1, counts.sum() + 1) - np.repeat(firsts, counts)
+            at = np.repeat(self.starts[long], counts) + 8 * places
+            words = self._words(at, np.repeat(self.stops[long], counts))
+            sums[long] += np.add.reduceat(_mix(words ^ places.astype(np.uint64) * _WORD_SALT), firsts)
+        return _mix(sums ^ lengths.astype(np.uint64))
+
     def needs_exact_check(self) -> bool:
         """False when no id is blank and no two share a key, so every id is unique.
 
-        An id's key is a hash that mixes each of its zero-padded 8-byte words,
-        salted by its place, sums them and mixes the sum with its length. Time
-        and memory grow with the ids' total bytes. True asks for an exact check.
-        """
-        lengths = self.stops - self.starts
-        if not lengths.all():
+        The keys (``keys``) hash every id's first 8 bytes in one pass and the
+        rest of only the longer ids in a second, which ids of at most 8 bytes
+        skip. True asks for an exact check."""
+        if not (self.stops - self.starts).all():
             return True
-        counts = (lengths + 7) // 8
-        firsts = np.cumsum(counts) - counts
-        places = np.arange(counts.sum()) - np.repeat(firsts, counts)
-        at = np.repeat(self.starts, counts) + 8 * places
-        words = self._words(at, np.repeat(self.stops, counts))
-        sums = np.add.reduceat(_mix(words ^ places.astype(np.uint64) * _WORD_SALT), firsts)
-        keys = _mix(sums ^ lengths.astype(np.uint64))
+        keys = self.keys()
         keys.sort()
         return bool((keys[1:] == keys[:-1]).any())
 

@@ -211,6 +211,13 @@ SHIFTED_MODELS = [{"name": "CMM", "m": 5, "add_zero_stage": True}]
             ["stage -1 out of range 0..4 for model 'CMM' at row 'c3' before adding the zero stage"],
         ),
         (
+            # a flagged column after an unflagged one is named by its own position
+            [{"name": "TAM", "m": 3}, *SHIFTED_MODELS],
+            "corporation,TAM,CMM\nc1,0,4\nc2,3,5\nc3,2,2\nc4,1,0\n",
+            3,
+            ["stage 5 out of range 0..4 for model 'CMM' at row 'c2' before adding the zero stage"],
+        ),
+        (
             # the shift would wrap a 64-bit cell; the value is reported as written
             SHIFTED_MODELS,
             "corporation,CMM\nc1,0\nc2,9223372036854775807\nc3,4\n",
@@ -237,7 +244,7 @@ SHIFTED_MODELS = [{"name": "CMM", "m": 5, "add_zero_stage": True}]
         ),
     ],
     ids=["blank-lines-before-bad-cell", "range", "duplicate-id", "zero-stage-range",
-         "zero-stage-negative", "zero-stage-wrap", "oversized-stage", "oversized-field",
+         "zero-stage-negative", "zero-stage-second-column", "zero-stage-wrap", "oversized-stage", "oversized-field",
          "oversized-id"],
 )
 def test_data_errors_name_file_and_physical_line(capsys, tmp_path, models, text, line, named):
@@ -421,7 +428,7 @@ def _read_outcome(read, path, raw):
         table = read(path, raw, TWO_MODELS)
     except AdoptionIndexError as exc:
         return type(exc), str(exc)
-    return table and (table[0], table[1].tobytes(), list(table[2]))
+    return table and (tuple(table[0]), table[1].tobytes(), list(table[2]))
 
 
 HEADER = b"corporation,TAM,CMM\n"

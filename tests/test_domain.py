@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from adoptindex import AdoptionDataset, ModelSpec, PmfSpec, StudySpec, cli, domain, validate_dataset
+from adoptindex import (
+    AdoptionDataset,
+    ModelSpec,
+    PmfSpec,
+    StudySpec,
+    cli,
+    domain,
+    estimate_moments,
+    validate_dataset,
+)
 from adoptindex.errors import (
     DuplicateRowId,
     InputError,
@@ -215,6 +224,33 @@ class TestValidateDataset:
         assert fresh.without_row(0) == (twice.n, *twice.sufficient_stats) == (
             3, (9, 3), ((35, 7), (7, 5))
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sums_and_downdates_agree_on_either_memory_order(self, data):
+        # a plain data file's stages come column-major, a tuple's row-major
+        spec = StudySpec([ModelSpec("A", 5), ModelSpec("B", 6, beta=2.0), ModelSpec("C", 4)])
+        cell = st.tuples(*(st.integers(0, m) for m in spec.stage_maxima))
+        values = np.array(data.draw(st.lists(cell, min_size=spec.k + 2, max_size=40)))
+        ids = tuple(f"r{i}" for i in range(len(values)))
+        c = AdoptionDataset(ids, np.ascontiguousarray(values), spec)
+        f = AdoptionDataset(ids, np.asfortranarray(values), spec)
+        assert c.values.flags.c_contiguous and f.values.flags.f_contiguous
+        assert domain._exact_sums(c.values) == domain._exact_sums(f.values) == c.sufficient_stats
+        assert c.sufficient_stats == f.sufficient_stats
+        mc, mf = estimate_moments(c), estimate_moments(f)
+        assert mc.scores == mf.scores and mc.degenerate == mf.degenerate
+        assert np.array_equal(mc.cov, mf.cov) and np.array_equal(mc.corr, mf.corr, equal_nan=True)
+        assert [c.without_row(i) for i in range(c.n)] == [f.without_row(i) for i in range(f.n)]
+
+    def test_a_plain_file_keeps_its_stages_column_major(self, tmp_path, tam_cmm_spec):
+        rows = [("a", (0, 5)), ("b", (5, 0)), ("c", (2, 3)), ("d", (3, 2)), ("e", (1, 1))]
+        plain = _plain_file_dataset(tmp_path, rows, tam_cmm_spec)
+        tupled = validate_dataset(rows, tam_cmm_spec)
+        assert plain.values.flags.f_contiguous and tupled.values.flags.c_contiguous
+        assert np.array_equal(plain.values, tupled.values)
+        assert plain.sufficient_stats == tupled.sufficient_stats
+        assert [plain.without_row(i) for i in range(5)] == [tupled.without_row(i) for i in range(5)]
 
     @pytest.mark.parametrize("position", [-1, 4])
     def test_without_row_position_must_name_a_row(self, tam_cmm_spec, position):
@@ -482,3 +518,67 @@ class TestRowIds:
             tracemalloc.stop()
         assert peak < 8 * 2**20  # 10^4 ids padded to 100 KB each would take 1 GB
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from([b"\x00", b"a", b"b", b"\x80", b"\xe9", b"\xff"]),
+                         min_size=1, max_size=40).map(b"".join),
+                st.integers(0, 9),
+            ),
+            min_size=1, max_size=12,
+        )
+    )
+    # one word in a buffer shorter than 8 bytes, and ids ending in the buffer's last 8 bytes
+    @example(parts=[(b"a", 0)])
+    @example(parts=[(b"\x00", 3), (b"a" * 9, 0)])
+    @example(parts=[(b"a" * 40, 1), (b"\xff" * 17, 0)])
+    @example(parts=[(b"a" * 16, 0), (b"a" * 8, 0), (b"a" * 8 + b"\x00", 0)])
+    def test_keys_equal_the_one_pass_reference(self, parts):
+        # each id is followed by its gap of filler bytes; a last gap of 0 ends the buffer with it
+        data, starts, stops = b"", [], []
+        for row_id, gap in parts:
+            starts.append(len(data))
+            data += row_id
+            stops.append(len(data))
+            data += b"," * gap
+        ids = domain._RowIds(data, np.array(starts), np.array(stops))
+        keys = ids.keys()
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, _one_pass_keys(ids))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ids=st.lists(st.text(st.characters(exclude_categories=()), max_size=10), max_size=12),
+        filler=st.sampled_from(["", ",", ",\xe9,", "\n€", "\U0001f600"]),
+    )
+    # a lone high and a lone low surrogate side by side stay two ids
+    @example(ids=["\ud800", "\udc00"], filler="")
+    @example(ids=["a\xe9", "", "€\U0001f600b", "ab"], filler=",")
+    def test_strings_decode_ascii_non_ascii_and_lone_surrogate_ids(self, ids, filler):
+        assert domain._RowIds.pack(tuple(ids)).strings() == tuple(ids)
+        # ids between other bytes, some of them continuation bytes, as in a plain data file
+        data, starts, stops = b"", [], []
+        for row_id in ids:
+            data += filler.encode()
+            starts.append(len(data))
+            data += row_id.encode("utf-8", "surrogatepass")
+            stops.append(len(data))
+        ids_in_file = domain._RowIds(data + filler.encode(), np.array(starts, np.int64),
+                                     np.array(stops, np.int64))
+        assert ids_in_file.strings() == tuple(ids)
+
+
+def _one_pass_keys(ids):
+    """The reference for ``_RowIds.keys``: every word of every id, its place salted in,
+    mixed and summed in one repeat and reduceat pass (ids of at least one byte)."""
+    lengths = ids.stops - ids.starts
+    counts = (lengths + 7) // 8
+    firsts = np.cumsum(counts) - counts
+    places = np.arange(counts.sum()) - np.repeat(firsts, counts)
+    at = np.repeat(ids.starts, counts) + 8 * places
+    words = ids._words(at, np.repeat(ids.stops, counts))
+    salted = words ^ places.astype(np.uint64) * domain._WORD_SALT
+    sums = np.add.reduceat(domain._mix(salted), firsts)
+    return domain._mix(sums ^ lengths.astype(np.uint64))
