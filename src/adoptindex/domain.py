@@ -221,11 +221,12 @@ class _RowIds:
 
     Lone surrogates are written with the "surrogatepass" handler, so packing and
     decoding are inverse and two ids are equal exactly when their bytes are.
-    ``data`` may hold other bytes between the ids, but decodes as a whole, as
-    ``strings`` reads it: a plain data file's packed ids are ranges of the whole
-    file (checked to be UTF-8), so its stage cells stay in memory as long as
-    the dataset does. That takes less than the ids as a tuple of strings, about
-    60 bytes an id more than their text, unless a row's cells take more bytes.
+    ``data`` may hold other bytes between the ids, but its span from the first
+    id to the last decodes as a whole, as ``strings`` reads it: a plain data
+    file's packed ids are ranges of the whole file (checked to be UTF-8), so
+    its stage cells stay in memory as long as the dataset does. That takes
+    less than the ids as a tuple of strings, about 60 bytes an id more than
+    their text, unless a row's cells take more bytes.
     """
 
     __slots__ = ("data", "starts", "stops")
@@ -255,15 +256,23 @@ class _RowIds:
     def strings(self) -> tuple[str, ...]:
         """Every id as a ``str``, in row order: the one place the ids are all decoded.
 
-        ``data`` is decoded at once, and each id is a slice of its text. An id's
-        offsets into the text count the bytes before it that start a character:
-        every byte but the UTF-8 continuation bytes 0x80-0xBF."""
-        text = self.data.decode("utf-8", "surrogatepass")
-        starts, stops = self.starts, self.stops
-        if len(text) < len(self.data):
-            continuations = np.flatnonzero((np.frombuffer(self.data, np.uint8) & 0xC0) == 0x80)
-            starts = starts - np.searchsorted(continuations, starts)
-            stops = stops - np.searchsorted(continuations, stops)
+        The span of ``data`` from the first id's start to the last id's stop is
+        decoded at once, and each id is a slice of its text. An id's offsets
+        into the text count the bytes before it in the span that start a
+        character: every byte but the UTF-8 continuation bytes 0x80-0xBF.
+
+        Time and temporary memory grow with the span's bytes, not only the ids':
+        for a plain data file that is every row's cells. Beside the result, the
+        text takes 1, 2 or 4 bytes a character, as the widest character in the
+        span needs, and the scan for continuation bytes 1 byte a byte of the span
+        and 8 bytes a continuation byte."""
+        first = int(self.starts.min(initial=len(self.data)))
+        span = memoryview(self.data)[first:int(self.stops.max(initial=0))]
+        text = str(span, "utf-8", "surrogatepass")
+        continuations = np.flatnonzero(np.frombuffer(span, np.int8) < -64)  # 0x80-0xBF
+        starts, stops = self.starts - first, self.stops - first
+        starts -= np.searchsorted(continuations, starts)
+        stops -= np.searchsorted(continuations, stops)
         return tuple([text[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
 
     def _words(self, at: np.ndarray, stops: np.ndarray) -> np.ndarray:

@@ -556,6 +556,8 @@ class TestRowIds:
     # a lone high and a lone low surrogate side by side stay two ids
     @example(ids=["\ud800", "\udc00"], filler="")
     @example(ids=["a\xe9", "", "€\U0001f600b", "ab"], filler=",")
+    # ASCII ids with a character outside the BMP before, between and after them
+    @example(ids=["ab", "c"], filler="\U0001f600")
     def test_strings_decode_ascii_non_ascii_and_lone_surrogate_ids(self, ids, filler):
         assert domain._RowIds.pack(tuple(ids)).strings() == tuple(ids)
         # ids between other bytes, some of them continuation bytes, as in a plain data file
@@ -568,6 +570,10 @@ class TestRowIds:
         ids_in_file = domain._RowIds(data + filler.encode(), np.array(starts, np.int64),
                                      np.array(stops, np.int64))
         assert ids_in_file.strings() == tuple(ids)
+
+    def test_strings_decode_only_the_span_from_the_first_id_to_the_last(self):
+        ids = domain._RowIds(b"\xff\xe2\x82\xacab,c\xc3\xa9\xff", np.array([1, 7]), np.array([5, 10]))
+        assert ids.strings() == ("€a", "cé")
 
 
 def _one_pass_keys(ids):
