@@ -38,7 +38,7 @@ Formats:
   inputs (and seed) give byte-identical reports.
 
 Exit status: 0 on success, 1 on a statistical refusal (for example a
-zero-variance model), 2 on an input error.
+zero-variance model), 2 on an input error or when memory runs out.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import io
 import json
 import math
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Any
@@ -203,15 +203,15 @@ def _read_plain(
     and line ends. Cells of 1 to 18 ASCII digits are read
     column-wise; every other (odd) cell goes through ``int()``, a column at a
     time, as ``_read_csv`` converts them, and the first it refuses raises the
-    same error, decoding only its own row's id. Returns None for any other
-    file, for one that ``csv.reader`` would read differently (bytes that are
-    not UTF-8, or a line of whitespace only, which it skips), and for one with
-    a row whose id is blank and whose cells are all odd, which may be such a line.
+    same error. Returns None for any other file and for one that ``csv.reader``
+    would read differently (bytes that are not UTF-8, or a line of whitespace only).
 
     The ids are the byte ranges of the file, packed, when none starts or ends
     with a byte of at most 0x20 or at least 0x80, so that ``str.strip``, which
     also removes ``\x1c``-``\x1f`` and Unicode whitespace, would keep them
-    whole. Otherwise they are decoded and stripped, a list of strings.
+    whole (and none is blank). Otherwise they are decoded and stripped, a list
+    of strings, and a row with a blank id and only odd cells, which may be a
+    line of whitespace, returns None; this is the one blank-line check.
     """
     if b"\r" in raw:
         if raw.count(b"\r") != raw.count(b"\r\n"):
@@ -239,13 +239,18 @@ def _read_plain(
         except UnicodeDecodeError:
             return None  # csv.reader reports the first byte that is not UTF-8
     values, odd, (id_starts, id_stops), cell_bounds = stages
-    packed = _RowIds(raw, id_starts + (head_end + 1), id_stops + (head_end + 1))
+    edges = body[np.concatenate([id_starts, id_stops - 1])]
+    if ((edges <= 0x20) | (edges >= 0x80)).any():
+        text = _plain_text(body, id_starts, id_stops + 1)  # each id with the comma after it
+        ids = [row_id.strip() for row_id in text.split(",")[:-1]]
+        # a blank id and k odd cells may be a line of whitespace, which csv.reader skips (shifting lines)
+        if any(not ids[i] for i in np.flatnonzero(odd.all(axis=1))):
+            return None
+    else:
+        ids = _RowIds(raw, id_starts + (head_end + 1), id_stops + (head_end + 1))
     lines = range(2, len(values) + 2)
     if odd.any():
         rows, cols = np.nonzero(odd)
-        # a blank id and k odd cells may be a line of whitespace, which csv.reader skips (shifting lines)
-        if any(not packed[i].strip() for i in np.flatnonzero(np.bincount(rows) == spec.k)):
-            return None
         cells = np.array(_plain_text(body, *cell_bounds).split(",")[1:], dtype=object)
         for j, name in enumerate(spec.names):
             at = np.flatnonzero(cols == j)
@@ -253,14 +258,8 @@ def _read_plain(
                 # an object array converts cell by cell with int()
                 values[rows[at], j] = cells[at].astype(np.int64)
             except (ValueError, OverflowError):
-                raise _bad_cell(
-                    path, name, zip(rows[at], cells[at]), lambda i: packed[i].strip(), lines
-                ) from None
-    edges = body[np.concatenate([id_starts, id_stops - 1])]
-    if ((edges <= 0x20) | (edges >= 0x80)).any():
-        text = _plain_text(body, id_starts, id_stops + 1)  # each id with the comma after it
-        return [row_id.strip() for row_id in text.split(",")[:-1]], values, lines
-    return packed, values, lines
+                raise _bad_cell(path, name, zip(rows[at], cells[at]), ids, lines) from None
+    return ids, values, lines
 
 
 def _plain_stages(
@@ -358,14 +357,14 @@ def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.nda
             # an object array converts cell by cell with int()
             values[:, j] = cells[:, j + 1].astype(np.int64)
         except (ValueError, OverflowError):
-            raise _bad_cell(path, name, enumerate(cells[:, j + 1]), ids.__getitem__, lines) from None
+            raise _bad_cell(path, name, enumerate(cells[:, j + 1]), ids, lines) from None
     return ids, values, lines
 
 
 def _bad_cell(path: str, name: str, cells: Iterable[tuple[int, str]],
-              row_id: Callable[[int], str], lines: Sequence[int]) -> InputError:
+              ids: Sequence[str], lines: Sequence[int]) -> InputError:
     """The error for the first of ``cells`` (row, cell) that is not a 64-bit integer,
-    naming the row's id, made by ``row_id``, and its line."""
+    naming the row's id and its line."""
     for row, cell in cells:
         try:
             good = _INT64.min <= int(cell) <= _INT64.max
@@ -373,7 +372,7 @@ def _bad_cell(path: str, name: str, cells: Iterable[tuple[int, str]],
             good = False
         if not good:
             return InputError(
-                f"{path}: row {row_id(row)!r} (line {lines[row]}): "
+                f"{path}: row {ids[row]!r} (line {lines[row]}): "
                 f"stage for {name!r} must be a 64-bit integer, got {cell.strip()!r}"
             )
 
@@ -632,8 +631,8 @@ def main(argv: list[str] | None = None) -> int:
     except StatisticalRefusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except AdoptionIndexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AdoptionIndexError, MemoryError) as exc:  # numpy's MemoryError names its allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     sys.stdout.write(text)
     return 0

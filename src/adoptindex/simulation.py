@@ -6,8 +6,9 @@ child r of the plan's seed (and grandchild i for sample i when it needs two
 samples), so replications are reproducible independently of execution order
 and the aggregates are order-independent sums.
 
-Studies build no ``SeedSequence``, about 11 us each. ``_stream_words`` hashes a
-block of spawn keys at once with ``SeedSequence``'s own arithmetic in uint32
+Studies build one ``SeedSequence`` (about 11 us) per block of spawn keys, for the
+pool its seed hashes to, not one per stream. ``_stream_words`` mixes the block's
+keys into that pool at once with ``SeedSequence``'s own arithmetic in uint32
 numpy, and numpy's PCG64 seeds itself from each sample's four hashed words: the
 streams are bit for bit those of ``spawn`` and ``default_rng``, which
 ``sample_dataset`` still calls.
@@ -302,33 +303,21 @@ def _stream_words(seed: int, replications: range, samples: int) -> np.ndarray:
     one sample and (r, i) for several, that is the seed of child r of ``SeedSequence(seed)``
     (grandchild i) as ``default_rng`` reads it.
 
-    The entropy is the seed's 32-bit words, low first, padded with zeros to the pool's
-    four, then the key's words. The seed's words hash to the same pool for every key, in
-    Python ints; the key's words are then mixed in, one uint32 array over the block.
+    Every key starts from the pool of ``SeedSequence(seed)``, which numpy fills with
+    16 + 4 max(0, w - 4) hashmix calls over the seed's w 32-bit words. The hash constant
+    is advanced past those calls, and the key's words are then mixed in, one uint32 array
+    over the block.
     """
     if replications.stop > 1 << 32:
         # numpy splits a key word past 32 bits in two; this hash would seed another stream
         raise ValueError(f"replication indices must be below 2^32, got {replications.stop - 1}")
-    entropy = []
-    while True:
-        entropy.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    entropy += [0] * (4 - len(entropy))
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    calls = 16 + 4 * max(0, -(-seed.bit_length() // 32) - 4)  # hashmix calls the pool took
+    h = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32
     r = np.arange(replications.start, replications.stop, dtype=np.uint32)
     keys = [r] if samples == 1 else [
         np.repeat(r, samples), np.tile(np.arange(samples, dtype=np.uint32), len(r))]
-    h, pool = _INIT_A, []
-    for word in entropy[:4]:
-        value, h = _hashmix(word, h)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[4:] + keys:
+    for word in keys:
         for dst in range(4):
             value, h = _hashmix(word, h)
             pool[dst] = _mix(pool[dst], value)

@@ -111,9 +111,7 @@ def student_t_cdf(t: float, df: float) -> float:
     t = _number(t, "t")
     if t == 0.0:
         return 0.5
-    if math.isinf(t):
-        return 0.0 if t < 0 else 1.0
-    x = df / (df + t * t)
+    x = df / (df + t * t)  # 0.0 for an infinite t, whose tail is then 0.0
     tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, x)
     return 1.0 - tail if t > 0 else tail
 

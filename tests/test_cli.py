@@ -356,6 +356,30 @@ def test_mutated_inputs_end_in_an_exit_status(tmp_path, files, command, out_form
         strict_json(out.getvalue())
 
 
+@pytest.mark.parametrize(
+    "module,allocation,command",
+    [
+        (simulation, "_draw", ["simulate", "--study", "size", "--n", "20", "--replications", "2",
+                               "--seed", "1"]),
+        (cli, "_plain_stages", ["compute", "--data", "{data}"]),
+    ],
+    ids=["simulate", "compute"],
+)
+@pytest.mark.parametrize("message", ["Unable to allocate 14.6 TiB for an array", ""])
+def test_running_out_of_memory_is_an_error_not_a_traceback(
+    capsys, monkeypatch, spec_file, data_file, module, allocation, command, message
+):
+    # an allocation on the command's path fails; none is made for real
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, allocation, exhausted)
+    argv = [part.format(data=data_file) for part in command]
+    code, out, err = run_cli(capsys, argv[0], "--spec", spec_file, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message or 'out of memory'}\n"
+
+
 # Edits that turn a plain data file into a near-plain one. Cells of any
 # spelling stay on the columnar path and must read as int() reads them or be
 # refused alike, in the same order, and CRLF line ends read as LF. Quotes,

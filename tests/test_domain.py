@@ -125,6 +125,11 @@ class TestPmfSpec:
     def test_semi_definite_accepted(self):
         PmfSpec([(0.5, 0.5), (0.5, 0.5)], latent_correlation=[[1.0, 1.0], [1.0, 1.0]])
 
+    def test_one_stage_pmf_rejected(self):
+        # (1.0,) sums to one, but a model has at least the stages 0 and 1
+        with pytest.raises(InputError, match="^pmf 1: needs at least two stages$"):
+            PmfSpec([(0.5, 0.5), (1.0,)])
+
 
 class TestValidateDataset:
     def test_four_rows_two_models(self, tam_cmm_spec):
@@ -369,6 +374,14 @@ class TestRowPosition:
             assert ("row_ids" in vars(ds)) == (route == "validate_dataset")
         assert ds.row_position("r6") == 6
         assert _has_dict(ds) and "row_ids" in vars(ds)
+
+    def test_only_row_ids_are_decoded_on_demand(self, build, route):
+        # a packed dataset decodes its ids for row_ids alone; another missing name stays missing
+        ds = build()
+        with pytest.raises(AttributeError, match="^row_id$"):
+            getattr(ds, "row_id")
+        assert ("row_ids" in vars(ds)) == (route == "validate_dataset")
+        assert ds.row_ids == tuple(row_id for row_id, _ in self.ROWS)
 
     @pytest.mark.parametrize(
         "lookups", [[f"r{i}" for i in range(7)] + ["r0"], ["missing"] * 8], ids=["found", "failed"])

@@ -181,6 +181,10 @@ class TestGlobalIndex:
         with pytest.raises(SpecMismatch):
             global_index(ScoreEstimate((2.5,), n=4), tam_cmm_spec)
 
+    def test_gradient_arity_mismatch(self, tam_cmm_spec):
+        with pytest.raises(SpecMismatch, match="^1 scores for a 2-model spec$"):
+            delta_gradient(ScoreEstimate((2.5,), n=4), tam_cmm_spec)
+
 
 class TestDeltaDerivative:
     def test_linear_derivative_is_inverse_m(self):

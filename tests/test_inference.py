@@ -71,6 +71,11 @@ def linear_variance_direct(variances, rho_matrix, ms, n, k):
 
 
 class TestIndexVariance:
+    def test_spec_mismatch(self, tam_cmm_spec):
+        # named before the gradient, which would refuse the scores in its own words
+        with pytest.raises(SpecMismatch, match="^1 moment columns for a 2-model spec$"):
+            index_variance(synthetic_moments((1.0,), rho=0.0), tam_cmm_spec)
+
     def test_uncorrelated_unit_variances(self, tam_cmm_spec):
         moments = synthetic_moments((1.0, 1.0), rho=0.0, n=100)
         assert index_variance(moments, tam_cmm_spec).value == pytest.approx(
@@ -630,8 +635,9 @@ class TestTwoSample:
         # Welch-Satterthwaite df lie in [min(nA, nB) - k, nA + nB - 2k] for any variances
         spec = draw_spec(data, 6)
         k = spec.k
+        # each column is one draw of n bytes, each read modulo m + 1
         ds_a, ds_b = (
-            make_dataset(spec, [[data.draw(st.integers(0, m)) for _ in range(n)]
+            make_dataset(spec, [[b % (m + 1) for b in data.draw(st.binary(min_size=n, max_size=n))]
                                 for m in spec.stage_maxima])
             for n in (data.draw(st.integers(k + 2, 60)), data.draw(st.integers(k + 2, 60)))
         )

@@ -144,6 +144,13 @@ class TestLatentCrossCovariance:
         spec, pmf = linear_pair
         assert latent_cross_covariance(pmf, spec, 0, 1) == 0.0
 
+    def test_zero_latent_correlation_gives_exactly_zero(self):
+        # the orthant sum would leave about -2.7e-15 on these pmfs
+        spec = StudySpec([ModelSpec("A", 5), ModelSpec("C", 4, alpha=0.5, beta=1)])
+        pmf = PmfSpec([[0.1, 0.15, 0.25, 0.25, 0.15, 0.1], [0.1, 0.2, 0.3, 0.2, 0.2]],
+                      latent_correlation=[[1, 0], [0, 1]])
+        assert latent_cross_covariance(pmf, spec, 0, 1) == 0.0
+
     @pytest.mark.parametrize("rho", [0.6, -0.35])
     @pytest.mark.parametrize(
         "pmfs",
@@ -463,13 +470,27 @@ def test_sampler_streams_are_stable(study):
 
 @pytest.mark.parametrize("study", sorted(STREAM_CASES))
 def test_studies_seed_without_numpy_seed_sequences(monkeypatch, study):
-    # the studies' streams must come from _stream_words, not from a fallback to spawn
+    # the studies' streams must come from _stream_words, not from a fallback to spawn:
+    # default_rng is refused, and the one SeedSequence each block builds only lends its pool
     def refuse(*args, **kwargs):
-        raise AssertionError("a study seeded through SeedSequence or default_rng")
+        raise AssertionError("a study seeded through default_rng")
+
+    built, blocks = [], []
+    seed_sequence, stream_words = np.random.SeedSequence, simulation._stream_words
+
+    def counted_seed_sequence(*args, **kwargs):
+        built.append((args, kwargs))
+        return seed_sequence(*args, **kwargs)
+
+    def counted_stream_words(*args):
+        blocks.append(args)
+        return stream_words(*args)
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
+    monkeypatch.setattr(simulation, "_stream_words", counted_stream_words)
     test_sampler_streams_are_stable(study)
+    assert blocks and built == [((seed,), {}) for seed, _, _ in blocks]
 
 
 @pytest.mark.parametrize("samples", [1, 2])

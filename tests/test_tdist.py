@@ -123,6 +123,11 @@ def test_cached_quantile_does_not_answer_for_a_bool():
 
 
 class TestCdf:
+    @pytest.mark.parametrize("df", [0.5, 7, 1e300])
+    def test_infinite_t_is_a_sure_tail(self, df):
+        assert student_t_cdf(-math.inf, df) == 0.0
+        assert student_t_cdf(math.inf, df) == 1.0
+
     def test_symmetry(self):
         for t in [0.2, 1.1, 6.0]:
             assert student_t_cdf(t, 7) + student_t_cdf(-t, 7) == pytest.approx(
