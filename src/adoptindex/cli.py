@@ -29,7 +29,8 @@ Formats:
   byte ranges of the file, and a string is made only for an id that is
   read (a message, or ``row_ids``), unless an id starts or ends with a
   byte that may be whitespace (ASCII up to the space, or any non-ASCII
-  byte): such a file's ids are decoded and stripped as csv.reader's are.
+  byte): once such a file's cells have parsed, its ids are decoded at
+  once and stripped as csv.reader's are.
   csv.reader reads every other file.
 
 * Reports: either a human-readable table ("table") or JSON
@@ -56,7 +57,7 @@ from typing import Any
 
 import numpy as np
 
-from .domain import _INT64, AdoptionDataset, ModelSpec, PmfSpec, StudySpec, _RowIds
+from .domain import _INT64, AdoptionDataset, ModelSpec, PmfSpec, StudySpec, _plain_text, _RowIds
 from .errors import (
     AdoptionIndexError,
     InputError,
@@ -206,12 +207,12 @@ def _read_plain(
     same error. Returns None for any other file and for one that ``csv.reader``
     would read differently (bytes that are not UTF-8, or a line of whitespace only).
 
-    The ids are the byte ranges of the file, packed, when none starts or ends
-    with a byte of at most 0x20 or at least 0x80, so that ``str.strip``, which
-    also removes ``\x1c``-``\x1f`` and Unicode whitespace, would keep them
-    whole (and none is blank). Otherwise they are decoded and stripped, a list
-    of strings, and a row with a blank id and only odd cells, which may be a
-    line of whitespace, returns None; this is the one blank-line check.
+    The ids are the file's byte ranges (``_RowIds``), returned as they are when
+    none starts or ends with a byte of at most 0x20 or at least 0x80: ``str.strip``,
+    which also removes ``\x1c``-``\x1f`` and Unicode whitespace, keeps them whole
+    (and none is blank). Otherwise a row of only odd cells whose id strips blank,
+    which may be a line of whitespace, returns None (the one blank-line check), and
+    once the odd cells parse the ids are decoded and stripped, a list of strings.
     """
     if b"\r" in raw:
         if raw.count(b"\r") != raw.count(b"\r\n"):
@@ -239,15 +240,14 @@ def _read_plain(
         except UnicodeDecodeError:
             return None  # csv.reader reports the first byte that is not UTF-8
     values, odd, (id_starts, id_stops), cell_bounds = stages
+    ids = _RowIds(raw, id_starts + (head_end + 1), id_stops + (head_end + 1))
     edges = body[np.concatenate([id_starts, id_stops - 1])]
-    if ((edges <= 0x20) | (edges >= 0x80)).any():
-        text = _plain_text(body, id_starts, id_stops + 1)  # each id with the comma after it
-        ids = [row_id.strip() for row_id in text.split(",")[:-1]]
+    stripped = ((edges <= 0x20) | (edges >= 0x80)).any()
+    if stripped:
         # a blank id and k odd cells may be a line of whitespace, which csv.reader skips (shifting lines)
-        if any(not ids[i] for i in np.flatnonzero(odd.all(axis=1))):
+        at = np.flatnonzero(odd.all(axis=1))
+        if not all(map(str.strip, _plain_text(body, id_starts[at], id_stops[at] + 1).split(",")[:-1])):
             return None
-    else:
-        ids = _RowIds(raw, id_starts + (head_end + 1), id_stops + (head_end + 1))
     lines = range(2, len(values) + 2)
     if odd.any():
         rows, cols = np.nonzero(odd)
@@ -259,7 +259,7 @@ def _read_plain(
                 values[rows[at], j] = cells[at].astype(np.int64)
             except (ValueError, OverflowError):
                 raise _bad_cell(path, name, zip(rows[at], cells[at]), ids, lines) from None
-    return ids, values, lines
+    return ([row_id.strip() for row_id in ids.strings()] if stripped else ids), values, lines
 
 
 def _plain_stages(
@@ -304,16 +304,6 @@ def _plain_stages(
         values += digits
     # indexing the (n, k) transposes takes the odd cells in file order
     return values.T, odd.T, (id_starts, id_stops), (starts.T[odd.T], ends.T[odd.T])
-
-
-def _plain_text(body: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> str:
-    """The byte ranges ``body[starts[i]:stops[i]]``, in file order, joined and
-    decoded; the caller has checked that the body is UTF-8."""
-    low, high = (starts[0], stops[-1]) if starts.size else (0, 0)
-    inside = np.zeros(high - low + 1, np.int8)
-    inside[starts - low] = 1
-    inside[stops - low] -= 1  # a range may start where the one before it stops
-    return str(body[low:high][np.cumsum(inside, dtype=np.int8, out=inside)[:-1].view(bool)], "utf-8")
 
 
 def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.ndarray, list[int]]:
@@ -364,7 +354,7 @@ def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.nda
 def _bad_cell(path: str, name: str, cells: Iterable[tuple[int, str]],
               ids: Sequence[str], lines: Sequence[int]) -> InputError:
     """The error for the first of ``cells`` (row, cell) that is not a 64-bit integer,
-    naming the row's id and its line."""
+    naming the row's id, stripped, and its line."""
     for row, cell in cells:
         try:
             good = _INT64.min <= int(cell) <= _INT64.max
@@ -372,7 +362,7 @@ def _bad_cell(path: str, name: str, cells: Iterable[tuple[int, str]],
             good = False
         if not good:
             return InputError(
-                f"{path}: row {ids[row]!r} (line {lines[row]}): "
+                f"{path}: row {ids[row].strip()!r} (line {lines[row]}): "
                 f"stage for {name!r} must be a 64-bit integer, got {cell.strip()!r}"
             )
 

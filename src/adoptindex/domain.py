@@ -9,13 +9,13 @@ on demand: its exact sums on first use, its ids as a tuple of ``str`` on
 first read of ``row_ids``, and an id -> position dict once its row lookups
 have searched 8n ids.
 
-A dataset keeps its row ids packed (``_RowIds``): one UTF-8 byte buffer and
-each row's start and stop offset into it. A plain data file hands over the
-byte ranges of its ids without making a string per row; a tuple of ids is
-packed on the way in and kept as ``row_ids``. The blank and duplicate checks
-key each id by a hash of its packed bytes in numpy (one pass over every id's
-first 8 bytes, a second over the rest of only the longer ids), and lookups
-compare the bytes, so a file whose ids are never read never decodes them.
+A dataset keeps a sequence of ids as a tuple of ``str`` and checks them as
+strings. A plain data file hands over its ids as byte ranges of the file
+(``_RowIds``) without making a string per row: the blank and duplicate checks
+key each id by a hash of its bytes in numpy (one pass over every id's first 8
+bytes, a second over the rest of only the longer ids), lookups compare the
+bytes, and the first read of ``row_ids`` decodes them all at once, so a file
+whose ids are never read never decodes them.
 
 A dataset's stage matrix keeps the memory order it comes in: a plain data
 file's is column-major, so the checks and sums over its columns read
@@ -54,9 +54,9 @@ PSD_EIGENVALUE_FLOOR = -1e-10
 _INT64 = np.iinfo(np.int64)
 # sums and cross-products are accumulated in int64; n * max_stage^2 must stay below this
 _INT64_LIMIT = 2**63
-# row lookups search the packed ids until they have searched this many times n ids, then
-# build an id -> position dict; decoding the ids for it costs about 6 searches at 2,000 rows,
-# 25 at 10^6
+# row lookups search the ids until they have searched this many times n ids, then build an
+# id -> position dict; decoding a plain file's ids and building the dict cost about 9
+# searches at 2,000 rows, 25 at 10^6
 _SCANS_BEFORE_DICT = 8
 # splitmix64's multipliers (Steele, Lea and Flood, 2014) and the golden-ratio word salt
 _MIX_FACTORS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
@@ -216,17 +216,23 @@ def _mix(words: np.ndarray) -> np.ndarray:
     return words
 
 
-class _RowIds:
-    """Row ids packed as UTF-8: id i is the bytes ``data[starts[i]:stops[i]]``.
+def _plain_text(body: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> str:
+    """The byte ranges ``body[starts[i]:stops[i]]``, in file order, joined and
+    decoded; the caller has checked that the body is UTF-8."""
+    low, high = (starts[0], stops[-1]) if starts.size else (0, 0)
+    inside = np.zeros(high - low + 1, np.int8)
+    inside[starts - low] = 1
+    inside[stops - low] -= 1  # a range may start where the one before it stops
+    return str(body[low:high][np.cumsum(inside, dtype=np.int8, out=inside)[:-1].view(bool)], "utf-8")
 
-    Lone surrogates are written with the "surrogatepass" handler, so packing and
-    decoding are inverse and two ids are equal exactly when their bytes are.
-    ``data`` may hold other bytes between the ids, but its span from the first
-    id to the last decodes as a whole, as ``strings`` reads it: a plain data
-    file's packed ids are ranges of the whole file (checked to be UTF-8), so
-    its stage cells stay in memory as long as the dataset does. That takes
-    less than the ids as a tuple of strings, about 60 bytes an id more than
-    their text, unless a row's cells take more bytes.
+
+class _RowIds:
+    """A plain data file's row ids: id i is the bytes ``data[starts[i]:stops[i]]``.
+
+    ``data`` is the whole file, checked to be UTF-8, and each id holds no
+    comma and is followed by one, so ``strings`` decodes them all in one
+    gather and split. Two ids are equal exactly when their bytes are. The ids
+    keep the file's bytes in memory as long as the dataset does.
     """
 
     __slots__ = ("data", "starts", "stops")
@@ -234,46 +240,18 @@ class _RowIds:
     def __init__(self, data: bytes, starts: np.ndarray, stops: np.ndarray):
         self.data, self.starts, self.stops = data, starts, stops
 
-    @classmethod
-    def pack(cls, ids: tuple[str, ...]) -> _RowIds:
-        """``ids`` packed in order; the first that is not a ``str`` is refused."""
-        try:
-            parts = [str.encode(row_id, "utf-8", "surrogatepass") for row_id in ids]
-        except TypeError:
-            i = next(i for i, row_id in enumerate(ids) if not isinstance(row_id, str))
-            raise InputError(f"row {i + 1} id must be a string, got {ids[i]!r}", row=i) from None
-        lengths = np.fromiter(map(len, parts), np.int64, len(parts))
-        stops = np.cumsum(lengths)
-        return cls(b"".join(parts), stops - lengths, stops)
-
     def __len__(self) -> int:
         return len(self.starts)
 
     def __getitem__(self, i: int) -> str:
         """Id ``i``, decoded alone."""
-        return self.data[self.starts[i]:self.stops[i]].decode("utf-8", "surrogatepass")
+        return self.data[self.starts[i]:self.stops[i]].decode("utf-8")
 
     def strings(self) -> tuple[str, ...]:
-        """Every id as a ``str``, in row order: the one place the ids are all decoded.
-
-        The span of ``data`` from the first id's start to the last id's stop is
-        decoded at once, and each id is a slice of its text. An id's offsets
-        into the text count the bytes before it in the span that start a
-        character: every byte but the UTF-8 continuation bytes 0x80-0xBF.
-
-        Time and temporary memory grow with the span's bytes, not only the ids':
-        for a plain data file that is every row's cells. Beside the result, the
-        text takes 1, 2 or 4 bytes a character, as the widest character in the
-        span needs, and the scan for continuation bytes 1 byte a byte of the span
-        and 8 bytes a continuation byte."""
-        first = int(self.starts.min(initial=len(self.data)))
-        span = memoryview(self.data)[first:int(self.stops.max(initial=0))]
-        text = str(span, "utf-8", "surrogatepass")
-        continuations = np.flatnonzero(np.frombuffer(span, np.int8) < -64)  # 0x80-0xBF
-        starts, stops = self.starts - first, self.stops - first
-        starts -= np.searchsorted(continuations, starts)
-        stops -= np.searchsorted(continuations, stops)
-        return tuple([text[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
+        """Every id as a ``str``, in row order: each id's bytes and the comma after
+        it gathered, decoded at once and split at the commas."""
+        text = _plain_text(np.frombuffer(self.data, np.uint8), self.starts, self.stops + 1)
+        return tuple(text.split(",")[:-1])
 
     def _words(self, at: np.ndarray, stops: np.ndarray) -> np.ndarray:
         """The bytes from each offset in ``at`` up to 8 or to its stop (not before
@@ -312,11 +290,8 @@ class _RowIds:
         return _mix(sums ^ lengths.astype(np.uint64))
 
     def needs_exact_check(self) -> bool:
-        """False when no id is blank and no two share a key, so every id is unique.
-
-        The keys (``keys``) hash every id's first 8 bytes in one pass and the
-        rest of only the longer ids in a second, which ids of at most 8 bytes
-        skip. True asks for an exact check."""
+        """False when no id is blank and no two share a key (``keys``), so every id
+        is unique; True asks for an exact check."""
         if not (self.stops - self.starts).all():
             return True
         keys = self.keys()
@@ -327,6 +302,7 @@ class _RowIds:
         """Position of the first id equal to ``row_id``, among those of its byte length,
         compared 8 bytes at a time; ValueError if none is, as ``tuple.index`` raises."""
         if isinstance(row_id, str):
+            # an id typed in may hold a lone surrogate, which no UTF-8 file's bytes match
             want = row_id.encode("utf-8", "surrogatepass")
             hits = np.flatnonzero(self.stops - self.starts == len(want))
             for at in range(0, len(want), 8):
@@ -345,9 +321,9 @@ class AdoptionDataset:
     non-empty unique ``str`` row ids, and strictly more rows than models. An error
     about one row carries its 0-based position in ``InputError.row``.
 
-    ``row_ids`` may be any sequence of ids, which is kept as a tuple, or packed
-    ids (``_RowIds``), whose tuple of strings is made on the first read of
-    ``row_ids``. The checks, lookups and error messages read the packed ids.
+    ``row_ids`` may be any sequence of ``str``, kept as a tuple, or a plain data
+    file's ids (``_RowIds``), decoded on the first read of ``row_ids``; the
+    checks, lookups and error messages of such a dataset read the file's bytes.
     """
 
     row_ids: tuple[str, ...]
@@ -365,15 +341,22 @@ class AdoptionDataset:
             raise RowArityMismatch(f"expected {self.spec.k} columns, got {k}")
         if isinstance(self.row_ids, _RowIds):
             ids = self.row_ids
-            del self.__dict__["row_ids"]  # made from the packed ids on first read
+            del self.__dict__["row_ids"]  # decoded from the file's bytes on first read
+            unsure = ids.needs_exact_check()
         else:
-            object.__setattr__(self, "row_ids", tuple(self.row_ids))
-            ids = _RowIds.pack(self.row_ids)
+            ids = tuple(self.row_ids)
+            object.__setattr__(self, "row_ids", ids)
+            try:
+                "".join(ids)  # refuses an id that is not a str, but does not say which
+            except TypeError:
+                i = next(i for i, row_id in enumerate(ids) if not isinstance(row_id, str))
+                raise InputError(f"row {i + 1} id must be a string, got {ids[i]!r}", row=i) from None
+            unsure = len(set(ids)) < len(ids) or not all(ids)
         object.__setattr__(self, "_ids", ids)
         if len(ids) != n:
             raise InputError(f"{len(ids)} row ids for {n} rows")
         _require_rows(n, self.spec.k)
-        if ids.needs_exact_check():
+        if unsure:  # some id may be blank or repeated: name the first, in row order
             seen: set[str] = set()
             for i, row_id in enumerate(self.row_ids):
                 if not row_id:
@@ -395,7 +378,7 @@ class AdoptionDataset:
         object.__setattr__(self, "values", values)
 
     def __getattr__(self, name: str) -> tuple[str, ...]:
-        # only reached for row_ids when the ids came packed: decode them all once, then cache
+        # only reached for row_ids when the ids came from a plain file: decode them once, then cache
         if name != "row_ids" or "_ids" not in self.__dict__:
             raise AttributeError(name)
         row_ids = self.__dict__["row_ids"] = self.__dict__["_ids"].strings()
@@ -408,7 +391,7 @@ class AdoptionDataset:
     def row_position(self, row_id: str) -> int:
         """0-based position of ``row_id``.
 
-        Lookups search the packed ids, by byte length and then by bytes, until
+        Lookups search the ids (a plain file's by byte length, then by bytes) until
         they have searched ``_SCANS_BEFORE_DICT`` * n ids in total, each search
         counting n. Later ones read an id -> position dict built then from
         ``row_ids`` and cached, like ``sufficient_stats``: one lookup, as a CLI call

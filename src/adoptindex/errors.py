@@ -67,7 +67,7 @@ class UnsupportedArity(InputError):
 
 
 class InvalidResolution(InputError):
-    """Grid resolution below the minimum of 2 points per axis."""
+    """Grid resolution outside 2..1000 points per axis."""
 
 
 class InvalidLevel(InputError):

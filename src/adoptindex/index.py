@@ -42,6 +42,8 @@ SHAPE_PRESETS: dict[str, tuple[float, float]] = {
     "convex": (3.0, 1.0),
     "s-shaped": (1.0, 3.0),
 }
+# each grid point is computed in Python: `surface` at 1000 (10^6 points) took 11 s and 331 MB on 2 vCPUs
+_MAX_RESOLUTION = 1000
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,15 @@ def surface_grid(
     """Evaluate the global index on a [0,m1] x [0,m2] lattice (k = 2 only).
 
     Returns (S1, S2, I) rows in row-major order with ``resolution`` points
-    per axis, endpoints included. The (0, 0) corner maps to 0 and the
-    (m1, m2) corner to 1.
+    per axis (2 to 1000), endpoints included. The (0, 0) corner maps to 0
+    and the (m1, m2) corner to 1.
     """
     if spec.k != 2:
         raise UnsupportedArity(f"surface needs exactly 2 models, spec has {spec.k}")
     if not isinstance(resolution, int) or isinstance(resolution, bool) or resolution < 2:
         raise InvalidResolution(f"resolution must be an integer >= 2, got {resolution!r}")
+    if resolution > _MAX_RESOLUTION:
+        raise InvalidResolution(f"resolution must be at most {_MAX_RESOLUTION}, got {resolution}")
 
     def axis(m: int) -> list[float]:
         step = m / (resolution - 1)

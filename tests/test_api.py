@@ -180,3 +180,21 @@ def test_sources_leave_no_unused_import_or_unreferenced_private_name():
                     if private not in referenced:
                         leftovers.append(f"{name}: private name {private} is never referenced")
     assert leftovers == []
+
+
+def test_row_ids_as_byte_ranges_are_made_only_by_the_plain_reader():
+    # _RowIds.strings splits at the comma after each id, which only a plain file's ids have
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, path, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "_RowIds":
+                    yield path.name, function
+            yield from visit(child, path, function)
+
+    made = [found for path in SOURCES for found in visit(ast.parse(path.read_text(encoding="utf-8")), path, None)]
+    assert made == [("cli.py", "_read_plain")]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from adoptindex import ModelSpec, StudySpec, cli, domain, simulation
+from adoptindex import ModelSpec, StudySpec, cli, domain, index, simulation
 from adoptindex.cli import main
 from adoptindex.errors import AdoptionIndexError
 
@@ -591,6 +591,29 @@ def test_plain_file_commands_decode_no_row_ids(capsys, tmp_path, monkeypatch):
         cli.load_dataset("a.csv", loaded["spec"], loaded["offset_flags"]).row_ids
 
 
+@pytest.mark.parametrize("cells", ["{},{}", " {}, {}"], ids=["digits", "padded"])
+@pytest.mark.parametrize("row_id", ["\xe9{:07d}", " c{} "], ids=["non-ascii", "spaced"])
+def test_an_edge_byte_file_names_a_bad_cell_without_decoding_every_id(
+    tmp_path, monkeypatch, cells, row_id
+):
+    # such ids are stripped; a bad last cell still decodes and strips only its own
+    rows = [row_id.format(i) + "," + cells.format(i % 6, (2 * i) % 6) for i in range(20)]
+    rows[-1] = rows[-1][:-1] + "3.5"
+    path = tmp_path / "edge.csv"
+    path.write_text("corporation,TAM,CMM\n" + "\n".join(rows) + "\n", "utf-8")
+
+    def outcome():
+        with pytest.raises(AdoptionIndexError) as info:
+            cli.load_dataset(str(path), TWO_MODELS, (False, False))
+        return type(info.value), str(info.value), info.value.row
+
+    before = outcome()
+    named = row_id.format(19).strip()
+    assert before[1] == f"{path}: row {named!r} (line 21): stage for 'CMM' must be a 64-bit integer, got '3.5'"
+    monkeypatch.setattr(domain._RowIds, "strings", _refuse_to_decode)
+    assert outcome() == before
+
+
 class TestTests:
     def test_one_sample_fixture(self, capsys, tmp_path):
         spec_path = tmp_path / "one.json"
@@ -988,6 +1011,10 @@ class TestSimulate:
         assert "pmf" in err
 
 
+def _no_points(*args):
+    raise AssertionError("a grid point was computed")
+
+
 class TestSurface:
     def test_linear_grid_and_corners(self, capsys, spec_file):
         code, out, err = run_cli(
@@ -1042,6 +1069,13 @@ class TestSurface:
         code, _, err = run_cli(capsys, "surface", "--spec", spec_file, "--resolution", "1")
         assert code == 2
         assert "resolution" in err
+
+    @pytest.mark.parametrize("resolution", ["1001", "100000"])
+    def test_huge_resolution_refused_before_any_point(self, capsys, spec_file, monkeypatch, resolution):
+        monkeypatch.setattr(index, "global_index", _no_points)
+        code, out, err = run_cli(capsys, "surface", "--spec", spec_file, "--resolution", resolution)
+        assert (code, out) == (2, "")
+        assert err == f"error: resolution must be at most 1000, got {resolution}\n"
 
     def test_preset_count_must_match_the_models(self, capsys, spec_file):
         code, out, err = run_cli(

@@ -13,6 +13,7 @@ from adoptindex import (
     cli,
     domain,
     estimate_moments,
+    sample_dataset,
     validate_dataset,
 )
 from adoptindex.errors import (
@@ -422,6 +423,18 @@ ROW_ID = st.lists(
 ).map("".join)
 
 
+def _file_ids(ids, filler=b""):
+    """``_RowIds`` of ``ids`` laid out as a plain data file lays them out: each id
+    followed by a comma, with ``filler`` before every id and after the last comma."""
+    data, starts, stops = filler, [], []
+    for row_id in ids:
+        starts.append(len(data))
+        data += row_id.encode()
+        stops.append(len(data))
+        data += b"," + filler
+    return domain._RowIds(data, np.array(starts, np.int64), np.array(stops, np.int64))
+
+
 def _dataset(ids):
     return AdoptionDataset(tuple(ids), np.zeros((len(ids), 1), np.int64), ONE_MODEL)
 
@@ -449,6 +462,64 @@ def _reference_id_check(ids):
         seen.add(row_id)
     return None
 
+
+def _refuse_to_hash(ids):
+    raise AssertionError("ids were keyed by their bytes")
+
+
+def _lookups(build, ids):
+    """The ids and the positions of every id, looked up through the scans and then the
+    dict, of ``build(ids)``; or its error as (type, message, row)."""
+    try:
+        ds = build(ids)
+    except InputError as exc:
+        return type(exc), str(exc), exc.row
+    return ds.row_ids, [ds.row_position(row_id) for row_id in ids * 3]
+
+
+class TestStringIds:
+    IDS = {"distinct": ["a", "b", "a" * 9, "x\xe9x", "c"], "repeated": ["a", "b", "a" * 9, "b", "c"],
+           "blank": ["a", "b", "", "d", "c"]}
+
+    @pytest.fixture(params=["validate_dataset", "quoted-file", "edge-byte-file"])
+    def build(self, request, tmp_path):
+        """A dataset of the given ids, built by one route that hands over strings."""
+        if request.param == "validate_dataset":
+            return lambda ids: validate_dataset([(row_id, (0,)) for row_id in ids], ONE_MODEL)
+        # quotes send a file through csv.reader; a leading space makes a plain file strip its ids
+        line = '"{}",0\n' if request.param == "quoted-file" else " {},0\n"
+        path = tmp_path / "ids.csv"
+
+        def load(ids):
+            path.write_text("corporation,M\n" + "".join(map(line.format, ids)), "utf-8")
+            return cli.load_dataset(str(path), ONE_MODEL, (False,))
+        return load
+
+    @pytest.mark.parametrize("case", IDS)
+    def test_string_ids_never_reach_the_byte_key(self, build, monkeypatch, case):
+        ids = self.IDS[case]
+        before = _lookups(build, ids)
+        monkeypatch.setattr(domain._RowIds, "keys", _refuse_to_hash)
+        assert _lookups(build, ids) == before
+        expected = _reference_id_check(ids)
+        if expected is None:
+            assert before == (tuple(ids), list(range(len(ids))) * 3)
+        else:
+            error, message, row = expected
+            assert (before[0], before[2]) == (error, row) and before[1].endswith(message)
+
+    def test_sampled_ids_never_reach_the_byte_key(self, monkeypatch):
+        pmf = PmfSpec([[0.1, 0.2, 0.2, 0.2, 0.2, 0.1]])
+        before = _lookups(lambda ids: sample_dataset(pmf, ONE_MODEL, 30, 7), ["r1", "r17", "r30"])
+        monkeypatch.setattr(domain._RowIds, "keys", _refuse_to_hash)
+        after = _lookups(lambda ids: sample_dataset(pmf, ONE_MODEL, 30, 7), ["r1", "r17", "r30"])
+        assert after == before == (tuple(f"r{i}" for i in range(1, 31)), [0, 16, 29] * 3)
+
+    def test_a_plain_file_of_ascii_ids_is_keyed_by_its_bytes(self, tmp_path, monkeypatch):
+        # the patch takes effect: a plain file's ASCII ids are keyed by their bytes
+        monkeypatch.setattr(domain._RowIds, "keys", _refuse_to_hash)
+        with pytest.raises(AssertionError, match="keyed by their bytes"):
+            _plain_one_model(tmp_path, self.IDS["distinct"][:3])
 
 
 class TestRowIds:
@@ -500,9 +571,11 @@ class TestRowIds:
     def test_hashes_tell_apart_ids_of_the_same_words(self):
         # words in another order, and a NUL that zero padding would hide, hash apart
         ids = ("a" * 8 + "b" * 8, "b" * 8 + "a" * 8, "a", "a\x00", "ab", "ba")
-        assert not domain._RowIds.pack(ids).needs_exact_check()
-        assert domain._RowIds.pack(ids + ("ba",)).needs_exact_check()
+        assert not _file_ids(ids).needs_exact_check()
+        assert _file_ids(ids + ("ba",)).needs_exact_check()
 
+    # a tuple of ids is checked as strings and never hashed, so the constructor route no
+    # longer reaches the zeroed mix; the plain-file route is the test of the fallback
     @pytest.mark.parametrize("route", ["constructor", "plain-file"])
     def test_equal_hashes_fall_back_to_the_exact_check(self, tmp_path, monkeypatch, route):
         monkeypatch.setattr(domain, "_mix", lambda words: np.zeros_like(words))
@@ -563,29 +636,19 @@ class TestRowIds:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        ids=st.lists(st.text(st.characters(exclude_categories=()), max_size=10), max_size=12),
+        ids=st.lists(st.text(st.characters(exclude_categories=("Cs",), exclude_characters=","),
+                             max_size=10), max_size=12),
         filler=st.sampled_from(["", ",", ",\xe9,", "\n€", "\U0001f600"]),
     )
-    # a lone high and a lone low surrogate side by side stay two ids
-    @example(ids=["\ud800", "\udc00"], filler="")
     @example(ids=["a\xe9", "", "€\U0001f600b", "ab"], filler=",")
     # ASCII ids with a character outside the BMP before, between and after them
     @example(ids=["ab", "c"], filler="\U0001f600")
-    def test_strings_decode_ascii_non_ascii_and_lone_surrogate_ids(self, ids, filler):
-        assert domain._RowIds.pack(tuple(ids)).strings() == tuple(ids)
+    def test_strings_decode_ascii_and_non_ascii_ids(self, ids, filler):
         # ids between other bytes, some of them continuation bytes, as in a plain data file
-        data, starts, stops = b"", [], []
-        for row_id in ids:
-            data += filler.encode()
-            starts.append(len(data))
-            data += row_id.encode("utf-8", "surrogatepass")
-            stops.append(len(data))
-        ids_in_file = domain._RowIds(data + filler.encode(), np.array(starts, np.int64),
-                                     np.array(stops, np.int64))
-        assert ids_in_file.strings() == tuple(ids)
+        assert _file_ids(ids, filler.encode()).strings() == tuple(ids)
 
-    def test_strings_decode_only_the_span_from_the_first_id_to_the_last(self):
-        ids = domain._RowIds(b"\xff\xe2\x82\xacab,c\xc3\xa9\xff", np.array([1, 7]), np.array([5, 10]))
+    def test_strings_decode_only_the_ids_and_their_commas(self):
+        ids = domain._RowIds(b"\xff\xe2\x82\xaca,\xffc\xc3\xa9,\xff", np.array([1, 7]), np.array([5, 10]))
         assert ids.strings() == ("€a", "cé")
 
 

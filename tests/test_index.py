@@ -13,6 +13,7 @@ from adoptindex import (
     delta_derivative,
     delta_gradient,
     global_index,
+    index,
     subindex,
     surface_grid,
 )
@@ -271,6 +272,19 @@ class TestSurfaceGrid:
             surface_grid(single_model_spec, 4)
         with pytest.raises(InvalidResolution):
             surface_grid(tam_cmm_spec, 1)
+
+    def test_resolution_is_bounded_at_10_to_the_6_points(self, tam_cmm_spec, monkeypatch):
+        def _no_points(*args):
+            raise AssertionError("a grid point was computed")
+
+        monkeypatch.setattr(index, "global_index", _no_points)
+        with pytest.raises(InvalidResolution, match="^resolution must be at most 1000, got 1001$"):
+            surface_grid(tam_cmm_spec, 1001)
+        # the refusal below the range keeps its message, and the bound itself is allowed
+        with pytest.raises(InvalidResolution, match="^resolution must be an integer >= 2, got 1$"):
+            surface_grid(tam_cmm_spec, 1)
+        with pytest.raises(AssertionError, match="a grid point was computed"):
+            surface_grid(tam_cmm_spec, 1000)
 
     def test_monotone_in_both_axes_for_mixed_shapes(self):
         spec = StudySpec([ModelSpec("A", 5, beta=3.0), ModelSpec("B", 5)])
