@@ -412,8 +412,7 @@ def cmd_compute(args: argparse.Namespace) -> dict[str, Any]:
     if 0.5 * (1.0 + level) == 1.0:  # the interval's quantile level, as confidence_interval forms it
         raise InvalidLevel(f"--alpha-level {args.alpha_level!r} is too small: the interval's "
                            "quantile level 1 - alpha/2 rounds to 1 in floating point")
-    with _naming(args.data):
-        moments = estimate_moments(dataset)
+    moments = estimate_moments(dataset)
     index = global_index(moments.scores, spec)
     variance = index_variance(moments, spec)
     df = _interval_df(dataset.n, spec.k)
@@ -431,17 +430,15 @@ def cmd_compute(args: argparse.Namespace) -> dict[str, Any]:
 
 def cmd_test_one(args: argparse.Namespace) -> dict[str, Any]:
     spec, (dataset,) = _load(args, args.data)
-    outcome = one_sample_test(
-        dataset, row_id=args.row, sidedness=args.sided, significance=args.alpha_level
-    )
+    with _naming(args.data):  # a --row the file lacks
+        outcome = one_sample_test(
+            dataset, row_id=args.row, sidedness=args.sided, significance=args.alpha_level
+        )
     return _test_report(args, spec, {"data": args.data, "row": args.row}, outcome)
 
 
 def cmd_test_two(args: argparse.Namespace) -> dict[str, Any]:
     spec, datasets = _load(args, args.data_a, args.data_b)
-    for path, dataset in zip((args.data_a, args.data_b), datasets):
-        with _naming(path):
-            dataset.sufficient_stats  # cached for the test, so an int64 overflow names its file
     outcome = two_sample_test(*datasets, sidedness=args.sided, significance=args.alpha_level)
     return _test_report(args, spec, {"data_a": args.data_a, "data_b": args.data_b}, outcome)
 

@@ -13,19 +13,19 @@ A dataset keeps a sequence of ids as a tuple of ``str`` and checks them as
 strings. A plain data file hands over its ids as byte ranges of the file
 (``_RowIds``) without making a string per row: the blank and duplicate checks
 key each id by a hash of its bytes in numpy (one pass over every id's first 8
-bytes, a second over the rest of only the longer ids), lookups compare the
-bytes, and the first read of ``row_ids`` decodes them all at once, so a file
-whose ids are never read never decodes them.
+bytes, a second over the rest of only the longer ids), a lookup is one search
+of the file's bytes, and the first read of ``row_ids`` decodes them all at
+once, so a file whose ids are never read never decodes them.
 
 A dataset's stage matrix keeps the memory order it comes in: a plain data
 file's is column-major, so the checks and sums over its columns read
 contiguous memory. Nothing here depends on the order.
 
-Every dataset rule (ids, row count, stage ranges) is checked only by
-:class:`AdoptionDataset`; ``validate_dataset`` and ``cli.load_dataset`` check
-only what their format needs (an int64 matrix; a zero-stage column's 0..m-1).
-``AdoptionDataset.without_row`` gives the exact sums of a dataset minus one
-row by downdating the dataset's own, without building a reduced dataset.
+Every dataset rule (ids, row count, stage ranges, sums exact in int64) is checked
+only by :class:`AdoptionDataset`, when it is built; ``validate_dataset`` and
+``cli.load_dataset`` check only what their format needs (an int64 matrix; a
+zero-stage column's 0..m-1). ``AdoptionDataset.without_row`` downdates the
+dataset's exact sums by one row, without building a reduced dataset.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ _INT64 = np.iinfo(np.int64)
 # sums and cross-products are accumulated in int64; n * max_stage^2 must stay below this
 _INT64_LIMIT = 2**63
 # row lookups search the ids until they have searched this many times n ids, then build an
-# id -> position dict; decoding a plain file's ids and building the dict cost about 9
-# searches at 2,000 rows, 25 at 10^6
+# id -> position dict; decoding a plain file's ids and building the dict cost about 16 of
+# its slowest searches (a missing id that starts like every id) at 2,000 rows, 30 at 10^6
 _SCANS_BEFORE_DICT = 8
 # splitmix64's multipliers (Steele, Lea and Flood, 2014) and the golden-ratio word salt
 _MIX_FACTORS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
@@ -74,8 +74,7 @@ def _require_exact(n: int, peak: int) -> None:
 
 
 def _exact_sums(values: np.ndarray) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Column sums and cross-product matrix of a non-negative integer matrix, as Python ints."""
-    _require_exact(values.shape[0], int(values.max()))
+    """Column sums and cross-product matrix, as Python ints, of a matrix ``_require_exact`` passed."""
     cross = (values.T @ values).tolist()
     return tuple(values.sum(axis=0, dtype=np.int64).tolist()), tuple(map(tuple, cross))
 
@@ -229,10 +228,10 @@ def _plain_text(body: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> str:
 class _RowIds:
     """A plain data file's row ids: id i is the bytes ``data[starts[i]:stops[i]]``.
 
-    ``data`` is the whole file, checked to be UTF-8, and each id holds no
-    comma and is followed by one, so ``strings`` decodes them all in one
-    gather and split. Two ids are equal exactly when their bytes are. The ids
-    keep the file's bytes in memory as long as the dataset does.
+    ``data`` is the whole file, checked to be UTF-8. Each id holds no comma, is preceded
+    by a newline and followed by a comma, so ``strings`` decodes them all in one gather
+    and split, and ``index`` finds one in one search. Two ids are equal exactly when their
+    bytes are. The ids keep the file's bytes in memory as long as the dataset does.
     """
 
     __slots__ = ("data", "starts", "stops")
@@ -299,17 +298,14 @@ class _RowIds:
         return bool((keys[1:] == keys[:-1]).any())
 
     def index(self, row_id: object) -> int:
-        """Position of the first id equal to ``row_id``, among those of its byte length,
-        compared 8 bytes at a time; ValueError if none is, as ``tuple.index`` raises."""
-        if isinstance(row_id, str):
+        """Position of the first id equal to ``row_id``, by one search of the file for it
+        between a newline and a comma, where a query of no comma matches only a whole id
+        (every line holds a comma); ValueError if none is, as ``tuple.index`` raises."""
+        if isinstance(row_id, str) and "," not in row_id:
             # an id typed in may hold a lone surrogate, which no UTF-8 file's bytes match
-            want = row_id.encode("utf-8", "surrogatepass")
-            hits = np.flatnonzero(self.stops - self.starts == len(want))
-            for at in range(0, len(want), 8):
-                word = np.uint64(int.from_bytes(want[at:at + 8], "little"))
-                hits = hits[self._words(self.starts[hits] + at, self.stops[hits]) == word]
-            if hits.size:
-                return int(hits[0])
+            at = self.data.find(b"\n" + row_id.encode("utf-8", "surrogatepass") + b",")
+            if at >= 0:
+                return int(np.searchsorted(self.starts, at + 1))
         raise ValueError(f"{row_id!r} is not a row id")
 
 
@@ -317,8 +313,8 @@ class _RowIds:
 class AdoptionDataset:
     """n x k matrix of observed stages with row identities.
 
-    Construction enforces every invariant: integer cells within 0..m_j,
-    non-empty unique ``str`` row ids, and strictly more rows than models. An error
+    Construction enforces every invariant: integer cells within 0..m_j, non-empty unique
+    ``str`` row ids, strictly more rows than models, and sums exact in int64. An error
     about one row carries its 0-based position in ``InputError.row``.
 
     ``row_ids`` may be any sequence of ``str``, kept as a tuple, or a plain data
@@ -373,6 +369,7 @@ class AdoptionDataset:
                 f"for model {model.name!r} at row {ids[i]!r}",
                 row=i,
             )
+        _require_exact(n, int(values.max()))
         values = values.astype(np.int64, copy=True)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -391,7 +388,7 @@ class AdoptionDataset:
     def row_position(self, row_id: str) -> int:
         """0-based position of ``row_id``.
 
-        Lookups search the ids (a plain file's by byte length, then by bytes) until
+        Lookups search the ids (a plain file's as one search of its bytes) until
         they have searched ``_SCANS_BEFORE_DICT`` * n ids in total, each search
         counting n. Later ones read an id -> position dict built then from
         ``row_ids`` and cached, like ``sufficient_stats``: one lookup, as a CLI call
@@ -419,16 +416,13 @@ class AdoptionDataset:
         """``(n, sums, cross)`` of the rows left after removing the one at ``position``.
 
         They keep every rule but the row count, so only that is checked. Their exact
-        sums are the parent's minus the row, or their own if the parent's are refused.
+        sums are the parent's minus the row.
         """
         n = self.n - 1
         if not 0 <= position <= n:
             raise IndexError(f"row position {position} outside 0..{n}")
         _require_rows(n, self.spec.k)
-        try:
-            sums, cross = self.sufficient_stats
-        except InputError:
-            return n, *_exact_sums(np.delete(self.values, position, axis=0))
+        sums, cross = self.sufficient_stats
         x = self.values[position].tolist()
         return n, tuple(s - a for s, a in zip(sums, x)), tuple(
             tuple(c - a * b for c, b in zip(row, x)) for row, a in zip(cross, x)

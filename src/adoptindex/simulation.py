@@ -76,7 +76,7 @@ _NORMALITY_SE_MULTIPLIER = 4.0
 
 @dataclass(frozen=True)
 class SimulationPlan:
-    """One reproducible Monte Carlo study."""
+    """One reproducible Monte Carlo study, refused when built if a sample's sums could wrap int64."""
 
     pmf: PmfSpec
     spec: StudySpec
@@ -98,6 +98,7 @@ class SimulationPlan:
             if self.study != "size":
                 raise InputError(f"pmf_alternative is for the size study, not {self.study!r}")
             _check_pmf_alignment(self.pmf_alternative, self.spec)
+        _require_exact(self.n, max(self.spec.stage_maxima))
 
 
 @dataclass(frozen=True)
@@ -392,7 +393,6 @@ def _sampled_sums(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[l
             return self.words
 
     n, k = plan.n, plan.spec.k
-    _require_exact(n, max(plan.spec.stage_maxima))
     per_chunk = max(1, _CHUNK_CELLS // (n * k))
     per_block = per_chunk * max(1, _SEED_BLOCK // per_chunk)
     samplers = [_sampler(pmf) for pmf in pmfs]

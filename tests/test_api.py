@@ -182,19 +182,32 @@ def test_sources_leave_no_unused_import_or_unreferenced_private_name():
     assert leftovers == []
 
 
-def test_row_ids_as_byte_ranges_are_made_only_by_the_plain_reader():
-    # _RowIds.strings splits at the comma after each id, which only a plain file's ids have
-    def visit(node, path, function):
+def _callers(callee):
+    """(file, qualified function) of every call of ``callee`` in the package, by name or attribute."""
+    def visit(node, path, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from visit(child, path, child.name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, path, f"{scope}.{child.name}" if scope else child.name)
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "_RowIds":
-                    yield path.name, function
-            yield from visit(child, path, function)
+                if name == callee:
+                    yield path.name, scope
+            yield from visit(child, path, scope)
 
-    made = [found for path in SOURCES for found in visit(ast.parse(path.read_text(encoding="utf-8")), path, None)]
-    assert made == [("cli.py", "_read_plain")]
+    return [found for path in SOURCES for found in visit(ast.parse(path.read_text(encoding="utf-8")), path, None)]
+
+
+def test_row_ids_as_byte_ranges_are_made_only_by_the_plain_reader():
+    # _RowIds.strings splits at the comma after each id, and _RowIds.index searches for the
+    # newline before it and the comma after it, which only a plain file's ids have
+    assert _callers("_RowIds") == [("cli.py", "_read_plain")]
+
+
+def test_the_int64_bound_is_checked_only_when_a_sample_type_is_built():
+    # a dataset's exact sums and a plan's sampled sums are then exact wherever they are reduced
+    assert sorted(_callers("_require_exact")) == [
+        ("domain.py", "AdoptionDataset.__post_init__"),
+        ("simulation.py", "SimulationPlan.__post_init__"),
+    ]

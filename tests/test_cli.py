@@ -705,6 +705,7 @@ HUGE_ROWS = "corporation,A,B\nr1,2,2\nr2,3,4\nr3,3,1\nr4,2,2\nr5,3,3\nr6,2,5\n"
 
 @pytest.mark.parametrize("command,flags", [
     ("compute", ("--data", "big")),
+    ("test-one", ("--data", "big", "--row", "r2")),
     ("test-two", ("--data-a", "small", "--data-b", "big")),
 ])
 def test_int64_overflow_names_its_file(capsys, tmp_path, command, flags):
@@ -719,6 +720,38 @@ def test_int64_overflow_names_its_file(capsys, tmp_path, command, flags):
     assert (code, out) == (2, "")
     assert err == (f"error: {paths['big']}: stages up to 1099511627776 over 4 rows overflow "
                    "exact int64 moments\n")
+
+
+# one rule broken per file, each in a row after the first; "missing row" is a file test-one reads whole
+NAMED_ROWS = {
+    "bad cell": "r1,1,1\nr2,x,2\nr3,1,3\nr4,2,4\n",
+    "duplicate id": "r1,1,1\nr2,0,2\nr1,1,3\nr4,2,4\n",
+    "out-of-range stage": "r1,1,1\nr2,0,9\nr3,1,3\nr4,2,4\n",
+    "int64 overflow": f"r1,1,1\nr2,{2**40},2\nr3,1,3\nr4,2,4\n",
+    "missing row": "r1,1,1\nr2,0,2\nr3,1,3\nr4,2,4\n",
+}
+
+
+@pytest.mark.parametrize("command,case", [
+    *((command, case) for command in ("compute", "test-one", "test-two A", "test-two B")
+      for case in NAMED_ROWS if case != "missing row"),
+    ("test-one", "missing row"),
+])
+def test_every_refused_data_file_is_named(capsys, tmp_path, command, case):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"models": [{"name": "A", "m": 2**40}, {"name": "B", "m": 5}]}))
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.write_text("corporation,A,B\n" + NAMED_ROWS[case])
+    good.write_text("corporation,A,B\n" + NAMED_ROWS["missing row"])
+    argv = {
+        "compute": ("--data", bad),
+        "test-one": ("--data", bad, "--row", "zz" if case == "missing row" else "r1"),
+        "test-two A": ("--data-a", bad, "--data-b", good),
+        "test-two B": ("--data-a", good, "--data-b", bad),
+    }[command]
+    code, out, err = run_cli(capsys, command.split()[0], "--spec", str(spec), *map(str, argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: "), err
 
 
 class TestExtremeVariances:
@@ -964,6 +997,27 @@ class TestSimulate:
         assert err == (
             "error: alternative pmf for model 'A' is degenerate; inference is impossible\n"
         )
+
+    def test_an_overflowing_n_is_refused_before_the_pmf_is_judged(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the plan checks the int64 bound when built, so a degenerate pmf is not reached
+        spec_path = tmp_path / "flat.json"
+        spec_path.write_text(json.dumps({"models": [{"name": "A", "m": 2, "pmf": [0, 1.0, 0]}]}))
+
+        def no_draws(*args):
+            raise AssertionError("the study drew samples")
+
+        monkeypatch.setattr(simulation, "_sampled_sums", no_draws)
+        for n, status, message in [
+            (40, 1, "pmf for model 'A' is degenerate; inference is impossible"),
+            (2**62, 2, f"stages up to 2 over {2**62} rows overflow exact int64 moments"),
+        ]:
+            code, out, err = run_cli(
+                capsys, "simulate", "--spec", str(spec_path), "--study", "coverage",
+                "--n", str(n), "--replications", "10", "--seed", "1",
+            )
+            assert (code, out, err) == (status, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "study,undefined",

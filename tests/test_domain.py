@@ -401,15 +401,19 @@ class TestRowPosition:
         assert _has_dict(ds)
 
     def test_packed_lookups_compare_every_byte(self, build, route):
-        # ids of one byte length that differ in one word only, across 8-byte word edges
-        ids = ["a" * 8 + "b", "a" * 8 + "c", "a" * 16 + "b", "a" * 17, "xéx", "xèx", "ab", "ba"]
-        ds = build([(row_id, (i % 6, 0)) for i, row_id in enumerate(ids)])
-        assert ("row_ids" in vars(ds)) == (route == "validate_dataset")
+        # ids of one byte length that differ in one word only, across 8-byte word edges, and
+        # ids that end earlier ones ("ab" ends "xab" and "aaaaaaaab")
+        ids = ["a" * 8 + "b", "a" * 8 + "c", "a" * 16 + "b", "a" * 17, "xab", "xéx", "xèx", "ab", "ba"]
+        rows = [(row_id, (i % 6, 0)) for i, row_id in enumerate(ids)]
+        assert ("row_ids" in vars(build(rows))) == (route == "validate_dataset")
+        # each lookup on a fresh dataset, so that every one searches the ids, not a dict
         for position, row_id in enumerate(ids):
-            assert ds.row_position(row_id) == position
-        for missing in ["a" * 8 + "d", "a" * 16 + "c", "a" * 16, "xex", "a", "aab"]:
+            assert build(rows).row_position(row_id) == position
+        # "ab,1" spans the id "ab" and its first cell, and "a\nb" a line end
+        for missing in ["a" * 8 + "d", "a" * 16 + "c", "a" * 16, "xex", "a", "aab", "ab,c", "ab,1",
+                        "a\nb", "b\nab"]:
             with pytest.raises(RowNotFound):
-                ds.row_position(missing)
+                build(rows).row_position(missing)
 
 
 ONE_MODEL = StudySpec([ModelSpec("M", 5)])

@@ -95,10 +95,11 @@ class TestMoments:
                 assert moments.corr[j, j] == 1.0
 
     def test_cross_products_that_would_wrap_int64_are_refused(self):
+        # refused when the dataset is built, before any reduction
         spec = StudySpec([ModelSpec("M", 2**32)])
-        ds = make_dataset(spec, [(0, 2**32, 2**32)])
-        with pytest.raises(InputError, match="overflow"):
-            estimate_moments(ds)
+        with pytest.raises(InputError) as info:
+            make_dataset(spec, [(0, 2**32, 2**32)])
+        assert str(info.value) == f"stages up to {2**32} over 3 rows overflow exact int64 moments"
 
     def test_arrays_are_read_only(self, tam_cmm_spec):
         moments = estimate_moments(make_dataset(tam_cmm_spec, [(0, 5, 2), (1, 4, 0)]))

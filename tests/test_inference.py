@@ -458,19 +458,12 @@ class TestLeaveOneOutDowndate:
             one_sample_test(ds, row_id="r4")
         assert str(info.value) == "model 'TAM' has zero sample variance; the index variance is undefined"
 
-    def test_int64_refusal_follows_the_reduced_sample(self):
-        # 4 * (2^31)^2 = 2^64 overflows, so the full sample is refused; 3 rows of up to 3 are not
+    def test_int64_refusal_comes_when_the_full_sample_is_built(self):
+        # 4 * (2^31)^2 = 2^64 overflows, so the dataset is refused, though 3 of its rows would fit
         peak = 2**31
-        ds = make_dataset(StudySpec([ModelSpec("M", peak)]), [(peak, 1, 2, 3)])
-        with pytest.raises(InputError, match="overflow"):
-            estimate_moments(ds)
-        assert one_sample_test(ds, row_id="r0").sample_sizes == (3,)
-        assert bits(lambda: one_sample_test(ds, row_id="r0")) == bits(
-            lambda: reference_one_sample(ds, 0)
-        )
         with pytest.raises(InputError) as info:
-            one_sample_test(ds, row_id="r1")
-        assert str(info.value) == f"stages up to {peak} over 3 rows overflow exact int64 moments"
+            make_dataset(StudySpec([ModelSpec("M", peak)]), [(peak, 1, 2, 3)])
+        assert str(info.value) == f"stages up to {peak} over 4 rows overflow exact int64 moments"
 
 
 SEAMS = (AdoptionDataset.without_row, inference.index_variance, tdist.student_t_pvalue)
@@ -573,6 +566,9 @@ class TestSharedDowndates:
 
     def test_repeated_calls_raise_the_same_refusal(self, single_model_spec, tam_cmm_spec):
         peak = 2**31
+        with pytest.raises(InputError) as info:  # refused when built, so no test runs on it
+            make_dataset(StudySpec([ModelSpec("M", peak)]), [(peak, 1, 2, 3)])
+        assert str(info.value) == f"stages up to {peak} over 4 rows overflow exact int64 moments"
         cases = [
             (make_dataset(single_model_spec, [(1, 2, 3)]), "r0",
              InsufficientDf, "excluding row 'r0' leaves df=0; need at least 1"),
@@ -580,8 +576,6 @@ class TestSharedDowndates:
              DegenerateVariance, "model 'TAM' has zero sample variance; the index variance is undefined"),
             (make_dataset(tam_cmm_spec, [(0, 5, 2, 3, 1), (5, 0, 3, 2, 4)]), "r0", DegenerateVariance,
              "the weighted stage combination is constant across the remaining rows"),
-            (make_dataset(StudySpec([ModelSpec("M", peak)]), [(peak, 1, 2, 3)]), "r1",
-             InputError, f"stages up to {peak} over 3 rows overflow exact int64 moments"),
         ]
         inference._remaining.cache_clear()
         for ds, row_id, error, message in cases:

@@ -243,6 +243,20 @@ class TestPlanValidation:
                                              r"got 4294967297"):
             SimulationPlan(replications=2**32 + 1, **fields)
 
+    def test_samples_whose_sums_could_wrap_int64_are_refused_when_planned(self, monkeypatch):
+        # n * m^2 must stay below 2^63: with m = 2, n = 2^62 reaches it and 2^61 - 1 does not
+        spec, pmf = StudySpec([ModelSpec("A", 2)]), PmfSpec([(0.25, 0.5, 0.25)])
+
+        def no_draws(*args):
+            raise AssertionError("the plan drew samples")
+
+        monkeypatch.setattr(simulation, "_sampled_sums", no_draws)
+        fields = dict(pmf=pmf, spec=spec, replications=10, seed=1, study="coverage")
+        assert SimulationPlan(n=2**61 - 1, **fields).n == 2**61 - 1
+        with pytest.raises(InputError) as info:
+            SimulationPlan(n=2**62, **fields)
+        assert str(info.value) == f"stages up to 2 over {2**62} rows overflow exact int64 moments"
+
     @pytest.mark.parametrize("study", ["normality", "coverage", "variance-ratio"])
     def test_alternative_pmf_only_for_the_size_study(self, linear_pair, study):
         spec, pmf = linear_pair
