@@ -722,7 +722,7 @@ def test_int64_overflow_names_its_file(capsys, tmp_path, command, flags):
                    "exact int64 moments\n")
 
 
-# one rule broken per file, each in a row after the first; "missing row" is a file test-one reads whole
+# one rule broken per file, in a row after the first; "missing row" is valid, refused only for --row zz
 NAMED_ROWS = {
     "bad cell": "r1,1,1\nr2,x,2\nr3,1,3\nr4,2,4\n",
     "duplicate id": "r1,1,1\nr2,0,2\nr1,1,3\nr4,2,4\n",
