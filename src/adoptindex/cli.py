@@ -22,10 +22,12 @@ Formats:
   Structurally plain files (UTF-8 with no quotes, NULs or carriage
   returns outside CRLF line ends, no blank lines, and every line an id
   and one cell per model) are read column-wise with identical results
-  and messages: stages of 1 to 18 ASCII digits in numpy passes, each
-  over one contiguous row of a (k+1) x n table of the lines' commas and
-  line ends, so the stage matrix comes out column-major; any other cell
-  through int() one at a time. Their ids go to the dataset as
+  and messages, in blocks of whole lines of about 64 KB, so each pass's
+  temporaries are one block's: stages of 1 to 18 ASCII digits,
+  with up to 16 spaces on either side, in numpy passes, each over one
+  contiguous row of a block's (k+1) x lines table of commas and line
+  ends, written into a column-major stage matrix; any other cell through
+  int() one at a time. Their ids go to the dataset as
   byte ranges of the file, and a string is made only for an id that is
   read (a message, or ``row_ids``), unless an id starts or ends with a
   byte that may be whitespace (ASCII up to the space, or any non-ASCII
@@ -171,24 +173,33 @@ def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]) -> 
         raise InputError(f"{path}: cannot read data file ({exc})") from exc
     table = _read_plain(path, raw, spec)
     ids, values, lines = _read_csv(path, raw, spec) if table is None else table
-    flagged = np.flatnonzero(offset_flags)
-    shifted = values[:, flagged]  # a copy of the flagged columns only
+    flagged = [j for j, flag in enumerate(offset_flags) if flag]
     with _naming(path, lines):
         # a flagged column is recorded on 0..m-1: check it as written, so the add cannot wrap
-        bad = (shifted < 0) | (shifted >= np.array(spec.stage_maxima)[flagged])
-        for i, f in np.argwhere(bad)[:1]:
-            j = flagged[f]
+        bad = []  # (row, column) of each flagged column's first bad cell
+        for j in flagged:
+            column = values[:, j]  # a view, contiguous for a plain file
+            if column.min(initial=0) < 0 or column.max(initial=0) >= spec.stage_maxima[j]:
+                bad.append((int(np.argmax((column < 0) | (column >= spec.stage_maxima[j]))), j))
+        if bad:
+            i, j = min(bad)  # the first in row order
             raise OutOfRangeStage(
                 f"stage {values[i, j]} out of range 0..{spec.models[j].m - 1} for model "
-                f"{spec.names[j]!r} at row {ids[i]!r} before adding the zero stage", row=int(i)
+                f"{spec.names[j]!r} at row {ids[i]!r} before adding the zero stage", row=i
             )
-        shifted += 1
-        values[:, flagged] = shifted
+        for j in flagged:
+            column = values[:, j]
+            column += 1  # in place: ``values[:, j] += 1`` would also copy the column onto itself
         return AdoptionDataset(ids, values, spec)
 
 
 # A stage cell of 1 to 18 ASCII digits fits int64 and equals int(cell); any other is odd.
 _PLAIN_DIGITS = 18
+# A digit run may have up to this many spaces on each side; more leave a cell odd.
+_PLAIN_PAD = 16
+# A plain file's body is parsed in blocks of whole lines of about this many bytes, so the
+# passes' temporaries stay a few hundred kilobytes at any file size.
+_BLOCK_BYTES = 1 << 16
 
 
 def _read_plain(
@@ -201,8 +212,9 @@ def _read_plain(
     header, and every later line is an id and ``spec.k`` cells of at most
     ``csv.field_size_limit()`` bytes, each line ending in a newline (the
     last may lack it). ``csv.reader`` splits such a file exactly on commas
-    and line ends. Cells of 1 to 18 ASCII digits are read
-    column-wise; every other (odd) cell goes through ``int()``, a column at a
+    and line ends. Cells of 1 to 18 ASCII digits, less the spaces around
+    them (``_digit_runs``), are read column-wise by ``_plain_stages``, a block
+    of lines at a time; every other (odd) cell goes through ``int()``, a column at a
     time, as ``_read_csv`` converts them, and the first it refuses raises the
     same error. Returns None for any other file and for one that ``csv.reader``
     would read differently (bytes that are not UTF-8, or a line of whitespace only).
@@ -230,8 +242,7 @@ def _read_plain(
     # spec names are non-empty and stripped names match them, so the header is not blank
     if head_end > csv.field_size_limit() or tuple(c.strip() for c in header[1:]) != spec.names:
         return None
-    body = np.frombuffer(raw, np.uint8, offset=head_end + 1)
-    stages = _plain_stages(body, spec.k)
+    stages = _plain_stages(raw, head_end + 1, spec.k)
     if stages is None:
         return None
     if not raw.isascii():
@@ -239,19 +250,18 @@ def _read_plain(
             raw.decode("utf-8")
         except UnicodeDecodeError:
             return None  # csv.reader reports the first byte that is not UTF-8
-    values, odd, (id_starts, id_stops), cell_bounds = stages
-    ids = _RowIds(raw, id_starts + (head_end + 1), id_stops + (head_end + 1))
-    edges = body[np.concatenate([id_starts, id_stops - 1])]
-    stripped = ((edges <= 0x20) | (edges >= 0x80)).any()
+    values, odd, (id_starts, id_stops), stripped, cell_bounds = stages
+    ids = _RowIds(raw, id_starts, id_stops)
+    data = np.frombuffer(raw, np.uint8)
     if stripped:
         # a blank id and k odd cells may be a line of whitespace, which csv.reader skips (shifting lines)
         at = np.flatnonzero(odd.all(axis=1))
-        if not all(map(str.strip, _plain_text(body, id_starts[at], id_stops[at] + 1).split(",")[:-1])):
+        if not all(map(str.strip, _plain_text(data, id_starts[at], id_stops[at] + 1).split(",")[:-1])):
             return None
     lines = range(2, len(values) + 2)
     if odd.any():
         rows, cols = np.nonzero(odd)
-        cells = np.array(_plain_text(body, *cell_bounds).split(",")[1:], dtype=object)
+        cells = np.array(_plain_text(data, *cell_bounds).split(",")[1:], dtype=object)
         for j, name in enumerate(spec.names):
             at = np.flatnonzero(cols == j)
             try:
@@ -263,47 +273,94 @@ def _read_plain(
 
 
 def _plain_stages(
-    body: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None:
-    """The stage matrix of a structurally plain body with its odd cells left
-    unread, the mask of odd cells, and the byte ranges of every id and of
-    every odd cell with the comma before it, in file order; None if a line is
-    not an id and ``k`` cells of at most ``csv.field_size_limit()`` bytes.
+    raw: bytes, begin: int, k: int
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], bool, np.ndarray] | None:
+    """The stages of the lines of ``raw`` from offset ``begin`` on, which end in a
+    newline: the stage matrix with its odd cells left unread, the mask of odd cells,
+    the byte ranges in ``raw`` of every id, whether an id starts or ends with a byte of
+    at most 0x20 or at least 0x80, and the ranges of every odd cell with the comma
+    before it, in file order (a 2 x c array); None if a line is not an id and ``k``
+    cells of at most ``csv.field_size_limit()`` bytes.
 
-    The separators (each line's k commas and its line end) are held as a
-    (k+1, n) table, one contiguous row per separator, so that every pass over
-    a column of cells reads contiguous memory. The stage matrix and the odd
-    mask are the (n, k) transposes of (k, n) arrays."""
-    flat = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
-    if flat.size % (k + 1):
-        return None
-    seps = np.ascontiguousarray(flat.reshape(-1, k + 1).T)
-    del flat  # the table is a copy: free the flat array before the passes below
-    kinds = body[seps]
-    if not ((kinds[:k] == ord(",")).all() and (kinds[k] == ord("\n")).all()):
-        return None
-    id_starts = np.zeros(seps.shape[1], np.int64)
-    id_starts[1:] = seps[k, :-1] + 1
-    id_stops = seps[0]
-    starts, ends = seps[:k], seps[1:]  # each cell's comma before it and the separator after it
-    widths = ends - starts
-    widths -= 1
-    if max(widths.max(initial=0), (id_stops - id_starts).max(initial=0)) > csv.field_size_limit():
-        return None
-    odd = widths > _PLAIN_DIGITS
-    # Horner's rule, first digit first; bytes left of a narrow cell count as 0.
-    # Both updates are in place on int64, so no promotion rule can narrow them.
-    # The d = 0 pass always runs: it reads the comma left of an empty cell, so marks it odd.
-    values = np.zeros(widths.shape, np.int64)
-    for d in reversed(range(min(int(widths.max(initial=1)), _PLAIN_DIGITS))):
-        digits = body[np.maximum(ends - (d + 1), 0)] - np.uint8(ord("0"))
-        if d:
-            digits[widths <= d] = 0
-        odd |= digits > 9
-        values *= 10
-        values += digits
-    # indexing the (n, k) transposes takes the odd cells in file order
-    return values.T, odd.T, (id_starts, id_stops), (starts.T[odd.T], ends.T[odd.T])
+    The lines are read in blocks that end at the first line end at or after
+    ``_BLOCK_BYTES`` bytes. In each, the separators (each line's k commas and its
+    line end) are held as a (k+1, lines) table, one contiguous row per separator,
+    so that every pass over a column of cells reads contiguous memory, and the
+    block's stages and odd mask are written into columns of (k, n) arrays: the
+    stage matrix and the odd mask are their (n, k) transposes."""
+    n = raw.count(b"\n", begin)
+    values, odd = np.zeros((k, n), np.int64), np.empty((k, n), bool)
+    id_starts, id_stops = np.empty(n, np.int64), np.empty(n, np.int64)
+    odd_bounds = [np.empty((2, 0), np.int64)]
+    stripped = False
+    limit = csv.field_size_limit()
+    lo, row = begin, 0
+    while lo < len(raw):
+        hi = raw.find(b"\n", lo + _BLOCK_BYTES) + 1 or len(raw)
+        block = np.frombuffer(raw, np.uint8, hi - lo, lo)
+        flat = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
+        if flat.size % (k + 1):
+            return None
+        seps = np.ascontiguousarray(flat.reshape(-1, k + 1).T)
+        del flat  # the table is a copy: free the flat array before the passes below
+        kinds = block[seps]
+        if not ((kinds[:k] == ord(",")).all() and (kinds[k] == ord("\n")).all()):
+            return None
+        here = slice(row, row + seps.shape[1])
+        starts_here = np.zeros(seps.shape[1], np.int64)
+        starts_here[1:] = seps[k, :-1] + 1
+        starts, ends = seps[:k], seps[1:]  # each cell's comma before it and the separator after it
+        widths = ends - starts
+        widths -= 1
+        if max(widths.max(initial=0), (seps[0] - starts_here).max(initial=0)) > limit:
+            return None
+        if not stripped:
+            # an empty id's last byte, at -1, is the newline that ends the block or the line before
+            edges = np.concatenate([block[starts_here], block[seps[0] - 1]])
+            stripped = bool(((edges <= 0x20) | (edges >= 0x80)).any())
+        id_starts[here] = starts_here + lo
+        id_stops[here] = seps[0] + lo
+        stops = ends
+        if raw.find(b" ", lo, hi) >= 0:
+            stops, widths = _digit_runs(block, starts, ends)
+        block_values, block_odd = values[:, here], odd[:, here]
+        np.greater(widths, _PLAIN_DIGITS, out=block_odd)
+        # Horner's rule, first digit first; bytes left of a narrow cell count as 0.
+        # Both updates are in place on int64, so no promotion rule can narrow them.
+        # The d = 0 pass always runs: it reads the comma left of an empty cell, so marks it odd.
+        for d in reversed(range(min(int(widths.max(initial=1)), _PLAIN_DIGITS))):
+            digits = block[np.maximum(stops - (d + 1), 0)] - np.uint8(ord("0"))
+            if d:
+                digits[widths <= d] = 0
+            block_odd |= digits > 9
+            block_values *= 10
+            block_values += digits
+        if block_odd.any():
+            # indexing the (lines, k) transposes takes the odd cells in file order
+            at = block_odd.T
+            odd_bounds.append(np.stack([starts.T[at], ends.T[at]]) + lo)
+        lo, row = hi, here.stop
+    return values.T, odd.T, (id_starts, id_stops), stripped, np.concatenate(odd_bounds, axis=1)
+
+
+def _digit_runs(block: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's digit run, the cell less up to ``_PLAIN_PAD`` leading and as many
+    trailing spaces (0x20): the offset just past its last byte and its width, at most 0
+    for a cell of spaces only. A cell's bytes are ``block[starts + 1:ends]``, with a
+    comma or line end, never a space, at ``starts`` and at ``ends``; a cell padded wider
+    keeps a space in its run, so is odd."""
+    stops, firsts = ends.copy(), starts + 1
+    flat_stops, flat_firsts = stops.reshape(-1), firsts.reshape(-1)  # views
+    trailing = np.flatnonzero(block[flat_stops - 1] == ord(" "))
+    leading = np.flatnonzero(block[flat_firsts] == ord(" "))
+    for _ in range(_PLAIN_PAD):
+        if not (trailing.size or leading.size):
+            break
+        flat_stops[trailing] -= 1
+        flat_firsts[leading] += 1
+        trailing = trailing[block[flat_stops[trailing] - 1] == ord(" ")]
+        leading = leading[block[flat_firsts[leading]] == ord(" ")]
+    return stops, stops - firsts
 
 
 def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.ndarray, list[int]]:

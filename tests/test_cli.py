@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -218,6 +219,20 @@ SHIFTED_MODELS = [{"name": "CMM", "m": 5, "add_zero_stage": True}]
             ["stage 5 out of range 0..4 for model 'CMM' at row 'c2' before adding the zero stage"],
         ),
         (
+            # two flagged columns, both bad: the first bad cell in row order is named
+            [{"name": "TAM", "m": 3, "add_zero_stage": True}, *SHIFTED_MODELS],
+            "corporation,TAM,CMM\nc1,0,4\nc2,2,5\nc3,3,0\nc4,1,0\n",
+            3,
+            ["stage 5 out of range 0..4 for model 'CMM' at row 'c2' before adding the zero stage"],
+        ),
+        (
+            # both bad on one row: the first column is named
+            [{"name": "TAM", "m": 3, "add_zero_stage": True}, *SHIFTED_MODELS],
+            "corporation,TAM,CMM\nc1,0,4\nc2,-1,5\nc3,1,0\nc4,2,0\n",
+            3,
+            ["stage -1 out of range 0..2 for model 'TAM' at row 'c2' before adding the zero stage"],
+        ),
+        (
             # the shift would wrap a 64-bit cell; the value is reported as written
             SHIFTED_MODELS,
             "corporation,CMM\nc1,0\nc2,9223372036854775807\nc3,4\n",
@@ -244,7 +259,8 @@ SHIFTED_MODELS = [{"name": "CMM", "m": 5, "add_zero_stage": True}]
         ),
     ],
     ids=["blank-lines-before-bad-cell", "range", "duplicate-id", "zero-stage-range",
-         "zero-stage-negative", "zero-stage-second-column", "zero-stage-wrap", "oversized-stage", "oversized-field",
+         "zero-stage-negative", "zero-stage-second-column", "zero-stage-two-columns",
+         "zero-stage-two-columns-one-row", "zero-stage-wrap", "oversized-stage", "oversized-field",
          "oversized-id"],
 )
 def test_data_errors_name_file_and_physical_line(capsys, tmp_path, models, text, line, named):
@@ -389,7 +405,9 @@ def test_running_out_of_memory_is_an_error_not_a_traceback(
 # characters str.strip() removes but csv.reader does not split on. "\udcff"
 # is written as the byte 0xff, which is not UTF-8.
 FIELD_LIMIT = csv.field_size_limit()
-PLAIN_EDGE_CELLS = ["007", "6", "9" * 18, "9" * 19, "1" * 19, "1" * 20, "0" * 20 + "3"]
+PLAIN_EDGE_CELLS = ["007", "6", "9" * 18, "9" * 19, "1" * 19, "1" * 20, "0" * 20 + "3",
+                    " 3", "3 ", "  03  ", " " + "9" * 18 + " ", " " + "1" * 19, "3 4", " \t3",
+                    " " * 20 + "3" + " " * 17]
 ODD_CELLS = ["+3", " 3 ", "1_0", "\u0663", "", "3.5", "-1", "#3", '"3"', "3\x0b", " ",
              "\udcff3", "9" * 5000, "1" * (FIELD_LIMIT + 1)]
 ODD_IDS = [" c9 ", "\xe9", "#c", "c\x0b9", "c\r9", "\x1cc9", "c ", "", "c1", "1", '"c9"',
@@ -484,7 +502,10 @@ HEADER = b"corporation,TAM,CMM\n"
 @example(raw=HEADER + b"c0,1,2\r\r\nc1,3.5,4\r\n", flags=(False, False))
 @example(raw=HEADER + b"c0,1,2\r\n\r\nc1,3.5,4\r\n", flags=(False, False))
 @example(raw=HEADER + b"c0,1,2\r\n , , \r\nc1,3.5,4\r\n", flags=(False, False))
-def test_columnar_reader_agrees_with_csv_reader(tmp_path, raw, flags):
+@pytest.mark.parametrize("block", [cli._BLOCK_BYTES, 1, 7, 64])
+def test_columnar_reader_agrees_with_csv_reader(tmp_path, monkeypatch, block, raw, flags):
+    # small blocks put long lines, CRLF ends, odd cells and edge-byte ids in later blocks
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
     path = tmp_path / "data.csv"
     path.write_bytes(raw)
     fast = _load_outcome(str(path), flags)
@@ -495,6 +516,67 @@ def test_columnar_reader_agrees_with_csv_reader(tmp_path, raw, flags):
     plain = _read_outcome(cli._read_plain, str(path), raw)
     if plain is not None:
         assert plain == _read_outcome(cli._read_csv, str(path), raw)
+
+
+def _blocked_file(bad_last: bool) -> bytes:
+    """About 5,000 lines of ids and cells of varied widths, some odd or space-padded;
+    the last line's last cell is bad when ``bad_last``."""
+    cells = ["0", "5", "3", "007", " 4", "2 ", "+1", "1_0", "4"]
+    rows = [f"r{i * 7919:x},{cells[i % 9]},{cells[(i * 5) % 9]}" for i in range(5_000)]
+    if bad_last:
+        rows[-1] = rows[-1].rsplit(",", 1)[0] + ",3.5"
+    return (HEADER.decode() + "\n".join(rows) + "\n").encode()
+
+
+@pytest.mark.parametrize("bad_last", [False, True], ids=["good", "bad-last-cell"])
+def test_blocks_of_16_bytes_read_as_one_block_does(monkeypatch, bad_last):
+    raw = _blocked_file(bad_last)
+
+    def read(block):
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+        try:
+            ids, values, lines = cli._read_plain("data.csv", raw, TWO_MODELS)
+        except AdoptionIndexError as exc:
+            return type(exc), str(exc), exc.row
+        return tuple(ids), values.tobytes(), values.strides, list(lines)
+
+    whole = read(len(raw))
+    assert read(cli._BLOCK_BYTES) == whole
+    assert read(16) == whole
+    if bad_last:
+        assert whole[1] == ("data.csv: row 'r25c0d09' (line 5001): stage for 'CMM' must be a "
+                            "64-bit integer, got '3.5'")
+    else:
+        ids, values, _ = cli._read_csv("data.csv", raw, TWO_MODELS)
+        assert whole[:2] == (tuple(ids), values.tobytes())
+
+
+def test_a_plain_load_holds_little_beyond_its_result():
+    # the temporaries are one block's; parsing the whole body at once takes about 10 MB here
+    raw = b"corporation,TAM,CMM,DIG\n" + "".join(
+        f"a{i:07d},{i % 6},{(3 * i) % 6},{(2 * i) % 5}\n" for i in range(100_000)
+    ).encode()
+    spec = StudySpec([ModelSpec("TAM", 5), ModelSpec("CMM", 5), ModelSpec("DIG", 5)])
+    tracemalloc.start()
+    try:
+        ids, values, _ = cli._read_plain("data.csv", raw, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = values.nbytes + ids.starts.nbytes + ids.stops.nbytes
+    assert peak - held < 2 * 2**20
+
+
+def test_space_padded_cells_are_read_column_wise():
+    rows = [(f"c{i}", i % 6, (7 * i) % 6) for i in range(300)]
+    pads = [" {}", "{} ", "  {:02d}  ", " {} "]
+    padded = HEADER + "".join(
+        f"{row_id},{pads[i % 4].format(a)},{pads[(i + 1) % 4].format(b)}\n"
+        for i, (row_id, a, b) in enumerate(rows)
+    ).encode()
+    values, odd, *_ = cli._plain_stages(padded, len(HEADER), 2)
+    assert not odd.any()
+    assert values.tolist() == [[a, b] for _, a, b in rows]
 
 
 def _no_csv_reader(*args, **kwargs):
