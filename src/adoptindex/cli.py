@@ -23,11 +23,10 @@ Formats:
   returns outside CRLF line ends, no blank lines, and every line an id
   and one cell per model) are read column-wise with identical results
   and messages, in blocks of whole lines of about 64 KB, so each pass's
-  temporaries are one block's: stages of 1 to 18 ASCII digits,
-  with up to 16 spaces on either side, in numpy passes, each over one
-  contiguous row of a block's (k+1) x lines table of commas and line
-  ends, written into a column-major stage matrix; any other cell through
-  int() one at a time. Their ids go to the dataset as
+  temporaries are one block's: stages of 1 to 18 ASCII digits in numpy
+  passes, each over one contiguous row of a block's (k+1) x lines table
+  of commas and line ends, written into a column-major stage matrix; any
+  other cell through int() one at a time. Their ids go to the dataset as
   byte ranges of the file, and a string is made only for an id that is
   read (a message, or ``row_ids``), unless an id starts or ends with a
   byte that may be whitespace (ASCII up to the space, or any non-ASCII
@@ -195,8 +194,6 @@ def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]) -> 
 
 # A stage cell of 1 to 18 ASCII digits fits int64 and equals int(cell); any other is odd.
 _PLAIN_DIGITS = 18
-# A digit run may have up to this many spaces on each side; more leave a cell odd.
-_PLAIN_PAD = 16
 # A plain file's body is parsed in blocks of whole lines of about this many bytes, so the
 # passes' temporaries stay a few hundred kilobytes at any file size.
 _BLOCK_BYTES = 1 << 16
@@ -212,10 +209,9 @@ def _read_plain(
     header, and every later line is an id and ``spec.k`` cells of at most
     ``csv.field_size_limit()`` bytes, each line ending in a newline (the
     last may lack it). ``csv.reader`` splits such a file exactly on commas
-    and line ends. Cells of 1 to 18 ASCII digits, less the spaces around
-    them (``_digit_runs``), are read column-wise by ``_plain_stages``, a block
-    of lines at a time; every other (odd) cell goes through ``int()``, a column at a
-    time, as ``_read_csv`` converts them, and the first it refuses raises the
+    and line ends. Cells of 1 to 18 ASCII digits are read column-wise by
+    ``_plain_stages``, a block of lines at a time; every other (odd) cell goes
+    through ``int()``, a column at a time, as ``_read_csv`` converts them, and the first it refuses raises the
     same error. Returns None for any other file and for one that ``csv.reader``
     would read differently (bytes that are not UTF-8, or a line of whitespace only).
 
@@ -320,16 +316,13 @@ def _plain_stages(
             stripped = bool(((edges <= 0x20) | (edges >= 0x80)).any())
         id_starts[here] = starts_here + lo
         id_stops[here] = seps[0] + lo
-        stops = ends
-        if raw.find(b" ", lo, hi) >= 0:
-            stops, widths = _digit_runs(block, starts, ends)
         block_values, block_odd = values[:, here], odd[:, here]
         np.greater(widths, _PLAIN_DIGITS, out=block_odd)
         # Horner's rule, first digit first; bytes left of a narrow cell count as 0.
         # Both updates are in place on int64, so no promotion rule can narrow them.
         # The d = 0 pass always runs: it reads the comma left of an empty cell, so marks it odd.
         for d in reversed(range(min(int(widths.max(initial=1)), _PLAIN_DIGITS))):
-            digits = block[np.maximum(stops - (d + 1), 0)] - np.uint8(ord("0"))
+            digits = block[np.maximum(ends - (d + 1), 0)] - np.uint8(ord("0"))
             if d:
                 digits[widths <= d] = 0
             block_odd |= digits > 9
@@ -341,26 +334,6 @@ def _plain_stages(
             odd_bounds.append(np.stack([starts.T[at], ends.T[at]]) + lo)
         lo, row = hi, here.stop
     return values.T, odd.T, (id_starts, id_stops), stripped, np.concatenate(odd_bounds, axis=1)
-
-
-def _digit_runs(block: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's digit run, the cell less up to ``_PLAIN_PAD`` leading and as many
-    trailing spaces (0x20): the offset just past its last byte and its width, at most 0
-    for a cell of spaces only. A cell's bytes are ``block[starts + 1:ends]``, with a
-    comma or line end, never a space, at ``starts`` and at ``ends``; a cell padded wider
-    keeps a space in its run, so is odd."""
-    stops, firsts = ends.copy(), starts + 1
-    flat_stops, flat_firsts = stops.reshape(-1), firsts.reshape(-1)  # views
-    trailing = np.flatnonzero(block[flat_stops - 1] == ord(" "))
-    leading = np.flatnonzero(block[flat_firsts] == ord(" "))
-    for _ in range(_PLAIN_PAD):
-        if not (trailing.size or leading.size):
-            break
-        flat_stops[trailing] -= 1
-        flat_firsts[leading] += 1
-        trailing = trailing[block[flat_stops[trailing] - 1] == ord(" ")]
-        leading = leading[block[flat_firsts[leading]] == ord(" ")]
-    return stops, stops - firsts
 
 
 def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.ndarray, list[int]]:
