@@ -58,12 +58,11 @@ from typing import Any
 
 import numpy as np
 
-from .domain import _INT64, AdoptionDataset, ModelSpec, PmfSpec, StudySpec, _plain_text, _RowIds
+from .domain import AdoptionDataset, ModelSpec, PmfSpec, StudySpec, _plain_text, _require_stages, _RowIds
 from .errors import (
     AdoptionIndexError,
     InputError,
     InvalidLevel,
-    OutOfRangeStage,
     RowArityMismatch,
     SpecMismatch,
     StatisticalRefusal,
@@ -159,8 +158,8 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
 def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]) -> AdoptionDataset:
     """Read a CSV data file into a dataset.
 
-    Checks encoding, header, row widths and integer cells, adds the zero
-    stage to flagged columns, and names the line of any dataset rule broken.
+    Checks encoding, header, row widths and integer cells, adds the zero stage to flagged
+    columns once checked on 0..m-1, and names the line of any dataset rule broken.
     A structurally plain file is read by ``_read_plain``; any other file,
     and every message about a malformed one but a bad stage cell, comes
     from ``_read_csv``.
@@ -172,21 +171,11 @@ def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]) -> 
         raise InputError(f"{path}: cannot read data file ({exc})") from exc
     table = _read_plain(path, raw, spec)
     ids, values, lines = _read_csv(path, raw, spec) if table is None else table
-    flagged = [j for j, flag in enumerate(offset_flags) if flag]
+    # a flagged column is recorded on 0..m-1: check it as written, so the add cannot wrap
+    tops = {j: m - 1 for j, (m, flag) in enumerate(zip(spec.stage_maxima, offset_flags)) if flag}
     with _naming(path, lines):
-        # a flagged column is recorded on 0..m-1: check it as written, so the add cannot wrap
-        bad = []  # (row, column) of each flagged column's first bad cell
-        for j in flagged:
-            column = values[:, j]  # a view, contiguous for a plain file
-            if column.min(initial=0) < 0 or column.max(initial=0) >= spec.stage_maxima[j]:
-                bad.append((int(np.argmax((column < 0) | (column >= spec.stage_maxima[j]))), j))
-        if bad:
-            i, j = min(bad)  # the first in row order
-            raise OutOfRangeStage(
-                f"stage {values[i, j]} out of range 0..{spec.models[j].m - 1} for model "
-                f"{spec.names[j]!r} at row {ids[i]!r} before adding the zero stage", row=i
-            )
-        for j in flagged:
+        _require_stages(values, spec, tops, ids, " before adding the zero stage")
+        for j in tops:
             column = values[:, j]
             column += 1  # in place: ``values[:, j] += 1`` would also copy the column onto itself
         return AdoptionDataset(ids, values, spec)
@@ -212,8 +201,8 @@ def _read_plain(
     and line ends. Cells of 1 to 18 ASCII digits are read column-wise by
     ``_plain_stages``, a block of lines at a time; every other (odd) cell goes
     through ``int()``, a column at a time, as ``_read_csv`` converts them, and the first it refuses raises the
-    same error. Returns None for any other file and for one that ``csv.reader``
-    would read differently (bytes that are not UTF-8, or a line of whitespace only).
+    same error. Returns None for any other file and for one that ``csv.reader`` would
+    read differently (bytes not UTF-8, checked a block at a time, or a line of whitespace only).
 
     The ids are the file's byte ranges (``_RowIds``), returned as they are when
     none starts or ends with a byte of at most 0x20 or at least 0x80: ``str.strip``,
@@ -241,11 +230,6 @@ def _read_plain(
     stages = _plain_stages(raw, head_end + 1, spec.k)
     if stages is None:
         return None
-    if not raw.isascii():
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError:
-            return None  # csv.reader reports the first byte that is not UTF-8
     values, odd, (id_starts, id_stops), stripped, cell_bounds = stages
     ids = _RowIds(raw, id_starts, id_stops)
     data = np.frombuffer(raw, np.uint8)
@@ -260,23 +244,19 @@ def _read_plain(
         cells = np.array(_plain_text(data, *cell_bounds).split(",")[1:], dtype=object)
         for j, name in enumerate(spec.names):
             at = np.flatnonzero(cols == j)
-            try:
-                # an object array converts cell by cell with int()
-                values[rows[at], j] = cells[at].astype(np.int64)
-            except (ValueError, OverflowError):
-                raise _bad_cell(path, name, zip(rows[at], cells[at]), ids, lines) from None
+            values[rows[at], j] = _int64_cells(path, name, rows[at], cells[at], ids, lines)
     return ([row_id.strip() for row_id in ids.strings()] if stripped else ids), values, lines
 
 
 def _plain_stages(
     raw: bytes, begin: int, k: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], bool, np.ndarray] | None:
-    """The stages of the lines of ``raw`` from offset ``begin`` on, which end in a
-    newline: the stage matrix with its odd cells left unread, the mask of odd cells,
-    the byte ranges in ``raw`` of every id, whether an id starts or ends with a byte of
-    at most 0x20 or at least 0x80, and the ranges of every odd cell with the comma
-    before it, in file order (a 2 x c array); None if a line is not an id and ``k``
-    cells of at most ``csv.field_size_limit()`` bytes.
+    """The stages of the lines of ``raw`` from offset ``begin`` on, which end in a newline:
+    the stage matrix with its odd cells left unread, the mask of odd cells, the byte ranges
+    in ``raw`` of every id, whether an id starts or ends with a byte of at most 0x20 or at
+    least 0x80, and the ranges of every odd cell with the comma before it, in file order
+    (a 2 x c array); None if a line is not an id and ``k`` cells of at most
+    ``csv.field_size_limit()`` bytes, or if a block of a file not all ASCII is not UTF-8.
 
     The lines are read in blocks that end at the first line end at or after
     ``_BLOCK_BYTES`` bytes. In each, the separators (each line's k commas and its
@@ -290,9 +270,15 @@ def _plain_stages(
     odd_bounds = [np.empty((2, 0), np.int64)]
     stripped = False
     limit = csv.field_size_limit()
+    utf8 = not raw.isascii()
     lo, row = begin, 0
     while lo < len(raw):
         hi = raw.find(b"\n", lo + _BLOCK_BYTES) + 1 or len(raw)
+        if utf8:  # a block ends at a line end, so no character spans two blocks
+            try:
+                str(memoryview(raw)[lo:hi], "utf-8")
+            except UnicodeDecodeError:
+                return None  # csv.reader reports the first byte that is not UTF-8
         block = np.frombuffer(raw, np.uint8, hi - lo, lo)
         flat = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
         if flat.size % (k + 1):
@@ -371,30 +357,27 @@ def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.nda
         raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
     cells = np.array(rows, dtype=object).reshape(len(rows), spec.k + 1)
     ids = [cell.strip() for cell in cells[:, 0]]
-    values = np.empty((len(rows), spec.k), dtype=np.int64)
-    for j, name in enumerate(spec.names):
-        try:
-            # an object array converts cell by cell with int()
-            values[:, j] = cells[:, j + 1].astype(np.int64)
-        except (ValueError, OverflowError):
-            raise _bad_cell(path, name, enumerate(cells[:, j + 1]), ids, lines) from None
+    values = np.stack([_int64_cells(path, name, range(len(rows)), cells[:, j + 1], ids, lines)
+                       for j, name in enumerate(spec.names)], axis=1)
     return ids, values, lines
 
 
-def _bad_cell(path: str, name: str, cells: Iterable[tuple[int, str]],
-              ids: Sequence[str], lines: Sequence[int]) -> InputError:
-    """The error for the first of ``cells`` (row, cell) that is not a 64-bit integer,
-    naming the row's id, stripped, and its line."""
-    for row, cell in cells:
+def _int64_cells(path: str, name: str, rows: Iterable[int], cells: np.ndarray,
+                 ids: Sequence[str], lines: Sequence[int]) -> np.ndarray:
+    """``cells`` (an object array of str) of column ``name``, rows ``rows``, as int64 by int();
+    an error names the first that is not a 64-bit integer, with its row's id, stripped, and line."""
+    try:
+        return cells.astype(np.int64)  # an object array converts cell by cell with int()
+    except (ValueError, OverflowError):
+        pass
+    for row, cell in zip(rows, cells):
         try:
-            good = _INT64.min <= int(cell) <= _INT64.max
+            if -(2**63) <= int(cell) < 2**63:
+                continue
         except ValueError:
-            good = False
-        if not good:
-            return InputError(
-                f"{path}: row {ids[row].strip()!r} (line {lines[row]}): "
-                f"stage for {name!r} must be a 64-bit integer, got {cell.strip()!r}"
-            )
+            pass
+        raise InputError(f"{path}: row {ids[row].strip()!r} (line {lines[row]}): "
+                         f"stage for {name!r} must be a 64-bit integer, got {cell.strip()!r}")
 
 
 @contextmanager

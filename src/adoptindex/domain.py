@@ -23,9 +23,9 @@ contiguous memory. Nothing here depends on the order.
 
 Every dataset rule (ids, row count, stage ranges, sums exact in int64) is checked
 only by :class:`AdoptionDataset`, when it is built; ``validate_dataset`` and
-``cli.load_dataset`` check only what their format needs (an int64 matrix; a
-zero-stage column's 0..m-1). ``AdoptionDataset.without_row`` downdates the
-dataset's exact sums by one row, without building a reduced dataset.
+``cli.load_dataset`` check only what their format needs (an int64 matrix; a zero-stage
+column's 0..m-1, through the same ``_require_stages``). ``AdoptionDataset.without_row``
+downdates the dataset's exact sums by one row, without building a reduced dataset.
 """
 
 from __future__ import annotations
@@ -77,6 +77,25 @@ def _exact_sums(values: np.ndarray) -> tuple[tuple[int, ...], tuple[tuple[int, .
     """Column sums and cross-product matrix, as Python ints, of a matrix ``_require_exact`` passed."""
     cross = (values.T @ values).tolist()
     return tuple(values.sum(axis=0, dtype=np.int64).tolist()), tuple(map(tuple, cross))
+
+
+def _require_stages(values: np.ndarray, spec: StudySpec, tops: dict[int, int],
+                    ids: Sequence[str], after: str = "") -> int:
+    """Refuse the first stage, in row order, outside 0..tops[j] in a column j of ``tops``,
+    ``after`` ending the message; return the largest stage in those columns (0 if none).
+    A column costs one min and one max, and only one that fails is masked."""
+    bad, peak = [], 0
+    for j, top in tops.items():
+        column = values[:, j]  # a view, contiguous for a plain file's column-major matrix
+        high = int(column.max(initial=0))
+        if column.min(initial=0) < 0 or high > top:
+            bad.append((int(np.argmax((column < 0) | (column > top))), j))
+        peak = max(peak, high)
+    if bad:
+        i, j = min(bad)
+        raise OutOfRangeStage(f"stage {values[i, j]} out of range 0..{tops[j]} for model "
+                              f"{spec.names[j]!r} at row {ids[i]!r}{after}", row=i)
+    return peak
 
 
 def _require_rows(n: int, k: int) -> None:
@@ -228,10 +247,10 @@ def _plain_text(body: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> str:
 class _RowIds:
     """A plain data file's row ids: id i is the bytes ``data[starts[i]:stops[i]]``.
 
-    ``data`` is the whole file, checked to be UTF-8. Each id holds no comma, is preceded
-    by a newline and followed by a comma, so ``strings`` decodes them all in one gather
-    and split, and ``index`` finds one in one search. Two ids are equal exactly when their
-    bytes are. The ids keep the file's bytes in memory as long as the dataset does.
+    ``data`` is the whole file, checked to be UTF-8. Each id is not blank, holds no comma,
+    is preceded by a newline and followed by a comma, so ``strings`` decodes them all in
+    one gather and split, and ``index`` finds one in one search. Two ids are equal exactly
+    when their bytes are. The ids keep the file's bytes in memory as long as the dataset does.
     """
 
     __slots__ = ("data", "starts", "stops")
@@ -289,10 +308,8 @@ class _RowIds:
         return _mix(sums ^ lengths.astype(np.uint64))
 
     def needs_exact_check(self) -> bool:
-        """False when no id is blank and no two share a key (``keys``), so every id
-        is unique; True asks for an exact check."""
-        if not (self.stops - self.starts).all():
-            return True
+        """False when no two ids share a key (``keys``), so every id, none blank, is unique;
+        True asks for an exact check."""
         keys = self.keys()
         keys.sort()
         return bool((keys[1:] == keys[:-1]).any())
@@ -360,16 +377,7 @@ class AdoptionDataset:
                 if row_id in seen:
                     raise DuplicateRowId(f"row id {row_id!r} appears more than once", row=i)
                 seen.add(row_id)
-        bad = (values < 0) | (values > np.array(self.spec.stage_maxima))
-        if bad.any():
-            i, j = (int(x) for x in np.argwhere(bad)[0])
-            model = self.spec.models[j]
-            raise OutOfRangeStage(
-                f"stage {int(values[i, j])} out of range 0..{model.m} "
-                f"for model {model.name!r} at row {ids[i]!r}",
-                row=i,
-            )
-        _require_exact(n, int(values.max()))
+        _require_exact(n, _require_stages(values, self.spec, dict(enumerate(self.spec.stage_maxima)), ids))
         values = values.astype(np.int64, copy=True)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)

@@ -246,6 +246,13 @@ SHIFTED_MODELS = [{"name": "CMM", "m": 5, "add_zero_stage": True}]
             ["'c3'", "'TAM'", "must be a 64-bit integer"],
         ),
         (
+            # -2^63 is a 64-bit integer, 2^63 is not
+            LINEAR_SPEC["models"],
+            "corporation,TAM,CMM\nc1,0,5\nc2,-9223372036854775808,0\nc3,9223372036854775808,2\n",
+            4,
+            ["'c3'", "'TAM'", "must be a 64-bit integer, got '9223372036854775808'"],
+        ),
+        (
             LINEAR_SPEC["models"],
             "corporation,TAM,CMM\nc1,0,5\nc2," + "1" * 140_000 + ",0\nc3,2,2\n",
             3,
@@ -260,7 +267,7 @@ SHIFTED_MODELS = [{"name": "CMM", "m": 5, "add_zero_stage": True}]
     ],
     ids=["blank-lines-before-bad-cell", "range", "duplicate-id", "zero-stage-range",
          "zero-stage-negative", "zero-stage-second-column", "zero-stage-two-columns",
-         "zero-stage-two-columns-one-row", "zero-stage-wrap", "oversized-stage", "oversized-field",
+         "zero-stage-two-columns-one-row", "zero-stage-wrap", "oversized-stage", "int64-edges", "oversized-field",
          "oversized-id"],
 )
 def test_data_errors_name_file_and_physical_line(capsys, tmp_path, models, text, line, named):
@@ -549,10 +556,13 @@ def test_blocks_of_16_bytes_read_as_one_block_does(monkeypatch, bad_last):
         assert whole[:2] == (tuple(ids), values.tobytes())
 
 
-def test_a_plain_load_holds_little_beyond_its_result():
-    # the temporaries are one block's; parsing the whole body at once takes about 10 MB here
+# an id with a non-ASCII byte inside stays packed, and the file is checked to be UTF-8
+@pytest.mark.parametrize("prefix", ["a", "a\xe9"], ids=["ascii", "utf-8"])
+def test_a_plain_load_holds_little_beyond_its_result(prefix):
+    # the temporaries are one block's; parsing the whole body at once takes about 10 MB here,
+    # and decoding the whole of the UTF-8 file to check it about 3.5 MB
     raw = b"corporation,TAM,CMM,DIG\n" + "".join(
-        f"a{i:07d},{i % 6},{(3 * i) % 6},{(2 * i) % 5}\n" for i in range(100_000)
+        f"{prefix}{i:07d},{i % 6},{(3 * i) % 6},{(2 * i) % 5}\n" for i in range(100_000)
     ).encode()
     spec = StudySpec([ModelSpec("TAM", 5), ModelSpec("CMM", 5), ModelSpec("DIG", 5)])
     tracemalloc.start()

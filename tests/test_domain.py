@@ -668,3 +668,101 @@ def _one_pass_keys(ids):
     salted = words ^ places.astype(np.uint64) * domain._WORD_SALT
     sums = np.add.reduceat(domain._mix(salted), firsts)
     return domain._mix(sums ^ lengths.astype(np.uint64))
+
+
+def _reference_stage_check(values, spec, tops, ids, after=""):
+    """The reference for ``domain._require_stages``: an n x k mask, on Python ints, of the
+    cells of each column j in ``tops`` outside 0..tops[j], and its first hit by
+    ``np.argwhere``, as (error, message, row); None if there is none."""
+    cells = values.tolist()
+    bad = np.array([[j in tops and not 0 <= x <= tops[j] for j, x in enumerate(row)]
+                    for row in cells], bool).reshape(values.shape)
+    hits = np.argwhere(bad)
+    if not len(hits):
+        return None
+    i, j = (int(x) for x in hits[0])
+    return (OutOfRangeStage, f"stage {cells[i][j]} out of range 0..{tops[j]} for model "
+            f"{spec.names[j]!r} at row {ids[i]!r}{after}", i)
+
+
+def _random_stages(rng, dtype, order, n, maxima):
+    """An n x k matrix of ``dtype`` and memory ``order`` whose cells mostly lie within 0..m_j;
+    about none, 2% or 20% of them are picked from values at and past the edges of the range
+    and of the dtype."""
+    info = np.iinfo(dtype)
+    share = rng.choice([0.0, 0.02, 0.2])
+    cells = []
+    for _ in range(n):
+        row = []
+        for m in maxima:
+            edges = [x for x in (-1, 0, m, m + 1, m + 2, info.min, info.max) if info.min <= x <= info.max]
+            row.append(edges[rng.integers(len(edges))] if rng.random() < share
+                       else int(rng.integers(0, min(m, info.max) + 1)))
+        cells.append(row)
+    return np.array(cells, dtype).reshape(n, len(maxima)).copy(order=order)
+
+
+def _random_study(rng):
+    """A spec of one to four models, each with m of 1 to 6 or 200 (past int8's range)."""
+    maxima = [int(rng.choice([1, 2, 3, 6, 200])) for _ in range(rng.integers(1, 5))]
+    return maxima, StudySpec([ModelSpec(f"M{j}", m) for j, m in enumerate(maxima)])
+
+
+class TestStageRange:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64],
+                             ids=["int8", "int32", "int64", "uint64"])
+    def test_the_check_agrees_with_a_mask_and_argwhere(self, dtype, order):
+        rng = np.random.default_rng([2, np.dtype(dtype).num, order == "F"])
+        for _ in range(300):
+            maxima, spec = _random_study(rng)
+            n = int(rng.integers(0, 51))
+            values = _random_stages(rng, dtype, order, n, maxima)
+            ids = [f"r{i}" for i in range(n)]
+            # a random subset of the columns, each on 0..m or, as a zero-stage column, 0..m-1
+            tops = {j: m - int(rng.integers(0, 2)) for j, m in enumerate(maxima) if rng.random() < 0.7}
+            after = str(rng.choice(["", " before adding the zero stage"]))
+            expected = _reference_stage_check(values, spec, tops, ids, after)
+            assert _outcome(lambda: domain._require_stages(values, spec, tops, ids, after)) == expected
+            if expected is None:
+                peak = max((int(values[:, j].max(initial=0)) for j in tops), default=0)
+                assert domain._require_stages(values, spec, tops, ids, after) == peak
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64],
+                             ids=["int8", "int32", "int64", "uint64"])
+    def test_a_dataset_checks_every_column_as_the_reference_does(self, dtype, order):
+        rng = np.random.default_rng([3, np.dtype(dtype).num, order == "F"])
+        for _ in range(200):
+            maxima, spec = _random_study(rng)
+            n = int(rng.integers(len(maxima) + 1, 51))
+            values = _random_stages(rng, dtype, order, n, maxima)
+            ids = tuple(f"r{i}" for i in range(n))
+            expected = _reference_stage_check(values, spec, dict(enumerate(maxima)), ids)
+            assert _outcome(lambda: AdoptionDataset(ids, values, spec)) == expected
+
+    @pytest.mark.parametrize("plain", [True, False], ids=["plain", "csv-reader"])
+    def test_a_loaded_file_checks_zero_stage_columns_then_every_column(self, tmp_path, plain):
+        rng = np.random.default_rng([4, plain])
+        path = tmp_path / "data.csv"
+        for _ in range(150):
+            maxima, spec = _random_study(rng)
+            n = int(rng.integers(0, 51))
+            values = _random_stages(rng, np.int64, "C", n, maxima)
+            ids = [f"r{i}" for i in range(n)]
+            flags = tuple(bool(rng.random() < 0.5) for _ in maxima)
+            # a quoted id leaves the file to csv.reader
+            rows = [",".join([row_id if plain else f'"{row_id}"', *map(str, cells)])
+                    for row_id, cells in zip(ids, values.tolist())]
+            path.write_text("\n".join(["corporation," + ",".join(spec.names), *rows]) + "\n", "utf-8")
+            tops = {j: m - 1 for j, (m, flag) in enumerate(zip(maxima, flags)) if flag}
+            expected = _reference_stage_check(values, spec, tops, ids, " before adding the zero stage")
+            if expected is None and n > len(maxima):
+                expected = _reference_stage_check(values + flags, spec, dict(enumerate(maxima)), ids)
+            if expected is None and n <= len(maxima):
+                expected = (TooFewRows, f"{path}: need more rows than models, got n={n} with "
+                            f"k={len(maxima)}", None)
+            elif expected is not None:
+                error, message, row = expected
+                expected = error, f"{path}: line {row + 2}: {message}", row
+            assert _outcome(lambda: cli.load_dataset(str(path), spec, flags)) == expected
