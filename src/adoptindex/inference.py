@@ -18,8 +18,9 @@ formula). Tests:
   reduced dataset is built: the remaining rows' sums and cross-products
   are the industry's minus the excluded row, O(k^2) work per test. The
   row is found by ``AdoptionDataset.row_position``. Rows with one stage
-  tuple leave the same sums, so both indices and the remaining rows'
-  moments are computed once per distinct row (see ``one_sample_test``).
+  tuple leave the same sums, so both indices, the remaining rows'
+  moments and, kept on those moments by ``index_variance``, their index
+  variance are computed once per distinct row (see ``one_sample_test``).
 * two-sample: unequal variances, Welch-Satterthwaite degrees of freedom.
 
 Both tests share one tail from statistic to p-value to outcome. The
@@ -115,7 +116,27 @@ def index_variance(
     independence) and is checked like a latent correlation; variances always come from the
     sample. Refuses zero-variance models, since every model carries positive weight, and a sum
     that ``_psd_sum`` refuses; a negative sum that it reads as 0.0 zeroes ``contributions`` too.
+
+    Without ``correlation``, the estimate is kept per spec in ``moments``, as a dataset keeps
+    its ``sufficient_stats``, and a repeat returns the same object. Only a read-only ``cov``
+    that owns its memory is trusted not to change (every ``MomentEstimate`` the package
+    builds has one); refusals are never kept, so they recur.
     """
+    cov = moments.cov
+    fixed = isinstance(cov, np.ndarray) and not cov.flags.writeable and cov.flags.owndata
+    if correlation is not None or not fixed:
+        return _index_variance(moments, spec, correlation)
+    memo = moments.__dict__.setdefault("_index_variances", {})
+    variance = memo.get(spec)
+    if variance is None:
+        variance = memo[spec] = _index_variance(moments, spec, None)
+    return variance
+
+
+def _index_variance(
+    moments: MomentEstimate, spec: StudySpec, correlation: np.ndarray | None
+) -> VarianceEstimate:
+    """``index_variance``, computed afresh."""
     if moments.scores.k != spec.k:
         raise SpecMismatch(f"{moments.scores.k} moment columns for a {spec.k}-model spec")
     for flag, model in zip(moments.degenerate, spec.models):
@@ -175,9 +196,11 @@ def one_sample_test(
     exact ``(n, sums, cross)`` of ``without_row``, and I_0 on the spec and the
     row's stages. A cache of up to 1,024 keys of all of them holds the three (two
     datasets may leave other rows with the same sums); a dataset has at most
-    prod(m_j + 1) distinct rows. The rest runs per call, in the same order, so a
-    replaced ``index_variance`` or ``student_t_pvalue`` binding still sees every
-    test, and refusals recur.
+    prod(m_j + 1) distinct rows. ``index_variance`` is called per test, but keeps
+    its estimate on the cached moments, so each distinct row's variance is
+    computed once. The rest runs per call, in the same order, so a replaced
+    ``index_variance`` or ``student_t_pvalue`` binding still sees every test, and
+    refusals recur.
     """
     spec = dataset.spec
     significance = _require_level(significance, "significance")

@@ -30,30 +30,40 @@ _LENTZ_TINY = 1e-300
 
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, modified Lentz method."""
+    tiny = _LENTZ_TINY
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _LENTZ_TINY:
-        d = _LENTZ_TINY
+    if -tiny < d < tiny:
+        d = tiny
     d = 1.0 / d
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        # the even and then the odd coefficient of the fraction, each one Lentz step
-        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
-                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
-            d = 1.0 + aa * d
-            if abs(d) < _LENTZ_TINY:
-                d = _LENTZ_TINY
-            c = 1.0 + aa / c
-            if abs(c) < _LENTZ_TINY:
-                c = _LENTZ_TINY
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-        if abs(delta - 1.0) < _LENTZ_EPS:
+        # two Lentz steps, written out as the hot loop of every p-value: the even coefficient
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if -tiny < d < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if -tiny < c < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        # and the odd one, whose step decides convergence
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if -tiny < d < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if -tiny < c < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if -_LENTZ_EPS < delta - 1.0 < _LENTZ_EPS:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
@@ -136,21 +146,27 @@ def student_t_pvalue(t: float, df: float, sidedness: Sidedness = "two") -> float
     return min(1.0, regularized_incomplete_beta(0.5 * df, 0.5, x))
 
 
-@lru_cache(maxsize=1024, typed=True)  # typed, so a cached 1 never answers for True
 def student_t_quantile(p: float, df: float) -> float:
     """Inverse CDF by bisection on the monotone ``student_t_cdf``.
 
     Bisection over an exponentially expanded bracket; 200 iterations put
     the result within a few ulp of the root, far below the 1e-8 contract.
     Repeated (p, df) pairs are cached, so per-replication interval
-    construction in the Monte Carlo studies pays the bisection once.
+    construction in the Monte Carlo studies pays the bisection once. The
+    arguments are checked before the cache, so an unhashable one is refused
+    as any other non-number is; ``cache_info`` and ``cache_clear`` are the cache's.
     """
     df = _require_df(df)
-    p = _require_level(p, "quantile level")
+    return _quantile(_require_level(p, "quantile level"), df)
+
+
+@lru_cache(maxsize=1024)
+def _quantile(p: float, df: float) -> float:
+    """``student_t_quantile`` of a checked level and df, both floats."""
     if p == 0.5:
         return 0.0
     if p < 0.5:
-        return -student_t_quantile(1.0 - p, df)
+        return -_quantile(1.0 - p, df)
     lo, hi = 0.0, 1.0
     while student_t_cdf(hi, df) < p:
         hi *= 2.0
@@ -165,3 +181,7 @@ def student_t_quantile(p: float, df: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+student_t_quantile.cache_info = _quantile.cache_info  # type: ignore[attr-defined]
+student_t_quantile.cache_clear = _quantile.cache_clear  # type: ignore[attr-defined]

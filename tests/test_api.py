@@ -102,7 +102,7 @@ BUILTIN_RAISES = {
     ("domain.py", "index", "ValueError"): "tuple.index's contract; row_position turns it into RowNotFound",
     ("simulation.py", "_stream_words", "ValueError"): "unreachable: SimulationPlan refuses R > 2^32",
     ("tdist.py", "_betacf", "ArithmeticError"): "a continued fraction that fails to converge is a fault",
-    ("tdist.py", "student_t_quantile", "ArithmeticError"): "a bracket past 1e300 is a fault",
+    ("tdist.py", "_quantile", "ArithmeticError"): "a bracket past 1e300 is a fault",
 }
 
 
@@ -121,6 +121,37 @@ def test_builtin_exceptions_are_raised_only_where_listed():
     raised = {found for path in SOURCES
               for found in visit(ast.parse(path.read_text(encoding="utf-8")), path, None)}
     assert sorted(raised) == sorted(BUILTIN_RAISES)
+
+
+# every process-wide cache in src/, as (file, function). Such a cache outlives the call that
+# filled it, and bench/worker.py clears only the quantile's between rounds, so a cache that
+# answers repeats across rounds reads as a gain that no user sees. An lru_cache on
+# student_t_pvalue is the example: the size study draws the same 200 t values every round (one
+# seed), and a leave-one-out scan the same t per row, so each later round would be all hits. A
+# new cache must be named in CHANGES.md and shown not to answer repeats across the benchmark's
+# rounds. Per-object memos (cached_property, a dataset's positions, a MomentEstimate's index
+# variances) die with their object and are not listed.
+PROCESS_CACHES = [("inference.py", "_remaining"), ("tdist.py", "_quantile")]
+
+
+def test_process_wide_caches_are_only_those_listed():
+    def is_cache(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.value.id == "functools" and node.attr in ("lru_cache", "cache")
+        return isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+
+    found, references = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert all(alias.asname is None for alias in node.names), path.name
+            references += is_cache(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.name, node.name) for decorator in node.decorator_list
+                          if is_cache(decorator.func if isinstance(decorator, ast.Call) else decorator)]
+    assert references == len(found)  # no cache made by a call outside a decorator
+    assert sorted(found) == PROCESS_CACHES
 
 
 def test_readme_quickstart_runs_as_written():

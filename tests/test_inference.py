@@ -248,6 +248,58 @@ class TestIndexVariance:
         assert v == pytest.approx(v_swapped, rel=1e-12)
 
 
+def variance_bits(variance):
+    """A VarianceEstimate with its floats as hex, so that == compares it bitwise."""
+    return (variance.value.hex(), variance.contributions.tobytes(),
+            tuple(g.hex() for g in variance.gradients), variance.n_used)
+
+
+def writable(moments):
+    """``moments`` with a writable copy of its covariance, which ``index_variance`` never keeps."""
+    return dataclasses.replace(moments, cov=moments.cov.copy())
+
+
+class TestVarianceMemo:
+    def test_a_repeat_returns_the_same_estimate_per_spec(self, tam_cmm_spec):
+        moments = estimate_moments(make_dataset(tam_cmm_spec, [(0, 5, 2, 3, 1), (1, 4, 0, 5, 3)]))
+        reweighted = StudySpec([ModelSpec("TAM", 5, weight=0.3), ModelSpec("CMM", 5, weight=0.7)])
+        for spec in (tam_cmm_spec, reweighted, tam_cmm_spec):
+            first = index_variance(moments, spec)
+            assert index_variance(moments, spec) is first
+            assert variance_bits(first) == variance_bits(index_variance(writable(moments), spec))
+        assert index_variance(moments, reweighted).value != index_variance(moments, tam_cmm_spec).value
+
+    def test_an_override_is_never_kept(self, tam_cmm_spec):
+        moments = estimate_moments(make_dataset(tam_cmm_spec, [(0, 5, 2, 3, 1), (1, 4, 0, 5, 3)]))
+        forced = index_variance(moments, tam_cmm_spec, correlation=np.eye(2))
+        assert index_variance(moments, tam_cmm_spec, correlation=np.eye(2)) is not forced
+        plain = index_variance(moments, tam_cmm_spec)
+        assert plain.value != forced.value
+        assert variance_bits(plain) == variance_bits(index_variance(writable(moments), tam_cmm_spec))
+        assert index_variance(moments, tam_cmm_spec, correlation=np.eye(2)).value == forced.value
+
+    def test_a_degenerate_model_is_refused_on_every_call(self, tam_cmm_spec):
+        moments = _from_sums(4, (12, 6), ((36, 18), (18, 14)))  # TAM 3 in every row, CMM 0..3
+        assert moments.degenerate == (True, False)
+        for _ in range(3):
+            with pytest.raises(DegenerateVariance, match="model 'TAM' has zero sample variance"):
+                index_variance(moments, tam_cmm_spec)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["writable", "read-only-view"])
+    def test_a_covariance_that_can_change_is_recomputed(self, tam_cmm_spec, shared):
+        moments = synthetic_moments((1.3, 0.8), rho=0.4, n=57)  # a writable cov
+        cov = moments.cov
+        if shared:  # read-only, but its memory is a writable array's
+            view = cov.view()
+            view.setflags(write=False)
+            moments = dataclasses.replace(moments, cov=view)
+        before = index_variance(moments, tam_cmm_spec)
+        cov[0, 0] *= 2.0
+        after = index_variance(moments, tam_cmm_spec)
+        assert after.value > before.value
+        assert variance_bits(after) == variance_bits(index_variance(writable(moments), tam_cmm_spec))
+
+
 def welch_df(v_a, v_b, n_a, n_b, k):
     """The Welch-Satterthwaite df that ``_two_sample`` gives ``test-two`` and the size study."""
     return inference._two_sample((0.5, 0.5), (v_a, v_b), (n_a, n_b), k, "two", 0.05).df
@@ -524,9 +576,13 @@ class TestSharedDowndates:
 
     def test_a_replaced_variance_changes_every_warm_outcome(self, monkeypatch, tam_cmm_spec):
         ds = make_dataset(tam_cmm_spec, REPEATED_CELLS)
-        for row_id in ds.row_ids:  # fill the cache
+        for row_id in ds.row_ids:  # fill the cache, and each distinct row's variance memo
             one_sample_test(ds, row_id=row_id)
+        computed = []
+        compute = inference._index_variance
+        monkeypatch.setattr(inference, "_index_variance", lambda *a: computed.append(a) or compute(*a))
         warm = [one_sample_test(ds, row_id=row_id) for row_id in ds.row_ids]
+        assert computed == []  # a warm scan computes no variance
         variance = inference.index_variance
 
         def scaled(*args, **kwargs):  # the benchmark's variance fault

@@ -192,6 +192,26 @@ class TestLatentCrossCovariance:
         assert latent_cross_covariance(pmf, spec, 0, 1) == pytest.approx(exact, abs=1e-15)
 
 
+def reference_bvn_lower(h, k, rho):
+    """``_bvn_lower``'s Simpson rule for finite limits and |rho| < 1, one node at a time."""
+    upper = math.asin(rho)
+    width = upper / 256
+    sines = [math.sin(t) for t in (0.0, upper, *(i * width for i in range(1, 256)))]
+    terms = [math.exp(-(h * h + k * k - 2.0 * h * k * s) / (2.0 * (1.0 - s * s))) for s in sines]
+    acc = terms[0] + terms[1]
+    for i, term in enumerate(terms[2:], 1):
+        acc += (4.0 if i % 2 else 2.0) * term
+    return simulation._norm_cdf(h) * simulation._norm_cdf(k) + acc * width / 3.0 / (2.0 * math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.floats(-8, 8), k=st.floats(-8, 8), rho=st.floats(-0.999, 0.999))
+def test_bvn_lower_is_bitwise_its_node_by_node_rule(h, k, rho):
+    got = simulation._bvn_lower(h, k, rho, simulation._simpson_nodes(rho))
+    assert type(got) is float  # no numpy scalar reaches a study's metrics
+    assert got.hex() == reference_bvn_lower(h, k, rho).hex()
+
+
 class TestPlanValidation:
     def test_study_name_checked(self, linear_pair):
         spec, pmf = linear_pair

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, stats
 
-from adoptindex import student_t_cdf, student_t_pvalue, student_t_quantile
-from adoptindex.tdist import regularized_incomplete_beta
+from adoptindex import student_t_cdf, student_t_pvalue, student_t_quantile, tdist
+from adoptindex.tdist import _betacf, regularized_incomplete_beta
 from adoptindex.errors import InputError, InvalidDf, InvalidLevel
 
 
@@ -120,6 +120,78 @@ def test_cached_quantile_does_not_answer_for_a_bool():
     student_t_quantile(0.975, 1)
     with pytest.raises(InvalidDf, match="got True"):
         student_t_quantile(0.975, True)
+
+
+@pytest.mark.parametrize("level", [np.array(0.9), [0.9]], ids=["0-d-array", "list"])
+def test_an_unhashable_level_is_refused_before_the_cache(level):
+    with pytest.raises(InvalidLevel, match="quantile level must be a number"):
+        student_t_quantile(level, 10.0)
+    with pytest.raises(InputError, match="test statistic must be a number"):
+        student_t_pvalue(level, 10.0)
+
+
+def test_the_quantile_cache_can_be_read_and_cleared():
+    student_t_quantile.cache_clear()
+    assert student_t_quantile.cache_info().currsize == 0
+    first = student_t_quantile(0.975, 497)
+    assert student_t_quantile(0.975, 497.0) == first  # one key: the checked floats
+    info = student_t_quantile.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    student_t_quantile.cache_clear()
+    assert student_t_quantile.cache_info().currsize == 0
+
+
+def reference_betacf(a, b, x):
+    """The continued fraction with each coefficient's Lentz step as one loop body."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tdist._LENTZ_TINY:
+        d = tdist._LENTZ_TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, tdist._MAX_ITER + 1):
+        m2 = 2 * m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tdist._LENTZ_TINY:
+                d = tdist._LENTZ_TINY
+            c = 1.0 + aa / c
+            if abs(c) < tdist._LENTZ_TINY:
+                c = tdist._LENTZ_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < tdist._LENTZ_EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+
+
+class TestBetacf:
+    def test_bitwise_equal_to_the_loop_of_one_step(self):
+        def hexed(a, b, x):
+            try:
+                return _betacf(a, b, x).hex(), reference_betacf(a, b, x).hex()
+            except ArithmeticError as exc:
+                return str(exc), str(exc)
+
+        grid = [(a, b, x) for a in (0.5, 1.0, 2.5, 10.0, 298.0, 998.0, 1e5)
+                for b in (0.5, 1.0, 3.0, 7.5) for x in np.linspace(0.001, 0.999, 21).tolist()]
+        pairs = [hexed(*point) for point in grid]
+        assert [mine for mine, _ in pairs] == [reference for _, reference in pairs]
+
+    def test_a_first_denominator_of_zero_is_floored(self):
+        # 1 - (a + b) x / (a + 1) is exactly 0 here, so the Lentz floor stands in for it
+        assert 1.0 - 4.0 * 0.5 / 2.0 == 0.0
+        assert _betacf(1.0, 3.0, 0.5).hex() == reference_betacf(1.0, 3.0, 0.5).hex()
+        # I_0.5(1, 3) = 1 - 0.5^3, with the prefactor 3 * 0.5 * 0.5^3
+        assert 0.1875 * _betacf(1.0, 3.0, 0.5) == pytest.approx(0.875, abs=1e-15)
+
+    def test_a_fraction_that_does_not_converge_is_a_fault(self, monkeypatch):
+        monkeypatch.setattr(tdist, "_MAX_ITER", 1)
+        with pytest.raises(ArithmeticError, match="did not converge for a=5.0, b=0.5, x=0.5"):
+            _betacf(5.0, 0.5, 0.5)
 
 
 class TestCdf:
