@@ -3,16 +3,16 @@
 Every moment comes from the same three sufficient statistics of the n x k
 stage matrix X: n, the integer column sums s = X^T 1, and the integer
 cross-product matrix C = X^T X, which a dataset reduces once and caches
-(``AdoptionDataset.sufficient_stats``). Scores are s / n, one division per
-column of an exact integer sum, so a score is bitwise the stage sum
-weighted by stage counts, divided by n.
-The unbiased covariance is
+(``AdoptionDataset.sufficient_stats``). A score is float(s) / n, the sum
+rounded to a float once, then divided by n. The unbiased covariance is
 
     cov = (n C - s s^T) / (n (n - 1))
 
-with the numerator formed exactly in Python integers, so no intermediate
-can wrap or cancel, and one correctly rounded division per entry. The
-result is exactly symmetric with a non-negative diagonal.
+with the numerator formed exactly (in int64 below 2^53, in Python integers
+past it), so no intermediate can wrap or cancel, and one correctly rounded
+division per entry. The result is exactly symmetric with a non-negative
+diagonal. One kernel, ``_moments`` with ``_correlations``, does this over a
+leading batch axis, for ``_from_sums`` and ``simulation._chunk_arguments``.
 """
 
 from __future__ import annotations
@@ -58,26 +58,36 @@ class MomentEstimate:
         return self.scores.n
 
 
+def _moments(n: int, sums: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores, read-only covariances and degenerate flags of samples of n >= 2 rows from their
+    sums [..., k] and cross-products [..., k, k], int64 or Python ints (object arrays). Past
+    2^53, where int64 ``/`` rounds its operands first, int64 is taken as Python ints."""
+    if sums.dtype != object and max(n * int(cross.max()), int(sums.max()) ** 2, n * (n - 1)) >= 2**53:
+        sums, cross = sums.astype(object), cross.astype(object)
+    cov = ((n * cross - sums[..., :, None] * sums[..., None, :]) / (n * (n - 1))).astype(float, copy=False)
+    cov.setflags(write=False)
+    return sums.astype(float) / n, cov, cov.diagonal(axis1=-2, axis2=-1) == 0.0
+
+
+def _correlations(cov: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
+    """Read-only correlations of covariances [..., k, k], clipped into [-1, 1] against
+    rounding, and NaN in a degenerate model's row and column."""
+    sd = np.sqrt(cov.diagonal(axis1=-2, axis2=-1))
+    defined = ~(degenerate[..., :, None] | degenerate[..., None, :])
+    corr = np.full(cov.shape, math.nan)
+    np.divide(cov, sd[..., :, None] * sd[..., None, :], out=corr, where=defined)
+    np.minimum(np.maximum(corr, -1.0, out=corr), 1.0, out=corr)  # np.clip, without its dispatch
+    k = cov.shape[-1]
+    corr.reshape(*cov.shape[:-2], k * k)[..., :: k + 1] = np.where(degenerate, math.nan, 1.0)  # the diagonal
+    corr.setflags(write=False)
+    return corr
+
+
 def _from_sums(n: int, sums: Sequence[int], cross: Sequence[Sequence[int]]) -> MomentEstimate:
     """Moments from n >= 2 rows, their column sums and their cross-product matrix."""
-    k, denominator = len(sums), n * (n - 1)
-    cov = [[(n * cross[j][l] - sums[j] * sums[l]) / denominator for l in range(k)] for j in range(k)]
-    sd = [math.sqrt(cov[j][j]) for j in range(k)]
-    degenerate = tuple(s == 0.0 for s in sd)
-    corr = [
-        [math.nan if degenerate[j] or degenerate[l] else 1.0 if j == l
-         else min(1.0, max(-1.0, cov[j][l] / (sd[j] * sd[l]))) for l in range(k)]
-        for j in range(k)
-    ]
-    cov_array, corr_array = np.array(cov), np.array(corr)
-    cov_array.setflags(write=False)
-    corr_array.setflags(write=False)
-    return MomentEstimate(
-        scores=ScoreEstimate(scores=tuple(float(s) / n for s in sums), n=n),
-        cov=cov_array,
-        corr=corr_array,
-        degenerate=degenerate,
-    )
+    scores, cov, degenerate = _moments(n, np.array(sums, dtype=object), np.array(cross, dtype=object))
+    return MomentEstimate(ScoreEstimate(tuple(scores.tolist()), n), cov,
+                          _correlations(cov, degenerate), tuple(degenerate.tolist()))
 
 
 def estimate_moments(dataset: AdoptionDataset) -> MomentEstimate:

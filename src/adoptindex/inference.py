@@ -44,7 +44,7 @@ from .domain import AdoptionDataset, StudySpec, correlation_matrix
 from .errors import DegenerateVariance, InsufficientDf, SpecMismatch
 from .estimation import MomentEstimate, ScoreEstimate, _from_sums, estimate_moments
 from .index import IndexValue, delta_gradient, global_index
-from .tdist import Sidedness, _require_df, _require_level, student_t_pvalue, student_t_quantile
+from .tdist import Sidedness, _require_level, _require_sidedness, student_t_pvalue, student_t_quantile
 
 # A PSD form's float sum below zero is rounding down to -VARIANCE_EXPANSION_TOL * max(1,
 # sum|terms|), and reads as 0.0; below that, or not finite, the variance is refused. A float
@@ -204,6 +204,7 @@ def one_sample_test(
     """
     spec = dataset.spec
     significance = _require_level(significance, "significance")
+    _require_sidedness(sidedness)
     position = dataset.row_position(row_id)
     k = spec.k
     df = (dataset.n - 1) - k - 1
@@ -251,6 +252,7 @@ def two_sample_test(
     spec = dataset_a.spec
     moments = estimate_moments(dataset_a), estimate_moments(dataset_b)
     significance = _require_level(significance, "significance")
+    _require_sidedness(sidedness)
     variances = tuple(index_variance(m, spec).value for m in moments)
     return _two_sample(
         tuple(global_index(m.scores, spec).value for m in moments), variances,
@@ -323,7 +325,6 @@ def confidence_interval(
 ) -> ConfidenceInterval:
     """Two-sided t interval for the index, clamped to its [0, 1] codomain."""
     level = _require_level(level, "confidence level")
-    df = _require_df(df)
     half_width = student_t_quantile(0.5 * (1.0 + level), df) * math.sqrt(variance.value)
     lower = index.value - half_width
     upper = index.value + half_width

@@ -15,14 +15,13 @@ streams are bit for bit those of ``spawn`` and ``default_rng``, which
 
 Studies draw replications in chunks of at most ``_CHUNK_CELLS`` stage cells,
 each from its own stream into one buffer (the stream of a lone draw, which
-``sample_dataset`` makes), and reduce a chunk to integer sums, which this
-module's ``_chunk_arguments`` turns into moments, or (coverage, size) indices
-and variances, in one numpy pass, bitwise equal to the scalar functions. Each
-study's one statistic, which alone runs per replication, takes each sample's
-moments, or its index and variance. A replication that a scalar function would
-refuse, and all of a chunk whose sums reach 2^53 (where int64 division stops
-rounding as Python's does), get them from ``_from_sums`` and the scalar
-functions, so refusals are those users get.
+``sample_dataset`` makes), and reduce a chunk to integer sums. ``_chunk_arguments``
+turns those into moments with ``_from_sums``'s kernel (``estimation._moments``, in
+Python ints past 2^53), or (coverage, size) into indices and variances in one numpy
+pass, bitwise equal to the scalar functions. Each study's one statistic, which alone
+runs per replication, takes each sample's moments, or its index and variance. A
+replication that a scalar function would refuse gets them from ``_from_sums`` and
+the scalar functions, so refusals are those users get.
 
 Cross-model dependence is induced by a latent normal copula: correlated
 standard normals are pushed through each model's stage quantile
@@ -43,7 +42,7 @@ import numpy as np
 
 from .domain import AdoptionDataset, PmfSpec, StudySpec, _integer, _require_exact
 from .errors import BoundaryScore, DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
-from .estimation import MomentEstimate, ScoreEstimate, _from_sums
+from .estimation import MomentEstimate, ScoreEstimate, _correlations, _from_sums, _moments
 from .index import IndexValue, delta_derivative, delta_gradient, global_index, subindex
 from .inference import (VarianceEstimate, _interval_df, _psd_sum, _two_sample, confidence_interval,
                         index_variance)
@@ -416,10 +415,11 @@ def _sampled_sums(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[l
 def _chunk_arguments(n: int, spec: StudySpec | None, chunk: list) -> list:
     """Per replication of a chunk from ``_sampled_sums``, per sample: the MomentEstimate that
     ``_from_sums`` gives, or with ``spec`` the IndexValue and VarianceEstimate of ``global_index``
-    and ``index_variance``. None where either refuses or the form is negative or not finite (the
-    scalar chain's ``_psd_sum`` reads it as 0.0 or refuses it), and for every replication once
-    ``n max(cross)``, ``max(sums)^2`` or ``n(n-1)`` reaches 2^53, where int64 ``/`` may misround.
-    Bit for bit: numpy does only + - * /, sqrt, comparisons, clipping; powers, ``fsum`` stay in math."""
+    and ``index_variance``, or None where either refuses or the form is negative or not finite
+    (the scalar chain's ``_psd_sum`` reads it as 0.0 or refuses it); moments alone are never
+    None. They come from ``_moments`` and ``_correlations``, as ``_from_sums``'s do, in Python
+    ints for a sample past 2^53. Bit for bit: numpy does only + - * /, sqrt, comparisons,
+    clipping; powers, ``fsum`` stay in math."""
 
     def derivative(score: float, model) -> float:  # delta_derivative, NaN where it refuses
         try:
@@ -427,23 +427,11 @@ def _chunk_arguments(n: int, spec: StudySpec | None, chunk: list) -> list:
         except BoundaryScore:
             return math.nan
 
-    replications = len(chunk[0][0])
-    if any(max(n * int(cross.max()), int(sums.max()) ** 2, n * (n - 1)) >= 2**53
-           for sums, cross in chunk):
-        return [None] * replications
-    samples, flagged = [], np.zeros(replications, dtype=bool)
+    samples, flagged = [], np.zeros(len(chunk[0][0]), dtype=bool)
     for sums, cross in chunk:
-        cov = (n * cross - sums[:, :, None] * sums[:, None, :]) / (n * (n - 1))
-        sd = np.sqrt(cov.diagonal(axis1=1, axis2=2))
-        degenerate = sd == 0.0
-        scores = sums / n
+        scores, cov, degenerate = _moments(n, sums, cross)
         if spec is None:
-            k = sums.shape[1]
-            corr = np.clip(cov / (sd[:, :, None] * sd[:, None, :]), -1.0, 1.0)
-            corr[:, range(k), range(k)] = 1.0
-            corr[degenerate[:, :, None] | degenerate[:, None, :]] = math.nan
-            cov.setflags(write=False)
-            corr.setflags(write=False)
+            corr = _correlations(cov, degenerate)
             samples.append([(MomentEstimate(ScoreEstimate(tuple(s), n), c, r, tuple(d)),) for s, c, r, d
                             in zip(scores.tolist(), cov, corr, degenerate.tolist())])
             continue
@@ -490,17 +478,18 @@ def _accepted(
     the first refusal when it refuses every replication.
 
     ``statistic`` takes per sample a MomentEstimate, or with ``spec`` an IndexValue and a
-    VarianceEstimate, from ``_chunk_arguments`` or, where it has none, from ``_from_sums``,
-    ``global_index`` and ``index_variance``: the values or refusal users would get."""
+    VarianceEstimate, from ``_chunk_arguments``. Where that has none, a replication the
+    scalar chain refuses or reads as 0.0, they come from ``_from_sums``, ``global_index``
+    and ``index_variance``: the values or refusal users would get."""
     n = plan.n
     values, accepted, first = None, 0, None
     for chunk in _sampled_sums(plan, pmfs):
         for r, arguments in enumerate(_chunk_arguments(n, spec, chunk)):
             try:
-                if arguments is None:
+                if arguments is None:  # only with spec: moments alone are never refused
                     moments = [_from_sums(n, s[r].tolist(), c[r].tolist()) for s, c in chunk]
-                    arguments = moments if spec is None else [x for m in moments for x in (
-                        global_index(m.scores, spec), index_variance(m, spec))]
+                    arguments = [x for m in moments for x in (global_index(m.scores, spec),
+                                                             index_variance(m, spec))]
                 value = statistic(*arguments)
             except StatisticalRefusal as exc:
                 first = first or exc

@@ -236,6 +236,14 @@ def test_row_ids_as_byte_ranges_are_made_only_by_the_plain_reader():
     assert _callers("_RowIds") == [("cli.py", "_read_plain")]
 
 
+def test_one_kernel_computes_the_moments_of_a_sample_and_of_a_chunk():
+    # one sample's covariances and correlations and a Monte Carlo chunk's come from the same
+    # code, so the two cannot drift apart, and a third copy would have to be named here
+    for kernel in ("_moments", "_correlations"):
+        assert sorted(_callers(kernel)) == [("estimation.py", "_from_sums"),
+                                            ("simulation.py", "_chunk_arguments")]
+
+
 def test_the_int64_bound_is_checked_only_when_a_sample_type_is_built():
     # a dataset's exact sums and a plan's sampled sums are then exact wherever they are reduced
     assert sorted(_callers("_require_exact")) == [

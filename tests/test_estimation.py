@@ -11,7 +11,8 @@ from adoptindex import (
     validate_dataset,
 )
 from adoptindex.errors import InputError
-from conftest import make_dataset
+from adoptindex.estimation import MomentEstimate, ScoreEstimate, _correlations, _from_sums, _moments
+from conftest import assert_same_moments, make_dataset, reference_moments, sample_sums
 
 
 class TestScores:
@@ -106,6 +107,47 @@ class TestMoments:
         for array in (moments.cov, moments.corr):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
+
+
+@st.composite
+def samples(draw):
+    k = draw(st.integers(1, 4))
+    # n on both sides of 2^53, where the kernel takes int64 operands as Python ints
+    n = draw(st.one_of(st.integers(2, 12), st.integers(2, 10**4), st.integers(2**24, 2**40)))
+    return (n, *draw(sample_sums([draw(st.integers(1, 7)) for _ in range(k)], n)))
+
+
+class TestKernel:
+    @given(sample=samples())
+    @settings(max_examples=300, deadline=None)
+    def test_one_sample_and_a_batch_match_the_python_reference(self, sample):
+        n, sums, cross = sample
+        scores, cov, degenerate = _moments(n, sums, cross)
+        corr = _correlations(cov, degenerate)
+        assert not corr.flags.writeable
+        for r in range(len(sums)):
+            want = reference_moments(n, sums[r].tolist(), cross[r].tolist())
+            got = _from_sums(n, tuple(sums[r].tolist()), tuple(map(tuple, cross[r].tolist())))
+            assert_same_moments(got, want)
+            assert got.cov.flags.owndata  # so index_variance keeps its estimate on it
+            batched = MomentEstimate(ScoreEstimate(tuple(scores[r].tolist()), n), cov[r], corr[r],
+                                     tuple(degenerate[r].tolist()))
+            assert_same_moments(batched, want)
+
+    def test_a_score_rounds_its_sum_to_a_float_before_dividing(self):
+        # 511 rows at stage 511 and the rest at 512: the sum 2^53 + 1 rounds to 2^53 as a
+        # float, and 2^53 / n is one ulp below the exact (2^53 + 1) / n
+        n, low = 2**44 + 1, 511
+        sums, cross = (low * low + (n - low) * 512,), ((low * low**2 + (n - low) * 512**2,),)
+        assert sums[0] == 2**53 + 1 and cross[0][0] < 2**63
+        score = float(sums[0]) / n
+        assert score != sums[0] / n
+        assert _from_sums(n, sums, cross).scores.scores == (score,)
+        scores, cov, degenerate = _moments(n, np.array([sums]), np.array([cross]))
+        assert scores.tolist() == [[score]]
+        assert_same_moments(
+            MomentEstimate(ScoreEstimate((score,), n), cov[0], _correlations(cov, degenerate)[0], (False,)),
+            reference_moments(n, sums, cross))
 
 
 class TestSamplingProperties:

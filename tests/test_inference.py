@@ -335,6 +335,12 @@ class TestWelchDf:
         assert df == pytest.approx(welch_df(v_a, v_b, n_a, n_b, k), rel=1e-14)
 
 
+def sidedness_refusal_dataset():
+    """Four rows of two models with A held at 1: one row left out leaves df = 0, and
+    A's variance is zero."""
+    return make_dataset(StudySpec([ModelSpec("A", 3), ModelSpec("B", 3)]), [(1, 1, 1, 1), (2, 3, 1, 0)])
+
+
 class TestOneSample:
     def test_excluding_the_average_row_gives_zero(self, ladder_dataset):
         outcome = one_sample_test(ladder_dataset, row_id="3")
@@ -386,6 +392,14 @@ class TestOneSample:
             one_sample_test(ladder_dataset, row_id="1", significance="0.05")
         with pytest.raises(InvalidLevel, match="must be a number, got True"):
             two_sample_test(ladder_dataset, ladder_dataset, significance=True)
+
+    def test_an_invalid_sidedness_is_refused_before_the_data_are_judged(self):
+        ds = sidedness_refusal_dataset()
+        with pytest.raises(InputError, match="sidedness must be one of .*, got 'bogus'") as info:
+            one_sample_test(ds, "r1", sidedness="bogus")
+        assert not isinstance(info.value, StatisticalRefusal)
+        with pytest.raises(InsufficientDf):
+            one_sample_test(ds, "r1")
 
 
 def fresh_reduction(dataset, positions):
@@ -640,6 +654,14 @@ class TestSharedDowndates:
 
 
 class TestTwoSample:
+    def test_an_invalid_sidedness_is_refused_before_the_data_are_judged(self):
+        ds = sidedness_refusal_dataset()
+        with pytest.raises(InputError, match="sidedness must be one of .*, got 'bogus'") as info:
+            two_sample_test(ds, ds, sidedness="bogus")
+        assert not isinstance(info.value, StatisticalRefusal)
+        with pytest.raises(DegenerateVariance):
+            two_sample_test(ds, ds)
+
     def test_identical_industries(self, tam_cmm_spec):
         ds = make_dataset(tam_cmm_spec, [(0, 5, 2, 3, 1), (1, 4, 0, 5, 3)])
         outcome = two_sample_test(ds, ds)
@@ -757,6 +779,13 @@ class TestConfidenceInterval:
             confidence_interval(self._index(), self._variance(1e-4), 1.2, 10)
         with pytest.raises(InvalidDf):
             confidence_interval(self._index(), self._variance(1e-4), 0.9, 0.0)
+
+    def test_the_level_is_judged_before_the_df(self):
+        # the df is judged once, by student_t_quantile, with the message it always had
+        with pytest.raises(InvalidLevel, match=r"confidence level must lie in \(0, 1\), got 1.2"):
+            confidence_interval(self._index(), self._variance(1e-4), 1.2, 0.0)
+        with pytest.raises(InvalidDf, match="degrees of freedom must be positive and finite, got nan"):
+            confidence_interval(self._index(), self._variance(1e-4), 0.9, math.nan)
 
     def test_level_and_df_must_be_numbers(self):
         with pytest.raises(InvalidLevel, match="must be a number, got '0.95'"):

@@ -26,8 +26,8 @@ from adoptindex import (
 from adoptindex import inference, simulation, tdist
 from adoptindex.domain import _exact_sums
 from adoptindex.errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
-from adoptindex.estimation import _from_sums
-from conftest import assert_welch_inputs_judged, record_two_sample_calls
+from conftest import (assert_same_moments, assert_welch_inputs_judged, hexes, record_two_sample_calls,
+                      reference_moments, sample_sums)
 
 UNIFORM6 = (1 / 6,) * 6
 # dyadic, so the cumulative sums are exact and an empty end stage gives a threshold at +-inf
@@ -605,15 +605,7 @@ def test_chunked_draws_match_per_replication_reference(copula, samples, shape, s
         for r, arguments in enumerate(simulation._chunk_arguments(n, None, chunk)):
             assert len(arguments) == samples
             for got, (sums, cross) in zip(arguments, chunk):
-                want = _from_sums(n, sums[r].tolist(), cross[r].tolist())
-                assert got.scores == want.scores
-                assert got.degenerate == want.degenerate
-                assert np.array_equal(got.cov, want.cov)
-                assert np.array_equal(got.corr, want.corr, equal_nan=True)
-
-
-def hexes(values) -> list:
-    return [float(v).hex() for v in np.ravel(values)]
+                assert_same_moments(got, reference_moments(n, sums[r].tolist(), cross[r].tolist()))
 
 
 ALPHAS = st.floats(0.1, 10.0)
@@ -636,32 +628,16 @@ def chunks(draw):
             alpha, beta = 1.0, 1.0 if shape == "linear" else 1e308
         models.append(ModelSpec(f"M{j}", m, alpha=alpha, beta=beta))
     spec = StudySpec(models)
-    # small n, and n on both sides of the 2^53 fallback
+    # small n, and n on both sides of 2^53, past which the moments are taken in Python ints
     n = draw(st.one_of(st.integers(2, 12), st.integers(2, 10**4), st.integers(2**24, 2**31)))
-    samples = []
-    for _ in range(draw(st.integers(1, 4))):
-        distinct = draw(st.integers(1, min(n, 5)))
-        cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=distinct - 1,
-                                    max_size=distinct - 1, unique=True))) if distinct > 1 else []
-        counts = np.diff([0, *cuts, n])
-        rows = [[draw(st.integers(0, mod.m)) for mod in models] for _ in counts]
-        # a column held at one stage; with at most five distinct rows, most stages are empty
-        constant = draw(st.one_of(st.none(), st.integers(0, k - 1)))
-        if constant is not None:
-            level = draw(st.integers(0, models[constant].m))
-            for row in rows:
-                row[constant] = level
-        x = np.array(rows, dtype=object)
-        samples.append(((counts @ x).tolist(), (x.T * counts) @ x))
-    sums = np.array([s for s, _ in samples], dtype=np.int64)
-    cross = np.array([c.tolist() for _, c in samples], dtype=np.int64)
+    sums, cross = draw(sample_sums([model.m for model in models], n))
     return spec, n, sums, cross
 
 
 def scalar_arguments(n, spec, sums, cross):
     """One sample's MomentEstimate, and its IndexValue and VarianceEstimate from the scalar
     chain, or None where that refuses or the delta-method form is negative within rounding."""
-    moments = _from_sums(n, sums.tolist(), cross.tolist())
+    moments = reference_moments(n, sums.tolist(), cross.tolist())
     index = global_index(moments.scores, spec)
     try:
         variance = index_variance(moments, spec)
@@ -686,19 +662,11 @@ def test_chunk_arguments_match_the_scalar_chain(chunk, paired):
     moments_form = simulation._chunk_arguments(n, None, batch)
     index_form = simulation._chunk_arguments(n, spec, batch)
     assert len(moments_form) == len(index_form) == len(sums)
-    if max(n * int(cross.max()), int(sums.max()) ** 2, n * (n - 1)) >= 2**53:
-        assert moments_form == index_form == [None] * len(sums)
-        return
     for r, (got_moments, got_index) in enumerate(zip(moments_form, index_form)):
         expected = [scalar_arguments(n, spec, s[r], c[r]) for s, c in batch]
         assert len(got_moments) == len(batch)
         for got, (moments, _) in zip(got_moments, expected):
-            assert got.n == moments.n
-            assert hexes(got.scores.scores) == hexes(moments.scores.scores)
-            assert hexes(got.cov) == hexes(moments.cov)
-            assert hexes(got.corr) == hexes(moments.corr)
-            assert got.degenerate == moments.degenerate
-            assert not got.cov.flags.writeable and not got.corr.flags.writeable
+            assert_same_moments(got, moments)
         if any(pair is None for _, pair in expected):
             assert got_index is None
             continue
@@ -716,12 +684,12 @@ def test_chunk_arguments_match_the_scalar_chain(chunk, paired):
 
 def reference_accepted(plan, pmfs, statistic, spec=None):
     """The per-replication loop: each sample drawn on its own, reduced by _exact_sums and
-    _from_sums, and with ``spec`` by global_index and index_variance, then passed to the
-    study's statistic."""
+    reference_moments, and with ``spec`` by global_index and index_variance, then passed to
+    the study's statistic."""
     values, first = [], None
     for child in np.random.SeedSequence(plan.seed).spawn(plan.replications):
         seeds = [child] if len(pmfs) == 1 else child.spawn(2)
-        moments = [_from_sums(plan.n, *_exact_sums(reference_stages(pmf, plan.n, seed)))
+        moments = [reference_moments(plan.n, *_exact_sums(reference_stages(pmf, plan.n, seed)))
                    for pmf, seed in zip(pmfs, seeds)]
         try:
             arguments = moments if spec is None else [
@@ -774,12 +742,47 @@ def test_study_reports_match_the_per_replication_reference(monkeypatch, study, c
         study, fields["pmf_alternative"] = "size", PmfSpec(shifted, pmf.latent_correlation)
     plan = SimulationPlan(study=study, **fields)
     if fallback:
-        # every chunk as if its sums reached 2^53
-        monkeypatch.setattr(simulation, "_chunk_arguments",
-                            lambda n, spec, chunk: [None] * len(chunk[0][0]))
+        # every chunk in Python ints, as if its sums reached 2^53
+        chunk_arguments = simulation._chunk_arguments
+        monkeypatch.setattr(simulation, "_chunk_arguments", lambda n, spec, chunk: chunk_arguments(
+            n, spec, [(sums.astype(object), cross.astype(object)) for sums, cross in chunk]))
     got = study_outcome(plan)
     monkeypatch.setattr(simulation, "_accepted", reference_accepted)
     assert got == study_outcome(plan)
+
+
+def test_a_chunk_past_2_53_computes_only_refused_replications_one_by_one(monkeypatch):
+    # half of 2^27 rows at each of two stage tuples: n * max(cross) reaches 2^53 * 17
+    n = 2**27
+    spec = StudySpec([ModelSpec("A", 5, alpha=1.0, beta=2.0), ModelSpec("B", 5)])
+    plan = SimulationPlan(pmf=PmfSpec([UNIFORM6, UNIFORM6]), spec=spec, n=n, replications=4,
+                          seed=0, study="coverage")
+    rows = [[(1, 2), (4, 3)], [(3, 3), (3, 0)], [(0, 5), (5, 1)], [(2, 2), (2, 4)]]
+    counts = np.array([n // 2, n - n // 2])
+    x = [np.array(pair, dtype=object) for pair in rows]
+    sums = np.array([(counts @ pair).tolist() for pair in x], dtype=np.int64)
+    cross = np.array([((pair.T * counts) @ pair).tolist() for pair in x], dtype=np.int64)
+    assert n * int(cross.max()) >= 2**53
+    monkeypatch.setattr(simulation, "_sampled_sums", lambda plan, pmfs: iter([[(sums, cross)]]))
+    calls = []
+
+    def from_sums(*args):
+        calls.append(args)
+        return reference_moments(*args)
+
+    monkeypatch.setattr(simulation, "_from_sums", from_sums)
+    values, notes = simulation._accepted(
+        plan, (plan.pmf,), lambda index, variance: (index.value, variance.value), spec)
+    # the second and the fourth hold model A constant, which index_variance refuses
+    assert [args[0] for args in calls] == [n, n]
+    assert [args[1] for args in calls] == [sums[1].tolist(), sums[3].tolist()]
+    assert notes == ("2 of 4 replications refused: model 'A' has zero sample variance; "
+                     "the index variance is undefined",)
+    expected = []
+    for r in (0, 2):
+        moments = reference_moments(n, sums[r].tolist(), cross[r].tolist())
+        expected += [global_index(moments.scores, spec).value, index_variance(moments, spec).value]
+    assert hexes(values.T) == hexes(expected)
 
 
 @pytest.mark.parametrize("case", ["copula", "small-n-refusals"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,12 @@ class TestBetacf:
         monkeypatch.setattr(tdist, "_MAX_ITER", 1)
         with pytest.raises(ArithmeticError, match="did not converge for a=5.0, b=0.5, x=0.5"):
             _betacf(5.0, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("x", [-0.5, -5e-324, 1.0 + 2.0**-52, 1.5, math.nan])
+def test_an_incomplete_beta_outside_the_unit_interval_is_refused(x):
+    with pytest.raises(InputError, match=re.escape(f"incomplete beta needs x in [0, 1], got {x}")):
+        regularized_incomplete_beta(2.0, 3.0, x)
 
 
 class TestCdf:
