@@ -28,11 +28,10 @@ Formats:
   of commas and line ends, written into a column-major stage matrix; any
   other cell through int() one at a time. Their ids go to the dataset as
   byte ranges of the file, and a string is made only for an id that is
-  read (a message, or ``row_ids``), unless an id starts or ends with a
-  byte that may be whitespace (ASCII up to the space, or any non-ASCII
-  byte): once such a file's cells have parsed, its ids are decoded at
-  once and stripped as csv.reader's are.
-  csv.reader reads every other file.
+  read (a message, or ``row_ids``). A file with an id that starts or ends
+  with a byte that may be whitespace (ASCII up to the space, or any
+  non-ASCII byte), or that is empty, is not plain. csv.reader reads every
+  other file.
 
 * Reports: either a human-readable table ("table") or JSON
   ("structured"); both carry the same fields, and the JSON form
@@ -188,28 +187,24 @@ _PLAIN_DIGITS = 18
 _BLOCK_BYTES = 1 << 16
 
 
-def _read_plain(
-    path: str, raw: bytes, spec: StudySpec
-) -> tuple[list[str] | _RowIds, np.ndarray, range] | None:
+def _read_plain(path: str, raw: bytes, spec: StudySpec) -> tuple[_RowIds, np.ndarray, range] | None:
     """Ids, stages and line numbers of a structurally plain file, from numpy passes over its bytes.
 
     A file is structurally plain when it holds no quote, NUL or carriage
     return outside a CRLF line end (read as LF), its first line is the
-    header, and every later line is an id and ``spec.k`` cells of at most
+    header, every later line is an id and ``spec.k`` cells of at most
     ``csv.field_size_limit()`` bytes, each line ending in a newline (the
-    last may lack it). ``csv.reader`` splits such a file exactly on commas
-    and line ends. Cells of 1 to 18 ASCII digits are read column-wise by
-    ``_plain_stages``, a block of lines at a time; every other (odd) cell goes
-    through ``int()``, a column at a time, as ``_read_csv`` converts them, and the first it refuses raises the
-    same error. Returns None for any other file and for one that ``csv.reader`` would
-    read differently (bytes not UTF-8, checked a block at a time, or a line of whitespace only).
-
-    The ids are the file's byte ranges (``_RowIds``), returned as they are when
-    none starts or ends with a byte of at most 0x20 or at least 0x80: ``str.strip``,
-    which also removes ``\x1c``-``\x1f`` and Unicode whitespace, keeps them whole
-    (and none is blank). Otherwise a row of only odd cells whose id strips blank,
-    which may be a line of whitespace, returns None (the one blank-line check), and
-    once the odd cells parse the ids are decoded and stripped, a list of strings.
+    last may lack it), and every id starts and ends with a byte in
+    0x21-0x7f. ``csv.reader`` splits such a file exactly on commas and line
+    ends, skips none of its lines (none is blank or whitespace only), and
+    ``str.strip``, which also removes ``\x1c``-``\x1f`` and Unicode
+    whitespace, keeps each id whole, so the ids are the file's byte ranges
+    (``_RowIds``) as they are. Cells of 1 to 18 ASCII digits are read
+    column-wise by ``_plain_stages``, a block of lines at a time; every
+    other (odd) cell goes through ``int()``, a column at a time, as
+    ``_read_csv`` converts them, and the first it refuses raises the same
+    error. Returns None for any other file and for one whose bytes are not
+    UTF-8 (checked a block at a time).
     """
     if b"\r" in raw:
         if raw.count(b"\r") != raw.count(b"\r\n"):
@@ -230,33 +225,29 @@ def _read_plain(
     stages = _plain_stages(raw, head_end + 1, spec.k)
     if stages is None:
         return None
-    values, odd, (id_starts, id_stops), stripped, cell_bounds = stages
+    values, odd, (id_starts, id_stops), cell_bounds = stages
     ids = _RowIds(raw, id_starts, id_stops)
-    data = np.frombuffer(raw, np.uint8)
-    if stripped:
-        # a blank id and k odd cells may be a line of whitespace, which csv.reader skips (shifting lines)
-        at = np.flatnonzero(odd.all(axis=1))
-        if not all(map(str.strip, _plain_text(data, id_starts[at], id_stops[at] + 1).split(",")[:-1])):
-            return None
     lines = range(2, len(values) + 2)
     if odd.any():
         rows, cols = np.nonzero(odd)
+        data = np.frombuffer(raw, np.uint8)
         cells = np.array(_plain_text(data, *cell_bounds).split(",")[1:], dtype=object)
         for j, name in enumerate(spec.names):
             at = np.flatnonzero(cols == j)
             values[rows[at], j] = _int64_cells(path, name, rows[at], cells[at], ids, lines)
-    return ([row_id.strip() for row_id in ids.strings()] if stripped else ids), values, lines
+    return ids, values, lines
 
 
 def _plain_stages(
     raw: bytes, begin: int, k: int
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], bool, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray] | None:
     """The stages of the lines of ``raw`` from offset ``begin`` on, which end in a newline:
     the stage matrix with its odd cells left unread, the mask of odd cells, the byte ranges
-    in ``raw`` of every id, whether an id starts or ends with a byte of at most 0x20 or at
-    least 0x80, and the ranges of every odd cell with the comma before it, in file order
-    (a 2 x c array); None if a line is not an id and ``k`` cells of at most
-    ``csv.field_size_limit()`` bytes, or if a block of a file not all ASCII is not UTF-8.
+    in ``raw`` of every id, and the ranges of every odd cell with the comma before it, in
+    file order (a 2 x c array); None if a line is not an id and ``k`` cells of at most
+    ``csv.field_size_limit()`` bytes, if an id starts or ends with a byte of at most 0x20
+    or at least 0x80 (an empty id ends with the newline before it), or if a block of a file
+    not all ASCII is not UTF-8.
 
     The lines are read in blocks that end at the first line end at or after
     ``_BLOCK_BYTES`` bytes. In each, the separators (each line's k commas and its
@@ -268,7 +259,6 @@ def _plain_stages(
     values, odd = np.zeros((k, n), np.int64), np.empty((k, n), bool)
     id_starts, id_stops = np.empty(n, np.int64), np.empty(n, np.int64)
     odd_bounds = [np.empty((2, 0), np.int64)]
-    stripped = False
     limit = csv.field_size_limit()
     utf8 = not raw.isascii()
     lo, row = begin, 0
@@ -296,10 +286,10 @@ def _plain_stages(
         widths -= 1
         if max(widths.max(initial=0), (seps[0] - starts_here).max(initial=0)) > limit:
             return None
-        if not stripped:
-            # an empty id's last byte, at -1, is the newline that ends the block or the line before
-            edges = np.concatenate([block[starts_here], block[seps[0] - 1]])
-            stripped = bool(((edges <= 0x20) | (edges >= 0x80)).any())
+        # an empty id's last byte, at -1, is the newline that ends the block or the line before
+        edges = np.concatenate([block[starts_here], block[seps[0] - 1]])
+        if ((edges <= 0x20) | (edges >= 0x80)).any():
+            return None  # csv.reader strips such an id, or skips its line if it is whitespace only
         id_starts[here] = starts_here + lo
         id_stops[here] = seps[0] + lo
         block_values, block_odd = values[:, here], odd[:, here]
@@ -319,7 +309,7 @@ def _plain_stages(
             at = block_odd.T
             odd_bounds.append(np.stack([starts.T[at], ends.T[at]]) + lo)
         lo, row = hi, here.stop
-    return values.T, odd.T, (id_starts, id_stops), stripped, np.concatenate(odd_bounds, axis=1)
+    return values.T, odd.T, (id_starts, id_stops), np.concatenate(odd_bounds, axis=1)
 
 
 def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.ndarray, list[int]]:
@@ -365,7 +355,7 @@ def _read_csv(path: str, raw: bytes, spec: StudySpec) -> tuple[list[str], np.nda
 def _int64_cells(path: str, name: str, rows: Iterable[int], cells: np.ndarray,
                  ids: Sequence[str], lines: Sequence[int]) -> np.ndarray:
     """``cells`` (an object array of str) of column ``name``, rows ``rows``, as int64 by int();
-    an error names the first that is not a 64-bit integer, with its row's id, stripped, and line."""
+    an error names the first that is not a 64-bit integer, with its row's id, already stripped, and line."""
     try:
         return cells.astype(np.int64)  # an object array converts cell by cell with int()
     except (ValueError, OverflowError):
@@ -376,7 +366,7 @@ def _int64_cells(path: str, name: str, rows: Iterable[int], cells: np.ndarray,
                 continue
         except ValueError:
             pass
-        raise InputError(f"{path}: row {ids[row].strip()!r} (line {lines[row]}): "
+        raise InputError(f"{path}: row {ids[row]!r} (line {lines[row]}): "
                          f"stage for {name!r} must be a 64-bit integer, got {cell.strip()!r}")
 
 

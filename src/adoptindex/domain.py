@@ -217,6 +217,14 @@ class StudySpec:
         object.__setattr__(self, "names", tuple(mod.name for mod in models))
         object.__setattr__(self, "stage_maxima", tuple(mod.m for mod in models))
         object.__setattr__(self, "weights", tuple(mod.weight for mod in models))
+        object.__setattr__(self, "_hash", hash((models,)))  # the dataclass hash; caches ask it per lookup
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple[type[StudySpec], tuple[tuple[ModelSpec, ...]]]:
+        # rebuilt, not copied: a str's hash differs between processes, so ``_hash`` must be too
+        return StudySpec, (self.models,)
 
     def structure(self) -> tuple[tuple[int, float, float, float], ...]:
         """Structural identity: (m, alpha, beta, weight) per model, names ignored."""
@@ -247,7 +255,8 @@ def _plain_text(body: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> str:
 class _RowIds:
     """A plain data file's row ids: id i is the bytes ``data[starts[i]:stops[i]]``.
 
-    ``data`` is the whole file, checked to be UTF-8. Each id is not blank, holds no comma,
+    ``data`` is the whole file, checked to be UTF-8. Each id starts and ends with a byte in
+    0x21-0x7f, so it is not blank and ``str.strip`` keeps it whole; it holds no comma, and
     is preceded by a newline and followed by a comma, so ``strings`` decodes them all in
     one gather and split, and ``index`` finds one in one search. Two ids are equal exactly
     when their bytes are. The ids keep the file's bytes in memory as long as the dataset does.

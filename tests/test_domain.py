@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,24 @@ class TestStudySpec:
         assert spec == twin and hash(spec) == hash(twin)
         assert repr(spec) == repr(twin) == f"StudySpec(models={spec.models!r})"
         assert spec != StudySpec([ModelSpec("A", 5), ModelSpec("B", 3)])
+        assert hash(spec) == hash((spec.models,))  # the dataclass hash of its one field
+
+    def test_a_spec_pickled_in_one_process_hashes_like_a_fresh_one_in_another(self):
+        # str hashes are salted per process, so a hash carried over in the pickle would be stale
+        src = str(Path(domain.__file__).resolve().parents[1])
+        make = "StudySpec([ModelSpec('A', 5), ModelSpec('B', 3, alpha=0.5, beta=2.0)])"
+
+        def run(seed, code, data=""):
+            head = (f"import pickle, sys; sys.path.insert(0, {src!r})\n"
+                    "from adoptindex import ModelSpec, StudySpec\n")
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            return subprocess.run([sys.executable, "-c", head + code], input=data, capture_output=True,
+                                  text=True, env=env, check=True).stdout.split()
+
+        made_hash, data = run("1", f"spec = {make}; print(hash(spec), pickle.dumps(spec).hex())")
+        loaded = run("2", f"spec = pickle.loads(bytes.fromhex(sys.stdin.read())); fresh = {make}\n"
+                          "print(spec == fresh, hash(spec), hash(fresh))", data)
+        assert loaded[0] == "True" and loaded[1] == loaded[2] != made_hash
 
 
 class TestPmfSpec:
@@ -557,8 +579,8 @@ class TestRowIds:
     @example(ids=["a" * 8 + "b", "b", "a" * 8 + "b"])
     # ids of at most 8 bytes that differ only in trailing NULs
     @example(ids=["a", "a\x00", "a\x00\x00", "a\x00"])
-    # a blank id, and one that only stripping blanks, in a file whose other ids are packed;
-    # with no repeated id, no hash collision sends a packed blank id to the exact check
+    # a blank id, and one that only stripping blanks, each of which sends its file to
+    # csv.reader: no blank id is packed, with or without a repeated id
     @example(ids=["a", "", "a"])
     @example(ids=["a", "", "b"])
     @example(ids=["a", " \xa0", "b"])

@@ -234,6 +234,15 @@ class TestQuantile:
     def test_median_is_zero(self):
         assert student_t_quantile(0.5, 13) == 0.0
 
+    def test_a_bracket_that_never_reaches_the_level_is_a_fault(self, monkeypatch):
+        # the real cdf reaches any level below 1 at a finite t, so only a faulty one ends here
+        student_t_quantile.cache_clear()
+        monkeypatch.setattr(tdist, "student_t_cdf", lambda t, df: 0.5)
+        with pytest.raises(ArithmeticError, match=re.escape("quantile bracket failed for p=0.975, df=5.0")):
+            student_t_quantile(0.975, 5)
+        monkeypatch.undo()
+        assert student_t_quantile(0.975, 5) == pytest.approx(2.570582, abs=1e-6)
+
     def test_invalid_level(self):
         with pytest.raises(InputError):
             student_t_quantile(1.0, 5)
