@@ -4,10 +4,11 @@ A study is an ordered collection of adoption models. Model ``j`` has
 ``m_j + 1`` ordered stages coded 0..m_j, where stage 0 always means "no
 adoption at all". Observations are integer stage values, one column per
 model, one row per corporation. Everything here is immutable after
-construction and safe to share across threads. A dataset fills three caches
+construction and safe to share across threads. A dataset fills four caches
 on demand: its exact sums on first use, its ids as a tuple of ``str`` on
-first read of ``row_ids``, and an id -> position dict once its row lookups
-have searched 8n ids.
+first read of ``row_ids``, an id -> position dict once its row lookups
+have searched 8n ids, and what leaving out a row gives, per distinct stage
+tuple, for up to 1,024 tuples.
 
 A dataset keeps a sequence of ids as a tuple of ``str`` and checks them as
 strings. A plain data file hands over its ids as byte ranges of the file
@@ -58,6 +59,10 @@ _INT64_LIMIT = 2**63
 # id -> position dict; decoding a plain file's ids and building the dict cost about 16 of
 # its slowest searches (a missing id that starts like every id) at 2,000 rows, 30 at 10^6
 _SCANS_BEFORE_DICT = 8
+# a dataset keeps what leaving out a row gives for at most this many distinct stage tuples,
+# about 2.7 MB at k = 3; a tuple past them is computed and not kept. Threads that race past
+# the check may each add one tuple, and two that compute one entry compute the same values
+_LEFT_OUT_BOUND = 1024
 # splitmix64's multipliers (Steele, Lea and Flood, 2014) and the golden-ratio word salt
 _MIX_FACTORS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 _WORD_SALT = np.uint64(0x9E3779B97F4A7C15)
@@ -429,21 +434,36 @@ class AdoptionDataset:
         """Exact column sums s = X^T 1 and cross-products C = X^T X, reduced on first use."""
         return _exact_sums(self.values)
 
+    def _left_out(self, position: int) -> tuple[list[int], dict]:
+        """The stages of the row at ``position``, and the dict in which ``without_row`` and
+        ``inference.one_sample_test`` keep what leaving out a row with them gives: one per
+        distinct stage tuple, for up to ``_LEFT_OUT_BOUND`` tuples, and past them a new one."""
+        memo = self.__dict__.setdefault("_left_outs", {})
+        row = self.values[position].tolist()
+        kept = memo.get(key := tuple(row))
+        if kept is None:
+            kept = {}
+            if len(memo) < _LEFT_OUT_BOUND:
+                memo[key] = kept
+        return row, kept
+
     def without_row(self, position: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """``(n, sums, cross)`` of the rows left after removing the one at ``position``.
 
         They keep every rule but the row count, so only that is checked. Their exact
-        sums are the parent's minus the row.
+        sums are the parent's minus the row, computed once per distinct stage tuple.
         """
         n = self.n - 1
         if not 0 <= position <= n:
             raise IndexError(f"row position {position} outside 0..{n}")
         _require_rows(n, self.spec.k)
-        sums, cross = self.sufficient_stats
-        x = self.values[position].tolist()
-        return n, tuple(s - a for s, a in zip(sums, x)), tuple(
-            tuple(c - a * b for c, b in zip(row, x)) for row, a in zip(cross, x)
-        )
+        x, kept = self._left_out(position)
+        if "rest" not in kept:
+            sums, cross = self.sufficient_stats
+            kept["rest"] = n, tuple(s - a for s, a in zip(sums, x)), tuple(
+                tuple(c - a * b for c, b in zip(row, x)) for row, a in zip(cross, x)
+            )
+        return kept["rest"]
 
 
 @dataclass(frozen=True, eq=False)

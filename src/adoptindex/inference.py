@@ -16,11 +16,10 @@ formula). Tests:
   actually used has n-1 rows). The null value always comes from the
   excluded row; there is no variant against a fixed constant. No
   reduced dataset is built: the remaining rows' sums and cross-products
-  are the industry's minus the excluded row, O(k^2) work per test. The
-  row is found by ``AdoptionDataset.row_position``. Rows with one stage
-  tuple leave the same sums, so both indices, the remaining rows'
-  moments and, kept on those moments by ``index_variance``, their index
-  variance are computed once per distinct row (see ``one_sample_test``).
+  are the industry's minus the excluded row (``without_row``). Rows with
+  one stage tuple leave the same sums, so a dataset keeps these sums, both
+  indices and the remaining rows' moments, which keep their index
+  variance, once per distinct row (see ``one_sample_test``).
 * two-sample: unequal variances, Welch-Satterthwaite degrees of freedom.
 
 Both tests share one tail from statistic to p-value to outcome. The
@@ -34,7 +33,6 @@ chunk of samples at once, bit for bit the same, in ``simulation._chunk_arguments
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -160,7 +158,8 @@ def _index_variance(
     contributions = np.array(
         [[gj * gl * s / n for gl, s in zip(g, row)] for gj, row in zip(g, sigma.tolist())]
     )
-    raw = float(contributions.sum())
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN that _psd_sum refuses as not finite
+        raw = float(contributions.sum())
     value = _psd_sum(raw, contributions, "index variance")
     if raw < 0:
         contributions = np.zeros_like(contributions)
@@ -168,15 +167,6 @@ def _index_variance(
     return VarianceEstimate(
         value=value, contributions=contributions, gradients=gradients, n_used=n
     )
-
-
-@functools.lru_cache(maxsize=1024)
-def _remaining(spec: StudySpec, row: tuple, n: int, sums: tuple, cross: tuple) -> tuple:
-    """The moments and index of the rows a leave-one-out test keeps, and the own index
-    of the row of stages ``row`` that it leaves out."""
-    moments = _from_sums(n, sums, cross)
-    own = ScoreEstimate(tuple(float(x) for x in row), n=1)
-    return moments, global_index(moments.scores, spec).value, global_index(own, spec).value
 
 
 def one_sample_test(
@@ -192,45 +182,35 @@ def one_sample_test(
 
         T = (I_hat - I_0) / sqrt(V[I_hat]),   df = (n-1) - k - 1.
 
-    The remaining rows' moments and index depend only on the spec and the
-    exact ``(n, sums, cross)`` of ``without_row``, and I_0 on the spec and the
-    row's stages. A cache of up to 1,024 keys of all of them holds the three (two
-    datasets may leave other rows with the same sums); a dataset has at most
-    prod(m_j + 1) distinct rows. ``index_variance`` is called per test, but keeps
-    its estimate on the cached moments, so each distinct row's variance is
-    computed once. The rest runs per call, in the same order, so a replaced
-    ``index_variance`` or ``student_t_pvalue`` binding still sees every test, and
-    refusals recur.
+    The remaining rows' moments and index, and I_0, depend only on the dataset
+    and the row's stages, so the dataset keeps them with ``without_row``'s sums,
+    for up to 1,024 distinct stage tuples (``AdoptionDataset._left_out``), and
+    ``index_variance`` keeps the variance on those moments. Every test still
+    calls ``without_row``, ``index_variance`` and ``student_t_pvalue``, so a
+    replaced binding sees it, and refusals, which are never kept, recur.
     """
     spec = dataset.spec
     significance = _require_level(significance, "significance")
     _require_sidedness(sidedness)
     position = dataset.row_position(row_id)
-    k = spec.k
-    df = (dataset.n - 1) - k - 1
+    df = (dataset.n - 1) - spec.k - 1
     if df < 1:
-        raise InsufficientDf(
-            f"excluding row {row_id!r} leaves df={df}; need at least 1"
-        )
-    row = tuple(dataset.values[position].tolist())
-    moments, index, null_value = _remaining(spec, row, *dataset.without_row(position))
+        raise InsufficientDf(f"excluding row {row_id!r} leaves df={df}; need at least 1")
+    rest = dataset.without_row(position)
+    row, kept = dataset._left_out(position)
+    if "test" not in kept:
+        moments = _from_sums(*rest)
+        own = ScoreEstimate(tuple(map(float, row)), n=1)
+        kept["test"] = moments, global_index(moments.scores, spec).value, global_index(own, spec).value
+    moments, index, null_value = kept["test"]
     variance = index_variance(moments, spec)
     if variance.value == 0:
         raise DegenerateVariance(
             "the weighted stage combination is constant across the remaining rows"
         )
-    return _outcome(
-        (index, null_value),
-        (variance.value,),
-        (moments.n,),
-        df,
-        sidedness,
-        significance,
-        note=(
-            "degrees of freedom use the reduced sample of "
-            f"{moments.n} rows left after excluding row {row_id!r}"
-        ),
-    )
+    return _outcome((index, null_value), (variance.value,), (moments.n,), df, sidedness, significance,
+                    "degrees of freedom use the reduced sample of "
+                    f"{moments.n} rows left after excluding row {row_id!r}")
 
 
 def two_sample_test(

@@ -127,11 +127,11 @@ def test_builtin_exceptions_are_raised_only_where_listed():
 # filled it, and bench/worker.py clears only the quantile's between rounds, so a cache that
 # answers repeats across rounds reads as a gain that no user sees. An lru_cache on
 # student_t_pvalue is the example: the size study draws the same 200 t values every round (one
-# seed), and a leave-one-out scan the same t per row, so each later round would be all hits. A
-# new cache must be named in CHANGES.md and shown not to answer repeats across the benchmark's
-# rounds. Per-object memos (cached_property, a dataset's positions, a MomentEstimate's index
-# variances) die with their object and are not listed.
-PROCESS_CACHES = [("inference.py", "_remaining"), ("tdist.py", "_quantile")]
+# seed), so each later round would be all hits. A new cache must be named in CHANGES.md and
+# shown not to answer repeats across the benchmark's rounds. Per-object memos (cached_property,
+# a dataset's positions and leave-one-out work, a MomentEstimate's index variances) die with
+# their object and are not listed.
+PROCESS_CACHES = [("tdist.py", "_quantile")]
 
 
 def test_process_wide_caches_are_only_those_listed():

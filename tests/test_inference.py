@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +29,7 @@ from adoptindex import (
     tdist,
     two_sample_test,
 )
+from adoptindex.domain import _LEFT_OUT_BOUND
 from adoptindex.errors import (
     AdoptionIndexError,
     DegenerateVariance,
@@ -548,24 +551,31 @@ def replace_everywhere(monkeypatch, replacements):
                         monkeypatch.setattr(owner, attribute, by_id[id(value)])
 
 
-def assert_cached_tests_match_reference(datasets):
-    """Each row's test, with the downdate cache cleared and warm, is bitwise
-    ``reference_one_sample``'s, and the cache never holds more downdates than the
-    datasets have distinct stage tuples."""
+def fresh(dataset):
+    """A new dataset of ``dataset``'s rows, which has kept no leave-one-out work yet."""
+    return AdoptionDataset(row_ids=dataset.row_ids, values=dataset.values, spec=dataset.spec)
+
+
+def kept_tuples(dataset):
+    """How many stage tuples ``dataset`` keeps leave-one-out work for."""
+    return len(dataset.__dict__.get("_left_outs", {}))
+
+
+def assert_kept_tests_match_reference(datasets):
+    """Each row's test, cold (on a fresh copy of its dataset) and warm (in a second pass
+    over one copy), is bitwise ``reference_one_sample``'s, and a dataset never keeps work
+    for more stage tuples than it has."""
     rows = [(ds, position) for ds in datasets for position in range(ds.n)]
-    distinct = sum(len(set(map(tuple, ds.values.tolist()))) for ds in datasets)
     expected = [bits(lambda: reference_one_sample(ds, position)) for ds, position in rows]
-    cold = []
-    for ds, position in rows:
-        inference._remaining.cache_clear()
-        cold.append(bits(lambda: one_sample_test(ds, row_id=ds.row_ids[position])))
+    cold = [bits(lambda: one_sample_test(fresh(ds), row_id=ds.row_ids[position])) for ds, position in rows]
     assert cold == expected
-    inference._remaining.cache_clear()
-    for _ in range(2):  # the second pass finds every downdate cached
+    copies = {id(ds): fresh(ds) for ds in datasets}
+    for _ in range(2):  # the second pass finds every row's work kept
         warm = []
         for ds, position in rows:
-            warm.append(bits(lambda: one_sample_test(ds, row_id=ds.row_ids[position])))
-            assert inference._remaining.cache_info().currsize <= distinct
+            copy = copies[id(ds)]
+            warm.append(bits(lambda: one_sample_test(copy, row_id=ds.row_ids[position])))
+            assert kept_tuples(copy) <= len(set(map(tuple, ds.values.tolist())))
         assert warm == expected
 
 
@@ -582,15 +592,16 @@ class TestSharedDowndates:
             return call
 
         replace_everywhere(monkeypatch, {seam: counting(seam) for seam in SEAMS})
-        inference._remaining.cache_clear()
+        computed = []
+        monkeypatch.setattr(inference, "_from_sums", lambda *a: computed.append(a) or _from_sums(*a))
         for tests, row_id in enumerate(2 * ds.row_ids, 1):  # a cold round, then a warm one
             one_sample_test(ds, row_id=row_id)
             assert list(calls.values()) == [tests] * len(SEAMS)
-        assert inference._remaining.cache_info().hits == 2 * ds.n - 4  # 4 distinct rows
+        assert len(computed) == kept_tuples(ds) == 4  # 4 distinct rows, each computed once
 
     def test_a_replaced_variance_changes_every_warm_outcome(self, monkeypatch, tam_cmm_spec):
         ds = make_dataset(tam_cmm_spec, REPEATED_CELLS)
-        for row_id in ds.row_ids:  # fill the cache, and each distinct row's variance memo
+        for row_id in ds.row_ids:  # fill the dataset's memo, and each distinct row's variance memo
             one_sample_test(ds, row_id=row_id)
         computed = []
         compute = inference._index_variance
@@ -610,9 +621,9 @@ class TestSharedDowndates:
 
     def test_every_row_of_the_fixtures(self, ladder_dataset):
         industry = nonlinear_industry()
-        # the same stages under a linear spec leave the same sums, and must not share a downdate
+        # the same stages under a linear spec leave the same sums, and must keep their own indices
         linear = make_dataset(StudySpec([ModelSpec("A", 5), ModelSpec("B", 5)]), industry.values.T)
-        assert_cached_tests_match_reference([ladder_dataset, industry, linear])
+        assert_kept_tests_match_reference([ladder_dataset, industry, linear])
 
     def test_rows_that_leave_the_same_sums_keep_their_own_index(self, tam_cmm_spec):
         # R + {x} without x and R + {y} without y leave the same (n, sums, cross)
@@ -620,9 +631,8 @@ class TestSharedDowndates:
         with_x = make_dataset(tam_cmm_spec, [column + (x,) for column, x in zip(rest, (1, 4))])
         with_y = make_dataset(tam_cmm_spec, [column + (y,) for column, y in zip(rest, (5, 5))])
         assert with_x.without_row(6) == with_y.without_row(6)
-        inference._remaining.cache_clear()
         first = bits(lambda: one_sample_test(with_x, row_id="r6"))
-        second = bits(lambda: one_sample_test(with_y, row_id="r6"))  # the cache is warm
+        second = bits(lambda: one_sample_test(with_y, row_id="r6"))
         assert first == bits(lambda: reference_one_sample(with_x, 6))
         assert second == bits(lambda: reference_one_sample(with_y, 6))
         (remaining_x, own_x), (remaining_y, own_y) = first[6], second[6]  # the indices
@@ -632,7 +642,7 @@ class TestSharedDowndates:
     @settings(max_examples=40, deadline=None)
     def test_two_industries_under_one_spec(self, data):
         spec = draw_spec(data, 4)  # few stages, so rows share stage tuples
-        assert_cached_tests_match_reference([draw_dataset(data, spec, 25), draw_dataset(data, spec, 25)])
+        assert_kept_tests_match_reference([draw_dataset(data, spec, 25), draw_dataset(data, spec, 25)])
 
     def test_repeated_calls_raise_the_same_refusal(self, single_model_spec, tam_cmm_spec):
         peak = 2**31
@@ -647,10 +657,66 @@ class TestSharedDowndates:
             (make_dataset(tam_cmm_spec, [(0, 5, 2, 3, 1), (5, 0, 3, 2, 4)]), "r0", DegenerateVariance,
              "the weighted stage combination is constant across the remaining rows"),
         ]
-        inference._remaining.cache_clear()
         for ds, row_id, error, message in cases:
-            for _ in range(3):
+            for _ in range(3):  # cold, then warm
                 assert bits(lambda: one_sample_test(ds, row_id=row_id)) == (error, message)
+
+
+def many_tuples_industry():
+    """3,000 rows of three 13-stage models (2,197 stage tuples), drawn so that 1,645
+    rows, and 1,067 of the first 1,500, have stages no earlier row has."""
+    spec = StudySpec([ModelSpec("A", 12), ModelSpec("B", 12, alpha=0.5, beta=2.0), ModelSpec("C", 12, alpha=2.0)])
+    return make_dataset(spec, np.random.default_rng(5).integers(0, 13, (3, 3000)))
+
+
+class TestKeptTuplesBound:
+    def test_tuples_past_the_bound_are_tested_but_not_kept(self):
+        ds = many_tuples_industry()
+        assert len(set(map(tuple, ds.values.tolist()))) > _LEFT_OUT_BOUND
+        expected = [bits(lambda: reference_one_sample(ds, position)) for position in range(ds.n)]
+        for _ in range(2):  # the second pass finds the first tuples kept, and computes the rest again
+            assert [bits(lambda: one_sample_test(ds, row_id=row_id)) for row_id in ds.row_ids] == expected
+            assert kept_tuples(ds) == _LEFT_OUT_BOUND
+
+    def test_memory_does_not_grow_with_rows_past_the_bound(self):
+        ds = many_tuples_industry()
+        for row_id in ds.row_ids[:ds.n // 2]:  # already more tuples than the bound
+            one_sample_test(ds, row_id=row_id)
+        assert kept_tuples(ds) == _LEFT_OUT_BOUND
+        tracemalloc.start()
+        try:
+            for row_id in ds.row_ids[ds.n // 2:]:  # 578 more tuples, which would keep 1.6 MB
+                one_sample_test(ds, row_id=row_id)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 256 * 1024  # what the interpreter's free lists hold
+
+    def test_threads_sharing_a_dataset_get_the_same_outcomes(self):
+        ds = many_tuples_industry()
+        expected = [bits(lambda: one_sample_test(fresh(ds), row_id=row_id)) for row_id in ds.row_ids]
+        threads = 4  # more than cores; a thread switch between a check and a write leaves both
+        results = [None] * threads
+
+        def scan(i):
+            order = ds.row_ids[i * 750:] + ds.row_ids[:i * 750]  # each starts at another row
+            results[i] = dict(zip(order, (bits(lambda: one_sample_test(ds, row_id=r)) for r in order)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=scan, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for result in results:
+            assert [result[row_id] for row_id in ds.row_ids] == expected
+        # racing threads may each add a tuple after reading the memo one short of the bound
+        assert _LEFT_OUT_BOUND <= kept_tuples(ds) < _LEFT_OUT_BOUND + threads
 
 
 class TestTwoSample:

@@ -654,6 +654,9 @@ def scalar_arguments(n, spec, sums, cross):
 # a finite derivative whose square overflows: the variance is +inf, which index_variance refuses
 @example(chunk=(StudySpec([ModelSpec("A", 5, beta=1e200), ModelSpec("B", 5)]), 6,
                 np.array([[15, 17]]), np.array([[[39, 42], [42, 59]]])), paired=False)
+# two such variances of opposite covariance sum inf - inf: refused, with no RuntimeWarning
+@example(chunk=(StudySpec([ModelSpec("M0", 1, beta=1e308), ModelSpec("M1", 1, beta=1e308)]), 2,
+                np.array([[1, 1]]), np.array([[[1, 0], [0, 1]]])), paired=False)
 @settings(max_examples=300, deadline=None)
 def test_chunk_arguments_match_the_scalar_chain(chunk, paired):
     spec, n, sums, cross = chunk
