@@ -15,9 +15,11 @@ streams are bit for bit those of ``spawn`` and ``default_rng``, which
 
 Studies draw replications in chunks of at most ``_CHUNK_CELLS`` stage cells,
 each from its own stream into one buffer (the stream of a lone draw, which
-``sample_dataset`` makes), and reduce a chunk to integer sums. ``_chunk_arguments``
-turns those into moments with ``_from_sums``'s kernel (``estimation._moments``, in
-Python ints past 2^53), or (coverage, size) into indices and variances in one numpy
+``sample_dataset`` makes), and reduce a chunk to integer sums. A copula chunk is
+rotated by one stacked product, bitwise equal to each sample's own, and a chunk's
+stages are counted in the narrowest unsigned type that holds the largest m, then
+widened to int64 for the sums. ``_chunk_arguments`` turns those into moments with
+``_from_sums``'s kernel (``estimation._moments``, in Python ints past 2^53), or (coverage, size) into indices and variances in one numpy
 pass, bitwise equal to the scalar functions. Each study's one statistic, which alone
 runs per replication, takes each sample's moments, or its index and variance. A
 replication that a scalar function would refuse gets them from ``_from_sums`` and
@@ -358,23 +360,35 @@ def _sampler(pmf: PmfSpec) -> tuple[np.ndarray | None, list]:
     return _psd_transform(pmf.latent_correlation).T, [[_norm_ppf(c) for c in cum] for cum in cums]
 
 
-def _draw(root: np.ndarray | None, cuts: list, rngs, draws: np.ndarray) -> np.ndarray:
-    """len(draws) x k x n int64 stages; sample r is drawn into ``draws[r]`` by the r-th
-    Generator of the iterable ``rngs``, taken one at a time and no further than ``draws``
-    reaches. A variate above c of its model's cut points is stage c, which is
-    ``searchsorted(cut points, variate, side="left")``."""
+def _variates(root: np.ndarray | None, rngs, draws: np.ndarray) -> np.ndarray:
+    """The chunk's len(draws) x n x k variates: sample r's uniforms, or its standard
+    normals, drawn into ``draws[r]`` by the r-th Generator of the iterable ``rngs``, taken
+    one at a time and no further than ``draws`` reaches. With a copula, the whole chunk is
+    then rotated by one stacked product, which makes each sample's own BLAS call and so
+    equals ``rng.standard_normal((n, k)) @ root`` bitwise (pinned by
+    ``test_stacked_rotation_matches_per_sample_products``)."""
     for out, rng in zip(draws, rngs):
         if root is None:
             rng.random(out=out)
         else:
-            # one product per sample: a batched product may round differently
-            np.matmul(rng.standard_normal(out.shape), root, out=out)
-    stages = np.zeros((len(cuts), *draws.shape[:2]), dtype=np.int64)
+            rng.standard_normal(out=out)
+    return draws if root is None else np.matmul(draws, root)
+
+
+def _draw(root: np.ndarray | None, cuts: list, rngs, draws: np.ndarray) -> np.ndarray:
+    """len(draws) x k x n int64 stages of ``_variates(root, rngs, draws)``. A variate
+    above c of its model's cut points is stage c, which is ``searchsorted(cut points,
+    variate, side="left")``. Stages are counted in the narrowest unsigned type that holds
+    the largest m (uint8 up to m = 255, where an add takes about half its int64 time),
+    then widened to int64 once for the exact sums and cross-products."""
+    variates = _variates(root, rngs, draws)
+    stages = np.zeros((len(cuts), *draws.shape[:2]),
+                      dtype=np.min_scalar_type(max(map(len, cuts))))
     for j, model_cuts in enumerate(cuts):
-        variates = draws[..., j].copy()  # contiguous, so each comparison runs at full speed
+        column = variates[..., j].copy()  # contiguous, so each comparison runs at full speed
         for c in model_cuts:
-            stages[j] += variates > c
-    return stages.transpose(1, 0, 2)
+            stages[j] += column > c
+    return stages.transpose(1, 0, 2).astype(np.int64)
 
 
 def _sampled_sums(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[list]:

@@ -554,6 +554,16 @@ def test_stream_keys_past_32_bits_are_refused():
 CHUNK_SPEC = StudySpec([ModelSpec("A", 5), ModelSpec("B", 3, alpha=2.0), ModelSpec("C", 7)])
 CHUNK_PMFS = [NONLINEAR_PMFS[0], (0.0, 0.2, 0.3, 0.5), (0.05, 0.1, 0.15, 0.2, 0.2, 0.15, 0.1, 0.05)]
 CHUNK_CORRELATION = [[1, 0.5, 0.2], [0.5, 1, -0.3], [0.2, -0.3, 1]]
+# spec, pmfs and latent correlation per model set: one model goes through numpy's
+# matrix-vector product, and a second model past m = 255 needs stage counts wider than uint8
+CHUNK_MODELS = {
+    "three": (CHUNK_SPEC, CHUNK_PMFS, CHUNK_CORRELATION),
+    "one": (StudySpec([ModelSpec("C", 7)]), CHUNK_PMFS[2:], [[1]]),
+    "two": (StudySpec([ModelSpec("A", 5), ModelSpec("B", 3, alpha=2.0)]), CHUNK_PMFS[:2],
+            [[1, -0.6], [-0.6, 1]]),
+    "wide": (StudySpec([ModelSpec("B", 3, alpha=2.0), ModelSpec("W", 300)]),
+             [CHUNK_PMFS[1], (1 / 301,) * 301], [[1, 0.4], [0.4, 1]]),
+}
 
 
 def reference_stages(pmf: PmfSpec, n: int, seed) -> np.ndarray:
@@ -570,23 +580,25 @@ def reference_stages(pmf: PmfSpec, n: int, seed) -> np.ndarray:
     )
 
 
-@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3])
+@pytest.mark.parametrize("models, seed", [("three", 0), ("three", 2**32), ("three", 2**64 + 3),
+                                          ("one", 2**32), ("two", 0), ("wide", 2**64 + 3)])
 @pytest.mark.parametrize("copula", [False, True], ids=["independent", "copula"])
 @pytest.mark.parametrize("samples", [1, 2])
 @pytest.mark.parametrize("shape", ["one-replication", "one-full-chunk", "one-chunk-plus-one",
                                    "one-replication-per-chunk", "one-seeding-block-plus-one"])
-def test_chunked_draws_match_per_replication_reference(copula, samples, shape, seed):
-    # 6000 rows of 3 models hold more cells than one chunk
-    n = 6000 if shape == "one-replication-per-chunk" else 200
-    pmf = PmfSpec(CHUNK_PMFS, latent_correlation=CHUNK_CORRELATION if copula else None)
-    per_chunk = simulation._CHUNK_CELLS // (n * CHUNK_SPEC.k)
+def test_chunked_draws_match_per_replication_reference(models, copula, samples, shape, seed):
+    spec, pmfs, correlation = CHUNK_MODELS[models]
+    # 18000 cells are more than one chunk holds
+    n = 18000 // spec.k if shape == "one-replication-per-chunk" else 200
+    pmf = PmfSpec(pmfs, latent_correlation=correlation if copula else None)
+    per_chunk = simulation._CHUNK_CELLS // (n * spec.k)
     per_block = simulation._SEED_BLOCK - simulation._SEED_BLOCK % max(1, per_chunk)  # whole chunks
     replications = {"one-replication": 1, "one-full-chunk": per_chunk,
                     "one-chunk-plus-one": per_chunk + 1, "one-replication-per-chunk": 2,
                     "one-seeding-block-plus-one": per_block + 1}[shape]
     assert replications >= 1 and (shape != "one-replication-per-chunk" or per_chunk == 0)
     plan = SimulationPlan(
-        pmf=pmf, spec=CHUNK_SPEC, n=n, replications=replications, seed=seed, study="coverage"
+        pmf=pmf, spec=spec, n=n, replications=replications, seed=seed, study="coverage"
     )
     chunks = list(simulation._sampled_sums(plan, (pmf,) * samples))
     sizes = [len(chunk[0][0]) for chunk in chunks]
@@ -606,6 +618,25 @@ def test_chunked_draws_match_per_replication_reference(copula, samples, shape, s
             assert len(arguments) == samples
             for got, (sums, cross) in zip(arguments, chunk):
                 assert_same_moments(got, reference_moments(n, sums[r].tolist(), cross[r].tolist()))
+    # a lone sample_dataset draws the last sample's stream as the study does
+    values = sample_dataset(pmf, spec, n, seeds[-1][-1]).values
+    assert values.dtype == np.int64
+    assert values.tolist() == reference_stages(pmf, n, seeds[-1][-1]).tolist()
+
+
+@pytest.mark.parametrize("models", ["one", "two", "three"])
+def test_stacked_rotation_matches_per_sample_products(models):
+    # the chunk's variates, not only its stage sums: a rotation that rounds otherwise
+    # moves few variates across a cut point
+    spec, pmfs, correlation = CHUNK_MODELS[models]
+    root, _ = simulation._sampler(PmfSpec(pmfs, latent_correlation=correlation))
+    seeds = np.random.SeedSequence(7).spawn(16)
+    got = simulation._variates(root, map(np.random.default_rng, seeds), np.empty((16, 300, spec.k)))
+    want = [np.random.default_rng(seed).standard_normal((300, spec.k)) @ root for seed in seeds]
+    assert np.array_equal(got, want)
+
+    got = simulation._variates(None, map(np.random.default_rng, seeds), np.empty((16, 300, spec.k)))
+    assert np.array_equal(got, [np.random.default_rng(seed).random((300, spec.k)) for seed in seeds])
 
 
 ALPHAS = st.floats(0.1, 10.0)
