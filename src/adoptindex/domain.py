@@ -137,6 +137,8 @@ def correlation_matrix(value: object, k: int, what: str) -> np.ndarray:
     if len(rows) != k or any(len(row) != k for row in rows):
         raise InputError(f"{what} must be {k}x{k}")
     corr = np.array(rows)
+    if not np.isfinite(corr).all():  # np.allclose reads inf as close to inf, and eigvalsh gives NaN
+        raise InputError(f"{what} entries must be finite")
     if not np.allclose(corr, corr.T, atol=1e-12):
         raise InputError(f"{what} must be symmetric")
     if not np.allclose(np.diag(corr), 1.0, atol=1e-12):

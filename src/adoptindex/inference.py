@@ -27,8 +27,9 @@ two-sample test's Welch tail, ``_two_sample``, takes indices and index
 variances, so the Monte Carlo size study runs it without building datasets;
 it alone computes the Welch degrees of freedom.
 
-Every function here is scalar, on one sample; the Monte Carlo studies reduce a
-chunk of samples at once, bit for bit the same, in ``simulation._chunk_arguments``.
+One kernel, ``_delta_form``, forms and sums the delta-method terms of one sample for
+``index_variance`` and of a Monte Carlo chunk for ``simulation._chunk_arguments``, so a
+chunk's variances are the scalar chain's bit for bit.
 """
 
 from __future__ import annotations
@@ -103,12 +104,23 @@ class ConfidenceInterval:
     clamped: bool
 
 
+def _delta_form(gradients, weights, cov: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | float]:
+    """The read-only delta-method terms g_j g_l cov_jl / n, g = weights * gradients, over any
+    leading batch axes of ``gradients`` [..., k] and ``cov`` [..., k, k], and each sample's sum.
+    As in Python floats, an overflow gives inf and inf - inf gives NaN, silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.multiply(gradients, weights)
+        terms = g[..., :, None] * g[..., None, :] * cov / n
+        terms.setflags(write=False)
+        return terms, terms.sum(axis=(-2, -1))
+
+
 def index_variance(
     moments: MomentEstimate,
     spec: StudySpec,
     correlation: np.ndarray | None = None,
 ) -> VarianceEstimate:
-    """Delta-method variance of the estimated global index.
+    """Delta-method variance of the estimated global index, the sum of ``_delta_form``'s terms.
 
     ``correlation`` optionally replaces the sample correlation matrix (for example to force
     independence) and is checked like a latent correlation; variances always come from the
@@ -122,19 +134,10 @@ def index_variance(
     """
     cov = moments.cov
     fixed = isinstance(cov, np.ndarray) and not cov.flags.writeable and cov.flags.owndata
-    if correlation is not None or not fixed:
-        return _index_variance(moments, spec, correlation)
-    memo = moments.__dict__.setdefault("_index_variances", {})
+    memo = moments.__dict__.setdefault("_index_variances", {}) if correlation is None and fixed else {}
     variance = memo.get(spec)
-    if variance is None:
-        variance = memo[spec] = _index_variance(moments, spec, None)
-    return variance
-
-
-def _index_variance(
-    moments: MomentEstimate, spec: StudySpec, correlation: np.ndarray | None
-) -> VarianceEstimate:
-    """``index_variance``, computed afresh."""
+    if variance is not None:
+        return variance
     if moments.scores.k != spec.k:
         raise SpecMismatch(f"{moments.scores.k} moment columns for a {spec.k}-model spec")
     for flag, model in zip(moments.degenerate, spec.models):
@@ -143,8 +146,7 @@ def _index_variance(
                 f"model {model.name!r} has zero sample variance; "
                 "the index variance is undefined"
             )
-    n = moments.n
-    sigma = np.asarray(moments.cov, dtype=float)
+    sigma = np.asarray(cov, dtype=float)
     if correlation is not None:
         corr = correlation_matrix(correlation, spec.k, "correlation override")
         variances = sigma.diagonal()
@@ -152,21 +154,13 @@ def _index_variance(
         sigma = corr * np.outer(sd, sd)
         np.fill_diagonal(sigma, variances)
     gradients = delta_gradient(moments.scores, spec)
-    # Python floats in the order of np.outer(g, g) * sigma / n, so every entry
-    # rounds as the array form does, without its dispatch on a k x k matrix
-    g = [w * d for w, d in zip(spec.weights, gradients)]
-    contributions = np.array(
-        [[gj * gl * s / n for gl, s in zip(g, row)] for gj, row in zip(g, sigma.tolist())]
-    )
-    with np.errstate(invalid="ignore"):  # inf - inf: a NaN that _psd_sum refuses as not finite
-        raw = float(contributions.sum())
-    value = _psd_sum(raw, contributions, "index variance")
+    contributions, raw = _delta_form(gradients, spec.weights, sigma, moments.n)
+    value = _psd_sum(float(raw), contributions, "index variance")  # NaN from inf - inf: not finite
     if raw < 0:
         contributions = np.zeros_like(contributions)
-    contributions.setflags(write=False)
-    return VarianceEstimate(
-        value=value, contributions=contributions, gradients=gradients, n_used=n
-    )
+        contributions.setflags(write=False)
+    memo[spec] = variance = VarianceEstimate(value, contributions, gradients, moments.n)
+    return variance
 
 
 def one_sample_test(

@@ -19,8 +19,9 @@ each from its own stream into one buffer (the stream of a lone draw, which
 rotated by one stacked product, bitwise equal to each sample's own, and a chunk's
 stages are counted in the narrowest unsigned type that holds the largest m, then
 widened to int64 for the sums. ``_chunk_arguments`` turns those into moments with
-``_from_sums``'s kernel (``estimation._moments``, in Python ints past 2^53), or (coverage, size) into indices and variances in one numpy
-pass, bitwise equal to the scalar functions. Each study's one statistic, which alone
+``_from_sums``'s kernel (``estimation._moments``, in Python ints past 2^53), or (coverage,
+size) into indices and variances with ``index_variance``'s (``inference._delta_form``):
+both chains are bitwise equal through one kernel each. Each study's one statistic, which alone
 runs per replication, takes each sample's moments, or its index and variance. A
 replication that a scalar function would refuse gets them from ``_from_sums`` and
 the scalar functions, so refusals are those users get.
@@ -46,8 +47,8 @@ from .domain import AdoptionDataset, PmfSpec, StudySpec, _integer, _require_exac
 from .errors import BoundaryScore, DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
 from .estimation import MomentEstimate, ScoreEstimate, _correlations, _from_sums, _moments
 from .index import IndexValue, delta_derivative, delta_gradient, global_index, subindex
-from .inference import (VarianceEstimate, _interval_df, _psd_sum, _two_sample, confidence_interval,
-                        index_variance)
+from .inference import (VarianceEstimate, _delta_form, _interval_df, _psd_sum, _two_sample,
+                        confidence_interval, index_variance)
 
 STUDY_KINDS = ("normality", "coverage", "size", "variance-ratio")
 
@@ -227,12 +228,16 @@ def true_index(pmf: PmfSpec, spec: StudySpec) -> TruePopulation:
 
 
 def latent_cross_covariance(pmf: PmfSpec, spec: StudySpec, j: int, l: int) -> float:
-    """Population covariance of stage columns j and l under the copula.
+    """Population covariance of stage columns j and l (ints in 0..k-1) under the copula.
 
     Uses X = sum_{a>=1} 1[X >= a] so E[X_j X_l] is a sum of bivariate
     normal orthant probabilities over the latent thresholds.
     """
     _check_pmf_alignment(pmf, spec)
+    for name, position in (("j", j), ("l", l)):
+        _integer(position, name, 0)
+        if position >= spec.k:
+            raise InputError(f"{name} must be a model position below k = {spec.k}, got {position}")
     if pmf.latent_correlation is None:
         return 0.0
     rho = float(pmf.latent_correlation[j, l])
@@ -431,9 +436,9 @@ def _chunk_arguments(n: int, spec: StudySpec | None, chunk: list) -> list:
     ``_from_sums`` gives, or with ``spec`` the IndexValue and VarianceEstimate of ``global_index``
     and ``index_variance``, or None where either refuses or the form is negative or not finite
     (the scalar chain's ``_psd_sum`` reads it as 0.0 or refuses it); moments alone are never
-    None. They come from ``_moments`` and ``_correlations``, as ``_from_sums``'s do, in Python
-    ints for a sample past 2^53. Bit for bit: numpy does only + - * /, sqrt, comparisons,
-    clipping; powers, ``fsum`` stay in math."""
+    None. Moments come from ``_moments`` and ``_correlations`` (Python ints past 2^53), and
+    variances from ``_delta_form``, as the scalar chain's do. Bit for bit: numpy does only
+    + - * /, sqrt, comparisons, clipping; powers, ``fsum`` stay in math."""
 
     def derivative(score: float, model) -> float:  # delta_derivative, NaN where it refuses
         try:
@@ -452,11 +457,7 @@ def _chunk_arguments(n: int, spec: StudySpec | None, chunk: list) -> list:
         columns = list(zip(scores.T.tolist(), spec.models))
         subs = np.array([[subindex(s, model) for s in column] for column, model in columns]).T
         gradients = np.array([[derivative(s, model) for s in column] for column, model in columns]).T
-        g = gradients * spec.weights
-        # index_variance's gj * gl * s / n, in its order; a refused derivative makes the value NaN
-        contributions = g[:, :, None] * g[:, None, :] * cov / n
-        contributions.setflags(write=False)
-        value = contributions.sum(axis=(1, 2))  # per sample, in the order contributions.sum() adds
+        contributions, value = _delta_form(gradients, spec.weights, cov, n)  # a refused derivative gives NaN
         index = [math.fsum(row) for row in (subs * spec.weights).tolist()]
         flagged |= degenerate.any(axis=1) | ~(value >= 0) | np.isinf(value)
         samples.append([(IndexValue(tuple(s), i), VarianceEstimate(v, c, tuple(d), n)) for s, i, v, d, c

@@ -244,6 +244,13 @@ def test_one_kernel_computes_the_moments_of_a_sample_and_of_a_chunk():
                                             ("simulation.py", "_chunk_arguments")]
 
 
+def test_one_kernel_forms_the_delta_method_variance_of_a_sample_and_of_a_chunk():
+    # one sample's delta-method terms and their sum and a Monte Carlo chunk's come from the
+    # same code, so the two cannot round apart, and a third copy would have to be named here
+    assert sorted(_callers("_delta_form")) == [("inference.py", "index_variance"),
+                                               ("simulation.py", "_chunk_arguments")]
+
+
 def test_the_int64_bound_is_checked_only_when_a_sample_type_is_built():
     # a dataset's exact sums and a plan's sampled sums are then exact wherever they are reduced
     assert sorted(_callers("_require_exact")) == [

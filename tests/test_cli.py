@@ -173,6 +173,21 @@ def test_spec_values_are_validated_not_coerced(capsys, tmp_path, model_fields, t
     assert err.startswith(f"error: {spec_path}: ") and named in err
 
 
+@pytest.mark.parametrize("study", ["normality", "coverage", "variance-ratio"])
+@pytest.mark.parametrize("entry", ["Infinity", "NaN"])
+def test_non_finite_latent_correlations_are_refused(capsys, tmp_path, study, entry):
+    # Infinity passed every check and drew from NaN normals; NaN was called asymmetric
+    models = json.dumps([{"name": name, "m": 5, "pmf": [1 / 6] * 6} for name in "AB"])
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(f'{{"models": {models}, "latent_correlation": [[1, {entry}], [{entry}, 1]]}}')
+    code, out, err = run_cli(
+        capsys, "simulate", "--spec", str(spec_path), "--study", study,
+        "--n", "50", "--replications", "200", "--seed", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {spec_path}: latent correlation entries must be finite\n"
+
+
 SHIFTED_MODELS = [{"name": "CMM", "m": 5, "add_zero_stage": True}]
 
 

@@ -109,19 +109,24 @@ class TestIndexVariance:
         assert forced.value == pytest.approx((v1 + v2) / (100 * ds.n), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "corr",
+        "corr,reason",
         [
-            [[1.0, 0.3], [0.2, 1.0]],
-            [[1.0, 1.5], [1.5, 1.0]],
-            [[0.5, 0.0], [0.0, 0.5]],
-            [["1", 0.0], [0.0, 1.0]],
-            np.eye(3),
+            ([[1.0, 0.3], [0.2, 1.0]], "must be symmetric"),
+            ([[1.0, 1.5], [1.5, 1.0]], "must be positive semi-definite"),
+            ([[0.5, 0.0], [0.0, 0.5]], "must have a unit diagonal"),
+            ([["1", 0.0], [0.0, 1.0]], "must be a number"),
+            (np.eye(3), "must be 2x2"),
+            # np.allclose reads inf as close to inf, and eigvalsh's NaN is below no floor
+            ([[1.0, math.inf], [math.inf, 1.0]], "entries must be finite"),
+            ([[1.0, math.nan], [math.nan, 1.0]], "entries must be finite"),
+            ([[math.inf, 0.0], [0.0, 1.0]], "entries must be finite"),
         ],
-        ids=["asymmetric", "not-psd", "not-unit-diagonal", "string-entry", "wrong-size"],
+        ids=["asymmetric", "not-psd", "not-unit-diagonal", "string-entry", "wrong-size", "inf",
+             "nan", "inf-diagonal"],
     )
-    def test_correlation_override_is_a_correlation_matrix(self, tam_cmm_spec, corr):
+    def test_correlation_override_is_a_correlation_matrix(self, tam_cmm_spec, corr, reason):
         ds = make_dataset(tam_cmm_spec, [(0, 5, 2, 3, 1), (1, 4, 0, 5, 3)])
-        with pytest.raises(InputError, match="correlation override"):
+        with pytest.raises(InputError, match=f"^correlation override.* {reason}"):
             index_variance(estimate_moments(ds), tam_cmm_spec, correlation=corr)
 
     def test_override_with_a_negative_eigenvalue_is_refused_past_rounding(self, tam_cmm_spec):
@@ -604,10 +609,10 @@ class TestSharedDowndates:
         for row_id in ds.row_ids:  # fill the dataset's memo, and each distinct row's variance memo
             one_sample_test(ds, row_id=row_id)
         computed = []
-        compute = inference._index_variance
-        monkeypatch.setattr(inference, "_index_variance", lambda *a: computed.append(a) or compute(*a))
+        form = inference._delta_form
+        monkeypatch.setattr(inference, "_delta_form", lambda *a: computed.append(a) or form(*a))
         warm = [one_sample_test(ds, row_id=row_id) for row_id in ds.row_ids]
-        assert computed == []  # a warm scan computes no variance
+        assert computed == []  # a warm scan computes no form
         variance = inference.index_variance
 
         def scaled(*args, **kwargs):  # the benchmark's variance fault

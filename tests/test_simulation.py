@@ -144,6 +144,19 @@ class TestLatentCrossCovariance:
         spec, pmf = linear_pair
         assert latent_cross_covariance(pmf, spec, 0, 1) == 0.0
 
+    @pytest.mark.parametrize("latent", [None, [[1, 0.6], [0.6, 1]]], ids=["independent", "copula"])
+    @pytest.mark.parametrize(
+        "j,l,named",
+        [(7, 9, "j"), (-1, 0, "j"), (0, 2, "l"), (0.0, 1, "j"), (True, 0, "j"), (0, "1", "l"),
+         (np.int64(0), 1, "j")],
+        ids=["past-k", "negative", "l-equals-k", "float", "bool", "string", "numpy-int"],
+    )
+    def test_model_positions_are_ints_below_k(self, latent, j, l, named):
+        spec = StudySpec([ModelSpec("A", 5), ModelSpec("B", 5)])
+        pmf = PmfSpec([UNIFORM6, UNIFORM6], latent_correlation=latent)
+        with pytest.raises(InputError, match=f"^{named} must be "):
+            latent_cross_covariance(pmf, spec, j, l)
+
     def test_zero_latent_correlation_gives_exactly_zero(self):
         # the orthant sum would leave about -2.7e-15 on these pmfs
         spec = StudySpec([ModelSpec("A", 5), ModelSpec("C", 4, alpha=0.5, beta=1)])
@@ -681,6 +694,15 @@ def scalar_arguments(n, spec, sums, cross):
     return moments, None if form < 0 else (index, variance)
 
 
+def twelve_model_chunk():
+    """Three samples of 40 random rows of twelve nonlinear models, as a ``chunks`` draw."""
+    spec = StudySpec([ModelSpec(f"M{j}", 3 + j % 4, alpha=0.5 + 0.25 * j, beta=1.0 + j % 3)
+                      for j in range(12)])
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, [model.m + 1 for model in spec.models], size=(3, 40, 12))
+    return spec, 40, x.sum(axis=1), x.swapaxes(1, 2) @ x
+
+
 @given(chunk=chunks(), paired=st.booleans())
 # a finite derivative whose square overflows: the variance is +inf, which index_variance refuses
 @example(chunk=(StudySpec([ModelSpec("A", 5, beta=1e200), ModelSpec("B", 5)]), 6,
@@ -688,6 +710,9 @@ def scalar_arguments(n, spec, sums, cross):
 # two such variances of opposite covariance sum inf - inf: refused, with no RuntimeWarning
 @example(chunk=(StudySpec([ModelSpec("M0", 1, beta=1e308), ModelSpec("M1", 1, beta=1e308)]), 2,
                 np.array([[1, 1]]), np.array([[[1, 0], [0, 1]]])), paired=False)
+# k = 12: 144 terms per form, past numpy's 8-way unrolled sum and its 128-term pairwise
+# block, so a chunk's per-sample sum must add in the order of one sample's
+@example(chunk=twelve_model_chunk(), paired=True)
 @settings(max_examples=300, deadline=None)
 def test_chunk_arguments_match_the_scalar_chain(chunk, paired):
     spec, n, sums, cross = chunk
