@@ -42,7 +42,8 @@ SHAPE_PRESETS: dict[str, tuple[float, float]] = {
     "convex": (3.0, 1.0),
     "s-shaped": (1.0, 3.0),
 }
-# each grid point is computed in Python: `surface` at 1000 (10^6 points) took 11 s and 331 MB on 2 vCPUs
+# the grid and its rendered report are held in memory whole: `surface` at 1000 (10^6 points) took
+# 2.6-2.8 s and a 300 MB peak RSS as a table, 7.6-8.0 s and 661 MB structured, on 2 vCPUs
 _MAX_RESOLUTION = 1000
 
 
@@ -122,7 +123,8 @@ def surface_grid(
 
     Returns (S1, S2, I) rows in row-major order with ``resolution`` points
     per axis (2 to 1000), endpoints included. The (0, 0) corner maps to 0
-    and the (m1, m2) corner to 1.
+    and the (m1, m2) corner to 1. A point's index is the sum of its axis
+    values' weighted sub-indices, each computed once: ``global_index``'s, bit for bit.
     """
     if spec.k != 2:
         raise UnsupportedArity(f"surface needs exactly 2 models, spec has {spec.k}")
@@ -130,16 +132,10 @@ def surface_grid(
         raise InvalidResolution(f"resolution must be an integer >= 2, got {resolution!r}")
     if resolution > _MAX_RESOLUTION:
         raise InvalidResolution(f"resolution must be at most {_MAX_RESOLUTION}, got {resolution}")
-
-    def axis(m: int) -> list[float]:
-        step = m / (resolution - 1)
-        points = [i * step for i in range(resolution)]
-        points[-1] = float(m)
-        return points
-
-    m1, m2 = spec.stage_maxima
-    return [
-        (s1, s2, global_index(ScoreEstimate((s1, s2), n=1), spec).value)
-        for s1 in axis(m1)
-        for s2 in axis(m2)
-    ]
+    last = resolution - 1
+    # m / last divides the exact int: np.linspace rounds an m past 2^53 first, and fails past 2^64
+    first, second = (
+        [(s, w * subindex(s, model)) for s in [i * (model.m / last) for i in range(last)] + [float(model.m)]]
+        for model, w in zip(spec.models, spec.weights)
+    )
+    return [(s1, s2, u + v) for s1, u in first for s2, v in second]

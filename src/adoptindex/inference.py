@@ -107,7 +107,7 @@ class ConfidenceInterval:
 def _delta_form(gradients, weights, cov: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | float]:
     """The read-only delta-method terms g_j g_l cov_jl / n, g = weights * gradients, over any
     leading batch axes of ``gradients`` [..., k] and ``cov`` [..., k, k], and each sample's sum.
-    As in Python floats, an overflow gives inf and inf - inf gives NaN, silently."""
+    As in Python floats, overflow gives inf and inf - inf gives NaN silently: callers need no errstate."""
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.multiply(gradients, weights)
         terms = g[..., :, None] * g[..., None, :] * cov / n

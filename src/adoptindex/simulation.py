@@ -430,7 +430,6 @@ def _sampled_sums(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[l
             yield [(x.sum(axis=2), x @ x.swapaxes(-1, -2)) for x in stages]
 
 
-@np.errstate(all="ignore")  # as in Python floats, overflow gives inf and 0 / 0 gives NaN silently
 def _chunk_arguments(n: int, spec: StudySpec | None, chunk: list) -> list:
     """Per replication of a chunk from ``_sampled_sums``, per sample: the MomentEstimate that
     ``_from_sums`` gives, or with ``spec`` the IndexValue and VarianceEstimate of ``global_index``

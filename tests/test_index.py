@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from decimal import Decimal, localcontext
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adoptindex import (
+    SHAPE_PRESETS,
     ModelSpec,
     ScoreEstimate,
     StudySpec,
@@ -28,6 +30,8 @@ from adoptindex.errors import (
 
 ALPHAS = st.floats(0.1, 10.0)
 BETAS = st.floats(1.0, 5.0)
+# (alpha, beta) of a model on a surface grid; at beta = 1e5 most of a grid's powers underflow to 0
+GRID_SHAPES = st.tuples(st.floats(1e-3, 50.0), st.floats(1.0, 1e5))
 
 
 def ratio_form(score, m, alpha, beta):
@@ -238,6 +242,31 @@ class TestDeltaDerivative:
             delta_gradient(ScoreEstimate((2.0, 0.0), n=3), spec)
 
 
+def reference_surface(spec, resolution):
+    """One ``global_index`` per point, on axes of i * (m / (r - 1)) ending at float(m)."""
+
+    def axis(m):
+        step = m / (resolution - 1)
+        points = [i * step for i in range(resolution)]
+        points[-1] = float(m)
+        return points
+
+    m1, m2 = spec.stage_maxima
+    return [
+        (s1, s2, global_index(ScoreEstimate((s1, s2), n=1), spec).value)
+        for s1 in axis(m1)
+        for s2 in axis(m2)
+    ]
+
+
+def _each_preset_pair(test):
+    """``example`` decorators for every ordered pair of shape presets."""
+    for first, second in itertools.product(sorted(SHAPE_PRESETS), repeat=2):
+        test = example(m1=5, m2=6, shape1=SHAPE_PRESETS[first], shape2=SHAPE_PRESETS[second],
+                       weight=None, resolution=25)(test)
+    return test
+
+
 class TestSurfaceGrid:
     def test_corners(self, tam_cmm_spec):
         rows = surface_grid(tam_cmm_spec, 6)
@@ -277,7 +306,7 @@ class TestSurfaceGrid:
         def _no_points(*args):
             raise AssertionError("a grid point was computed")
 
-        monkeypatch.setattr(index, "global_index", _no_points)
+        monkeypatch.setattr(index, "subindex", _no_points)
         with pytest.raises(InvalidResolution, match="^resolution must be at most 1000, got 1001$"):
             surface_grid(tam_cmm_spec, 1001)
         # the refusal below the range keeps its message, and the bound itself is allowed
@@ -285,6 +314,53 @@ class TestSurfaceGrid:
             surface_grid(tam_cmm_spec, 1)
         with pytest.raises(AssertionError, match="a grid point was computed"):
             surface_grid(tam_cmm_spec, 1000)
+
+    @given(
+        m1=st.integers(1, 60),
+        m2=st.integers(1, 60),
+        shape1=GRID_SHAPES,
+        shape2=GRID_SHAPES,
+        weight=st.none() | st.floats(0.01, 0.99),
+        resolution=st.integers(2, 80),
+    )
+    @settings(max_examples=60, deadline=None)
+    @_each_preset_pair
+    # an m past 2^53 that is no float: a step from float(m) would differ in the last bit
+    @example(m1=2**53 + 1, m2=3, shape1=(1.0, 1.0), shape2=(0.5, 2.0), weight=0.3, resolution=7)
+    # an m past 2^64, which np.linspace(0, m, r) refuses
+    @example(m1=4, m2=2**64 + 1, shape1=(2.0, 3.0), shape2=(1.0, 1.0), weight=None, resolution=5)
+    def test_grid_matches_the_per_point_global_index_bitwise(
+        self, m1, m2, shape1, shape2, weight, resolution
+    ):
+        weights = (None, None) if weight is None else (weight, 1.0 - weight)
+        spec = StudySpec([
+            ModelSpec("A", m1, *shape1, weight=weights[0]),
+            ModelSpec("B", m2, *shape2, weight=weights[1]),
+        ])
+        rows = surface_grid(spec, resolution)
+        expected = reference_surface(spec, resolution)
+        assert [tuple(map(float.hex, row)) for row in rows] == [
+            tuple(map(float.hex, row)) for row in expected
+        ]
+
+    @pytest.mark.parametrize("resolution", [2, 50, 1000])
+    def test_each_axis_value_is_transformed_once(self, resolution, monkeypatch):
+        spec = StudySpec([ModelSpec("A", 5, beta=3.0, weight=0.4), ModelSpec("B", 6, weight=0.6)])
+        calls = []
+
+        def counted(score, model):
+            calls.append(model.name)
+            return subindex(score, model)
+
+        def _per_point(*args, **kwargs):
+            raise AssertionError("a per-point index was built")
+
+        monkeypatch.setattr(index, "subindex", counted)
+        for name in ("global_index", "ScoreEstimate", "IndexValue"):
+            monkeypatch.setattr(index, name, _per_point)
+        rows = surface_grid(spec, resolution)
+        assert len(rows) == resolution**2
+        assert sorted(calls) == ["A"] * resolution + ["B"] * resolution
 
     def test_monotone_in_both_axes_for_mixed_shapes(self):
         spec = StudySpec([ModelSpec("A", 5, beta=3.0), ModelSpec("B", 5)])
