@@ -35,6 +35,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -170,6 +171,9 @@ class ModelSpec:
         if not isinstance(self.name, str) or not self.name:
             raise InputError(f"model name must be a non-empty string, got {self.name!r}")
         _integer(self.m, f"model {self.name!r}: m", 1)
+        if self.m > sys.float_info.max:  # every score, sub-index and derivative works in float(m)
+            raise InputError(f"model {self.name!r}: m must be at most {sys.float_info.max!r}, "
+                             f"got an integer of {self.m.bit_length()} bits")
         alpha = _number(self.alpha, f"model {self.name!r}: alpha")
         if not (math.isfinite(alpha) and alpha > 0):
             raise InputError(f"model {self.name!r}: alpha must be > 0, got {alpha!r}")

@@ -23,9 +23,10 @@ formula). Tests:
 * two-sample: unequal variances, Welch-Satterthwaite degrees of freedom.
 
 Both tests share one tail from statistic to p-value to outcome. The
-two-sample test's Welch tail, ``_two_sample``, takes indices and index
-variances, so the Monte Carlo size study runs it without building datasets;
-it alone computes the Welch degrees of freedom.
+two-sample test's Welch statistic and degrees of freedom, ``_welch``, take
+indices and index variances, so the Monte Carlo size study computes them
+without building datasets or outcomes; it alone computes the Welch degrees
+of freedom.
 
 One kernel, ``_delta_form``, forms and sums the delta-method terms of one sample for
 ``index_variance`` and of a Monte Carlo chunk for ``simulation._chunk_arguments``, so a
@@ -228,17 +229,17 @@ def two_sample_test(
     significance = _require_level(significance, "significance")
     _require_sidedness(sidedness)
     variances = tuple(index_variance(m, spec).value for m in moments)
-    return _two_sample(
-        tuple(global_index(m.scores, spec).value for m in moments), variances,
-        tuple(m.n for m in moments), spec.k, sidedness, significance,
-    )
+    indices = tuple(global_index(m.scores, spec).value for m in moments)
+    sizes = tuple(m.n for m in moments)
+    df = _welch(indices, variances, sizes, spec.k)[1]
+    return _outcome(indices, variances, sizes, df, sidedness, significance)
 
 
-def _two_sample(indices: tuple[float, float], variances: tuple[float, float], sizes: tuple[int, int],
-                k: int, sidedness: Sidedness, significance: float) -> TestOutcome:
-    """Welch comparison of two samples given their indices, index variances and sizes: the
-    tail of ``two_sample_test`` and of each replication of the size study. The degrees of
-    freedom are Welch-Satterthwaite's
+def _welch(indices: tuple[float, float], variances: tuple[float, float], sizes: tuple[int, int],
+           k: int) -> tuple[float, float]:
+    """The Welch statistic of two samples given their indices, index variances and sizes, as
+    ``_outcome`` forms it, and its degrees of freedom, for ``two_sample_test`` and each
+    replication of the size study. The degrees of freedom are Welch-Satterthwaite's
 
         nu = (vA + vB)^2 / (vA^2/(nA - k) + vB^2/(nB - k)),
 
@@ -248,14 +249,14 @@ def _two_sample(indices: tuple[float, float], variances: tuple[float, float], si
         raise DegenerateVariance(
             "both weighted stage combinations are constant; no variance to test against"
         )
+    statistic = (indices[0] - indices[1]) / math.sqrt(v_a + v_b)
     top = max(v_a, v_b)
     if not 2.0**-500 <= top <= 2.0**500:
         # nu is scale-free: a common power of two keeps the squares from underflow and overflow
         shift = -math.frexp(top)[1]
         v_a, v_b = math.ldexp(v_a, shift), math.ldexp(v_b, shift)
     n_a, n_b = sizes
-    df = (v_a + v_b) ** 2 / (v_a**2 / (n_a - k) + v_b**2 / (n_b - k))
-    return _outcome(indices, variances, sizes, df, sidedness, significance)
+    return statistic, (v_a + v_b) ** 2 / (v_a**2 / (n_a - k) + v_b**2 / (n_b - k))
 
 
 def _outcome(

@@ -13,18 +13,19 @@ numpy, and numpy's PCG64 seeds itself from each sample's four hashed words: the
 streams are bit for bit those of ``spawn`` and ``default_rng``, which
 ``sample_dataset`` still calls.
 
-Studies draw replications in chunks of at most ``_CHUNK_CELLS`` stage cells,
-each from its own stream into one buffer (the stream of a lone draw, which
-``sample_dataset`` makes), and reduce a chunk to integer sums. A copula chunk is
-rotated by one stacked product, bitwise equal to each sample's own, and a chunk's
-stages are counted in the narrowest unsigned type that holds the largest m, then
-widened to int64 for the sums. ``_chunk_arguments`` turns those into moments with
-``_from_sums``'s kernel (``estimation._moments``, in Python ints past 2^53), or (coverage,
-size) into indices and variances with ``index_variance``'s (``inference._delta_form``):
-both chains are bitwise equal through one kernel each. Each study's one statistic, which alone
-runs per replication, takes each sample's moments, or its index and variance. A
-replication that a scalar function would refuse gets them from ``_from_sums`` and
-the scalar functions, so refusals are those users get.
+Studies draw replications in chunks of at most ``_CHUNK_CELLS`` stage cells, each
+from its own stream into one buffer (the stream of a lone draw, which ``sample_dataset``
+makes). A copula chunk is rotated by one stacked product, bitwise equal to each sample's
+own; a chunk's stages are counted in the narrowest unsigned type that holds the largest
+m, then widened to int64 and reduced to integer sums in its seed block's arrays. Once per
+seed block, ``_chunk_arguments`` turns the sums into moments with ``_from_sums``'s kernel
+(``estimation._moments``, in Python ints past 2^53), or into indices and variances with
+``index_variance``'s (``inference._delta_form``): both chains are bitwise equal through one
+kernel each. It builds a replication's objects only as the study's one statistic, which
+alone runs per replication, takes them: each sample's moments, or its index and variance.
+``variance-ratio`` takes moments that hold their variance, so its ``index_variance`` call is
+a memo hit. A replication that a scalar function would refuse gets them from ``_from_sums``
+and the scalar functions, so refusals are those users get.
 
 Cross-model dependence is induced by a latent normal copula: correlated
 standard normals are pushed through each model's stage quantile
@@ -44,11 +45,12 @@ from statistics import NormalDist
 import numpy as np
 
 from .domain import AdoptionDataset, PmfSpec, StudySpec, _integer, _require_exact
-from .errors import BoundaryScore, DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
+from .errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
 from .estimation import MomentEstimate, ScoreEstimate, _correlations, _from_sums, _moments
-from .index import IndexValue, delta_derivative, delta_gradient, global_index, subindex
-from .inference import (VarianceEstimate, _delta_form, _interval_df, _psd_sum, _two_sample,
+from .index import IndexValue, delta_gradient, global_index, subindex
+from .inference import (VarianceEstimate, _delta_form, _interval_df, _psd_sum, _welch,
                         confidence_interval, index_variance)
+from .tdist import student_t_pvalue
 
 STUDY_KINDS = ("normality", "coverage", "size", "variance-ratio")
 
@@ -392,14 +394,14 @@ def _draw(root: np.ndarray | None, cuts: list, rngs, draws: np.ndarray) -> np.nd
     for j, model_cuts in enumerate(cuts):
         column = variates[..., j].copy()  # contiguous, so each comparison runs at full speed
         for c in model_cuts:
-            stages[j] += column > c
+            stages[j] += (column > c).view(np.uint8)  # a bool is a byte: no bool -> uint8 cast
     return stages.transpose(1, 0, 2).astype(np.int64)
 
 
 def _sampled_sums(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[list]:
-    """Each chunk's int64 column sums [B, k] and cross-products [B, k, k], one pair
-    per pmf. Replication r owns child r of the plan's seed, and with two pmfs sample
-    i its grandchild i. A block of whole chunks is hashed at once, and numpy's PCG64
+    """Each seed block's int64 column sums [B, k] and cross-products [B, k, k], one pair
+    per pmf, filled chunk by chunk. Replication r owns child r of the plan's seed, and with
+    two pmfs sample i its grandchild i. A block of whole chunks is hashed at once, and numpy's PCG64
     seeds itself from each sample's words, which ``Words`` hands it as a seed sequence
     would; ``Words`` is made per study, as a subclass made at import would load
     ``numpy.random`` with the CLI."""
@@ -421,47 +423,67 @@ def _sampled_sums(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[l
     for block in range(0, plan.replications, per_block):
         words = _stream_words(
             plan.seed, range(block, min(block + per_block, plan.replications)), len(pmfs))
+        sums = [(np.empty((len(words), k), np.int64), np.empty((len(words), k, k), np.int64))
+                for _ in pmfs]
         for start in range(0, len(words), per_chunk):
             chunk = words[start : start + per_chunk]
-            # each _draw returns fresh stages, so the shared buffer may be reused at once
-            stages = [_draw(*sampler, (np.random.Generator(np.random.PCG64(Words(row)))
-                                       for row in chunk[:, i]), draws[: len(chunk)])
-                      for i, sampler in enumerate(samplers)]
-            yield [(x.sum(axis=2), x @ x.swapaxes(-1, -2)) for x in stages]
+            for i, sampler in enumerate(samplers):
+                # each _draw returns fresh stages, so the shared buffer may be reused at once
+                x = _draw(*sampler, (np.random.Generator(np.random.PCG64(Words(row)))
+                                     for row in chunk[:, i]), draws[: len(chunk)])
+                x.sum(axis=2, out=sums[i][0][start : start + len(chunk)])
+                np.matmul(x, x.swapaxes(-1, -2), out=sums[i][1][start : start + len(chunk)])
+        yield sums
 
 
-def _chunk_arguments(n: int, spec: StudySpec | None, chunk: list) -> list:
-    """Per replication of a chunk from ``_sampled_sums``, per sample: the MomentEstimate that
-    ``_from_sums`` gives, or with ``spec`` the IndexValue and VarianceEstimate of ``global_index``
-    and ``index_variance``, or None where either refuses or the form is negative or not finite
-    (the scalar chain's ``_psd_sum`` reads it as 0.0 or refuses it); moments alone are never
-    None. Moments come from ``_moments`` and ``_correlations`` (Python ints past 2^53), and
-    variances from ``_delta_form``, as the scalar chain's do. Bit for bit: numpy does only
-    + - * /, sqrt, comparisons, clipping; powers, ``fsum`` stay in math."""
-
-    def derivative(score: float, model) -> float:  # delta_derivative, NaN where it refuses
-        try:
-            return delta_derivative(score, model)
-        except BoundaryScore:
-            return math.nan
-
-    samples, flagged = [], np.zeros(len(chunk[0][0]), dtype=bool)
-    for sums, cross in chunk:
+def _chunk_arguments(n: int, spec: StudySpec | None, block: list, keep_moments: bool = False) -> Iterator:
+    """Per replication of a seed block from ``_sampled_sums``, built only as it is taken, per
+    sample: the MomentEstimate that ``_from_sums`` gives, or with ``spec`` the IndexValue and
+    VarianceEstimate of ``global_index`` and ``index_variance`` (with ``keep_moments``, the
+    MomentEstimate, holding that variance where ``index_variance`` looks it up, and the IndexValue),
+    or None where either refuses or the form is negative or not finite (the scalar chain's ``_psd_sum``
+    reads it as 0.0 or refuses it); moments alone are never None. Moments come from ``_moments`` and
+    ``_correlations`` (Python ints past 2^53), derivatives from the sub-indices in ``delta_derivative``'s
+    order (NaN where it refuses), and variances from ``_delta_form``, as the scalar chain's do. Bit
+    for bit: numpy does only + - * /, sqrt, comparisons, clipping; powers, ``fsum`` stay in math."""
+    samples, flagged = [], np.zeros(len(block[0][0]), dtype=bool)
+    for sums, cross in block:
         scores, cov, degenerate = _moments(n, sums, cross)
+        moments = scores.tolist(), cov, _correlations(cov, degenerate), degenerate.tolist()
         if spec is None:
-            corr = _correlations(cov, degenerate)
-            samples.append([(MomentEstimate(ScoreEstimate(tuple(s), n), c, r, tuple(d)),) for s, c, r, d
-                            in zip(scores.tolist(), cov, corr, degenerate.tolist())])
+            samples.append(moments)
             continue
-        columns = list(zip(scores.T.tolist(), spec.models))
-        subs = np.array([[subindex(s, model) for s in column] for column, model in columns]).T
-        gradients = np.array([[derivative(s, model) for s in column] for column, model in columns]).T
-        contributions, value = _delta_form(gradients, spec.weights, cov, n)  # a refused derivative gives NaN
+        m, beta, linear = np.array([(float(x.m), x.beta, x.is_linear) for x in spec.models]).T
+        subs = np.array([[subindex(s, model) for s in column]
+                         for column, model in zip(scores.T.tolist(), spec.models)]).T
+        # subindex refuses S outside [0, m], and a nonlinear f is 0 or 1 at S = 0 or m: 0/0, NaN
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            gradients = np.where(linear, 1.0 / m, beta * m * subs * (1.0 - subs) / (scores * (m - scores)))
+        gradients[~np.isfinite(gradients)] = math.nan
+        contributions, value = _delta_form(gradients, spec.weights, cov, n)  # a NaN derivative gives NaN
         index = [math.fsum(row) for row in (subs * spec.weights).tolist()]
         flagged |= degenerate.any(axis=1) | ~(value >= 0) | np.isinf(value)
-        samples.append([(IndexValue(tuple(s), i), VarianceEstimate(v, c, tuple(d), n)) for s, i, v, d, c
-                        in zip(subs.tolist(), index, value.tolist(), gradients.tolist(), contributions)])
-    return [None if f else sum(row, ()) for f, row in zip(flagged.tolist(), zip(*samples))]
+        samples.append((moments, subs.tolist(), index, value.tolist(), gradients.tolist(), contributions))
+
+    def estimate(scores, cov, corr, degenerate, r) -> MomentEstimate:
+        own = cov[r].copy()  # read-only and owning its memory, so index_variance may keep on it
+        own.setflags(write=False)
+        return MomentEstimate(ScoreEstimate(tuple(scores[r]), n), own, corr[r], tuple(degenerate[r]))
+
+    for r, refused in enumerate(flagged.tolist()):
+        if spec is None or refused:
+            yield None if refused else tuple(estimate(*moments, r) for moments in samples)
+            continue
+        arguments = ()
+        for moments, subs, index, value, gradients, contributions in samples:
+            pair = IndexValue(tuple(subs[r]), index[r]), VarianceEstimate(
+                value[r], contributions[r], tuple(gradients[r]), n)
+            if keep_moments:
+                kept = estimate(*moments, r)
+                kept.__dict__["_index_variances"] = {spec: pair[1]}  # index_variance's memo
+                pair = kept, pair[0]
+            arguments += pair
+        yield arguments
 
 
 # --- studies -----------------------------------------------------------------
@@ -484,26 +506,27 @@ def _moments_of(z: np.ndarray) -> tuple[float, float, float, float]:
     return mean, _sample_variance(z), skewness, excess_kurtosis
 
 
-def _accepted(
-    plan: SimulationPlan, pmfs: tuple[PmfSpec, ...], statistic, spec: StudySpec | None = None
-) -> tuple[np.ndarray, tuple[str, ...]]:
+def _accepted(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...], statistic, spec: StudySpec | None = None,
+              keep_moments: bool = False) -> tuple[np.ndarray, tuple[str, ...]]:
     """``statistic`` of every replication that it does not refuse, one column per
     replication and one row per value, and a note counting the refused ones. Raises
     the first refusal when it refuses every replication.
 
     ``statistic`` takes per sample a MomentEstimate, or with ``spec`` an IndexValue and a
-    VarianceEstimate, from ``_chunk_arguments``. Where that has none, a replication the
-    scalar chain refuses or reads as 0.0, they come from ``_from_sums``, ``global_index``
-    and ``index_variance``: the values or refusal users would get."""
+    VarianceEstimate (a MomentEstimate and an IndexValue with ``keep_moments``), from one
+    ``_chunk_arguments`` call per seed block. Where that has none, a replication the scalar
+    chain refuses or reads as 0.0, they come from ``_from_sums``, ``global_index`` and
+    ``index_variance``: the values or refusal users would get."""
     n = plan.n
     values, accepted, first = None, 0, None
-    for chunk in _sampled_sums(plan, pmfs):
-        for r, arguments in enumerate(_chunk_arguments(n, spec, chunk)):
+    for block in _sampled_sums(plan, pmfs):
+        for r, arguments in enumerate(_chunk_arguments(n, spec, block, keep_moments)):
             try:
                 if arguments is None:  # only with spec: moments alone are never refused
-                    moments = [_from_sums(n, s[r].tolist(), c[r].tolist()) for s, c in chunk]
-                    arguments = [x for m in moments for x in (global_index(m.scores, spec),
-                                                             index_variance(m, spec))]
+                    moments = [_from_sums(n, s[r].tolist(), c[r].tolist()) for s, c in block]
+                    arguments = [x for m in moments for x in (
+                        (m, global_index(m.scores, spec)) if keep_moments
+                        else (global_index(m.scores, spec), index_variance(m, spec)))]
                 value = statistic(*arguments)
             except StatisticalRefusal as exc:
                 first = first or exc
@@ -595,8 +618,9 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
         pmf_b = plan.pmf_alternative if plan.pmf_alternative is not None else plan.pmf
 
         def rejects(index_a, variance_a, index_b, variance_b):
-            return _two_sample((index_a.value, index_b.value), (variance_a.value, variance_b.value),
-                               (plan.n, plan.n), plan.spec.k, "two", _SIGNIFICANCE).reject
+            statistic, df = _welch((index_a.value, index_b.value), (variance_a.value, variance_b.value),
+                                   (plan.n, plan.n), plan.spec.k)
+            return student_t_pvalue(statistic, df, "two") < _SIGNIFICANCE
 
         (rejections,), refusals = _accepted(plan, (plan.pmf, pmf_b), rejects, plan.spec)
         rate = int(rejections.sum()) / rejections.size
@@ -613,11 +637,10 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
             checks = {"power_above_floor": rate >= _POWER_FLOOR}
 
     else:  # variance-ratio
-        def index_and_variance(moments):
-            return (global_index(moments.scores, plan.spec).value,
-                    index_variance(moments, plan.spec).value)
+        def index_and_variance(moments, index):  # the kernel's variance, a memo hit
+            return index.value, index_variance(moments, plan.spec).value
 
-        (i_hat, v_hat), refusals = _accepted(plan, (plan.pmf,), index_and_variance)
+        (i_hat, v_hat), refusals = _accepted(plan, (plan.pmf,), index_and_variance, plan.spec, True)
         empirical_variance = _sample_variance(i_hat)
         if empirical_variance == 0.0:
             raise DegenerateVariance(

@@ -35,21 +35,21 @@ def make_dataset(spec, columns):
     return validate_dataset(rows, spec)
 
 
-def record_two_sample_calls(monkeypatch, module):
-    """Wrap ``module._two_sample`` so that each call's variances, sizes and k are kept."""
+def record_welch_calls(monkeypatch, module):
+    """Wrap ``module._welch`` so that each call's variances, sizes and k are kept."""
     calls = []
-    original = module._two_sample
+    original = module._welch
 
-    def recording(indices, variances, sizes, k, *rest):
+    def recording(indices, variances, sizes, k):
         calls.append((variances, sizes, k))
-        return original(indices, variances, sizes, k, *rest)
+        return original(indices, variances, sizes, k)
 
-    monkeypatch.setattr(module, "_two_sample", recording)
+    monkeypatch.setattr(module, "_welch", recording)
     return calls
 
 
 def assert_welch_inputs_judged(calls):
-    """What ``_two_sample`` takes on trust: finite, non-negative variances and int sizes above k."""
+    """What ``_welch`` takes on trust: finite, non-negative variances and int sizes above k."""
     assert calls
     for variances, sizes, k in calls:
         assert all(isinstance(v, float) and math.isfinite(v) and v >= 0 for v in variances), variances

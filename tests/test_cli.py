@@ -330,6 +330,19 @@ def test_malformed_spec_file_names_the_file(capsys, tmp_path, data_file, spec, n
     assert err.startswith(f"error: {spec_path}: ") and named in err
 
 
+@pytest.mark.parametrize("command", [["surface", "--resolution", "3"], ["compute"]])
+def test_an_m_past_the_float_range_names_the_spec_file(capsys, tmp_path, data_file, command):
+    # every score and sub-index works in float(m), which would overflow
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"models": [{"name": "TAM", "m": 5}, {"name": "CMM", "m": 10**400}]}))
+    data = ["--data", data_file] if command == ["compute"] else []
+    code, out, err = run_cli(capsys, *command, "--spec", str(spec_path), *data)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {spec_path}: model 'CMM': m must be at most 1.7976931348623157e+308, "
+                   "got an integer of 1329 bits\n")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("target", ["missing.csv", "."], ids=["missing", "a-dir"])
 def test_unreadable_data_file_names_the_file(capsys, spec_file, tmp_path, target):
     path = tmp_path / target

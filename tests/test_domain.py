@@ -42,6 +42,7 @@ class TestModelSpec:
             {"m": 0},
             {"m": -1},
             {"m": 2.0},
+            {"m": 10**400},
             {"alpha": 0.0},
             {"alpha": -1.0},
             {"beta": 0.5},
@@ -58,6 +59,14 @@ class TestModelSpec:
         base = {"name": "M", "m": 5}
         with pytest.raises(InputError):
             ModelSpec(**{**base, **kwargs})
+
+    def test_m_is_at_most_the_largest_float(self):
+        # every score, sub-index and derivative works in float(m)
+        largest = int(sys.float_info.max)
+        assert ModelSpec("M", largest).m == largest
+        with pytest.raises(InputError) as info:
+            ModelSpec("M", largest + 1)
+        assert str(info.value) == "model 'M': m must be at most 1.7976931348623157e+308, got an integer of 1024 bits"
 
 
 class TestStudySpec:

@@ -42,7 +42,7 @@ from adoptindex.errors import (
     StatisticalRefusal,
 )
 from adoptindex.estimation import _from_sums
-from conftest import assert_welch_inputs_judged, make_dataset, record_two_sample_calls
+from conftest import assert_welch_inputs_judged, make_dataset, record_welch_calls
 
 
 def synthetic_moments(variances, rho, scores=None, n=100):
@@ -309,8 +309,8 @@ class TestVarianceMemo:
 
 
 def welch_df(v_a, v_b, n_a, n_b, k):
-    """The Welch-Satterthwaite df that ``_two_sample`` gives ``test-two`` and the size study."""
-    return inference._two_sample((0.5, 0.5), (v_a, v_b), (n_a, n_b), k, "two", 0.05).df
+    """The Welch-Satterthwaite df that ``_welch`` gives ``test-two`` and the size study."""
+    return inference._welch((0.5, 0.5), (v_a, v_b), (n_a, n_b), k)[1]
 
 
 class TestWelchDf:
@@ -792,8 +792,8 @@ class TestTwoSample:
         assert (min(n_a, n_b) - k) * (1 - 1e-12) <= outcome.df <= (n_a + n_b - 2 * k) * (1 + 1e-12)
 
     def test_only_judged_variances_and_sizes_above_k_reach_the_df(self, monkeypatch, tam_cmm_spec):
-        # _two_sample checks neither: the datasets and _psd_sum guarantee both before it
-        calls = record_two_sample_calls(monkeypatch, inference)
+        # _welch checks neither: the datasets and _psd_sum guarantee both before it
+        calls = record_welch_calls(monkeypatch, inference)
         rng = np.random.default_rng(7)
         for sizes in [(3, 3), (3, 40), (25, 9)]:
             two_sample_test(*(make_dataset(tam_cmm_spec, rng.integers(0, 6, size=(2, n)))

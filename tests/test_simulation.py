@@ -26,7 +26,7 @@ from adoptindex import (
 from adoptindex import inference, simulation, tdist
 from adoptindex.domain import _exact_sums
 from adoptindex.errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
-from conftest import (assert_same_moments, assert_welch_inputs_judged, hexes, record_two_sample_calls,
+from conftest import (assert_same_moments, assert_welch_inputs_judged, hexes, record_welch_calls,
                       reference_moments, sample_sums)
 
 UNIFORM6 = (1 / 6,) * 6
@@ -255,7 +255,7 @@ class TestPlanValidation:
 
     @pytest.mark.parametrize("n", [2, 3.0])
     def test_size_study_needs_an_integer_n_above_k(self, linear_pair, n):
-        # the Welch df divide by n - k, and _two_sample takes the plan's n on trust
+        # the Welch df divide by n - k, and _welch takes the plan's n on trust
         spec, pmf = linear_pair
         with pytest.raises(InputError) as info:
             SimulationPlan(pmf=pmf, spec=spec, n=n, replications=10, seed=1, study="size")
@@ -338,7 +338,7 @@ def test_counts_share_one_integer_rule(entry, value):
 class TestRunStudy:
     def test_size_study_passes_judged_variances_and_sizes_above_k(self, linear_pair, monkeypatch):
         # each replication's Welch df come from _psd_sum's variances and the plan's n
-        calls = record_two_sample_calls(monkeypatch, simulation)
+        calls = record_welch_calls(monkeypatch, simulation)
         spec, pmf = linear_pair
         run_study(SimulationPlan(pmf=pmf, spec=spec, n=3, replications=50, seed=1, study="size"))
         assert_welch_inputs_judged(calls)
@@ -613,23 +613,25 @@ def test_chunked_draws_match_per_replication_reference(models, copula, samples, 
     plan = SimulationPlan(
         pmf=pmf, spec=spec, n=n, replications=replications, seed=seed, study="coverage"
     )
-    chunks = list(simulation._sampled_sums(plan, (pmf,) * samples))
-    sizes = [len(chunk[0][0]) for chunk in chunks]
-    assert sizes == [min(max(1, per_chunk), replications - start)
-                     for start in range(0, replications, max(1, per_chunk))]
+    # the draws run chunk by chunk, and each seed block's sums come out whole
+    blocks = list(simulation._sampled_sums(plan, (pmf,) * samples))
+    sizes = [len(block[0][0]) for block in blocks]
+    assert sizes == [min(per_block, replications - start) for start in range(0, replications, per_block)]
     children = np.random.SeedSequence(seed).spawn(replications)
     seeds = [[c] for c in children] if samples == 1 else [c.spawn(2) for c in children]
     for i in range(samples):
-        sums = np.concatenate([chunk[i][0] for chunk in chunks])
-        cross = np.concatenate([chunk[i][1] for chunk in chunks])
+        sums = np.concatenate([block[i][0] for block in blocks])
+        cross = np.concatenate([block[i][1] for block in blocks])
         assert sums.dtype == cross.dtype == np.int64
         expected = [_exact_sums(reference_stages(pmf, n, seed[i])) for seed in seeds]
         assert sums.tolist() == [list(want) for want, _ in expected]
         assert cross.tolist() == [[list(row) for row in want] for _, want in expected]
-    for chunk in chunks:
-        for r, arguments in enumerate(simulation._chunk_arguments(n, None, chunk)):
-            assert len(arguments) == samples
-            for got, (sums, cross) in zip(arguments, chunk):
+    for block in blocks:
+        arguments = list(simulation._chunk_arguments(n, None, block))
+        assert len(arguments) == len(block[0][0])
+        for r, moments in enumerate(arguments):
+            assert len(moments) == samples
+            for got, (sums, cross) in zip(moments, block):
                 assert_same_moments(got, reference_moments(n, sums[r].tolist(), cross[r].tolist()))
     # a lone sample_dataset draws the last sample's stream as the study does
     values = sample_dataset(pmf, spec, n, seeds[-1][-1]).values
@@ -713,25 +715,39 @@ def twelve_model_chunk():
 # k = 12: 144 terms per form, past numpy's 8-way unrolled sum and its 128-term pairwise
 # block, so a chunk's per-sample sum must add in the order of one sample's
 @example(chunk=twelve_model_chunk(), paired=True)
+# a nonlinear column at sum 0, then at n * m, where delta_derivative refuses, and an inner one
+@example(chunk=(StudySpec([ModelSpec("A", 5, beta=2.0), ModelSpec("B", 4)]), 4,
+                np.array([[0, 10], [20, 10], [8, 10]]),
+                np.array([[[0, 0], [0, 30]], [[100, 50], [50, 30]], [[30, 23], [23, 30]]])), paired=False)
+# the same columns of a linear model, whose derivative is 1/m on the closed [0, m]
+@example(chunk=(StudySpec([ModelSpec("A", 5), ModelSpec("B", 4, alpha=2.0)]), 4,
+                np.array([[0, 10], [20, 10], [8, 10]]),
+                np.array([[[0, 0], [0, 30]], [[100, 50], [50, 30]], [[30, 23], [23, 30]]])), paired=False)
 @settings(max_examples=300, deadline=None)
 def test_chunk_arguments_match_the_scalar_chain(chunk, paired):
     spec, n, sums, cross = chunk
     # a second sample per replication, so that one refusing sample refuses the pair
     batch = [(sums, cross), (sums[::-1], cross[::-1])] if paired else [(sums, cross)]
-    moments_form = simulation._chunk_arguments(n, None, batch)
-    index_form = simulation._chunk_arguments(n, spec, batch)
-    assert len(moments_form) == len(index_form) == len(sums)
-    for r, (got_moments, got_index) in enumerate(zip(moments_form, index_form)):
+    moments_form = list(simulation._chunk_arguments(n, None, batch))
+    index_form = list(simulation._chunk_arguments(n, spec, batch))
+    kept_form = list(simulation._chunk_arguments(n, spec, batch, True))
+    assert len(moments_form) == len(index_form) == len(kept_form) == len(sums)
+    for r, (got_moments, got_index, got_kept) in enumerate(zip(moments_form, index_form, kept_form)):
         expected = [scalar_arguments(n, spec, s[r], c[r]) for s, c in batch]
         assert len(got_moments) == len(batch)
         for got, (moments, _) in zip(got_moments, expected):
             assert_same_moments(got, moments)
         if any(pair is None for _, pair in expected):
-            assert got_index is None
+            assert got_index is None and got_kept is None
             continue
-        assert got_index is not None and len(got_index) == 2 * len(batch)
-        for (index, variance), (_, (want_index, want_variance)) in zip(
-                zip(got_index[::2], got_index[1::2]), expected):
+        assert got_index is not None and len(got_index) == len(got_kept) == 2 * len(batch)
+        pairs = list(zip(got_index[::2], got_index[1::2]))
+        for kept, index in zip(got_kept[::2], got_kept[1::2]):
+            # the kernel's variance, kept on the moments, is what index_variance returns for them
+            variance = vars(kept)["_index_variances"][spec]
+            assert index_variance(kept, spec) is variance
+            pairs.append((index, variance))
+        for (index, variance), (_, (want_index, want_variance)) in zip(pairs, expected * 2):
             assert hexes(index.sub_indices) == hexes(want_index.sub_indices)
             assert hexes([index.value]) == hexes([want_index.value])
             assert hexes([variance.value]) == hexes([want_variance.value])
@@ -739,12 +755,14 @@ def test_chunk_arguments_match_the_scalar_chain(chunk, paired):
             assert hexes(variance.gradients) == hexes(want_variance.gradients)
             assert variance.n_used == want_variance.n_used
             assert not variance.contributions.flags.writeable
+        for kept, (want_moments, _) in zip(got_kept[::2], expected):
+            assert_same_moments(kept, want_moments)
 
 
-def reference_accepted(plan, pmfs, statistic, spec=None):
+def reference_accepted(plan, pmfs, statistic, spec=None, keep_moments=False):
     """The per-replication loop: each sample drawn on its own, reduced by _exact_sums and
-    reference_moments, and with ``spec`` by global_index and index_variance, then passed to
-    the study's statistic."""
+    reference_moments, and with ``spec`` by global_index and index_variance (with
+    ``keep_moments``, the moments and global_index), then passed to the study's statistic."""
     values, first = [], None
     for child in np.random.SeedSequence(plan.seed).spawn(plan.replications):
         seeds = [child] if len(pmfs) == 1 else child.spawn(2)
@@ -752,7 +770,8 @@ def reference_accepted(plan, pmfs, statistic, spec=None):
                    for pmf, seed in zip(pmfs, seeds)]
         try:
             arguments = moments if spec is None else [
-                value for m in moments for value in (global_index(m.scores, spec), index_variance(m, spec))]
+                value for m in moments for value in ((m, global_index(m.scores, spec)) if keep_moments
+                                                     else (global_index(m.scores, spec), index_variance(m, spec)))]
             values.append(np.ravel(statistic(*arguments)).astype(float))
         except StatisticalRefusal as exc:
             first = first or exc
@@ -803,11 +822,56 @@ def test_study_reports_match_the_per_replication_reference(monkeypatch, study, c
     if fallback:
         # every chunk in Python ints, as if its sums reached 2^53
         chunk_arguments = simulation._chunk_arguments
-        monkeypatch.setattr(simulation, "_chunk_arguments", lambda n, spec, chunk: chunk_arguments(
-            n, spec, [(sums.astype(object), cross.astype(object)) for sums, cross in chunk]))
+        monkeypatch.setattr(simulation, "_chunk_arguments", lambda n, spec, block, *rest: chunk_arguments(
+            n, spec, [(sums.astype(object), cross.astype(object)) for sums, cross in block], *rest))
     got = study_outcome(plan)
     monkeypatch.setattr(simulation, "_accepted", reference_accepted)
     assert got == study_outcome(plan)
+
+
+# two models of n = 8,200 rows: 16,400 stage cells, so each draw chunk holds one replication
+ONE_PER_CHUNK = dict(pmf=PmfSpec(NONLINEAR_PMFS, latent_correlation=[[1, 0.5], [0.5, 1]]),
+                     spec=NONLINEAR_SPEC, n=8200, replications=5, seed=9)
+
+
+@pytest.mark.parametrize("study", ["coverage", "size", "variance-ratio"])
+def test_one_replication_chunks_reduce_in_a_block_as_the_reference(monkeypatch, study):
+    plan = SimulationPlan(study=study, **ONE_PER_CHUNK)
+    assert simulation._CHUNK_CELLS < plan.n * plan.spec.k
+    runs = []
+    accepted = simulation._accepted
+
+    def recording(*args):
+        runs.append((args, accepted(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(simulation, "_accepted", recording)
+    got = study_outcome(plan)
+    monkeypatch.setattr(simulation, "_accepted", reference_accepted)
+    assert got == study_outcome(plan)
+    # replication by replication, in order, which a rate or a mean need not show
+    ((args, (values, notes)),) = runs
+    want_values, want_notes = reference_accepted(*args)
+    assert hexes(values) == hexes(want_values) and notes == want_notes
+
+
+@pytest.mark.parametrize("n, replications", [(8200, 5), (60, 1000)],
+                         ids=["one-per-chunk", "many-per-chunk"])
+def test_each_seed_block_runs_the_kernel_once(monkeypatch, n, replications):
+    sizes = []
+    chunk_arguments = simulation._chunk_arguments
+
+    def counting(n, spec, block, *rest):
+        sizes.append(len(block[0][0]))
+        return chunk_arguments(n, spec, block, *rest)
+
+    monkeypatch.setattr(simulation, "_chunk_arguments", counting)
+    plan = SimulationPlan(study="coverage", **{**ONE_PER_CHUNK, "n": n, "replications": replications})
+    run_study(plan)
+    per_chunk = max(1, simulation._CHUNK_CELLS // (n * plan.spec.k))
+    per_block = per_chunk * max(1, simulation._SEED_BLOCK // per_chunk)
+    assert len(sizes) == -(-replications // per_block)
+    assert sizes == [min(per_block, replications - start) for start in range(0, replications, per_block)]
 
 
 def test_a_chunk_past_2_53_computes_only_refused_replications_one_by_one(monkeypatch):
