@@ -57,7 +57,7 @@ from typing import Any
 
 import numpy as np
 
-from .domain import AdoptionDataset, ModelSpec, PmfSpec, StudySpec, _plain_text, _require_stages, _RowIds
+from .domain import AdoptionDataset, ModelSpec, PmfSpec, StudySpec, _plain_text, _pmf, _require_stages, _RowIds
 from .errors import (
     AdoptionIndexError,
     InputError,
@@ -446,6 +446,17 @@ def cmd_test_two(args: argparse.Namespace) -> dict[str, Any]:
     return _test_report(args, spec, {"data_a": args.data_a, "data_b": args.data_b}, outcome)
 
 
+def _pmf_spec(spec: StudySpec, field: str, rows: object, correlation: object) -> PmfSpec:
+    """The spec file's ``field`` ("pmf" or "alternative_pmf") as a PmfSpec; errors name the field and model."""
+    if not isinstance(rows, list) or len(rows) != spec.k:
+        raise InputError(f"{field} must be a list of {spec.k} pmfs, one per model")
+    for row, model in zip(rows, spec.models):
+        what = f"{field} of model {model.name!r}"
+        if len(_pmf(row, what)) != model.m + 1:
+            raise SpecMismatch(f"{what} has {len(row)} stages, not the model's {model.m + 1} (0 to {model.m})")
+    return PmfSpec(rows, latent_correlation=correlation)
+
+
 def cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
     loaded = load_spec(args.spec)
     spec = loaded["spec"]
@@ -455,8 +466,8 @@ def cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
         missing = [n for n, p in zip(spec.names, loaded["pmfs"]) if p is None]
         if missing:
             raise InputError(f"simulate needs a 'pmf' for every model; missing for {missing}")
-        pmf = PmfSpec(loaded["pmfs"], latent_correlation=correlation)
-        pmf_alt = None if alternative is None else PmfSpec(alternative, latent_correlation=correlation)
+        pmf = _pmf_spec(spec, "pmf", loaded["pmfs"], correlation)
+        pmf_alt = None if alternative is None else _pmf_spec(spec, "alternative_pmf", alternative, correlation)
     plan = SimulationPlan(
         pmf=pmf,
         spec=spec,

@@ -132,6 +132,22 @@ def _number_rows(rows: object, what: str) -> list[tuple[float, ...]]:
         raise InputError(f"{what} must be a list of lists of numbers, got {rows!r}") from exc
 
 
+def _pmf(row: object, what: str) -> tuple[float, ...]:
+    """``row`` as a pmf, named ``what`` in errors: two or more finite probabilities >= 0 summing to 1."""
+    try:
+        pmf = tuple(_number(x, f"{what}: entry") for x in row)
+    except TypeError as exc:
+        raise InputError(f"{what} must be a list of numbers, got {row!r}") from exc
+    if len(pmf) < 2:
+        raise InputError(f"{what}: needs at least two stages")
+    if any(not math.isfinite(p) or p < 0 for p in pmf):
+        raise InputError(f"{what}: probabilities must be finite and >= 0")
+    total = math.fsum(pmf)
+    if abs(total - 1.0) > PMF_SUM_TOL:
+        raise InputError(f"{what}: probabilities sum to {total!r}, not 1")
+    return pmf
+
+
 def correlation_matrix(value: object, k: int, what: str) -> np.ndarray:
     """``value`` (named ``what`` in errors) as a read-only k x k correlation matrix."""
     rows = _number_rows(value, what)
@@ -491,15 +507,7 @@ class PmfSpec:
         pmfs: Sequence[Sequence[float]],
         latent_correlation: Sequence[Sequence[float]] | np.ndarray | None = None,
     ):
-        clean = _number_rows(pmfs, "pmf")
-        for j, pmf in enumerate(clean):
-            if len(pmf) < 2:
-                raise InputError(f"pmf {j}: needs at least two stages")
-            if any(not math.isfinite(p) or p < 0 for p in pmf):
-                raise InputError(f"pmf {j}: probabilities must be finite and >= 0")
-            total = math.fsum(pmf)
-            if abs(total - 1.0) > PMF_SUM_TOL:
-                raise InputError(f"pmf {j}: probabilities sum to {total!r}, not 1")
+        clean = [_pmf(row, f"pmf {j}") for j, row in enumerate(_number_rows(pmfs, "pmf"))]
         object.__setattr__(self, "pmfs", tuple(clean))
         if latent_correlation is None:
             object.__setattr__(self, "latent_correlation", None)

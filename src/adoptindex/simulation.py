@@ -18,14 +18,10 @@ from its own stream into one buffer (the stream of a lone draw, which ``sample_d
 makes). A copula chunk is rotated by one stacked product, bitwise equal to each sample's
 own; a chunk's stages are counted in the narrowest unsigned type that holds the largest
 m, then widened to int64 and reduced to integer sums in its seed block's arrays. Once per
-seed block, ``_chunk_arguments`` turns the sums into moments with ``_from_sums``'s kernel
-(``estimation._moments``, in Python ints past 2^53), or into indices and variances with
-``index_variance``'s (``inference._delta_form``): both chains are bitwise equal through one
-kernel each. It builds a replication's objects only as the study's one statistic, which
-alone runs per replication, takes them: each sample's moments, or its index and variance.
-``variance-ratio`` takes moments that hold their variance, so its ``index_variance`` call is
-a memo hit. A replication that a scalar function would refuse gets them from ``_from_sums``
-and the scalar functions, so refusals are those users get.
+seed block, ``_chunk_arguments`` computes the moments, indices and variances with the scalar
+chain's kernels, bit for bit, and yields a ``_Sample`` view per sample and replication, which
+builds an object only when the study's statistic asks for it; a flagged sample's variance comes
+from ``index_variance``, so refusals are those users get.
 
 Cross-model dependence is induced by a latent normal copula: correlated
 standard normals are pushed through each model's stage quantile
@@ -40,13 +36,15 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 
 from .domain import AdoptionDataset, PmfSpec, StudySpec, _integer, _require_exact
 from .errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
-from .estimation import MomentEstimate, ScoreEstimate, _correlations, _from_sums, _moments
+from .estimation import MomentEstimate, ScoreEstimate, _correlations, _moments
 from .index import IndexValue, delta_gradient, global_index, subindex
 from .inference import (VarianceEstimate, _delta_form, _interval_df, _psd_sum, _welch,
                         confidence_interval, index_variance)
@@ -436,54 +434,57 @@ def _sampled_sums(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[l
         yield sums
 
 
-def _chunk_arguments(n: int, spec: StudySpec | None, block: list, keep_moments: bool = False) -> Iterator:
-    """Per replication of a seed block from ``_sampled_sums``, built only as it is taken, per
-    sample: the MomentEstimate that ``_from_sums`` gives, or with ``spec`` the IndexValue and
-    VarianceEstimate of ``global_index`` and ``index_variance`` (with ``keep_moments``, the
-    MomentEstimate, holding that variance where ``index_variance`` looks it up, and the IndexValue),
-    or None where either refuses or the form is negative or not finite (the scalar chain's ``_psd_sum``
-    reads it as 0.0 or refuses it); moments alone are never None. Moments come from ``_moments`` and
-    ``_correlations`` (Python ints past 2^53), derivatives from the sub-indices in ``delta_derivative``'s
-    order (NaN where it refuses), and variances from ``_delta_form``, as the scalar chain's do. Bit
-    for bit: numpy does only + - * /, sqrt, comparisons, clipping; powers, ``fsum`` stay in math."""
-    samples, flagged = [], np.zeros(len(block[0][0]), dtype=bool)
+class _Sample:
+    """A view of one sample of a seed block that builds ``global_index``'s IndexValue, ``_from_sums``'s
+    MomentEstimate or ``index_variance``'s VarianceEstimate, bit for bit, only when asked."""
+
+    __slots__ = ("block", "r")
+
+    def __init__(self, block: SimpleNamespace, r: int) -> None:
+        self.block, self.r = block, r
+
+    def index(self) -> IndexValue:
+        return IndexValue(tuple(self.block.subs[self.r]), self.block.index[self.r])
+
+    def variance(self) -> VarianceEstimate:
+        b, r = self.block, self.r
+        if b.flagged[r]:  # index_variance's own refusal, or its 0.0 for a form below zero
+            return index_variance(self.moments(), b.spec)
+        return VarianceEstimate(b.value[r], b.terms[r], tuple(b.gradients[r]), b.n)
+
+    def moments(self) -> MomentEstimate:
+        b, r = self.block, self.r
+        cov = b.cov[r].copy()  # read-only and owning its memory, so index_variance may keep on it
+        cov.setflags(write=False)
+        moments = MomentEstimate(ScoreEstimate(tuple(b.scores[r]), b.n), cov, b.corr[r], tuple(b.degenerate[r]))
+        if not b.flagged[r]:  # index_variance's memo holds the kernel's variance
+            moments.__dict__["_index_variances"] = {b.spec: self.variance()}
+        return moments
+
+
+def _chunk_arguments(n: int, spec: StudySpec, block: list) -> Iterator[tuple[_Sample, ...]]:
+    """Each replication of a seed block from ``_sampled_sums``, as one ``_Sample`` per sample. Per
+    sample, once per block: moments from ``_moments`` and ``_correlations`` (Python ints past 2^53),
+    sub-indices and their weighted ``fsum``, derivatives in ``delta_derivative``'s order, variances
+    from ``_delta_form``, and a flag where ``index_variance`` refuses or reads the form as 0.0. Bit
+    for bit: numpy does only + - * /, sqrt, comparisons; powers, ``fsum`` stay in math."""
+    m, beta, linear = np.array([(float(x.m), x.beta, x.is_linear) for x in spec.models]).T
+    samples = []
     for sums, cross in block:
         scores, cov, degenerate = _moments(n, sums, cross)
-        moments = scores.tolist(), cov, _correlations(cov, degenerate), degenerate.tolist()
-        if spec is None:
-            samples.append(moments)
-            continue
-        m, beta, linear = np.array([(float(x.m), x.beta, x.is_linear) for x in spec.models]).T
         subs = np.array([[subindex(s, model) for s in column]
                          for column, model in zip(scores.T.tolist(), spec.models)]).T
-        # subindex refuses S outside [0, m], and a nonlinear f is 0 or 1 at S = 0 or m: 0/0, NaN
+        # subindex refuses S outside [0, m], and a nonlinear f is 0 or 1 at S = 0 or m: 0/0, NaN;
+        # a NaN or infinite derivative, which delta_derivative refuses, gives a form that is flagged
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             gradients = np.where(linear, 1.0 / m, beta * m * subs * (1.0 - subs) / (scores * (m - scores)))
-        gradients[~np.isfinite(gradients)] = math.nan
-        contributions, value = _delta_form(gradients, spec.weights, cov, n)  # a NaN derivative gives NaN
-        index = [math.fsum(row) for row in (subs * spec.weights).tolist()]
-        flagged |= degenerate.any(axis=1) | ~(value >= 0) | np.isinf(value)
-        samples.append((moments, subs.tolist(), index, value.tolist(), gradients.tolist(), contributions))
-
-    def estimate(scores, cov, corr, degenerate, r) -> MomentEstimate:
-        own = cov[r].copy()  # read-only and owning its memory, so index_variance may keep on it
-        own.setflags(write=False)
-        return MomentEstimate(ScoreEstimate(tuple(scores[r]), n), own, corr[r], tuple(degenerate[r]))
-
-    for r, refused in enumerate(flagged.tolist()):
-        if spec is None or refused:
-            yield None if refused else tuple(estimate(*moments, r) for moments in samples)
-            continue
-        arguments = ()
-        for moments, subs, index, value, gradients, contributions in samples:
-            pair = IndexValue(tuple(subs[r]), index[r]), VarianceEstimate(
-                value[r], contributions[r], tuple(gradients[r]), n)
-            if keep_moments:
-                kept = estimate(*moments, r)
-                kept.__dict__["_index_variances"] = {spec: pair[1]}  # index_variance's memo
-                pair = kept, pair[0]
-            arguments += pair
-        yield arguments
+        terms, value = _delta_form(gradients, spec.weights, cov, n)
+        samples.append(SimpleNamespace(
+            n=n, spec=spec, cov=cov, corr=_correlations(cov, degenerate), scores=scores.tolist(),
+            degenerate=degenerate.tolist(), subs=subs.tolist(), value=value.tolist(),
+            index=[math.fsum(row) for row in (subs * spec.weights).tolist()], gradients=gradients.tolist(),
+            terms=terms, flagged=(degenerate.any(axis=1) | ~(value >= 0) | np.isinf(value)).tolist()))
+    yield from zip(*(map(_Sample, repeat(sample), range(len(block[0][0]))) for sample in samples))
 
 
 # --- studies -----------------------------------------------------------------
@@ -506,28 +507,16 @@ def _moments_of(z: np.ndarray) -> tuple[float, float, float, float]:
     return mean, _sample_variance(z), skewness, excess_kurtosis
 
 
-def _accepted(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...], statistic, spec: StudySpec | None = None,
-              keep_moments: bool = False) -> tuple[np.ndarray, tuple[str, ...]]:
-    """``statistic`` of every replication that it does not refuse, one column per
-    replication and one row per value, and a note counting the refused ones. Raises
-    the first refusal when it refuses every replication.
-
-    ``statistic`` takes per sample a MomentEstimate, or with ``spec`` an IndexValue and a
-    VarianceEstimate (a MomentEstimate and an IndexValue with ``keep_moments``), from one
-    ``_chunk_arguments`` call per seed block. Where that has none, a replication the scalar
-    chain refuses or reads as 0.0, they come from ``_from_sums``, ``global_index`` and
-    ``index_variance``: the values or refusal users would get."""
-    n = plan.n
+def _accepted(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...], statistic) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``statistic`` of every replication that it does not refuse, one column per replication and
+    one row per value, and a note counting the refused ones; raises the first refusal when it
+    refuses every replication. ``statistic`` takes one ``_Sample`` per pmf, from one
+    ``_chunk_arguments`` call per seed block."""
     values, accepted, first = None, 0, None
     for block in _sampled_sums(plan, pmfs):
-        for r, arguments in enumerate(_chunk_arguments(n, spec, block, keep_moments)):
+        for samples in _chunk_arguments(plan.n, plan.spec, block):
             try:
-                if arguments is None:  # only with spec: moments alone are never refused
-                    moments = [_from_sums(n, s[r].tolist(), c[r].tolist()) for s, c in block]
-                    arguments = [x for m in moments for x in (
-                        (m, global_index(m.scores, spec)) if keep_moments
-                        else (global_index(m.scores, spec), index_variance(m, spec)))]
-                value = statistic(*arguments)
+                value = statistic(*samples)
             except StatisticalRefusal as exc:
                 first = first or exc
                 continue
@@ -535,6 +524,7 @@ def _accepted(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...], statistic, spec: 
                 values = np.empty((np.size(value), plan.replications))
             values[:, accepted] = value
             accepted += 1
+        del samples  # the last views hold the block's arrays: drop them before the next is drawn
     if values is None:
         raise first
     note = () if first is None else (
@@ -569,9 +559,8 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     if plan.study == "normality":
         scale = math.sqrt(avar)
 
-        def z_score(moments):
-            idx = global_index(moments.scores, plan.spec)
-            return math.sqrt(plan.n) * (idx.value - truth.index) / scale
+        def z_score(sample):
+            return math.sqrt(plan.n) * (sample.index().value - truth.index) / scale
 
         (z,), refusals = _accepted(plan, (plan.pmf,), z_score)
         mean, variance, skewness, kurtosis = _moments_of(z)
@@ -598,11 +587,11 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     elif plan.study == "coverage":
         df = _interval_df(plan.n, plan.spec.k)
 
-        def covered(index, variance):
-            ci = confidence_interval(index, variance, _CI_LEVEL, df)
+        def covered(sample):
+            ci = confidence_interval(sample.index(), sample.variance(), _CI_LEVEL, df)
             return ci.lower <= truth.index <= ci.upper
 
-        (hits,), refusals = _accepted(plan, (plan.pmf,), covered, plan.spec)
+        (hits,), refusals = _accepted(plan, (plan.pmf,), covered)
         rate = int(hits.sum()) / hits.size
         se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / hits.size)
         lo, hi = _COVERAGE_BAND
@@ -617,12 +606,12 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     elif plan.study == "size":
         pmf_b = plan.pmf_alternative if plan.pmf_alternative is not None else plan.pmf
 
-        def rejects(index_a, variance_a, index_b, variance_b):
-            statistic, df = _welch((index_a.value, index_b.value), (variance_a.value, variance_b.value),
-                                   (plan.n, plan.n), plan.spec.k)
+        def rejects(a, b):
+            statistic, df = _welch((a.index().value, b.index().value),
+                                   (a.variance().value, b.variance().value), (plan.n, plan.n), plan.spec.k)
             return student_t_pvalue(statistic, df, "two") < _SIGNIFICANCE
 
-        (rejections,), refusals = _accepted(plan, (plan.pmf, pmf_b), rejects, plan.spec)
+        (rejections,), refusals = _accepted(plan, (plan.pmf, pmf_b), rejects)
         rate = int(rejections.sum()) / rejections.size
         se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / rejections.size)
         metrics = {
@@ -637,10 +626,10 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
             checks = {"power_above_floor": rate >= _POWER_FLOOR}
 
     else:  # variance-ratio
-        def index_and_variance(moments, index):  # the kernel's variance, a memo hit
-            return index.value, index_variance(moments, plan.spec).value
+        def index_and_variance(sample):  # an unflagged sample's variance is a memo hit
+            return sample.index().value, index_variance(sample.moments(), plan.spec).value
 
-        (i_hat, v_hat), refusals = _accepted(plan, (plan.pmf,), index_and_variance, plan.spec, True)
+        (i_hat, v_hat), refusals = _accepted(plan, (plan.pmf,), index_and_variance)
         empirical_variance = _sample_variance(i_hat)
         if empirical_variance == 0.0:
             raise DegenerateVariance(

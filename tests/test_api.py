@@ -251,6 +251,12 @@ def test_one_kernel_forms_the_delta_method_variance_of_a_sample_and_of_a_chunk()
                                                ("simulation.py", "_chunk_arguments")]
 
 
+def test_studies_take_moments_from_the_block_kernel_alone():
+    # a flagged sample's variance comes from index_variance on the kernel's moments, so no
+    # second moments path rebuilds a replication from its sums
+    assert [caller for caller in _callers("_from_sums") if caller[0] == "simulation.py"] == []
+
+
 def test_the_int64_bound_is_checked_only_when_a_sample_type_is_built():
     # a dataset's exact sums and a plan's sampled sums are then exact wherever they are reduced
     assert sorted(_callers("_require_exact")) == [

@@ -142,9 +142,9 @@ class TestCompute:
         ({"weight": "1"}, {}, "weight"),
         ({"weight": True}, {}, "weight"),
         ({"add_zero_stage": "yes"}, {}, "add_zero_stage"),
-        ({"pmf": [0.5, "x", 0.1, 0.1, 0.1, 0.2]}, {}, "pmf 0"),
-        ({"pmf": [True, 0, 0, 0, 0, 0]}, {}, "pmf 0"),
-        ({"pmf": 0.5}, {}, "pmf"),
+        ({"pmf": [0.5, "x", 0.1, 0.1, 0.1, 0.2]}, {}, "pmf of model 'M': entry"),
+        ({"pmf": [True, 0, 0, 0, 0, 0]}, {}, "pmf of model 'M': entry"),
+        ({"pmf": 0.5}, {}, "pmf of model 'M' must be a list of numbers"),
         ({}, {"latent_correlation": [["one"]]}, "latent correlation"),
         ({}, {"latent_correlation": [[True]]}, "latent correlation"),
         ({}, {"latent_correlation": 1.0}, "latent correlation"),
@@ -955,6 +955,9 @@ class TestExtremeVariances:
                        "floating point, got inf\n")
 
 
+PMF3 = [0.2, 0.3, 0.5]
+
+
 class TestSimulate:
     def test_single_replication(self, capsys, spec_file):
         code, out, err = run_cli(
@@ -1160,6 +1163,47 @@ class TestSimulate:
         )
         assert (code, out) == (2, "")
         assert err == "error: replications must be at most 2^32 = 4294967296, got 4294967297\n"
+
+    @pytest.mark.parametrize("study, models, alternative, message", [
+        ("coverage", ([0.5, 0.5], PMF3), None, "pmf of model 'A' has 2 stages, not the model's 3 (0 to 2)"),
+        ("size", (PMF3, [0.2, 0.3, 0.6]), None, "pmf of model 'B': probabilities sum to 1.1, not 1"),
+        ("size", (PMF3, PMF3), [PMF3, [0.1, 0.9]],
+         "alternative_pmf of model 'B' has 2 stages, not the model's 3 (0 to 2)"),
+        ("size", (PMF3, PMF3), [PMF3, [0.1, 0.2, 0.3]],
+         "alternative_pmf of model 'B': probabilities sum to 0.6, not 1"),
+        ("size", (PMF3, PMF3), [PMF3], "alternative_pmf must be a list of 2 pmfs, one per model"),
+        ("size", (PMF3, PMF3), [0.5, 0.5], "alternative_pmf of model 'A' must be a list of numbers, got 0.5"),
+        # a model's own pmf is judged before the alternative
+        ("size", ([0.5, 0.5], PMF3), [PMF3, [0.1, 0.2, 0.3]],
+         "pmf of model 'A' has 2 stages, not the model's 3 (0 to 2)"),
+    ], ids=["pmf-stages", "pmf-sum", "alternative-stages", "alternative-sum", "alternative-count",
+            "alternative-flat", "pmf-before-alternative"])
+    def test_a_malformed_pmf_names_the_file_the_field_and_the_model(
+        self, capsys, tmp_path, study, models, alternative, message
+    ):
+        spec = {"models": [{"name": name, "m": 2, "pmf": pmf} for name, pmf in zip("AB", models)]}
+        if alternative is not None:
+            spec["alternative_pmf"] = alternative
+        spec_path = tmp_path / "pmfs.json"
+        spec_path.write_text(json.dumps(spec))
+        code, out, err = run_cli(
+            capsys, "simulate", "--spec", str(spec_path), "--study", study,
+            "--n", "40", "--replications", "10", "--seed", "1",
+        )
+        assert (code, out, err) == (2, "", f"error: {spec_path}: {message}\n")
+
+    @pytest.mark.parametrize("argument, value, message", [
+        ("--n", "2", "n must be an integer >= 3, got 2"),
+        ("--seed", "-1", "seed must be an integer >= 0, got -1"),
+        ("--replications", "0", "replications must be an integer >= 1, got 0"),
+    ])
+    def test_a_bad_argument_is_not_named_after_the_spec_file(self, capsys, tmp_path, argument, value, message):
+        spec_path = tmp_path / "pmfs.json"
+        spec_path.write_text(json.dumps({"models": [{"name": name, "m": 2, "pmf": PMF3} for name in "AB"]}))
+        argv = {"--n": "40", "--replications": "10", "--seed": "1", argument: value}
+        code, out, err = run_cli(capsys, "simulate", "--spec", str(spec_path), "--study", "size",
+                                 *(word for pair in argv.items() for word in pair))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_pmf_is_an_input_error(self, capsys, tmp_path):
         spec = {"models": [{"name": "M", "m": 5}]}

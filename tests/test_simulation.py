@@ -26,6 +26,7 @@ from adoptindex import (
 from adoptindex import inference, simulation, tdist
 from adoptindex.domain import _exact_sums
 from adoptindex.errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
+from adoptindex.estimation import MomentEstimate, _from_sums
 from conftest import (assert_same_moments, assert_welch_inputs_judged, hexes, record_welch_calls,
                       reference_moments, sample_sums)
 
@@ -627,12 +628,12 @@ def test_chunked_draws_match_per_replication_reference(models, copula, samples, 
         assert sums.tolist() == [list(want) for want, _ in expected]
         assert cross.tolist() == [[list(row) for row in want] for _, want in expected]
     for block in blocks:
-        arguments = list(simulation._chunk_arguments(n, None, block))
-        assert len(arguments) == len(block[0][0])
-        for r, moments in enumerate(arguments):
-            assert len(moments) == samples
-            for got, (sums, cross) in zip(moments, block):
-                assert_same_moments(got, reference_moments(n, sums[r].tolist(), cross[r].tolist()))
+        replications = list(simulation._chunk_arguments(n, spec, block))
+        assert len(replications) == len(block[0][0])
+        for r, views in enumerate(replications):
+            assert len(views) == samples
+            for got, (sums, cross) in zip(views, block):
+                assert_same_moments(got.moments(), reference_moments(n, sums[r].tolist(), cross[r].tolist()))
     # a lone sample_dataset draws the last sample's stream as the study does
     values = sample_dataset(pmf, spec, n, seeds[-1][-1]).values
     assert values.dtype == np.int64
@@ -680,20 +681,26 @@ def chunks(draw):
     return spec, n, sums, cross
 
 
-def scalar_arguments(n, spec, sums, cross):
-    """One sample's MomentEstimate, and its IndexValue and VarianceEstimate from the scalar
-    chain, or None where that refuses or the delta-method form is negative within rounding."""
-    moments = reference_moments(n, sums.tolist(), cross.tolist())
-    index = global_index(moments.scores, spec)
+def scalar_flagged(moments, spec):
+    """Whether the scalar chain refuses the sample's variance, or reads its delta-method form,
+    negative within rounding, as 0.0."""
     try:
-        variance = index_variance(moments, spec)
-    except (StatisticalRefusal, ValueError):
-        return moments, None
+        index_variance(moments, spec)
+    except StatisticalRefusal:
+        return True
     # the form before index_variance zeroes a negative one, summed as it sums it
     g = [w * d for w, d in zip(spec.weights, delta_gradient(moments.scores, spec))]
-    form = np.array([[gj * gl * s / n for gl, s in zip(g, row)]
+    form = np.array([[gj * gl * s / moments.n for gl, s in zip(g, row)]
                      for gj, row in zip(g, moments.cov.tolist())]).sum()
-    return moments, None if form < 0 else (index, variance)
+    return form < 0
+
+
+def assert_same_variance(got, want):
+    assert hexes([got.value]) == hexes([want.value])
+    assert hexes(got.contributions) == hexes(want.contributions)
+    assert hexes(got.gradients) == hexes(want.gradients)
+    assert got.n_used == want.n_used
+    assert not got.contributions.flags.writeable
 
 
 def twelve_model_chunk():
@@ -726,53 +733,64 @@ def twelve_model_chunk():
 @settings(max_examples=300, deadline=None)
 def test_chunk_arguments_match_the_scalar_chain(chunk, paired):
     spec, n, sums, cross = chunk
-    # a second sample per replication, so that one refusing sample refuses the pair
+    # a second sample per replication, whose flag is its own
     batch = [(sums, cross), (sums[::-1], cross[::-1])] if paired else [(sums, cross)]
-    moments_form = list(simulation._chunk_arguments(n, None, batch))
-    index_form = list(simulation._chunk_arguments(n, spec, batch))
-    kept_form = list(simulation._chunk_arguments(n, spec, batch, True))
-    assert len(moments_form) == len(index_form) == len(kept_form) == len(sums)
-    for r, (got_moments, got_index, got_kept) in enumerate(zip(moments_form, index_form, kept_form)):
-        expected = [scalar_arguments(n, spec, s[r], c[r]) for s, c in batch]
-        assert len(got_moments) == len(batch)
-        for got, (moments, _) in zip(got_moments, expected):
-            assert_same_moments(got, moments)
-        if any(pair is None for _, pair in expected):
-            assert got_index is None and got_kept is None
-            continue
-        assert got_index is not None and len(got_index) == len(got_kept) == 2 * len(batch)
-        pairs = list(zip(got_index[::2], got_index[1::2]))
-        for kept, index in zip(got_kept[::2], got_kept[1::2]):
-            # the kernel's variance, kept on the moments, is what index_variance returns for them
-            variance = vars(kept)["_index_variances"][spec]
-            assert index_variance(kept, spec) is variance
-            pairs.append((index, variance))
-        for (index, variance), (_, (want_index, want_variance)) in zip(pairs, expected * 2):
+    replications = list(simulation._chunk_arguments(n, spec, batch))
+    assert len(replications) == len(sums)
+    for r, views in enumerate(replications):
+        assert len(views) == len(batch)
+        for view, (s, c) in zip(views, batch):
+            want = _from_sums(n, s[r].tolist(), c[r].tolist())
+            assert_same_moments(want, reference_moments(n, s[r].tolist(), c[r].tolist()))
+            index, want_index = view.index(), global_index(want.scores, spec)
             assert hexes(index.sub_indices) == hexes(want_index.sub_indices)
             assert hexes([index.value]) == hexes([want_index.value])
-            assert hexes([variance.value]) == hexes([want_variance.value])
-            assert hexes(variance.contributions) == hexes(want_variance.contributions)
-            assert hexes(variance.gradients) == hexes(want_variance.gradients)
-            assert variance.n_used == want_variance.n_used
-            assert not variance.contributions.flags.writeable
-        for kept, (want_moments, _) in zip(got_kept[::2], expected):
-            assert_same_moments(kept, want_moments)
+            moments = view.moments()
+            assert_same_moments(moments, want)
+            flagged = scalar_flagged(want, spec)
+            # an unflagged sample's moments hold the kernel's variance where index_variance looks it up
+            assert ("_index_variances" not in vars(moments)) == flagged
+            try:
+                want_variance = index_variance(want, spec)
+            except StatisticalRefusal as exc:
+                for variance_of in (view.variance, lambda: index_variance(view.moments(), spec)):
+                    with pytest.raises(type(exc)) as refused:
+                        variance_of()
+                    assert type(refused.value) is type(exc) and str(refused.value) == str(exc)
+                continue
+            assert_same_variance(view.variance(), want_variance)
+            kept = index_variance(moments, spec)
+            assert_same_variance(kept, want_variance)
+            assert flagged or kept is vars(moments)["_index_variances"][spec]
 
 
-def reference_accepted(plan, pmfs, statistic, spec=None, keep_moments=False):
+class ReferenceSample:
+    """One sample of the per-replication reference, with ``simulation._Sample``'s accessors
+    computed by the scalar chain."""
+
+    def __init__(self, moments, spec):
+        self.of, self.spec = moments, spec
+
+    def index(self):
+        return global_index(self.of.scores, self.spec)
+
+    def variance(self):
+        return index_variance(self.of, self.spec)
+
+    def moments(self):
+        return self.of
+
+
+def reference_accepted(plan, pmfs, statistic):
     """The per-replication loop: each sample drawn on its own, reduced by _exact_sums and
-    reference_moments, and with ``spec`` by global_index and index_variance (with
-    ``keep_moments``, the moments and global_index), then passed to the study's statistic."""
+    reference_moments, and passed to the study's statistic as a ReferenceSample."""
     values, first = [], None
     for child in np.random.SeedSequence(plan.seed).spawn(plan.replications):
         seeds = [child] if len(pmfs) == 1 else child.spawn(2)
-        moments = [reference_moments(plan.n, *_exact_sums(reference_stages(pmf, plan.n, seed)))
-                   for pmf, seed in zip(pmfs, seeds)]
+        samples = [ReferenceSample(reference_moments(plan.n, *_exact_sums(reference_stages(pmf, plan.n, seed))),
+                                   plan.spec) for pmf, seed in zip(pmfs, seeds)]
         try:
-            arguments = moments if spec is None else [
-                value for m in moments for value in ((m, global_index(m.scores, spec)) if keep_moments
-                                                     else (global_index(m.scores, spec), index_variance(m, spec)))]
-            values.append(np.ravel(statistic(*arguments)).astype(float))
+            values.append(np.ravel(statistic(*samples)).astype(float))
         except StatisticalRefusal as exc:
             first = first or exc
     if not values:
@@ -822,8 +840,8 @@ def test_study_reports_match_the_per_replication_reference(monkeypatch, study, c
     if fallback:
         # every chunk in Python ints, as if its sums reached 2^53
         chunk_arguments = simulation._chunk_arguments
-        monkeypatch.setattr(simulation, "_chunk_arguments", lambda n, spec, block, *rest: chunk_arguments(
-            n, spec, [(sums.astype(object), cross.astype(object)) for sums, cross in block], *rest))
+        monkeypatch.setattr(simulation, "_chunk_arguments", lambda n, spec, block: chunk_arguments(
+            n, spec, [(sums.astype(object), cross.astype(object)) for sums, cross in block]))
     got = study_outcome(plan)
     monkeypatch.setattr(simulation, "_accepted", reference_accepted)
     assert got == study_outcome(plan)
@@ -874,6 +892,22 @@ def test_each_seed_block_runs_the_kernel_once(monkeypatch, n, replications):
     assert sizes == [min(per_block, replications - start) for start in range(0, replications, per_block)]
 
 
+@pytest.mark.parametrize("study, per_replication", [
+    ("normality", 0), ("coverage", 0), ("size", 0), ("variance-ratio", 1)])
+def test_a_study_builds_moments_only_where_its_statistic_reads_them(monkeypatch, study, per_replication):
+    built = []
+    init = MomentEstimate.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MomentEstimate, "__init__", counting)
+    plan = SimulationPlan(study=study, **STUDY_PLANS["copula"])
+    assert len(run_study(plan).notes) == 1  # no replication refused
+    assert len(built) == per_replication * plan.replications
+
+
 def test_a_chunk_past_2_53_computes_only_refused_replications_one_by_one(monkeypatch):
     # half of 2^27 rows at each of two stage tuples: n * max(cross) reaches 2^53 * 17
     n = 2**27
@@ -889,16 +923,18 @@ def test_a_chunk_past_2_53_computes_only_refused_replications_one_by_one(monkeyp
     monkeypatch.setattr(simulation, "_sampled_sums", lambda plan, pmfs: iter([[(sums, cross)]]))
     calls = []
 
-    def from_sums(*args):
-        calls.append(args)
-        return reference_moments(*args)
+    def scalar_variance(moments, spec):
+        calls.append(moments)
+        return index_variance(moments, spec)
 
-    monkeypatch.setattr(simulation, "_from_sums", from_sums)
+    monkeypatch.setattr(simulation, "index_variance", scalar_variance)
     values, notes = simulation._accepted(
-        plan, (plan.pmf,), lambda index, variance: (index.value, variance.value), spec)
-    # the second and the fourth hold model A constant, which index_variance refuses
-    assert [args[0] for args in calls] == [n, n]
-    assert [args[1] for args in calls] == [sums[1].tolist(), sums[3].tolist()]
+        plan, (plan.pmf,), lambda sample: (sample.index().value, sample.variance().value))
+    # the second and the fourth hold model A constant, which index_variance refuses; only
+    # they reach it, with the kernel's moments
+    assert len(calls) == 2
+    for moments, r in zip(calls, (1, 3)):
+        assert_same_moments(moments, reference_moments(n, sums[r].tolist(), cross[r].tolist()))
     assert notes == ("2 of 4 replications refused: model 'A' has zero sample variance; "
                      "the index variance is undefined",)
     expected = []
