@@ -102,7 +102,7 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
         raise InputError(f"{path}: cannot read spec file ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: spec file is not UTF-8 text ({exc.reason})") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or JSON Python cannot hold
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict) or "models" not in raw:
         raise InputError(f"{path}: spec must be a JSON object with a 'models' list")

@@ -19,9 +19,9 @@ makes). A copula chunk is rotated by one stacked product, bitwise equal to each 
 own; a chunk's stages are counted in the narrowest unsigned type that holds the largest
 m, then widened to int64 and reduced to integer sums in its seed block's arrays. Once per
 seed block, ``_chunk_arguments`` computes the moments, indices and variances with the scalar
-chain's kernels, bit for bit, and yields a ``_Sample`` view per sample and replication, which
-builds an object only when the study's statistic asks for it; a flagged sample's variance comes
-from ``index_variance``, so refusals are those users get.
+chain's kernels, bit for bit, into one ``_Block`` record per pmf. A study's statistic reads
+replication r's index from the records and builds an object only where it grades one; a flagged
+sample's variance comes from ``index_variance``, so refusals are those users get.
 
 Cross-model dependence is induced by a latent normal copula: correlated
 standard normals are pushed through each model's stage quantile
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
 from statistics import NormalDist
 from types import SimpleNamespace
 
@@ -46,8 +45,8 @@ from .domain import AdoptionDataset, PmfSpec, StudySpec, _integer, _require_exac
 from .errors import DegenerateVariance, InputError, SpecMismatch, StatisticalRefusal
 from .estimation import MomentEstimate, ScoreEstimate, _correlations, _moments
 from .index import IndexValue, delta_gradient, global_index, subindex
-from .inference import (VarianceEstimate, _delta_form, _interval_df, _psd_sum, _welch,
-                        confidence_interval, index_variance)
+from .inference import (VARIANCE_EXPANSION_TOL, VarianceEstimate, _delta_form, _interval_df, _psd_sum,
+                        _welch, confidence_interval, index_variance)
 from .tdist import student_t_pvalue
 
 STUDY_KINDS = ("normality", "coverage", "size", "variance-ratio")
@@ -270,8 +269,9 @@ def population_asymptotic_variance(pmf: PmfSpec, spec: StudySpec) -> float:
 
     Needs every model non-degenerate (else the delta-method gradient or the variance itself
     is zero and the studies refuse to run). Its sum is judged as ``index_variance``'s is, by
-    ``inference._psd_sum``: a negative one within rounding reads as 0.0, and one further below
-    zero, or one that is not finite, is a ``DegenerateVariance``.
+    ``inference._psd_sum``: one below zero beyond rounding, or not finite, is a
+    ``DegenerateVariance``. A sum within rounding of zero, at most ``VARIANCE_EXPANSION_TOL``
+    times its terms' summed magnitudes, reads as 0.0: the studies would divide by noise.
     """
     truth = _nondegenerate_truth(pmf, spec)
     gradients = delta_gradient(ScoreEstimate(scores=truth.scores, n=0), spec)
@@ -283,7 +283,9 @@ def population_asymptotic_variance(pmf: PmfSpec, spec: StudySpec) -> float:
         for l in range(j + 1, spec.k):
             terms.append(2.0 * g[j] * g[l] * latent_cross_covariance(pmf, spec, j, l))
             total += terms[-1]
-    return _psd_sum(total, terms, "index's population asymptotic variance")
+    total = _psd_sum(total, terms, "index's population asymptotic variance")
+    # relative only: a small variance of small terms is real, however close to zero
+    return 0.0 if total <= VARIANCE_EXPANSION_TOL * float(np.abs(terms).sum()) else total
 
 
 def _psd_transform(corr: np.ndarray) -> np.ndarray:
@@ -434,42 +436,34 @@ def _sampled_sums(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...]) -> Iterator[l
         yield sums
 
 
-class _Sample:
-    """A view of one sample of a seed block that builds ``global_index``'s IndexValue, ``_from_sums``'s
-    MomentEstimate or ``index_variance``'s VarianceEstimate, bit for bit, only when asked."""
+class _Block(SimpleNamespace):
+    """One pmf's samples of a seed block: replication r's ``global_index`` value and sub-indices
+    are ``index[r]`` and ``subs[r]``, and ``moments(r)`` and ``variance(r)`` build ``_from_sums``'s
+    MomentEstimate and ``index_variance``'s VarianceEstimate, bit for bit, only when asked."""
 
-    __slots__ = ("block", "r")
+    def variance(self, r: int) -> VarianceEstimate:
+        if self.flagged[r]:  # index_variance's own refusal, or its 0.0 for a form below zero
+            return index_variance(self.moments(r), self.spec)
+        return VarianceEstimate(self.value[r], self.terms[r], tuple(self.gradients[r]), self.n)
 
-    def __init__(self, block: SimpleNamespace, r: int) -> None:
-        self.block, self.r = block, r
-
-    def index(self) -> IndexValue:
-        return IndexValue(tuple(self.block.subs[self.r]), self.block.index[self.r])
-
-    def variance(self) -> VarianceEstimate:
-        b, r = self.block, self.r
-        if b.flagged[r]:  # index_variance's own refusal, or its 0.0 for a form below zero
-            return index_variance(self.moments(), b.spec)
-        return VarianceEstimate(b.value[r], b.terms[r], tuple(b.gradients[r]), b.n)
-
-    def moments(self) -> MomentEstimate:
-        b, r = self.block, self.r
-        cov = b.cov[r].copy()  # read-only and owning its memory, so index_variance may keep on it
+    def moments(self, r: int) -> MomentEstimate:
+        cov = self.cov[r].copy()  # read-only and owning its memory, so index_variance may keep on it
         cov.setflags(write=False)
-        moments = MomentEstimate(ScoreEstimate(tuple(b.scores[r]), b.n), cov, b.corr[r], tuple(b.degenerate[r]))
-        if not b.flagged[r]:  # index_variance's memo holds the kernel's variance
-            moments.__dict__["_index_variances"] = {b.spec: self.variance()}
+        moments = MomentEstimate(ScoreEstimate(tuple(self.scores[r]), self.n), cov, self.corr[r],
+                                 tuple(self.degenerate[r]))
+        if not self.flagged[r]:  # index_variance's memo holds the kernel's variance
+            moments.__dict__["_index_variances"] = {self.spec: self.variance(r)}
         return moments
 
 
-def _chunk_arguments(n: int, spec: StudySpec, block: list) -> Iterator[tuple[_Sample, ...]]:
-    """Each replication of a seed block from ``_sampled_sums``, as one ``_Sample`` per sample. Per
-    sample, once per block: moments from ``_moments`` and ``_correlations`` (Python ints past 2^53),
-    sub-indices and their weighted ``fsum``, derivatives in ``delta_derivative``'s order, variances
-    from ``_delta_form``, and a flag where ``index_variance`` refuses or reads the form as 0.0. Bit
-    for bit: numpy does only + - * /, sqrt, comparisons; powers, ``fsum`` stay in math."""
+def _chunk_arguments(n: int, spec: StudySpec, block: list) -> list[_Block]:
+    """A seed block from ``_sampled_sums``, as one ``_Block`` per pmf. Per sample, once per block:
+    moments from ``_moments`` and ``_correlations`` (Python ints past 2^53), sub-indices and their
+    weighted ``fsum``, derivatives in ``delta_derivative``'s order, variances from ``_delta_form``,
+    and a flag where ``index_variance`` refuses or reads the form as 0.0. Bit for bit: numpy does
+    only + - * /, sqrt, comparisons; powers, ``fsum`` stay in math."""
     m, beta, linear = np.array([(float(x.m), x.beta, x.is_linear) for x in spec.models]).T
-    samples = []
+    records = []
     for sums, cross in block:
         scores, cov, degenerate = _moments(n, sums, cross)
         subs = np.array([[subindex(s, model) for s in column]
@@ -479,12 +473,12 @@ def _chunk_arguments(n: int, spec: StudySpec, block: list) -> Iterator[tuple[_Sa
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             gradients = np.where(linear, 1.0 / m, beta * m * subs * (1.0 - subs) / (scores * (m - scores)))
         terms, value = _delta_form(gradients, spec.weights, cov, n)
-        samples.append(SimpleNamespace(
+        records.append(_Block(
             n=n, spec=spec, cov=cov, corr=_correlations(cov, degenerate), scores=scores.tolist(),
             degenerate=degenerate.tolist(), subs=subs.tolist(), value=value.tolist(),
             index=[math.fsum(row) for row in (subs * spec.weights).tolist()], gradients=gradients.tolist(),
             terms=terms, flagged=(degenerate.any(axis=1) | ~(value >= 0) | np.isinf(value)).tolist()))
-    yield from zip(*(map(_Sample, repeat(sample), range(len(block[0][0]))) for sample in samples))
+    return records
 
 
 # --- studies -----------------------------------------------------------------
@@ -510,13 +504,14 @@ def _moments_of(z: np.ndarray) -> tuple[float, float, float, float]:
 def _accepted(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...], statistic) -> tuple[np.ndarray, tuple[str, ...]]:
     """``statistic`` of every replication that it does not refuse, one column per replication and
     one row per value, and a note counting the refused ones; raises the first refusal when it
-    refuses every replication. ``statistic`` takes one ``_Sample`` per pmf, from one
-    ``_chunk_arguments`` call per seed block."""
+    refuses every replication. ``statistic`` takes a replication's position r in its seed block
+    and one ``_Block`` per pmf, from one ``_chunk_arguments`` call per seed block."""
     values, accepted, first = None, 0, None
     for block in _sampled_sums(plan, pmfs):
-        for samples in _chunk_arguments(plan.n, plan.spec, block):
+        records = _chunk_arguments(plan.n, plan.spec, block)
+        for r in range(len(records[0].index)):
             try:
-                value = statistic(*samples)
+                value = statistic(r, *records)
             except StatisticalRefusal as exc:
                 first = first or exc
                 continue
@@ -524,7 +519,7 @@ def _accepted(plan: SimulationPlan, pmfs: tuple[PmfSpec, ...], statistic) -> tup
                 values = np.empty((np.size(value), plan.replications))
             values[:, accepted] = value
             accepted += 1
-        del samples  # the last views hold the block's arrays: drop them before the next is drawn
+        del records  # they hold the block's arrays: drop them before the next is drawn
     if values is None:
         raise first
     note = () if first is None else (
@@ -559,8 +554,8 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     if plan.study == "normality":
         scale = math.sqrt(avar)
 
-        def z_score(sample):
-            return math.sqrt(plan.n) * (sample.index().value - truth.index) / scale
+        def z_score(r, sample):
+            return math.sqrt(plan.n) * (sample.index[r] - truth.index) / scale
 
         (z,), refusals = _accepted(plan, (plan.pmf,), z_score)
         mean, variance, skewness, kurtosis = _moments_of(z)
@@ -587,8 +582,9 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     elif plan.study == "coverage":
         df = _interval_df(plan.n, plan.spec.k)
 
-        def covered(sample):
-            ci = confidence_interval(sample.index(), sample.variance(), _CI_LEVEL, df)
+        def covered(r, sample):
+            index = IndexValue(tuple(sample.subs[r]), sample.index[r])
+            ci = confidence_interval(index, sample.variance(r), _CI_LEVEL, df)
             return ci.lower <= truth.index <= ci.upper
 
         (hits,), refusals = _accepted(plan, (plan.pmf,), covered)
@@ -606,9 +602,9 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     elif plan.study == "size":
         pmf_b = plan.pmf_alternative if plan.pmf_alternative is not None else plan.pmf
 
-        def rejects(a, b):
-            statistic, df = _welch((a.index().value, b.index().value),
-                                   (a.variance().value, b.variance().value), (plan.n, plan.n), plan.spec.k)
+        def rejects(r, a, b):
+            statistic, df = _welch((a.index[r], b.index[r]),
+                                   (a.variance(r).value, b.variance(r).value), (plan.n, plan.n), plan.spec.k)
             return student_t_pvalue(statistic, df, "two") < _SIGNIFICANCE
 
         (rejections,), refusals = _accepted(plan, (plan.pmf, pmf_b), rejects)
@@ -626,8 +622,8 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
             checks = {"power_above_floor": rate >= _POWER_FLOOR}
 
     else:  # variance-ratio
-        def index_and_variance(sample):  # an unflagged sample's variance is a memo hit
-            return sample.index().value, index_variance(sample.moments(), plan.spec).value
+        def index_and_variance(r, sample):  # an unflagged sample's variance is a memo hit
+            return sample.index[r], index_variance(sample.moments(r), plan.spec).value
 
         (i_hat, v_hat), refusals = _accepted(plan, (plan.pmf,), index_and_variance)
         empirical_variance = _sample_variance(i_hat)

@@ -317,14 +317,18 @@ def test_file_that_is_not_utf8_is_an_input_error(capsys, spec_file, data_file, w
         ({"models": [LINEAR_SPEC["models"][0], "CMM"]}, "model 1 must be an object"),
         ({"models": [{"m": 5}]}, "model 0 is missing 'name'"),
         ({"models": [{"name": "TAM"}]}, "model 0 is missing 'm'"),
+        # JSON that json.load cannot hold: nesting past the recursion limit, and an integer
+        # literal past Python's 4,300-digit string conversion limit
+        ("[" * 100_000 + "]" * 100_000, "invalid JSON (maximum recursion depth exceeded"),
+        ('{"models": [{"name": "TAM", "m": ' + "9" * 5000 + "}]}", "invalid JSON (Exceeds the limit"),
     ],
     ids=["missing", "not-an-object", "no-models", "models-not-a-list", "model-not-an-object",
-         "no-name", "no-m"],
+         "no-name", "no-m", "nested-too-deep", "integer-too-long"],
 )
 def test_malformed_spec_file_names_the_file(capsys, tmp_path, data_file, spec, named):
     spec_path = tmp_path / "spec.json"
     if spec is not None:
-        spec_path.write_text(json.dumps(spec))
+        spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     code, out, err = run_cli(capsys, "compute", "--spec", str(spec_path), "--data", data_file)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {spec_path}: ") and named in err
@@ -1005,13 +1009,16 @@ class TestSimulate:
         assert code == 1
         assert "degenerate" in err
 
-    @pytest.mark.parametrize("study", ["normality", "variance-ratio"])
-    def test_zero_population_variance_exits_with_refusal(self, capsys, tmp_path, study):
+    @pytest.mark.parametrize("models", [
         # B = 3 - A, so the index does not vary; its variance's sum rounds to -1e-16
-        symmetric = [0.1, 0.4, 0.4, 0.1]
-        spec = {"models": [{"name": "A", "m": 3, "pmf": symmetric},
-                           {"name": "B", "m": 3, "pmf": symmetric}],
-                "latent_correlation": [[1, -1], [-1, 1]]}
+        [{"name": "A", "m": 3, "pmf": [0.1, 0.4, 0.4, 0.1]}, {"name": "B", "m": 3, "pmf": [0.1, 0.4, 0.4, 0.1]}],
+        # B = 6 - A again, but steep shapes whose terms of about +-1.45e8 sum to +5.96e-8
+        [{"name": name, "m": 6, "beta": beta, "pmf": [0.05, 0.1, 0.2, 0.3, 0.2, 0.1, 0.05]}
+         for name, beta in (("A", 99777.22441128801), ("B", 99777.22441128732))],
+    ], ids=["antithetic", "antithetic-steep"])
+    @pytest.mark.parametrize("study", ["normality", "variance-ratio"])
+    def test_zero_population_variance_exits_with_refusal(self, capsys, tmp_path, study, models):
+        spec = {"models": models, "latent_correlation": [[1, -1], [-1, 1]]}
         spec_path = tmp_path / "antithetic.json"
         spec_path.write_text(json.dumps(spec))
         code, out, err = run_cli(

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from adoptindex import (
+    IndexValue,
     ModelSpec,
     PmfSpec,
     SimulationPlan,
@@ -628,12 +629,12 @@ def test_chunked_draws_match_per_replication_reference(models, copula, samples, 
         assert sums.tolist() == [list(want) for want, _ in expected]
         assert cross.tolist() == [[list(row) for row in want] for _, want in expected]
     for block in blocks:
-        replications = list(simulation._chunk_arguments(n, spec, block))
-        assert len(replications) == len(block[0][0])
-        for r, views in enumerate(replications):
-            assert len(views) == samples
-            for got, (sums, cross) in zip(views, block):
-                assert_same_moments(got.moments(), reference_moments(n, sums[r].tolist(), cross[r].tolist()))
+        records = simulation._chunk_arguments(n, spec, block)
+        assert len(records) == samples
+        for record, (sums, cross) in zip(records, block):
+            assert len(record.index) == len(block[0][0])
+            for r in range(len(sums)):
+                assert_same_moments(record.moments(r), reference_moments(n, sums[r].tolist(), cross[r].tolist()))
     # a lone sample_dataset draws the last sample's stream as the study does
     values = sample_dataset(pmf, spec, n, seeds[-1][-1]).values
     assert values.dtype == np.int64
@@ -735,17 +736,17 @@ def test_chunk_arguments_match_the_scalar_chain(chunk, paired):
     spec, n, sums, cross = chunk
     # a second sample per replication, whose flag is its own
     batch = [(sums, cross), (sums[::-1], cross[::-1])] if paired else [(sums, cross)]
-    replications = list(simulation._chunk_arguments(n, spec, batch))
-    assert len(replications) == len(sums)
-    for r, views in enumerate(replications):
-        assert len(views) == len(batch)
-        for view, (s, c) in zip(views, batch):
+    records = simulation._chunk_arguments(n, spec, batch)
+    assert len(records) == len(batch)
+    for record, (s, c) in zip(records, batch):
+        assert len(record.index) == len(record.subs) == len(sums)
+        for r in range(len(sums)):
             want = _from_sums(n, s[r].tolist(), c[r].tolist())
             assert_same_moments(want, reference_moments(n, s[r].tolist(), c[r].tolist()))
-            index, want_index = view.index(), global_index(want.scores, spec)
-            assert hexes(index.sub_indices) == hexes(want_index.sub_indices)
-            assert hexes([index.value]) == hexes([want_index.value])
-            moments = view.moments()
+            want_index = global_index(want.scores, spec)
+            assert hexes(record.subs[r]) == hexes(want_index.sub_indices)
+            assert hexes([record.index[r]]) == hexes([want_index.value])
+            moments = record.moments(r)
             assert_same_moments(moments, want)
             flagged = scalar_flagged(want, spec)
             # an unflagged sample's moments hold the kernel's variance where index_variance looks it up
@@ -753,44 +754,43 @@ def test_chunk_arguments_match_the_scalar_chain(chunk, paired):
             try:
                 want_variance = index_variance(want, spec)
             except StatisticalRefusal as exc:
-                for variance_of in (view.variance, lambda: index_variance(view.moments(), spec)):
+                for variance_of in (record.variance, lambda r: index_variance(record.moments(r), spec)):
                     with pytest.raises(type(exc)) as refused:
-                        variance_of()
+                        variance_of(r)
                     assert type(refused.value) is type(exc) and str(refused.value) == str(exc)
                 continue
-            assert_same_variance(view.variance(), want_variance)
+            assert_same_variance(record.variance(r), want_variance)
             kept = index_variance(moments, spec)
             assert_same_variance(kept, want_variance)
             assert flagged or kept is vars(moments)["_index_variances"][spec]
 
 
 class ReferenceSample:
-    """One sample of the per-replication reference, with ``simulation._Sample``'s accessors
-    computed by the scalar chain."""
+    """One sample of the per-replication reference, as a one-replication ``simulation._Block``
+    whose fields and methods the scalar chain computes."""
 
     def __init__(self, moments, spec):
         self.of, self.spec = moments, spec
+        index = global_index(moments.scores, spec)
+        self.index, self.subs = [index.value], [index.sub_indices]
 
-    def index(self):
-        return global_index(self.of.scores, self.spec)
-
-    def variance(self):
+    def variance(self, r):
         return index_variance(self.of, self.spec)
 
-    def moments(self):
+    def moments(self, r):
         return self.of
 
 
 def reference_accepted(plan, pmfs, statistic):
     """The per-replication loop: each sample drawn on its own, reduced by _exact_sums and
-    reference_moments, and passed to the study's statistic as a ReferenceSample."""
+    reference_moments, and passed to the study's statistic as a ReferenceSample at r = 0."""
     values, first = [], None
     for child in np.random.SeedSequence(plan.seed).spawn(plan.replications):
         seeds = [child] if len(pmfs) == 1 else child.spawn(2)
         samples = [ReferenceSample(reference_moments(plan.n, *_exact_sums(reference_stages(pmf, plan.n, seed))),
                                    plan.spec) for pmf, seed in zip(pmfs, seeds)]
         try:
-            values.append(np.ravel(statistic(*samples)).astype(float))
+            values.append(np.ravel(statistic(0, *samples)).astype(float))
         except StatisticalRefusal as exc:
             first = first or exc
     if not values:
@@ -892,20 +892,31 @@ def test_each_seed_block_runs_the_kernel_once(monkeypatch, n, replications):
     assert sizes == [min(per_block, replications - start) for start in range(0, replications, per_block)]
 
 
-@pytest.mark.parametrize("study, per_replication", [
-    ("normality", 0), ("coverage", 0), ("size", 0), ("variance-ratio", 1)])
-def test_a_study_builds_moments_only_where_its_statistic_reads_them(monkeypatch, study, per_replication):
-    built = []
-    init = MomentEstimate.__init__
+@pytest.mark.parametrize("study, moments_per_replication, indices_per_replication", [
+    ("normality", 0, 0), ("coverage", 0, 1), ("size", 0, 0), ("variance-ratio", 1, 0)])
+def test_a_study_builds_moments_only_where_its_statistic_reads_them(
+        monkeypatch, study, moments_per_replication, indices_per_replication):
+    built = {MomentEstimate: [], IndexValue: []}
+    for cls, objects in built.items():
+        def counting(self, *args, init=cls.__init__, objects=objects, **kwargs):
+            objects.append(self)
+            init(self, *args, **kwargs)
 
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
 
-    monkeypatch.setattr(MomentEstimate, "__init__", counting)
-    plan = SimulationPlan(study=study, **STUDY_PLANS["copula"])
-    assert len(run_study(plan).notes) == 1  # no replication refused
-    assert len(built) == per_replication * plan.replications
+    def counts(replications):
+        for objects in built.values():
+            objects.clear()
+        plan = SimulationPlan(study=study, **{**STUDY_PLANS["copula"], "replications": replications})
+        assert len(run_study(plan).notes) == 1  # no replication refused
+        return len(built[MomentEstimate]), len(built[IndexValue])
+
+    # the population truth builds a few IndexValues once per study, whatever R is
+    replications = STUDY_PLANS["copula"]["replications"]
+    (moments, indices), (moments_2r, indices_2r) = counts(replications), counts(2 * replications)
+    assert (moments, moments_2r) == (moments_per_replication * replications,
+                                     moments_per_replication * 2 * replications)
+    assert indices_2r - indices == indices_per_replication * replications
 
 
 def test_a_chunk_past_2_53_computes_only_refused_replications_one_by_one(monkeypatch):
@@ -929,7 +940,7 @@ def test_a_chunk_past_2_53_computes_only_refused_replications_one_by_one(monkeyp
 
     monkeypatch.setattr(simulation, "index_variance", scalar_variance)
     values, notes = simulation._accepted(
-        plan, (plan.pmf,), lambda sample: (sample.index().value, sample.variance().value))
+        plan, (plan.pmf,), lambda r, sample: (sample.index[r], sample.variance(r).value))
     # the second and the fourth hold model A constant, which index_variance refuses; only
     # they reach it, with the kernel's moments
     assert len(calls) == 2
