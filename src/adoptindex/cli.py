@@ -52,7 +52,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Any
 
 import numpy as np
@@ -93,8 +93,9 @@ def _known_keys(entry: dict[str, Any], keys: tuple[str, ...], where: str) -> Non
             raise InputError(f"{where}: unknown key {key!r}; expected one of {', '.join(keys)}")
 
 
-def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
-    """Parse the JSON study spec; returns the spec plus simulation extras."""
+def load_spec(path: str) -> dict[str, Any]:
+    """Parse the JSON study spec, every model as the file gives it; returns the spec plus
+    simulation extras."""
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -110,11 +111,6 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
     entries = raw["models"]
     if not isinstance(entries, list) or not entries:
         raise InputError(f"{path}: 'models' must be a non-empty list")
-    if presets and len(presets) not in (1, len(entries)):
-        raise InputError(
-            f"{path}: {len(presets)} presets given for {len(entries)} models; "
-            "give one preset or one per model"
-        )
     models = []
     flags = []
     pmfs = []
@@ -127,20 +123,12 @@ def load_spec(path: str, presets: tuple[str, ...] = ()) -> dict[str, Any]:
             m = entry["m"]
         except KeyError as exc:
             raise InputError(f"{path}: model {pos} is missing {exc}") from exc
-        alpha = entry.get("alpha", 1.0)
-        beta = entry.get("beta", 1.0)
-        if presets:
-            preset = presets[0] if len(presets) == 1 else presets[pos]
-            if preset not in SHAPE_PRESETS:
-                raise InputError(
-                    f"{path}: unknown preset {preset!r}; choose from {sorted(SHAPE_PRESETS)}"
-                )
-            alpha, beta = SHAPE_PRESETS[preset]
         flag = entry.get("add_zero_stage", False)
         if not isinstance(flag, bool):
             raise InputError(f"{path}: model {pos}: add_zero_stage must be true or false, got {flag!r}")
         with _naming(path):
-            models.append(ModelSpec(name, m, alpha, beta, entry.get("weight")))
+            models.append(ModelSpec(name, m, entry.get("alpha", 1.0), entry.get("beta", 1.0),
+                                    entry.get("weight")))
         flags.append(flag)
         pmfs.append(entry.get("pmf"))
     with _naming(path):
@@ -485,7 +473,16 @@ def cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
 
 def cmd_surface(args: argparse.Namespace) -> dict[str, Any]:
     presets = tuple(p.strip() for p in args.preset.split(",")) if args.preset else ()
-    spec = load_spec(args.spec, presets=presets)["spec"]
+    spec = load_spec(args.spec)["spec"]  # the file is checked in full before a preset replaces a shape
+    if presets:
+        if len(presets) not in (1, spec.k):
+            raise InputError(f"{args.spec}: {len(presets)} presets given for {spec.k} models; "
+                             "give one preset or one per model")
+        for preset in presets:
+            if preset not in SHAPE_PRESETS:
+                raise InputError(f"{args.spec}: unknown preset {preset!r}; choose from {sorted(SHAPE_PRESETS)}")
+        shapes = map(SHAPE_PRESETS.get, presets * spec.k)  # zip takes k: one preset for all, or one each
+        spec = StudySpec([replace(model, alpha=a, beta=b) for model, (a, b) in zip(spec.models, shapes)])
     rows = surface_grid(spec, args.resolution)
     inputs = {"resolution": args.resolution, "presets": presets}
     return _report(args, spec, inputs, {"header": ["S_1", "S_2", "I"], "rows": rows})

@@ -46,23 +46,24 @@ from .estimation import MomentEstimate, ScoreEstimate, _from_sums, estimate_mome
 from .index import IndexValue, delta_gradient, global_index
 from .tdist import Sidedness, _require_level, _require_sidedness, student_t_pvalue, student_t_quantile
 
-# A PSD form's float sum below zero is rounding down to -VARIANCE_EXPANSION_TOL * max(1,
-# sum|terms|), and reads as 0.0; below that, or not finite, the variance is refused. A float
-# sum of N terms errs by at most about (N - 1) u sum|terms|, u = 2^-53 (Higham 2002, ch. 4),
-# and each term by a few u more from its products: 1e-12 is about 9,000 u, room for thousands
-# of terms. The floor of 1 keeps every sum of at least -1e-12 rounding, whatever its terms.
+# A PSD form's float sum errs by at most about (N - 1) u sum|terms| for N terms, u = 2^-53
+# (Higham 2002, ch. 4), and each term by a few u more from its products: 1e-12 is about 9,000 u,
+# room for thousands of terms. So a sum of at most VARIANCE_EXPANSION_TOL * sum|terms|, of
+# either sign, is rounding of a zero variance and reads as 0.0; one below -VARIANCE_EXPANSION_TOL
+# * max(1, sum|terms|), or not finite, is refused. The floor of 1 keeps every sum of at least
+# -1e-12 rounding, whatever its terms; the zero bound has none, as a small sum of small terms is real.
 VARIANCE_EXPANSION_TOL = 1e-12
 
 
-def _psd_sum(total: float, terms, what: str) -> float:
-    """``total``, the float sum of a PSD form's ``terms``, judged as the variance named ``what``."""
+def _psd_sum(total: float, scale: float, what: str) -> float:
+    """``total``, a PSD form's float sum of terms whose magnitudes sum to ``scale``, judged as the variance
+    ``what``: the one rule for the sample, the population and (vectorised) the Monte Carlo block forms."""
     if not math.isfinite(total):  # a finite derivative's square, say, may overflow
         raise DegenerateVariance(f"the {what} is not finite in floating point, got {total}")
-    if total < -VARIANCE_EXPANSION_TOL:  # the clean path never sums the terms' scale
-        bound = -VARIANCE_EXPANSION_TOL * max(1.0, float(np.abs(terms).sum()))
-        if total < bound:
-            raise DegenerateVariance(f"the {what} is {total}, below zero beyond rounding (bound {bound})")
-    return 0.0 if total < 0 else total
+    bound = -VARIANCE_EXPANSION_TOL * max(1.0, scale)
+    if total < bound:
+        raise DegenerateVariance(f"the {what} is {total}, below zero beyond rounding (bound {bound})")
+    return 0.0 if total <= VARIANCE_EXPANSION_TOL * scale else total
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,15 +106,16 @@ class ConfidenceInterval:
     clamped: bool
 
 
-def _delta_form(gradients, weights, cov: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | float]:
+def _delta_form(gradients, weights, cov: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The read-only delta-method terms g_j g_l cov_jl / n, g = weights * gradients, over any
-    leading batch axes of ``gradients`` [..., k] and ``cov`` [..., k, k], and each sample's sum.
-    As in Python floats, overflow gives inf and inf - inf gives NaN silently: callers need no errstate."""
+    leading batch axes of ``gradients`` [..., k] and ``cov`` [..., k, k], each sample's sum and its terms'
+    summed magnitudes, ``_psd_sum``'s scale. As in Python floats, overflow gives inf and inf - inf gives
+    NaN silently: callers need no errstate."""
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.multiply(gradients, weights)
         terms = g[..., :, None] * g[..., None, :] * cov / n
         terms.setflags(write=False)
-        return terms, terms.sum(axis=(-2, -1))
+        return terms, terms.sum(axis=(-2, -1)), np.abs(terms).sum(axis=(-2, -1))
 
 
 def index_variance(
@@ -126,7 +128,7 @@ def index_variance(
     ``correlation`` optionally replaces the sample correlation matrix (for example to force
     independence) and is checked like a latent correlation; variances always come from the
     sample. Refuses zero-variance models, since every model carries positive weight, and a sum
-    that ``_psd_sum`` refuses; a negative sum that it reads as 0.0 zeroes ``contributions`` too.
+    that ``_psd_sum`` refuses; a nonzero sum that it reads as 0.0 zeroes ``contributions`` too.
 
     Without ``correlation``, the estimate is kept per spec in ``moments``, as a dataset keeps
     its ``sufficient_stats``, and a repeat returns the same object. Only a read-only ``cov``
@@ -155,9 +157,9 @@ def index_variance(
         sigma = corr * np.outer(sd, sd)
         np.fill_diagonal(sigma, variances)
     gradients = delta_gradient(moments.scores, spec)
-    contributions, raw = _delta_form(gradients, spec.weights, sigma, moments.n)
-    value = _psd_sum(float(raw), contributions, "index variance")  # NaN from inf - inf: not finite
-    if raw < 0:
+    contributions, raw, scale = _delta_form(gradients, spec.weights, sigma, moments.n)
+    value = _psd_sum(float(raw), float(scale), "index variance")  # NaN from inf - inf: not finite
+    if value != raw:
         contributions = np.zeros_like(contributions)
         contributions.setflags(write=False)
     memo[spec] = variance = VarianceEstimate(value, contributions, gradients, moments.n)

@@ -269,23 +269,20 @@ def population_asymptotic_variance(pmf: PmfSpec, spec: StudySpec) -> float:
 
     Needs every model non-degenerate (else the delta-method gradient or the variance itself
     is zero and the studies refuse to run). Its sum is judged as ``index_variance``'s is, by
-    ``inference._psd_sum``: one below zero beyond rounding, or not finite, is a
-    ``DegenerateVariance``. A sum within rounding of zero, at most ``VARIANCE_EXPANSION_TOL``
-    times its terms' summed magnitudes, reads as 0.0: the studies would divide by noise.
+    ``inference._psd_sum``: refused, 0.0 within rounding of zero, or the sum.
     """
     truth = _nondegenerate_truth(pmf, spec)
     gradients = delta_gradient(ScoreEstimate(scores=truth.scores, n=0), spec)
     # Python floats: an overflow reads inf without a numpy warning
     g = [w * d for w, d in zip(spec.weights, gradients)]
     terms = [gj * gj * v for gj, v in zip(g, truth.variances)]
-    total = float(np.sum(terms))
-    for j in range(spec.k):
-        for l in range(j + 1, spec.k):
-            terms.append(2.0 * g[j] * g[l] * latent_cross_covariance(pmf, spec, j, l))
-            total += terms[-1]
-    total = _psd_sum(total, terms, "index's population asymptotic variance")
-    # relative only: a small variance of small terms is real, however close to zero
-    return 0.0 if total <= VARIANCE_EXPANSION_TOL * float(np.abs(terms).sum()) else total
+    with np.errstate(over="ignore"):  # and so may numpy's sums of finite terms
+        total = float(np.sum(terms))
+        for j in range(spec.k):
+            for l in range(j + 1, spec.k):
+                terms.append(2.0 * g[j] * g[l] * latent_cross_covariance(pmf, spec, j, l))
+                total += terms[-1]
+        return _psd_sum(total, float(np.abs(terms).sum()), "index's population asymptotic variance")
 
 
 def _psd_transform(corr: np.ndarray) -> np.ndarray:
@@ -442,7 +439,7 @@ class _Block(SimpleNamespace):
     MomentEstimate and ``index_variance``'s VarianceEstimate, bit for bit, only when asked."""
 
     def variance(self, r: int) -> VarianceEstimate:
-        if self.flagged[r]:  # index_variance's own refusal, or its 0.0 for a form below zero
+        if self.flagged[r]:  # index_variance's own refusal, or its 0.0 for a form within rounding of zero
             return index_variance(self.moments(r), self.spec)
         return VarianceEstimate(self.value[r], self.terms[r], tuple(self.gradients[r]), self.n)
 
@@ -459,9 +456,9 @@ class _Block(SimpleNamespace):
 def _chunk_arguments(n: int, spec: StudySpec, block: list) -> list[_Block]:
     """A seed block from ``_sampled_sums``, as one ``_Block`` per pmf. Per sample, once per block:
     moments from ``_moments`` and ``_correlations`` (Python ints past 2^53), sub-indices and their
-    weighted ``fsum``, derivatives in ``delta_derivative``'s order, variances from ``_delta_form``,
-    and a flag where ``index_variance`` refuses or reads the form as 0.0. Bit for bit: numpy does
-    only + - * /, sqrt, comparisons; powers, ``fsum`` stay in math."""
+    weighted ``fsum``, derivatives in ``delta_derivative``'s order, variances from ``_delta_form``, and
+    a flag where a model is degenerate or ``_psd_sum`` would not return the form's sum unchanged. Bit
+    for bit: numpy does only + - * /, sqrt, comparisons; powers, ``fsum`` stay in math."""
     m, beta, linear = np.array([(float(x.m), x.beta, x.is_linear) for x in spec.models]).T
     records = []
     for sums, cross in block:
@@ -472,12 +469,14 @@ def _chunk_arguments(n: int, spec: StudySpec, block: list) -> list[_Block]:
         # a NaN or infinite derivative, which delta_derivative refuses, gives a form that is flagged
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             gradients = np.where(linear, 1.0 / m, beta * m * subs * (1.0 - subs) / (scores * (m - scores)))
-        terms, value = _delta_form(gradients, spec.weights, cov, n)
+        terms, value, scale = _delta_form(gradients, spec.weights, cov, n)
+        # _psd_sum returns a finite sum unchanged only above VARIANCE_EXPANSION_TOL * scale; NaN fails
+        kept = ~np.isinf(value) & (value > VARIANCE_EXPANSION_TOL * scale)
         records.append(_Block(
             n=n, spec=spec, cov=cov, corr=_correlations(cov, degenerate), scores=scores.tolist(),
             degenerate=degenerate.tolist(), subs=subs.tolist(), value=value.tolist(),
             index=[math.fsum(row) for row in (subs * spec.weights).tolist()], gradients=gradients.tolist(),
-            terms=terms, flagged=(degenerate.any(axis=1) | ~(value >= 0) | np.isinf(value)).tolist()))
+            terms=terms, flagged=(degenerate.any(axis=1) | ~kept).tolist()))
     return records
 
 
@@ -533,19 +532,20 @@ def run_study(plan: SimulationPlan) -> SimulationReport:
     Rates, errors and means are taken over the replications whose statistics
     are defined; a replication refused (say, one with a constant column) is
     counted in a note, and a study whose every replication is refused raises.
+    Every study (a power study by its null pmf) refuses before drawing a pmf
+    under which the index cannot vary, its population asymptotic variance 0.
     A ``variance-ratio`` study whose accepted replications all give the same
     index raises ``DegenerateVariance``, since it divides by their variance.
     """
     truth = _nondegenerate_truth(plan.pmf, plan.spec)
     if plan.pmf_alternative is not None:
         _nondegenerate_truth(plan.pmf_alternative, plan.spec, "alternative pmf")
-    if plan.study in ("normality", "variance-ratio"):
-        avar = population_asymptotic_variance(plan.pmf, plan.spec)
-        if avar == 0.0:
-            raise DegenerateVariance(
-                f"the index's population asymptotic variance is zero under this pmf; "
-                f"the {plan.study} study divides by it"
-            )
+    avar = population_asymptotic_variance(plan.pmf, plan.spec)
+    if avar == 0.0:
+        raise DegenerateVariance(
+            f"the index's population asymptotic variance is zero under this pmf; "
+            f"the {plan.study} study needs an index that varies"
+        )
     notes = (
         "observations are treated as iid within each sample; clustered or "
         "stratified sampling is out of scope",

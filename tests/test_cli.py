@@ -810,6 +810,12 @@ STEEP_PAIR_PMF = [0.05, 0.1, 0.2, 0.3, 0.2, 0.1, 0.05]
 STEEP_PAIR_SPEC = {"models": [{"name": "A", "m": 6, "beta": 65507.70429955353, "pmf": STEEP_PAIR_PMF},
                               {"name": "B", "m": 6, "beta": 65507.70429955391, "pmf": STEEP_PAIR_PMF}],
                    "latent_correlation": [[1, -1], [-1, 1]]}
+# the same shapes as STEEP_PAIR_SPEC but steeper, and B = 6 - A in every row, so the index is
+# constant: its delta-method form sums to +4.7e-10 of terms whose magnitudes sum to 6.6e6
+CONSTANT_PAIR_SPEC = {"models": [{"name": "A", "m": 6, "beta": 99777.22441128801},
+                                 {"name": "B", "m": 6, "beta": 99777.22441128732}]}
+CONSTANT_PAIR_ROWS = "corporation,A,B\n" + "".join(
+    f"r{i},{a},{6 - a}\n" for i, a in enumerate([2] * 6 + [3] * 11 + [4] * 6, 1))
 # A's derivative is finite, but its square overflows the index variance to inf
 HUGE_SPEC = {"models": [{"name": "A", "m": 5, "beta": 1e200}, {"name": "B", "m": 5}]}
 HUGE_ROWS = "corporation,A,B\nr1,2,2\nr2,3,4\nr3,3,1\nr4,2,2\nr5,3,3\nr6,2,5\n"
@@ -927,6 +933,28 @@ class TestExtremeVariances:
         assert results["variance"] == 0.0
         assert results["interval"]["lower"] == results["interval"]["upper"] == results["index"]
 
+    def test_sample_sum_above_zero_by_rounding_reads_as_zero(self, capsys, tmp_path):
+        spec, data = self.write(tmp_path, CONSTANT_PAIR_SPEC, data=CONSTANT_PAIR_ROWS)
+        code, out, err = run_cli(capsys, "compute", "--spec", spec, "--data", data,
+                                 "--format", "structured")
+        assert (code, err) == (0, ""), err
+        results = strict_json(out)["results"]
+        assert results["variance"] == 0.0 and results["index"] == 0.5
+        assert results["interval"]["lower"] == results["interval"]["upper"] == 0.5
+
+    @pytest.mark.parametrize("command,flags", [
+        ("test-one", ("--data", "rows", "--row", "r1")),
+        ("test-one", ("--data", "rows", "--row", "r10")),
+        ("test-two", ("--data-a", "rows", "--data-b", "rows")),
+    ], ids=["test-one-r1", "test-one-r10", "test-two"])
+    def test_tests_refuse_a_sum_above_zero_by_rounding(self, capsys, tmp_path, command, flags):
+        spec, rows = self.write(tmp_path, CONSTANT_PAIR_SPEC, rows=CONSTANT_PAIR_ROWS)
+        code, out, err = run_cli(capsys, command, "--spec", spec, *(rows if flag == "rows" else flag for flag in flags))
+        assert (code, out) == (1, "")
+        assert err == ("error: the weighted stage combination is constant across the remaining rows\n"
+                       if command == "test-one" else
+                       "error: both weighted stage combinations are constant; no variance to test against\n")
+
     def test_population_sum_below_zero_by_rounding_is_a_zero_variance(self, capsys, tmp_path):
         # the population form sums to -1.5e-8
         (spec,) = self.write(tmp_path, STEEP_PAIR_SPEC)
@@ -934,18 +962,18 @@ class TestExtremeVariances:
                                  "--n", "50", "--replications", "10", "--seed", "1")
         assert (code, out) == (1, "")
         assert err == ("error: the index's population asymptotic variance is zero under this "
-                       "pmf; the normality study divides by it\n")
+                       "pmf; the normality study needs an index that varies\n")
 
-    def test_replications_whose_sums_round_below_zero_are_accepted(self, capsys, tmp_path):
-        # some replications' forms sum to about -2e-10; the scalar chain reads them as zero
+    def test_coverage_refuses_a_population_sum_below_zero_by_rounding(self, capsys, tmp_path):
+        # its replications' forms sum to about -2e-10, and the population's to -1.5e-8: the
+        # study refuses before drawing, as it would grade noise
         (spec,) = self.write(tmp_path, STEEP_PAIR_SPEC)
         code, out, err = run_cli(capsys, "simulate", "--spec", spec, "--study", "coverage",
                                  "--n", "50", "--replications", "200", "--seed", "1",
                                  "--format", "structured")
-        assert (code, err) == (0, ""), err
-        report = strict_json(out)
-        assert 0 <= report["results"]["metrics"]["coverage_rate"] <= 1
-        assert not any("refused" in note for note in report["notes"])
+        assert (code, out) == (1, "")
+        assert err == ("error: the index's population asymptotic variance is zero under this "
+                       "pmf; the coverage study needs an index that varies\n")
 
     def test_infinite_population_variance_is_a_statistical_refusal(self, capsys, tmp_path):
         # A's derivative at its score 3 is finite, and its square overflows
@@ -1016,9 +1044,11 @@ class TestSimulate:
         [{"name": name, "m": 6, "beta": beta, "pmf": [0.05, 0.1, 0.2, 0.3, 0.2, 0.1, 0.05]}
          for name, beta in (("A", 99777.22441128801), ("B", 99777.22441128732))],
     ], ids=["antithetic", "antithetic-steep"])
-    @pytest.mark.parametrize("study", ["normality", "variance-ratio"])
+    @pytest.mark.parametrize("study", ["normality", "coverage", "size", "power", "variance-ratio"])
     def test_zero_population_variance_exits_with_refusal(self, capsys, tmp_path, study, models):
         spec = {"models": models, "latent_correlation": [[1, -1], [-1, 1]]}
+        if study == "power":  # judged by its null pmf
+            study, spec["alternative_pmf"] = "size", [model["pmf"][1:] + model["pmf"][:1] for model in models]
         spec_path = tmp_path / "antithetic.json"
         spec_path.write_text(json.dumps(spec))
         code, out, err = run_cli(
@@ -1027,7 +1057,7 @@ class TestSimulate:
         )
         assert (code, out) == (1, "")
         assert err == (f"error: the index's population asymptotic variance is zero under this "
-                       f"pmf; the {study} study divides by it\n")
+                       f"pmf; the {study} study needs an index that varies\n")
 
     @pytest.mark.parametrize("pmf,n,seed", [([0.5, 0.5], 2, 1), ([0, 2 / 3, 1 / 3], 20, 0)])
     def test_variance_ratio_with_one_index_is_a_statistical_refusal(self, capsys, tmp_path,
@@ -1289,6 +1319,15 @@ class TestSurface:
         code, out, err = run_cli(capsys, "surface", "--spec", spec_file, "--resolution", resolution)
         assert (code, out) == (2, "")
         assert err == f"error: resolution must be at most 1000, got {resolution}\n"
+
+    def test_presets_do_not_skip_the_spec_files_own_checks(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"models": [{"name": "A", "m": 5, "alpha": -1, "beta": "x"},
+                                               {"name": "B", "m": 5}]}))
+        code, out, err = run_cli(capsys, "surface", "--spec", str(spec), "--resolution", "2",
+                                 "--preset", "linear")
+        assert (code, out) == (2, "")
+        assert err == f"error: {spec}: model 'A': alpha must be > 0, got -1.0\n"
 
     def test_preset_count_must_match_the_models(self, capsys, spec_file):
         code, out, err = run_cli(

@@ -139,6 +139,15 @@ class TestIndexVariance:
                                                      r"below zero beyond rounding \(bound -1e-12\)"):
             index_variance(estimate_moments(ds), tam_cmm_spec, correlation=[[1.0, r], [r, 1.0]])
 
+    def test_a_sum_above_zero_by_rounding_reads_as_zero_with_its_contributions(self):
+        # B = 6 - A, so the index is constant: the form sums to +4.7e-10 of terms whose
+        # magnitudes sum to 6.6e6
+        spec = StudySpec([ModelSpec("A", 6, beta=99777.22441128801), ModelSpec("B", 6, beta=99777.22441128732)])
+        stages = [2] * 6 + [3] * 11 + [4] * 6
+        variance = index_variance(estimate_moments(make_dataset(spec, [stages, [6 - s for s in stages]])), spec)
+        assert variance.value == 0.0
+        assert not variance.contributions.any() and not variance.contributions.flags.writeable
+
     @given(beta=st.floats(1e3, 1e5), gap=st.floats(-1e-14, 1e-14),
            offsets=st.lists(st.integers(1, 3), min_size=1, max_size=3), centre=st.integers(1, 11))
     @settings(max_examples=200, deadline=None)

@@ -366,18 +366,24 @@ class TestRunStudy:
         with pytest.raises(DegenerateVariance, match="model 'M' has zero sample variance"):
             run_study(plan)
 
-    @pytest.mark.parametrize("study", ["normality", "variance-ratio"])
+    @pytest.mark.parametrize("study", ["normality", "coverage", "size", "power", "variance-ratio"])
     def test_zero_population_variance_refused_before_drawing(self, monkeypatch, study):
         # B = 3 - A: the population variance rounds to about -1e-16 and reads as zero
         pmf, spec = STUDY_PLANS["antithetic"]["pmf"], STUDY_PLANS["antithetic"]["spec"]
         assert population_asymptotic_variance(pmf, spec) == 0.0
+        alternative = None
+        if study == "power":  # judged by its null pmf
+            study, alternative = "size", PmfSpec([p[1:] + p[:1] for p in pmf.pmfs], pmf.latent_correlation)
+            assert population_asymptotic_variance(alternative, spec) > 0
 
         def no_draws(*args):
             raise AssertionError("the study drew samples")
 
         monkeypatch.setattr(simulation, "_sampled_sums", no_draws)
-        plan = SimulationPlan(pmf=pmf, spec=spec, n=20, replications=30, seed=3, study=study)
-        with pytest.raises(DegenerateVariance, match=f"variance is zero .* the {study} study"):
+        plan = SimulationPlan(pmf=pmf, spec=spec, n=20, replications=30, seed=3, study=study,
+                              pmf_alternative=alternative)
+        with pytest.raises(DegenerateVariance, match=f"variance is zero under this pmf; the {study} study "
+                                                     "needs an index that varies$"):
             run_study(plan)
 
     def test_reports_are_reproducible(self, linear_pair):
@@ -684,16 +690,16 @@ def chunks(draw):
 
 def scalar_flagged(moments, spec):
     """Whether the scalar chain refuses the sample's variance, or reads its delta-method form,
-    negative within rounding, as 0.0."""
+    within rounding of zero, as 0.0."""
     try:
         index_variance(moments, spec)
     except StatisticalRefusal:
         return True
-    # the form before index_variance zeroes a negative one, summed as it sums it
+    # the form before index_variance judges it, and its terms' magnitudes, summed as it sums them
     g = [w * d for w, d in zip(spec.weights, delta_gradient(moments.scores, spec))]
-    form = np.array([[gj * gl * s / moments.n for gl, s in zip(g, row)]
-                     for gj, row in zip(g, moments.cov.tolist())]).sum()
-    return form < 0
+    terms = np.array([[gj * gl * s / moments.n for gl, s in zip(g, row)]
+                      for gj, row in zip(g, moments.cov.tolist())])
+    return not terms.sum() > inference.VARIANCE_EXPANSION_TOL * np.abs(terms).sum()
 
 
 def assert_same_variance(got, want):
@@ -731,6 +737,9 @@ def twelve_model_chunk():
 @example(chunk=(StudySpec([ModelSpec("A", 5), ModelSpec("B", 4, alpha=2.0)]), 4,
                 np.array([[0, 10], [20, 10], [8, 10]]),
                 np.array([[[0, 0], [0, 30]], [[100, 50], [50, 30]], [[30, 23], [23, 30]]])), paired=False)
+# a zero gradient, so every term and the sum are 0: flagged, and read as 0.0
+@example(chunk=(StudySpec([ModelSpec("M0", 1, beta=1e308)]), 3, np.array([[2]]), np.array([[[2]]])),
+         paired=False)
 @settings(max_examples=300, deadline=None)
 def test_chunk_arguments_match_the_scalar_chain(chunk, paired):
     spec, n, sums, cross = chunk
@@ -837,6 +846,9 @@ def test_study_reports_match_the_per_replication_reference(monkeypatch, study, c
         shifted = [p[1:] + p[:1] for p in pmf.pmfs]
         study, fields["pmf_alternative"] = "size", PmfSpec(shifted, pmf.latent_correlation)
     plan = SimulationPlan(study=study, **fields)
+    if case == "antithetic":
+        # past the population's refusal, so both paths grade each replication's zero variance
+        monkeypatch.setattr(simulation, "population_asymptotic_variance", lambda pmf, spec: 1.0)
     if fallback:
         # every chunk in Python ints, as if its sums reached 2^53
         chunk_arguments = simulation._chunk_arguments
