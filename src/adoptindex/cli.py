@@ -6,10 +6,10 @@ Formats:
   name, m, alpha, beta, an optional weight (all or none), an optional
   "add_zero_stage" flag (the column is recorded on 0..m-1, its lowest
   stage not meaning "no adoption"; every value is shifted up by one),
-  and an optional "pmf" used by the simulate command. Optional top-level
-  keys: "latent_correlation" (k x k matrix) and "alternative_pmf" (list
-  of per-model pmfs for the size study's shifted alternative). Any
-  other key, in a model or at the top level, is refused.
+  and an optional "pmf" (all or none) that simulate needs. Optional
+  top-level keys: "latent_correlation" (k x k) and "alternative_pmf"
+  (pmfs for ``--study size``'s shifted alternative, unused elsewhere).
+  Every command checks every field. Unknown or repeated keys are refused.
 
 * Data: UTF-8 CSV with a header row; first column is the corporation
   id, the remaining columns must be named exactly like the spec models,
@@ -57,7 +57,8 @@ from typing import Any
 
 import numpy as np
 
-from .domain import AdoptionDataset, ModelSpec, PmfSpec, StudySpec, _plain_text, _pmf, _require_stages, _RowIds
+from .domain import (AdoptionDataset, ModelSpec, PmfSpec, StudySpec, _plain_text, _pmf, _require_stages, _RowIds,
+                     correlation_matrix)
 from .errors import (
     AdoptionIndexError,
     InputError,
@@ -93,17 +94,26 @@ def _known_keys(entry: dict[str, Any], keys: tuple[str, ...], where: str) -> Non
             raise InputError(f"{where}: unknown key {key!r}; expected one of {', '.join(keys)}")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's pairs as a dict; a key given twice is refused, not overwritten."""
+    entry = dict(pairs)
+    if len(entry) < len(pairs):
+        seen: set[str] = set()  # set.add returns None, so the search stops at a key's second time
+        raise ValueError(f"repeated key {next(key for key, _ in pairs if key in seen or seen.add(key))!r}")
+    return entry
+
+
 def load_spec(path: str) -> dict[str, Any]:
-    """Parse the JSON study spec, every model as the file gives it; returns the spec plus
-    simulation extras."""
+    """Parse the JSON study spec, checking every field it holds whichever command reads it: models,
+    weights, pmf rows (all or none), latent correlation, alternative pmf (each pmf a PmfSpec or None)."""
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"{path}: cannot read spec file ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: spec file is not UTF-8 text ({exc.reason})") from exc
-    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or JSON Python cannot hold
+    except (ValueError, RecursionError) as exc:  # bad or repeated-key JSON, or JSON Python cannot hold
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict) or "models" not in raw:
         raise InputError(f"{path}: spec must be a JSON object with a 'models' list")
@@ -113,7 +123,7 @@ def load_spec(path: str) -> dict[str, Any]:
         raise InputError(f"{path}: 'models' must be a non-empty list")
     models = []
     flags = []
-    pmfs = []
+    rows = []
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise InputError(f"{path}: model {pos} must be an object")
@@ -130,16 +140,30 @@ def load_spec(path: str) -> dict[str, Any]:
             models.append(ModelSpec(name, m, entry.get("alpha", 1.0), entry.get("beta", 1.0),
                                     entry.get("weight")))
         flags.append(flag)
-        pmfs.append(entry.get("pmf"))
+        rows.append(entry.get("pmf"))
+    correlation, alternative = raw.get("latent_correlation"), raw.get("alternative_pmf")
     with _naming(path):
         spec = StudySpec(models)
-    extras = {
-        "offset_flags": tuple(flags),
-        "pmfs": pmfs,
-        "latent_correlation": raw.get("latent_correlation"),
-        "alternative_pmf": raw.get("alternative_pmf"),
-    }
-    return {"spec": spec, **extras}
+        missing = [name for name, row in zip(spec.names, rows) if row is None]
+        if 0 < len(missing) < spec.k:
+            raise InputError(f"either give every model a 'pmf' or none of them; missing for {missing}")
+        pmf = None if missing else _pmf_spec(spec, "pmf", rows, correlation)
+        if pmf is None and correlation is not None:  # a PmfSpec checks its own
+            correlation_matrix(correlation, spec.k, "latent correlation")
+        if alternative is not None:
+            alternative = _pmf_spec(spec, "alternative_pmf", alternative, correlation)
+    return {"spec": spec, "offset_flags": tuple(flags), "pmf": pmf, "alternative_pmf": alternative}
+
+
+def _pmf_spec(spec: StudySpec, field: str, rows: object, correlation: object) -> PmfSpec:
+    """The spec file's ``field`` ("pmf" or "alternative_pmf") as a PmfSpec; errors name the field and model."""
+    if not isinstance(rows, list) or len(rows) != spec.k:
+        raise InputError(f"{field} must be a list of {spec.k} pmfs, one per model")
+    for row, model in zip(rows, spec.models):
+        what = f"{field} of model {model.name!r}"
+        if len(_pmf(row, what)) != model.m + 1:
+            raise SpecMismatch(f"{what} has {len(row)} stages, not the model's {model.m + 1} (0 to {model.m})")
+    return PmfSpec(rows, latent_correlation=correlation)
 
 
 def load_dataset(path: str, spec: StudySpec, offset_flags: tuple[bool, ...]) -> AdoptionDataset:
@@ -434,37 +458,14 @@ def cmd_test_two(args: argparse.Namespace) -> dict[str, Any]:
     return _test_report(args, spec, {"data_a": args.data_a, "data_b": args.data_b}, outcome)
 
 
-def _pmf_spec(spec: StudySpec, field: str, rows: object, correlation: object) -> PmfSpec:
-    """The spec file's ``field`` ("pmf" or "alternative_pmf") as a PmfSpec; errors name the field and model."""
-    if not isinstance(rows, list) or len(rows) != spec.k:
-        raise InputError(f"{field} must be a list of {spec.k} pmfs, one per model")
-    for row, model in zip(rows, spec.models):
-        what = f"{field} of model {model.name!r}"
-        if len(_pmf(row, what)) != model.m + 1:
-            raise SpecMismatch(f"{what} has {len(row)} stages, not the model's {model.m + 1} (0 to {model.m})")
-    return PmfSpec(rows, latent_correlation=correlation)
-
-
 def cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
     loaded = load_spec(args.spec)
     spec = loaded["spec"]
-    correlation = loaded["latent_correlation"]
-    alternative = loaded["alternative_pmf"] if args.study == "size" else None
-    with _naming(args.spec):
-        missing = [n for n, p in zip(spec.names, loaded["pmfs"]) if p is None]
-        if missing:
-            raise InputError(f"simulate needs a 'pmf' for every model; missing for {missing}")
-        pmf = _pmf_spec(spec, "pmf", loaded["pmfs"], correlation)
-        pmf_alt = None if alternative is None else _pmf_spec(spec, "alternative_pmf", alternative, correlation)
-    plan = SimulationPlan(
-        pmf=pmf,
-        spec=spec,
-        n=args.n,
-        replications=args.replications,
-        seed=args.seed,
-        study=args.study,
-        pmf_alternative=pmf_alt,
-    )
+    if loaded["pmf"] is None:
+        raise InputError(f"{args.spec}: simulate needs a 'pmf' for every model; missing for {list(spec.names)}")
+    alternative = loaded["alternative_pmf"] if args.study == "size" else None  # the one study that uses it
+    plan = SimulationPlan(pmf=loaded["pmf"], spec=spec, n=args.n, replications=args.replications,
+                          seed=args.seed, study=args.study, pmf_alternative=alternative)
     results = asdict(run_study(plan))
     notes = results.pop("notes")
     inputs = {key: results.pop(key) for key in ("study", "n", "replications", "seed")}

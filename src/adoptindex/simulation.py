@@ -237,20 +237,23 @@ def latent_cross_covariance(pmf: PmfSpec, spec: StudySpec, j: int, l: int) -> fl
         _integer(position, name, 0)
         if position >= spec.k:
             raise InputError(f"{name} must be a model position below k = {spec.k}, got {position}")
-    if pmf.latent_correlation is None:
+    if pmf.latent_correlation is None or pmf.latent_correlation[j, l] == 0.0:
         return 0.0
-    rho = float(pmf.latent_correlation[j, l])
+    return _pair_covariance(pmf, _sampler(pmf)[1], true_index(pmf, spec).scores, j, l)
+
+
+def _pair_covariance(pmf: PmfSpec, cuts: list, scores: tuple[float, ...], j: int, l: int) -> float:
+    """``latent_cross_covariance`` from ``_sampler(pmf)``'s cut points and the true scores."""
+    rho = 0.0 if pmf.latent_correlation is None else float(pmf.latent_correlation[j, l])
     if rho == 0.0:
         return 0.0
-    cuts = _sampler(pmf)[1]
     nodes = _simpson_nodes(rho) if abs(rho) < 1.0 else None
     cross_moment = 0.0
     for tau_a in cuts[j]:
         for tau_b in cuts[l]:
             # P(Z_j > tau_a, Z_l > tau_b) = Phi2(-tau_a, -tau_b; rho)
             cross_moment += _bvn_lower(-tau_a, -tau_b, rho, nodes)
-    truth = true_index(pmf, spec)
-    return cross_moment - truth.scores[j] * truth.scores[l]
+    return cross_moment - scores[j] * scores[l]
 
 
 def _nondegenerate_truth(pmf: PmfSpec, spec: StudySpec, what: str = "pmf") -> TruePopulation:
@@ -276,11 +279,12 @@ def population_asymptotic_variance(pmf: PmfSpec, spec: StudySpec) -> float:
     # Python floats: an overflow reads inf without a numpy warning
     g = [w * d for w, d in zip(spec.weights, gradients)]
     terms = [gj * gj * v for gj, v in zip(g, truth.variances)]
+    cuts = _sampler(pmf)[1]  # taken once: each pair's integral reads them
     with np.errstate(over="ignore"):  # and so may numpy's sums of finite terms
         total = float(np.sum(terms))
         for j in range(spec.k):
             for l in range(j + 1, spec.k):
-                terms.append(2.0 * g[j] * g[l] * latent_cross_covariance(pmf, spec, j, l))
+                terms.append(2.0 * g[j] * g[l] * _pair_covariance(pmf, cuts, truth.scores, j, l))
                 total += terms[-1]
         return _psd_sum(total, float(np.abs(terms).sum()), "index's population asymptotic variance")
 

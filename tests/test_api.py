@@ -97,6 +97,7 @@ def test_every_error_class_is_raised_or_a_base():
 # every raise of a builtin exception in src/, as (file, function, exception), and why it is no
 # AdoptionIndexError: those alone reach a CLI exit status, any other exception a traceback
 BUILTIN_RAISES = {
+    ("cli.py", "_unique_keys", "ValueError"): "json.load's pair hook; load_spec names the file in an InputError",
     ("domain.py", "without_row", "IndexError"): "a library caller's position; the CLI passes found ones",
     ("domain.py", "__getattr__", "AttributeError"): "the attribute protocol, for a name a dataset lacks",
     ("domain.py", "index", "ValueError"): "tuple.index's contract; row_position turns it into RowNotFound",

@@ -129,48 +129,112 @@ class TestCompute:
         assert strict_json(out)["results"]["scores"]["CMM"] == 3.0
 
 
-@pytest.mark.parametrize(
-    "model_fields,top_level,named",
-    [
-        ({"m": 5.7}, {}, "m must be an integer"),
-        ({"m": True}, {}, "m must be an integer"),
-        ({"m": "5"}, {}, "m must be an integer"),
-        ({"alpha": "fast"}, {}, "alpha"),
-        ({"alpha": True}, {}, "alpha"),
-        ({"alpha": -1}, {}, "alpha must be > 0, got -1.0"),
-        ({"beta": "2"}, {}, "beta"),
-        ({"weight": "1"}, {}, "weight"),
-        ({"weight": True}, {}, "weight"),
-        ({"add_zero_stage": "yes"}, {}, "add_zero_stage"),
-        ({"pmf": [0.5, "x", 0.1, 0.1, 0.1, 0.2]}, {}, "pmf of model 'M': entry"),
-        ({"pmf": [True, 0, 0, 0, 0, 0]}, {}, "pmf of model 'M': entry"),
-        ({"pmf": 0.5}, {}, "pmf of model 'M' must be a list of numbers"),
-        ({}, {"latent_correlation": [["one"]]}, "latent correlation"),
-        ({}, {"latent_correlation": [[True]]}, "latent correlation"),
-        ({}, {"latent_correlation": 1.0}, "latent correlation"),
-        ({"name": None}, {}, "model name"),
-        ({"name": 7}, {}, "model name"),
-        ({"beat": 3}, {}, "model 0: unknown key 'beat'"),
-        ({}, {"latent_corelation": [[1.0]]}, "unknown key 'latent_corelation'"),
-    ],
-    ids=[
-        "m-float", "m-bool", "m-string", "alpha-string", "alpha-bool", "alpha-negative", "beta-string",
-        "weight-string", "weight-bool", "add_zero_stage-string", "pmf-string-entry",
-        "pmf-bool-entry", "pmf-not-a-list", "latent-string-entry", "latent-bool-entry",
-        "latent-not-a-matrix", "name-null", "name-number", "model-key-misspelt",
-        "top-level-key-misspelt",
-    ],
-)
-def test_spec_values_are_validated_not_coerced(capsys, tmp_path, model_fields, top_level, named):
+# id: (fields that replace a valid model's, top-level keys, text the message holds)
+SPEC_VALUE_CASES = {
+    "m-float": ({"m": 5.7}, {}, "m must be an integer"),
+    "m-bool": ({"m": True}, {}, "m must be an integer"),
+    "m-string": ({"m": "5"}, {}, "m must be an integer"),
+    "alpha-string": ({"alpha": "fast"}, {}, "alpha"),
+    "alpha-bool": ({"alpha": True}, {}, "alpha"),
+    "alpha-negative": ({"alpha": -1}, {}, "alpha must be > 0, got -1.0"),
+    "beta-string": ({"beta": "2"}, {}, "beta"),
+    "weight-string": ({"weight": "1"}, {}, "weight"),
+    "weight-bool": ({"weight": True}, {}, "weight"),
+    "add_zero_stage-string": ({"add_zero_stage": "yes"}, {}, "add_zero_stage"),
+    "pmf-string-entry": ({"pmf": [0.5, "x", 0.1, 0.1, 0.1, 0.2]}, {}, "pmf of model 'M': entry"),
+    "pmf-bool-entry": ({"pmf": [True, 0, 0, 0, 0, 0]}, {}, "pmf of model 'M': entry"),
+    "pmf-not-a-list": ({"pmf": 0.5}, {}, "pmf of model 'M' must be a list of numbers"),
+    "latent-string-entry": ({}, {"latent_correlation": [["one"]]}, "latent correlation"),
+    "latent-bool-entry": ({}, {"latent_correlation": [[True]]}, "latent correlation"),
+    "latent-not-a-matrix": ({}, {"latent_correlation": 1.0}, "latent correlation"),
+    "name-null": ({"name": None}, {}, "model name"),
+    "name-number": ({"name": 7}, {}, "model name"),
+    "model-key-misspelt": ({"beat": 3}, {}, "model 0: unknown key 'beat'"),
+    "top-level-key-misspelt": ({}, {"latent_corelation": [[1.0]]}, "unknown key 'latent_corelation'"),
+}
+
+
+def _spec_value_case(tmp_path, case):
+    """The spec file of a SPEC_VALUE_CASES case, and the text its message holds."""
+    model_fields, top_level, named = SPEC_VALUE_CASES[case]
     model = {"name": "M", "m": 5, "pmf": [1 / 6] * 6, **model_fields}
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"models": [model], **top_level}))
+    return spec_path, named
+
+
+@pytest.mark.parametrize("case", SPEC_VALUE_CASES)
+def test_spec_values_are_validated_not_coerced(capsys, tmp_path, case):
+    spec_path, named = _spec_value_case(tmp_path, case)
     code, out, err = run_cli(
         capsys, "simulate", "--spec", str(spec_path), "--study", "coverage",
         "--n", "20", "--replications", "2", "--seed", "1",
     )
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {spec_path}: ") and named in err
+
+
+# every command's arguments but --spec; "{data}" stands for a data file
+COMMANDS = {
+    "compute": ["compute", "--data", "{data}"],
+    "test-one": ["test-one", "--data", "{data}", "--row", "c1"],
+    "test-two": ["test-two", "--data-a", "{data}", "--data-b", "{data}"],
+    "surface": ["surface", "--resolution", "3"],
+    **{f"simulate-{study}": ["simulate", "--study", study, "--n", "20", "--replications", "2", "--seed", "1"]
+       for study in simulation.STUDY_KINDS},
+}
+
+
+def _command(tmp_path, command, names):
+    """COMMANDS[command], its data file one whose columns are ``names`` and whose stages are all valid."""
+    data = tmp_path / "data.csv"
+    data.write_text("corporation," + ",".join(names) + "\n"
+                    + "".join(f"c{i}," + ",".join(str((i + j) % 6) for j in range(len(names))) + "\n"
+                              for i in range(6)))
+    return [word.format(data=data) for word in COMMANDS[command]]
+
+
+@pytest.mark.parametrize("command", ["compute", "test-one", "test-two", "surface"])
+@pytest.mark.parametrize("case", [case for case in SPEC_VALUE_CASES if case.startswith(("pmf-", "latent-"))])
+def test_commands_that_do_not_simulate_check_the_simulation_fields(capsys, tmp_path, command, case):
+    # the spec file is checked in full by load_spec, whichever command reads it
+    spec_path, named = _spec_value_case(tmp_path, case)
+    code, out, err = run_cli(capsys, *_command(tmp_path, command, ["M"]), "--spec", str(spec_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {spec_path}: ") and named in err
+
+
+def _ab_models(pmf_a, pmf_b):
+    """Models A and B with m = 5, each with its pmf unless that is None."""
+    return [{"name": name, "m": 5, **({} if pmf is None else {"pmf": pmf})}
+            for name, pmf in (("A", pmf_a), ("B", pmf_b))]
+
+
+UNIFORM6_PMF = [1 / 6] * 6
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("spec,message", [
+    ({"models": _ab_models("nonsense", [2, -1]), "latent_correlation": [[1, 7], [7, 1]],
+      "alternative_pmf": 42},
+     "pmf of model 'A': entry must be a number, got 'n'"),
+    ({"models": _ab_models(UNIFORM6_PMF, None)},
+     "either give every model a 'pmf' or none of them; missing for ['B']"),
+    ({"models": _ab_models(None, None), "latent_correlation": [[1, 7], [7, 1]]},
+     "latent correlation must be positive semi-definite"),
+    ({"models": _ab_models(UNIFORM6_PMF, UNIFORM6_PMF), "alternative_pmf": "garbage"},
+     "alternative_pmf must be a list of 2 pmfs, one per model"),
+    ({"models": _ab_models(UNIFORM6_PMF, UNIFORM6_PMF), "alternative_pmf": [UNIFORM6_PMF, [0.5, 0.5]]},
+     "alternative_pmf of model 'B' has 2 stages, not the model's 6 (0 to 5)"),
+    ('{"models": [{"name": "A", "m": 5}, {"name": "B", "m": 5, "beta": 3, "beta": 1}]}',
+     "invalid JSON (repeated key 'beta')"),
+], ids=["malformed-everywhere", "partial-pmfs", "latent-not-psd-without-pmfs", "alternative-not-a-list",
+        "alternative-short-row", "repeated-key"])
+def test_every_command_refuses_a_malformed_spec_alike(capsys, tmp_path, command, spec, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    code, out, err = run_cli(capsys, *_command(tmp_path, command, "AB"), "--spec", str(spec_path))
+    assert (code, out, err) == (2, "", f"error: {spec_path}: {message}\n")
 
 
 @pytest.mark.parametrize("study", ["normality", "coverage", "variance-ratio"])
@@ -321,9 +385,15 @@ def test_file_that_is_not_utf8_is_an_input_error(capsys, spec_file, data_file, w
         # literal past Python's 4,300-digit string conversion limit
         ("[" * 100_000 + "]" * 100_000, "invalid JSON (maximum recursion depth exceeded"),
         ('{"models": [{"name": "TAM", "m": ' + "9" * 5000 + "}]}", "invalid JSON (Exceeds the limit"),
+        # a repeated key is refused, not read as its last value
+        ('{"models": [{"name": "TAM", "m": 5}, {"name": "CMM", "m": 5, "beta": 3, "beta": 1}]}',
+         "invalid JSON (repeated key 'beta')"),
+        ('{"models": [{"name": "TAM", "m": 5}], "models": [{"name": "TAM", "m": 5}, {"name": "CMM", "m": 5}]}',
+         "invalid JSON (repeated key 'models')"),
     ],
     ids=["missing", "not-an-object", "no-models", "models-not-a-list", "model-not-an-object",
-         "no-name", "no-m", "nested-too-deep", "integer-too-long"],
+         "no-name", "no-m", "nested-too-deep", "integer-too-long", "repeated-model-key",
+         "repeated-top-level-key"],
 )
 def test_malformed_spec_file_names_the_file(capsys, tmp_path, data_file, spec, named):
     spec_path = tmp_path / "spec.json"

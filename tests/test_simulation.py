@@ -191,6 +191,20 @@ class TestLatentCrossCovariance:
         exact = cross_moment - scores[0] * scores[1]
         assert latent_cross_covariance(pmf, spec, 0, 1) == pytest.approx(exact, abs=1e-12)
 
+    def test_population_variance_derives_the_population_once(self, monkeypatch):
+        # the cut points and the truth are taken once per call, not once per model pair
+        pmf = PmfSpec(CHUNK_PMFS, latent_correlation=CHUNK_CORRELATION)
+        expected = population_asymptotic_variance(pmf, CHUNK_SPEC)
+        calls = {"_sampler": 0, "true_index": 0}
+        for name, original in [(name, getattr(simulation, name)) for name in calls]:
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(simulation, name, counted)
+        assert population_asymptotic_variance(pmf, CHUNK_SPEC) == expected
+        assert calls == {"_sampler": 1, "true_index": 1}
+
     @pytest.mark.parametrize("rho", [1.0, -1.0], ids=["comonotone", "countermonotone"])
     @pytest.mark.parametrize("pmfs", [(UNEVEN, UNEVEN_SHORT), (ZERO_FIRST, ZERO_LAST)],
                              ids=["uneven", "empty-end-stages"])
